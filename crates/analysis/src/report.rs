@@ -7,16 +7,10 @@
 //!
 //! The regression rules mirror the validators' acceptance terms:
 //!
-//! * any headline ratio (`kernel.speedup`, `kernel.frontier_speedup`,
-//!   `kernel.sliced_speedup`, `fitness.speedup`) below 1 is flagged —
-//!   the optimisation the ratio measures has become a pessimisation
-//!   (this is how the bit-sliced kernel's `sliced_speedup < 1` shows up
-//!   from the artifacts alone, and how a frontier kernel losing to its
-//!   own dense scan would).
-//!   Exception: when the sealed baseline *also* records that ratio
-//!   below 1, the pessimisation is a known, documented negative result
-//!   (DESIGN.md §11) — it is reported in the verdict but does not gate,
-//!   otherwise `--check` would be permanently red on an honest record;
+//! * any headline ratio (`kernel.frontier_speedup`, `fitness.speedup`)
+//!   below 1 is flagged — the optimisation the ratio measures has
+//!   become a pessimisation (this is how a frontier kernel losing to
+//!   its own dense scan shows up from the artifacts alone);
 //! * against an explicit kernel baseline, a drop below
 //!   [`KERNEL_REGRESSION_FLOOR`](a2a_obs::schema::KERNEL_REGRESSION_FLOOR)
 //!   of the baseline's ratio is flagged (same floor as
@@ -39,7 +33,7 @@ use a2a_obs::HistogramSnapshot;
 /// building; library callers are trusted).
 #[derive(Debug, Default)]
 pub struct ReportInputs<'a> {
-    /// `BENCH_kernel.json` (`a2a-obs/kernel-bench/v3`).
+    /// `BENCH_kernel.json` (`a2a-obs/kernel-bench/v4`).
     pub kernel: Option<&'a Json>,
     /// `BENCH_fitness.json` (`a2a-obs/fitness-bench/v1`).
     pub fitness: Option<&'a Json>,
@@ -71,9 +65,7 @@ pub struct PerfReport {
 /// and on the machine, so consecutive history lines of different scale
 /// would false-positive — those series are charted, not gated.
 const TREND_METRICS: &[(&str, &[&str], bool)] = &[
-    ("kernel speedup (multi/single)", &["kernel", "speedup"], true),
     ("frontier speedup (dense/multi)", &["kernel", "frontier_speedup"], true),
-    ("sliced speedup (sliced/multi)", &["kernel", "sliced_speedup"], true),
     ("multi kernel steps/s", &["kernel", "multi_steps_per_sec"], false),
     ("fitness speedup (adaptive/baseline)", &["fitness", "speedup"], true),
     ("fitness evals/s", &["fitness", "evals_per_sec"], false),
@@ -116,54 +108,33 @@ fn sparkline_file(label: &str) -> String {
 pub fn perf_report(inputs: &ReportInputs<'_>) -> PerfReport {
     let mut md = String::from("# Perf observatory\n\n");
     let mut regressions: Vec<String> = Vec::new();
-    let mut known: Vec<String> = Vec::new();
     let mut sparklines: Vec<(String, String)> = Vec::new();
 
-    // Headline numbers from the freshest sealed artifacts. A ratio < 1
-    // gates unless the baseline already records it < 1 — then it is the
-    // documented negative result, reported but not failed on.
+    // Headline numbers from the freshest sealed artifacts; a gated
+    // ratio < 1 is a regression.
     let mut headline = TextTable::new(vec!["metric", "value", "source"]);
-    let mut ratio = |doc: Option<&Json>,
-                     path: &[&str],
-                     label: &str,
-                     source: &str,
-                     baselined: Option<f64>| {
+    let mut ratio = |doc: Option<&Json>, path: &[&str], label: &str, source: &str| {
         let v = num(doc?, path);
-        if let Some(v) = v {
-            if v < 1.0 {
-                let finding = format!(
-                    "{label} = {} < 1: the measured optimisation is a pessimisation \
-                     (from {source})",
-                    f2(v)
-                );
-                if baselined.is_some_and(|b| b < 1.0) {
-                    known.push(format!(
-                        "{finding}; the baseline records {} — a known negative result, \
-                         drift is gated separately",
-                        f2(baselined.expect("checked"))
-                    ));
-                } else {
-                    regressions.push(finding);
-                }
-            }
+        if let Some(v) = v.filter(|&v| v < 1.0) {
+            regressions.push(format!(
+                "{label} = {} < 1: the measured optimisation is a pessimisation \
+                 (from {source})",
+                f2(v)
+            ));
         }
         v
     };
     let kernel_rows = [
-        (["speedup"].as_slice(), "kernel speedup (multi/single)", true),
-        (&["frontier_speedup"], "frontier speedup (dense/multi)", true),
-        (&["sliced_speedup"], "sliced speedup (sliced/multi)", true),
+        (["frontier_speedup"].as_slice(), "frontier speedup (dense/multi)", true),
         // The parallel ratio is charted, not gated here: on a 1-worker
         // machine it carries no dispatch win by construction, and the
         // schema validator arms its 3x gate from `parallel.workers`.
         (&["parallel_speedup"], "parallel speedup (dense/parallel)", false),
         (&["multi", "steps_per_sec"], "multi kernel steps/s", false),
-        (&["single", "steps_per_sec"], "single kernel steps/s", false),
     ];
     for (path, label, gated) in kernel_rows {
         let v = if gated {
-            let baselined = inputs.baseline.and_then(|b| num(b, path));
-            ratio(inputs.kernel, path, label, "BENCH_kernel.json", baselined)
+            ratio(inputs.kernel, path, label, "BENCH_kernel.json")
         } else {
             inputs.kernel.and_then(|d| num(d, path))
         };
@@ -177,7 +148,6 @@ pub fn perf_report(inputs: &ReportInputs<'_>) -> PerfReport {
             &["speedup"],
             "fitness speedup (adaptive/baseline)",
             "BENCH_fitness.json",
-            None,
         );
         headline.add_row(vec![
             "fitness speedup (adaptive/baseline)".into(),
@@ -207,26 +177,24 @@ pub fn perf_report(inputs: &ReportInputs<'_>) -> PerfReport {
     // enforces, but reported as a delta table either way.
     if let (Some(fresh), Some(base)) = (inputs.kernel, inputs.baseline) {
         let mut diff = TextTable::new(vec!["ratio", "baseline", "current", "delta"]);
-        for key in ["speedup", "frontier_speedup", "sliced_speedup"] {
-            let (b, c) = (num(base, &[key]), num(fresh, &[key]));
-            let delta = match (b, c) {
-                (Some(b), Some(c)) if b > 0.0 => {
-                    let pct = (c / b - 1.0) * 100.0;
-                    if c < KERNEL_REGRESSION_FLOOR * b {
-                        regressions.push(format!(
-                            "kernel.{key} = {} fell below {:.0}% of the baseline's {} \
-                             ({pct:+.1}%)",
-                            f2(c),
-                            KERNEL_REGRESSION_FLOOR * 100.0,
-                            f2(b),
-                        ));
-                    }
-                    format!("{pct:+.1}%")
+        let key = "frontier_speedup";
+        let (b, c) = (num(base, &[key]), num(fresh, &[key]));
+        let delta = match (b, c) {
+            (Some(b), Some(c)) if b > 0.0 => {
+                let pct = (c / b - 1.0) * 100.0;
+                if c < KERNEL_REGRESSION_FLOOR * b {
+                    regressions.push(format!(
+                        "kernel.{key} = {} fell below {:.0}% of the baseline's {} ({pct:+.1}%)",
+                        f2(c),
+                        KERNEL_REGRESSION_FLOOR * 100.0,
+                        f2(b),
+                    ));
                 }
-                _ => "–".to_string(),
-            };
-            diff.add_row(vec![format!("kernel.{key}"), fmt(b), fmt(c), delta]);
-        }
+                format!("{pct:+.1}%")
+            }
+            _ => "–".to_string(),
+        };
+        diff.add_row(vec![format!("kernel.{key}"), fmt(b), fmt(c), delta]);
         md.push_str("## Baseline comparison\n\n");
         md.push_str(&diff.to_markdown());
         md.push('\n');
@@ -314,9 +282,6 @@ pub fn perf_report(inputs: &ReportInputs<'_>) -> PerfReport {
             md.push_str(&format!("- **REGRESSION** {r}\n"));
         }
     }
-    for k in &known {
-        md.push_str(&format!("- known: {k}\n"));
-    }
 
     PerfReport { markdown: md, sparklines, regressions }
 }
@@ -326,30 +291,21 @@ mod tests {
     use super::*;
     use a2a_obs::schema::BENCH_HISTORY_SCHEMA;
 
-    fn kernel_doc(speedup: f64, sliced: f64) -> Json {
-        Json::object()
-            .with("speedup", speedup)
-            .with("sliced_speedup", sliced)
-            .with(
-                "multi",
-                Json::object().with("steps_per_sec", 2.0e6).with("elapsed_us", 10.0),
-            )
-            .with(
-                "single",
-                Json::object().with("steps_per_sec", 1.0e6).with("elapsed_us", 20.0),
-            )
+    fn kernel_doc(frontier: f64) -> Json {
+        Json::object().with("frontier_speedup", frontier).with(
+            "multi",
+            Json::object().with("steps_per_sec", 2.0e6).with("elapsed_us", 10.0),
+        )
     }
 
-    fn history_entry(speedup: f64, sliced: f64) -> Json {
+    fn history_entry(frontier: f64) -> Json {
         Json::object()
             .with("schema", BENCH_HISTORY_SCHEMA)
             .with("t_ms", 1.0)
             .with(
                 "kernel",
                 Json::object()
-                    .with("speedup", speedup)
-                    .with("sliced_speedup", sliced)
-                    .with("frontier_speedup", 1.6)
+                    .with("frontier_speedup", frontier)
                     .with("multi_steps_per_sec", 2.0e6),
             )
             .with(
@@ -359,66 +315,27 @@ mod tests {
     }
 
     #[test]
-    fn sliced_regression_is_flagged_from_the_kernel_artifact_alone() {
-        let kernel = kernel_doc(1.8, 0.4);
-        let report =
-            perf_report(&ReportInputs { kernel: Some(&kernel), ..ReportInputs::default() });
-        assert_eq!(report.regressions.len(), 1, "{:?}", report.regressions);
-        assert!(report.regressions[0].contains("sliced speedup"));
-        assert!(report.markdown.contains("REGRESSION"));
-    }
-
-    #[test]
     fn frontier_regression_is_flagged_from_the_kernel_artifact_alone() {
         // A frontier kernel slower than its own dense scan is a
         // pessimisation wherever it ran — flagged without any baseline.
-        let kernel = kernel_doc(1.8, 1.2).with("frontier_speedup", 0.9);
+        let kernel = kernel_doc(0.9);
         let report =
             perf_report(&ReportInputs { kernel: Some(&kernel), ..ReportInputs::default() });
         assert_eq!(report.regressions.len(), 1, "{:?}", report.regressions);
         assert!(report.regressions[0].contains("frontier speedup"));
+        assert!(report.markdown.contains("REGRESSION"));
         // The parallel ratio is charted but never gated here (the
         // schema validator owns its worker-conditioned gate).
-        let parallel = kernel_doc(1.8, 1.2).with("parallel_speedup", 0.8);
+        let parallel = kernel_doc(1.2).with("parallel_speedup", 0.8);
         let report =
             perf_report(&ReportInputs { kernel: Some(&parallel), ..ReportInputs::default() });
         assert!(report.regressions.is_empty(), "{:?}", report.regressions);
     }
 
     #[test]
-    fn baselined_pessimisation_is_reported_but_does_not_gate() {
-        // The bit-sliced kernel's sliced_speedup < 1 is the documented
-        // §11 negative result: with a baseline that already records it
-        // below 1, the report notes it without failing --check (drift
-        // beyond the floor still gates via the baseline comparison).
-        let base = kernel_doc(2.0, 0.6);
-        let fresh = kernel_doc(1.8, 0.55);
-        let report = perf_report(&ReportInputs {
-            kernel: Some(&fresh),
-            baseline: Some(&base),
-            ..ReportInputs::default()
-        });
-        assert!(report.regressions.is_empty(), "{:?}", report.regressions);
-        assert!(report.markdown.contains("known negative result"));
-        // A collapse below the floor of even that baselined ratio is
-        // still a gated regression.
-        let collapsed = kernel_doc(1.8, 0.2);
-        let report = perf_report(&ReportInputs {
-            kernel: Some(&collapsed),
-            baseline: Some(&base),
-            ..ReportInputs::default()
-        });
-        assert!(
-            report.regressions.iter().any(|r| r.contains("below 70%")),
-            "{:?}",
-            report.regressions
-        );
-    }
-
-    #[test]
     fn healthy_artifacts_produce_no_regressions() {
-        let kernel = kernel_doc(1.8, 1.2);
-        let history: Vec<Json> = (0..4).map(|_| history_entry(1.8, 1.2)).collect();
+        let kernel = kernel_doc(1.2);
+        let history: Vec<Json> = (0..4).map(|_| history_entry(1.2)).collect();
         let report = perf_report(&ReportInputs {
             kernel: Some(&kernel),
             history: &history,
@@ -435,8 +352,8 @@ mod tests {
 
     #[test]
     fn history_drift_below_the_floor_is_flagged() {
-        let mut history: Vec<Json> = (0..5).map(|_| history_entry(2.0, 1.2)).collect();
-        history.push(history_entry(1.0, 1.2)); // 50% of the prior median
+        let mut history: Vec<Json> = (0..5).map(|_| history_entry(2.0)).collect();
+        history.push(history_entry(1.0)); // 50% of the prior median
         let report =
             perf_report(&ReportInputs { history: &history, ..ReportInputs::default() });
         assert!(
@@ -451,16 +368,13 @@ mod tests {
         // Absolute rates depend on the run scale: a --configs 10 line
         // after a --configs 20 line halves evals/s without any code
         // regressing. Only the scale-invariant ratios gate.
-        let mut history: Vec<Json> = (0..4).map(|_| history_entry(2.0, 1.2)).collect();
+        let mut history: Vec<Json> = (0..4).map(|_| history_entry(2.0)).collect();
         let small_run = Json::object()
             .with("schema", BENCH_HISTORY_SCHEMA)
             .with("t_ms", 1.0)
             .with(
                 "kernel",
-                Json::object()
-                    .with("speedup", 2.0)
-                    .with("sliced_speedup", 1.2)
-                    .with("multi_steps_per_sec", 2.0e5),
+                Json::object().with("frontier_speedup", 2.0).with("multi_steps_per_sec", 2.0e5),
             )
             .with(
                 "fitness",
@@ -475,8 +389,8 @@ mod tests {
 
     #[test]
     fn baseline_floor_matches_obs_validate() {
-        let base = kernel_doc(2.0, 1.5);
-        let fresh = kernel_doc(1.2, 1.4); // 60% of baseline speedup
+        let base = kernel_doc(2.0);
+        let fresh = kernel_doc(1.2); // 60% of the baseline ratio
         let report = perf_report(&ReportInputs {
             kernel: Some(&fresh),
             baseline: Some(&base),

@@ -1,14 +1,12 @@
-//! World vs. FastWorld: the reference engine against the bit-packed batch
+//! World vs. MultiWorld: the reference engine against the lockstep batch
 //! kernel on the two workloads that dominate wall-clock time — the GA
 //! fitness evaluation (16×16, 16 agents, many configurations) and the
-//! full-density 33×33 step (E9's field, maximal exchange pressure) —
-//! plus the run-major vs. run-transposed engines on a full 64-run lane
-//! (the pairing behind the DESIGN.md §11 engine-selection matrix).
+//! full-density 33×33 step (E9's field, maximal exchange pressure).
 
 use a2a_fsm::best_agent;
 use a2a_grid::{Dir, GridKind, Lattice};
 use a2a_sim::{
-    run_to_completion, BatchRunner, FastWorld, InitialConfig, World, WorldConfig,
+    run_to_completion, BatchRunner, InitialConfig, MultiWorld, World, WorldConfig,
 };
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::SmallRng;
@@ -30,7 +28,8 @@ fn fitness_configs(kind: GridKind, k: usize, n: usize) -> (WorldConfig, Vec<Init
 }
 
 /// The GA inner loop: one genome, 32 random 16×16 configurations with 16
-/// agents, run to completion — reference engine vs. batch kernel.
+/// agents, run to completion — reference engine vs. batch kernel, one
+/// configuration at a time and as one chunked batch.
 fn bench_fitness_workload(c: &mut Criterion) {
     for kind in [GridKind::Square, GridKind::Triangulate] {
         let (cfg, configs) = fitness_configs(kind, 16, 32);
@@ -48,7 +47,7 @@ fn bench_fitness_workload(c: &mut Criterion) {
             });
         });
 
-        group.bench_function("fastworld", |b| {
+        group.bench_function("one_run", |b| {
             let runner = BatchRunner::from_genome(&cfg, genome.clone(), T_MAX)
                 .expect("valid environment");
             b.iter(|| {
@@ -63,35 +62,6 @@ fn bench_fitness_workload(c: &mut Criterion) {
                 .expect("valid environment");
             b.iter(|| {
                 black_box(runner.run_all(black_box(&configs)).expect("valid placement"));
-            });
-        });
-
-        group.finish();
-    }
-}
-
-/// Run-major vs. run-transposed on a full 64-run lane: the head-to-head
-/// that keeps the DESIGN.md §11 engine-selection matrix honest. The
-/// sliced engine is expected to trail here — that measurement is why
-/// `run_all` routes every batch to `MultiWorld`.
-fn bench_engine_lane(c: &mut Criterion) {
-    for kind in [GridKind::Square, GridKind::Triangulate] {
-        let (cfg, configs) = fitness_configs(kind, 16, 64);
-        let genome = best_agent(kind);
-        let runner = BatchRunner::from_genome(&cfg, genome, T_MAX)
-            .expect("valid environment");
-        assert!(runner.sliced_eligible(&configs), "64 uniform runs fill a lane");
-        let mut group = c.benchmark_group(format!("lane_64runs_k16_{}", kind.label()));
-
-        group.bench_function("multiworld", |b| {
-            b.iter(|| {
-                black_box(runner.run_all_multi(black_box(&configs)).expect("valid placement"));
-            });
-        });
-
-        group.bench_function("slicedworld", |b| {
-            b.iter(|| {
-                black_box(runner.run_all_sliced(black_box(&configs)).expect("valid placement"));
             });
         });
 
@@ -122,11 +92,13 @@ fn bench_packed_33_step(c: &mut Criterion) {
             );
         });
 
-        group.bench_function("fastworld", |b| {
+        group.bench_function("multiworld", |b| {
             b.iter_batched_ref(
                 || {
-                    FastWorld::new(&cfg, genome.clone(), &packed_init(33))
-                        .expect("valid world")
+                    let mut world =
+                        MultiWorld::new(&cfg, genome.clone()).expect("valid environment");
+                    world.load(&[packed_init(33)]).expect("valid placement");
+                    world
                 },
                 |world| world.step(),
                 BatchSize::SmallInput,
@@ -137,5 +109,5 @@ fn bench_packed_33_step(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_fitness_workload, bench_engine_lane, bench_packed_33_step);
+criterion_group!(benches, bench_fitness_workload, bench_packed_33_step);
 criterion_main!(benches);

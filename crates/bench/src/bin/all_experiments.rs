@@ -46,7 +46,7 @@ const SNAPSHOT_PATH: &str = "BENCH_obs.json";
 /// Output path of the fitness-pipeline before/after snapshot.
 const FITNESS_PATH: &str = "BENCH_fitness.json";
 
-/// Output path of the single-run vs multi-run kernel snapshot.
+/// Output path of the batch-kernel snapshot (dense vs frontier vs parallel).
 const KERNEL_PATH: &str = "BENCH_kernel.json";
 
 /// Append-only trend file the perf observatory (`obs_report`) plots:
@@ -83,9 +83,7 @@ fn append_history_line(
             .with(
                 "kernel",
                 Json::object()
-                    .with("speedup", num(kernel, &["speedup"]))
                     .with("frontier_speedup", num(kernel, &["frontier_speedup"]))
-                    .with("sliced_speedup", num(kernel, &["sliced_speedup"]))
                     .with("multi_steps_per_sec", num(kernel, &["multi", "steps_per_sec"]))
                     .with("frontier_active", num(kernel, &["frontier", "active_agent_steps"]))
                     .with("dispatch_workers", num(kernel, &["parallel", "workers"])),
@@ -370,13 +368,13 @@ fn main() {
         fnum(&["selection", "pruned_configs"]),
     ));
 
-    // Single-run vs multi-run kernel throughput → BENCH_kernel.json.
+    // Frontier vs dense kernel throughput → BENCH_kernel.json.
     let kernel = a2a_bench::kernel::kernel_snapshot(
         a2a_bench::kernel::KERNEL_CONFIGS.min(scale.configs.max(10)),
         scale.seed,
     );
     validate_kernel_snapshot(&kernel)
-        .expect("frontier kernel beats the single-run path and dense scan, all engines agree");
+        .expect("frontier kernel beats the dense scan, every path agrees with the oracle");
     a2a_obs::atomic_write(KERNEL_PATH, format!("{kernel}\n").as_bytes())
         .expect("cwd is writable");
     if let Some(sink) = obs.sink() {
@@ -389,17 +387,13 @@ fn main() {
             .unwrap_or(f64::NAN)
     };
     scale.outln(format!(
-        "- multi-run kernel: {:.2}x vs single-run ({:.2e} vs {:.2e} steps/s, chunk {}); \
-         frontier {:.2}x vs dense scan; parallel {:.2}x over dense ({} worker(s)); \
-         bit-sliced ratio {:.2}x vs multi; wrote {KERNEL_PATH} (schema-valid)",
-        knum(&["speedup"]),
-        knum(&["multi", "steps_per_sec"]),
-        knum(&["single", "steps_per_sec"]),
-        knum(&["multi", "chunk"]),
+        "- batch kernel: frontier {:.2}x vs dense scan ({:.2e} steps/s, chunk {}); \
+         parallel {:.2}x over dense ({} worker(s)); wrote {KERNEL_PATH} (schema-valid)",
         knum(&["frontier_speedup"]),
+        knum(&["multi", "steps_per_sec"]),
+        knum(&["multi", "chunk"]),
         knum(&["parallel_speedup"]),
         knum(&["parallel", "workers"]),
-        knum(&["sliced_speedup"]),
     ));
 
     // One sealed trend point for the perf observatory.

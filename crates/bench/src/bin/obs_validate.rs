@@ -24,12 +24,12 @@
 //! percentiles are monotone.
 //! `--fitness` additionally gates on the snapshot's own acceptance
 //! terms: `identical_reports` must be true and `speedup ≥ 1`; `--kernel`
-//! gates the same way on `identical_outcomes` (all four engines) and
-//! the multi-kernel speedup, while the bit-sliced ratio is only sanity
-//! checked (see DESIGN.md §11). `--kernel-baseline BASELINE` pairs with
-//! the `--kernel` files and additionally fails when a fresh snapshot's
-//! `speedup` or `sliced_speedup` regressed more than 30 % below the
-//! baseline's. Snapshot and checkpoint documents
+//! gates the same way on `identical_outcomes` (every path and the
+//! reference oracle) and `frontier_speedup ≥ 1`, plus the parallel
+//! ratio once four or more workers are available. `--kernel-baseline
+//! BASELINE` pairs with the `--kernel` files and additionally fails when
+//! a fresh snapshot's `frontier_speedup` regressed more than 30 % below
+//! the baseline's. Snapshot and checkpoint documents
 //! are sealed; their embedded checksum is verified before any field is
 //! trusted. A crashed run's events stream (a `.partial` file) may end
 //! in one torn line — that is tolerated and reported, while any other
@@ -215,12 +215,12 @@ fn main() -> ExitCode {
         match result {
             Ok(()) => match (&kernel_baseline, &baseline_doc) {
                 (Some(base), Some(_)) => println!(
-                    "{path}: OK (kernel snapshot, checksum verified, multi ≥ single, \
-                     frontier ≥ dense, all engines agree, within 30 % of {base})"
+                    "{path}: OK (kernel snapshot, checksum verified, frontier ≥ dense, \
+                     every path agrees with the oracle, within 30 % of {base})"
                 ),
                 _ => println!(
-                    "{path}: OK (kernel snapshot, checksum verified, multi ≥ single, \
-                     frontier ≥ dense, all engines agree)"
+                    "{path}: OK (kernel snapshot, checksum verified, frontier ≥ dense, \
+                     every path agrees with the oracle)"
                 ),
             },
             Err(e) => {

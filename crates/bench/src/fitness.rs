@@ -123,7 +123,7 @@ fn report_from(outcomes: &[RunOutcome]) -> FitnessReport {
 }
 
 /// The pre-adaptive evaluation path: scoped threads per call, a fresh
-/// `FastWorld` heap allocation per run, no memoization — the PR-1
+/// one-run world (heap-allocated) per run, no memoization — the first
 /// `evaluate_all` reproduced for before/after comparison.
 ///
 /// # Panics

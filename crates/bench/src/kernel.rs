@@ -1,12 +1,11 @@
-//! The batch-kernel benchmark: the single-run `FastWorld` path, the
-//! dense full-scan `MultiWorld` path (the pre-frontier engine, kept as
-//! the in-process baseline), the frontier `MultiWorld` path, the same
-//! frontier kernel behind the parallel dispatch seam, and the
-//! bit-sliced `SlicedWorld` path on the whole-population fitness
-//! workload — sealed as `BENCH_kernel.json` (schema
-//! `a2a-obs/kernel-bench/v3`) with a built-in differential check that
-//! every engine (including the untimed reference `World`) produces
-//! bit-identical [`RunOutcome`]s.
+//! The batch-kernel benchmark: the dense full-scan `MultiWorld` path
+//! (the pre-frontier engine, kept as the in-process baseline), the
+//! frontier `MultiWorld` path `run_all` ships, and the same frontier
+//! kernel behind the parallel dispatch seam, on the whole-population
+//! fitness workload — sealed as `BENCH_kernel.json` (schema
+//! `a2a-obs/kernel-bench/v4`) with a built-in differential check that
+//! every path and the untimed reference `World` produce bit-identical
+//! [`RunOutcome`]s.
 //!
 //! Timing is *interleaved and paired*: each repetition times one
 //! whole-population pass through each path in turn, and the snapshot
@@ -104,25 +103,12 @@ pub fn kernel_workload(configs: usize, seed: u64) -> KernelWorkload {
     KernelWorkload { config, configs, population }
 }
 
-/// One whole-population pass through the single-run path (the PR-3
-/// `BatchRunner` inner loop: pooled `FastWorld`, one config at a time).
-fn single_pass(runners: &[BatchRunner], configs: &[InitialConfig]) -> Vec<RunOutcome> {
-    let mut outcomes = Vec::with_capacity(runners.len() * configs.len());
-    for runner in runners {
-        for init in configs {
-            outcomes.push(runner.outcome_for(init).expect("workload configs are valid"));
-        }
-    }
-    outcomes
-}
-
-/// One whole-population pass through the fused multi-run path
-/// (engine forced: routing must not fold the two batch series into
-/// one measurement).
+/// One whole-population pass through the frontier multi-run path
+/// `run_all` ships.
 fn multi_pass(runners: &[BatchRunner], configs: &[InitialConfig]) -> Vec<RunOutcome> {
     let mut outcomes = Vec::with_capacity(runners.len() * configs.len());
     for runner in runners {
-        outcomes.extend(runner.run_all_multi(configs).expect("workload configs are valid"));
+        outcomes.extend(runner.run_all(configs).expect("workload configs are valid"));
     }
     outcomes
 }
@@ -139,19 +125,9 @@ fn dense_pass(runners: &[BatchRunner], configs: &[InitialConfig]) -> Vec<RunOutc
     outcomes
 }
 
-/// One whole-population pass through the bit-sliced run-transposed
-/// path (engine forced, like [`multi_pass`]).
-fn sliced_pass(runners: &[BatchRunner], configs: &[InitialConfig]) -> Vec<RunOutcome> {
-    let mut outcomes = Vec::with_capacity(runners.len() * configs.len());
-    for runner in runners {
-        outcomes.extend(runner.run_all_sliced(configs).expect("workload configs are valid"));
-    }
-    outcomes
-}
-
 /// One whole-population pass through the reference `World` oracle —
 /// run once outside the timed repetitions to extend the identity check
-/// to all four engines.
+/// to the oracle.
 fn oracle_pass(w: &KernelWorkload) -> Vec<RunOutcome> {
     let mut outcomes = Vec::with_capacity(w.population.len() * w.configs.len());
     for genome in &w.population {
@@ -205,9 +181,9 @@ fn instrumented_pass(
     (active.get() - count_before, histogram_delta(&hist_before, &active_pct.snapshot()))
 }
 
-/// Measures the workload through the four batch-kernel paths plus the
-/// parallel dispatch seam and assembles the `BENCH_kernel.json`
-/// document (see the module docs for the timing protocol). The
+/// Measures the workload through the dense and frontier batch-kernel
+/// paths plus the parallel dispatch seam and assembles the
+/// `BENCH_kernel.json` document (see the module docs for the timing protocol). The
 /// reference `World` oracle and the instrumented active-fraction pass
 /// run once each, untimed; the oracle's outcomes join the
 /// `identical_outcomes` check.
@@ -238,21 +214,13 @@ pub fn kernel_snapshot(configs: usize, seed: u64) -> Json {
         runners.iter().map(|r| r.clone().with_dispatch(Arc::clone(&pool))).collect();
     let workers = par_runners[0].dispatch_workers();
 
-    let mut single_us = f64::INFINITY;
     let mut dense_us = f64::INFINITY;
     let mut multi_us = f64::INFINITY;
     let mut parallel_us = f64::INFINITY;
-    let mut sliced_us = f64::INFINITY;
-    let mut single_outcomes = Vec::new();
     let mut dense_outcomes = Vec::new();
     let mut multi_outcomes = Vec::new();
     let mut parallel_outcomes = Vec::new();
-    let mut sliced_outcomes = Vec::new();
     for _ in 0..KERNEL_REPS {
-        let started = Instant::now();
-        single_outcomes = single_pass(&runners, &w.configs);
-        single_us = single_us.min(started.elapsed().as_micros().max(1) as f64);
-
         let started = Instant::now();
         dense_outcomes = dense_pass(&runners, &w.configs);
         dense_us = dense_us.min(started.elapsed().as_micros().max(1) as f64);
@@ -264,26 +232,19 @@ pub fn kernel_snapshot(configs: usize, seed: u64) -> Json {
         let started = Instant::now();
         parallel_outcomes = multi_pass(&par_runners, &w.configs);
         parallel_us = parallel_us.min(started.elapsed().as_micros().max(1) as f64);
-
-        let started = Instant::now();
-        sliced_outcomes = sliced_pass(&runners, &w.configs);
-        sliced_us = sliced_us.min(started.elapsed().as_micros().max(1) as f64);
     }
     let oracle_outcomes = oracle_pass(&w);
-    let identical = single_outcomes == dense_outcomes
-        && single_outcomes == multi_outcomes
-        && single_outcomes == parallel_outcomes
-        && single_outcomes == sliced_outcomes
-        && single_outcomes == oracle_outcomes;
+    let identical = oracle_outcomes == dense_outcomes
+        && oracle_outcomes == multi_outcomes
+        && oracle_outcomes == parallel_outcomes;
     let (active_steps, active_pct) = instrumented_pass(&runners, &w.configs);
 
-    // All paths simulate the identical step count (retirement in the
-    // batch kernels ≡ per-run early exit in the single-run loop), so
-    // one total serves every rate.
+    // All paths simulate the identical step count (retirement is
+    // per-run early exit in every mode), so one total serves every
+    // rate.
     let total_steps: u64 = multi_outcomes.iter().map(|o| u64::from(o.steps)).sum();
     let evals = (w.population.len() * w.configs.len()) as f64;
     let chunk = runners[0].chunk_size(KERNEL_K);
-    let sliced_chunk = runners[0].sliced_chunk_size(KERNEL_K);
     let rates = |us: f64| {
         Json::object()
             .with("elapsed_us", us)
@@ -302,18 +263,14 @@ pub fn kernel_snapshot(configs: usize, seed: u64) -> Json {
                     .with("k", KERNEL_K)
                     .with("grid", "T"),
             )
-            .with("single", rates(single_us))
             .with("dense", rates(dense_us).with("chunk", chunk as u64))
             .with("multi", rates(multi_us).with("chunk", chunk as u64))
             .with(
                 "parallel",
                 rates(parallel_us).with("chunk", chunk as u64).with("workers", workers as u64),
             )
-            .with("sliced", rates(sliced_us).with("chunk", sliced_chunk as u64))
-            .with("speedup", single_us / multi_us)
             .with("frontier_speedup", dense_us / multi_us)
             .with("parallel_speedup", dense_us / parallel_us)
-            .with("sliced_speedup", multi_us / sliced_us)
             .with(
                 "frontier",
                 Json::object()
@@ -332,8 +289,8 @@ mod tests {
     #[test]
     fn reduced_snapshot_validates_and_is_identical() {
         // A reduced-scale run of the full snapshot path: must satisfy
-        // its own schema (multi ≥ single; the sliced ratio is recorded,
-        // not gated) and all four engines must agree exactly.
+        // its own schema, and every path must agree exactly with the
+        // reference oracle.
         let snapshot = kernel_snapshot(24, 99);
         validate_kernel_snapshot(&snapshot).unwrap();
         assert_eq!(snapshot.get("identical_outcomes"), Some(&Json::Bool(true)));

@@ -1,8 +1,8 @@
 //! End-to-end test of the `obs_report` binary: a sealed kernel snapshot
-//! whose bit-sliced engine regressed (`sliced_speedup < 1` — the shape
-//! the PR-6 measurement actually produced) must be flagged from the
-//! artifacts alone, and `--check` must turn the flag into a non-zero
-//! exit. A healthy history stream must pass and render sparklines.
+//! whose frontier ratio fell more than 30 % below the sealed baseline's
+//! must be flagged from the artifacts alone, and `--check` must turn
+//! the flag into a non-zero exit. A healthy history stream must pass
+//! and render sparklines.
 
 use a2a_obs::json::Json;
 use a2a_obs::schema::{seal, BENCH_HISTORY_SCHEMA, KERNEL_BENCH_SCHEMA};
@@ -17,8 +17,8 @@ fn scratch(name: &str) -> PathBuf {
     dir
 }
 
-/// A schema-valid sealed kernel snapshot with a chosen sliced ratio.
-fn kernel_snapshot(sliced_speedup: f64) -> Json {
+/// A schema-valid sealed kernel snapshot with a chosen frontier ratio.
+fn kernel_snapshot(frontier_speedup: f64) -> Json {
     let rates = |us: f64| {
         Json::object()
             .with("elapsed_us", us)
@@ -33,15 +33,11 @@ fn kernel_snapshot(sliced_speedup: f64) -> Json {
             "workload",
             Json::object().with("population", 8u64).with("configs", 24u64).with("k", 8u64).with("grid", "T"),
         )
-        .with("single", rates(200.0))
-        .with("dense", rates(160.0).with("chunk", 64u64))
+        .with("dense", rates(100.0 * frontier_speedup).with("chunk", 64u64))
         .with("multi", rates(100.0).with("chunk", 64u64))
         .with("parallel", rates(102.0).with("chunk", 64u64).with("workers", 1u64))
-        .with("sliced", rates(100.0 / sliced_speedup).with("chunk", 64u64))
-        .with("speedup", 2.0)
-        .with("frontier_speedup", 1.6)
-        .with("parallel_speedup", 1.57)
-        .with("sliced_speedup", sliced_speedup)
+        .with("frontier_speedup", frontier_speedup)
+        .with("parallel_speedup", frontier_speedup / 1.02)
         .with(
             "frontier",
             Json::object()
@@ -51,7 +47,7 @@ fn kernel_snapshot(sliced_speedup: f64) -> Json {
         .with("identical_outcomes", true))
 }
 
-fn history_line(speedup: f64) -> String {
+fn history_line(frontier_speedup: f64) -> String {
     seal(Json::object()
         .with("schema", BENCH_HISTORY_SCHEMA)
         .with("t_ms", 1.0)
@@ -59,8 +55,7 @@ fn history_line(speedup: f64) -> String {
         .with(
             "kernel",
             Json::object()
-                .with("speedup", speedup)
-                .with("sliced_speedup", 1.2)
+                .with("frontier_speedup", frontier_speedup)
                 .with("multi_steps_per_sec", 2.0e6),
         )
         .with("fitness", Json::object().with("speedup", 2.1).with("evals_per_sec", 900.0)))
@@ -75,27 +70,31 @@ fn run_report(args: &[&str]) -> std::process::Output {
 }
 
 #[test]
-fn sliced_regression_fails_check_from_sealed_artifacts_alone() {
-    let dir = scratch("sliced");
+fn frontier_regression_fails_check_from_sealed_artifacts_alone() {
+    let dir = scratch("frontier");
     let kernel_path = dir.join("BENCH_kernel.json");
-    std::fs::write(&kernel_path, format!("{}\n", kernel_snapshot(0.4))).unwrap();
+    std::fs::write(&kernel_path, format!("{}\n", kernel_snapshot(1.05))).unwrap();
+    let baseline_path = dir.join("kernel_baseline.json");
+    std::fs::write(&baseline_path, format!("{}\n", kernel_snapshot(1.6))).unwrap();
     let out_dir = dir.join("report");
 
     let out = run_report(&[
         "--kernel",
         kernel_path.to_str().unwrap(),
+        "--baseline",
+        baseline_path.to_str().unwrap(),
         "--out",
         out_dir.to_str().unwrap(),
         "--check",
     ]);
     assert!(
         !out.status.success(),
-        "--check must fail on sliced_speedup < 1: {}",
+        "--check must fail on a frontier ratio 34 % under the baseline: {}",
         String::from_utf8_lossy(&out.stderr)
     );
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("REGRESSION"), "stderr names the finding: {stderr}");
-    assert!(stderr.contains("sliced"), "finding names the sliced ratio: {stderr}");
+    assert!(stderr.contains("frontier_speedup"), "finding names the ratio: {stderr}");
     // The report is still written for the failing run — that is the
     // artifact CI uploads to explain the failure.
     let md = std::fs::read_to_string(out_dir.join("OBS_REPORT.md")).unwrap();
@@ -161,7 +160,9 @@ fn missing_history_file_is_an_empty_trend_not_an_error() {
 fn tampered_artifact_is_rejected_before_any_number_is_trusted() {
     let dir = scratch("tampered");
     let kernel_path = dir.join("BENCH_kernel.json");
-    let tampered = kernel_snapshot(1.3).to_string().replace("\"speedup\":2", "\"speedup\":9");
+    let tampered = kernel_snapshot(1.3)
+        .to_string()
+        .replace("\"frontier_speedup\":1.3", "\"frontier_speedup\":9");
     std::fs::write(&kernel_path, format!("{tampered}\n")).unwrap();
     let out = run_report(&[
         "--kernel",

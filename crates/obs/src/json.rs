@@ -207,13 +207,20 @@ impl fmt::Display for Json {
     }
 }
 
-/// Parses one JSON document, rejecting trailing non-whitespace.
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so an unbounded depth would let one small hostile
+/// document (`[[[[…`) overflow the thread's stack and abort the
+/// process; far deeper than any document the workspace writes.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses one JSON document, rejecting trailing non-whitespace and
+/// nesting deeper than [`MAX_DEPTH`].
 ///
 /// # Errors
 ///
 /// A human-readable message with the byte offset of the first problem.
 pub fn parse(input: &str) -> Result<Json, String> {
-    let mut p = Parser { bytes: input.as_bytes(), at: 0 };
+    let mut p = Parser { input, bytes: input.as_bytes(), at: 0, depth: 0 };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
@@ -224,8 +231,11 @@ pub fn parse(input: &str) -> Result<Json, String> {
 }
 
 struct Parser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     at: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -265,8 +275,18 @@ impl Parser<'_> {
             Some(b't') => self.eat_keyword("true", Json::Bool(true)),
             Some(b'f') => self.eat_keyword("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                        self.at
+                    ));
+                }
+                self.depth += 1;
+                let value = if open == b'[' { self.array() } else { self.object() };
+                self.depth -= 1;
+                value
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.at)),
         }
@@ -327,12 +347,14 @@ impl Parser<'_> {
                     self.at += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte aware).
-                    let rest = std::str::from_utf8(&self.bytes[self.at..])
-                        .map_err(|_| "invalid UTF-8 in string")?;
-                    let c = rest.chars().next().expect("non-empty by peek");
-                    out.push(c);
-                    self.at += c.len_utf8();
+                    // Copy the whole run of plain characters at once.
+                    // The input is a `&str` and `"`/`\\` are ASCII, so
+                    // both ends of the run are character boundaries.
+                    let start = self.at;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.at += 1;
+                    }
+                    out.push_str(&self.input[start..self.at]);
                 }
             }
         }
@@ -425,6 +447,33 @@ mod tests {
     fn unicode_escapes_parse() {
         assert_eq!(parse(r#""A""#).unwrap(), Json::Str("A".to_string()));
         assert_eq!(parse("\"π\"").unwrap(), Json::Str("π".to_string()));
+    }
+
+    #[test]
+    fn nesting_depth_is_bounded() {
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_limit).is_ok());
+        let too_deep = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(parse(&too_deep).unwrap_err().contains("nesting"));
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1);
+        assert!(parse(&objects).unwrap_err().contains("nesting"));
+        // Half a million unclosed brackets answer with an error instead
+        // of overflowing the stack.
+        assert!(parse(&"[".repeat(500_000)).unwrap_err().contains("nesting"));
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // 1 MiB of mixed one- and multi-byte characters with escapes
+        // sprinkled in: a quadratic decoder takes tens of seconds here.
+        let value: String = "plain text, π ≈ 3.14159 \"quoted\"\n".repeat(1 << 15);
+        assert!(value.len() >= 1 << 20);
+        let doc = Json::object().with("s", value.as_str()).to_string();
+        let started = std::time::Instant::now();
+        let parsed = parse(&doc).unwrap();
+        let elapsed = started.elapsed();
+        assert_eq!(parsed.get("s").and_then(Json::as_str), Some(value.as_str()));
+        assert!(elapsed < std::time::Duration::from_secs(2), "took {elapsed:?}");
     }
 
     #[test]

@@ -17,10 +17,10 @@
 //! * [`Trace::to_collapsed`] — collapsed-stack lines
 //!   (`root;child;leaf <self µs>`), the folded format flamegraph
 //!   tooling consumes — dependency-free on both ends;
-//! * [`phase_table`] — an ASCII per-engine phase attribution table
-//!   (act vs exchange vs arbitration) computed from the metrics
-//!   registry's `kernel.*.ns` histograms rather than from spans, so it
-//!   works at any verbosity that enables metrics.
+//! * [`phase_table`] — an ASCII kernel phase attribution table (act vs
+//!   exchange) computed from the metrics registry's `kernel.multi.*.ns`
+//!   histograms rather than from spans, so it works at any verbosity
+//!   that enables metrics.
 //!
 //! ```
 //! use a2a_obs::{trace, Span};
@@ -272,47 +272,28 @@ impl Trace {
     }
 }
 
-/// The per-engine phase attribution table: act vs exchange vs
-/// arbitration wall time per kernel engine, computed from the
-/// `kernel*.{act,exchange,arbitrate}.ns` histograms of a registry
-/// snapshot (recorded by the traced run paths at `A2A_LOG=trace`).
-/// Arbitration is a sub-phase *inside* act on the engines that time it.
+/// The kernel phase attribution table: act vs exchange wall time,
+/// computed from the `kernel.multi.{act,exchange}.ns` histograms of a
+/// registry snapshot (recorded by the traced run path at
+/// `A2A_LOG=trace`).
 #[must_use]
 pub fn phase_table(snap: &RegistrySnapshot) -> String {
     let ns_sum = |name: &str| snap.histograms.get(name).map_or(0u64, |h| h.sum);
-    let engines = [
-        ("fast", "kernel.act.ns", "kernel.exchange.ns", "kernel.arbitrate.ns"),
-        ("multi", "kernel.multi.act.ns", "kernel.multi.exchange.ns", ""),
-        ("sliced", "kernel.sliced.act.ns", "kernel.sliced.exchange.ns", ""),
-    ];
-    let mut rows = Vec::new();
-    for (engine, act, exchange, arb) in engines {
-        let (a, e) = (ns_sum(act), ns_sum(exchange));
-        let r = if arb.is_empty() { 0 } else { ns_sum(arb) };
-        if a + e + r > 0 {
-            rows.push((engine, a, e, r));
-        }
-    }
-    if rows.is_empty() {
+    let (a, e) = (ns_sum("kernel.multi.act.ns"), ns_sum("kernel.multi.exchange.ns"));
+    if a + e == 0 {
         return "(no per-phase kernel timing recorded — run with A2A_LOG=trace)".to_string();
     }
     let ms = |ns: u64| ns as f64 / 1e6;
-    let mut out = String::from(
-        "engine  |     act ms | exchange ms | arb ms (in act) |  act% | exch%\n\
-         --------+------------+-------------+-----------------+-------+------\n",
-    );
-    for (engine, a, e, r) in rows {
-        let total = (a + e).max(1) as f64;
-        out.push_str(&format!(
-            "{engine:<7} | {:>10.3} | {:>11.3} | {:>15.3} | {:>4.0}% | {:>4.0}%\n",
-            ms(a),
-            ms(e),
-            ms(r),
-            100.0 * a as f64 / total,
-            100.0 * e as f64 / total,
-        ));
-    }
-    out
+    let total = (a + e) as f64;
+    format!(
+        "engine  |     act ms | exchange ms |  act% | exch%\n\
+         --------+------------+-------------+-------+------\n\
+         multi   | {:>10.3} | {:>11.3} | {:>4.0}% | {:>4.0}%\n",
+        ms(a),
+        ms(e),
+        100.0 * a as f64 / total,
+        100.0 * e as f64 / total,
+    )
 }
 
 #[cfg(test)]
@@ -374,7 +355,16 @@ mod tests {
 
     #[test]
     fn phase_table_reports_missing_timing() {
-        let snap = RegistrySnapshot::default();
+        let mut snap = RegistrySnapshot::default();
         assert!(phase_table(&snap).contains("A2A_LOG=trace"));
+        for (name, ns) in [("kernel.multi.act.ns", 3_000_000), ("kernel.multi.exchange.ns", 1_000_000)]
+        {
+            let mut h = crate::HistogramSnapshot::default();
+            h.record(ns);
+            snap.histograms.insert(name.to_string(), h);
+        }
+        let table = phase_table(&snap);
+        assert!(table.contains("multi"), "{table}");
+        assert!(table.contains("75%") && table.contains("25%"), "{table}");
     }
 }

@@ -11,6 +11,13 @@ use std::time::Duration;
 /// Largest accepted request body; bigger submissions answer `413`.
 pub const MAX_BODY: usize = 1 << 20;
 
+/// Longest accepted request line or header line, line terminator
+/// included; a longer one answers `431`.
+pub const MAX_HEAD_LINE: usize = 8 * 1024;
+
+/// Most header lines accepted per request; more answer `431`.
+pub const MAX_HEADERS: usize = 100;
+
 /// Per-connection socket timeout: a stalled peer cannot pin a
 /// connection worker forever.
 pub const SOCKET_TIMEOUT: Duration = Duration::from_secs(30);
@@ -49,12 +56,27 @@ pub enum RequestError {
     Malformed(String),
     /// Body over [`MAX_BODY`] — answer `413`.
     TooLarge,
+    /// A head line over [`MAX_HEAD_LINE`] or more than [`MAX_HEADERS`]
+    /// headers — answer `431`.
+    HeadTooLarge,
 }
 
 impl From<std::io::Error> for RequestError {
     fn from(e: std::io::Error) -> Self {
         Self::Io(e)
     }
+}
+
+/// Reads one head line (request line or header), refusing to buffer
+/// more than [`MAX_HEAD_LINE`] bytes of it. Returns an empty string at
+/// end of input.
+fn read_head_line(reader: &mut impl BufRead) -> Result<String, RequestError> {
+    let mut line = String::new();
+    reader.take(MAX_HEAD_LINE as u64 + 1).read_line(&mut line)?;
+    if line.len() > MAX_HEAD_LINE {
+        return Err(RequestError::HeadTooLarge);
+    }
+    Ok(line)
 }
 
 /// Reads one request from `stream` (which gets [`SOCKET_TIMEOUT`]
@@ -67,8 +89,7 @@ pub fn read_request(stream: &TcpStream) -> Result<Request, RequestError> {
     let _ = stream.set_read_timeout(Some(SOCKET_TIMEOUT));
     let _ = stream.set_write_timeout(Some(SOCKET_TIMEOUT));
     let mut reader = BufReader::new(stream.try_clone()?);
-    let mut line = String::new();
-    reader.read_line(&mut line)?;
+    let line = read_head_line(&mut reader)?;
     let mut parts = line.split_whitespace();
     let method = parts
         .next()
@@ -86,14 +107,19 @@ pub fn read_request(stream: &TcpStream) -> Result<Request, RequestError> {
     }
 
     let mut content_length = 0usize;
+    let mut headers = 0usize;
     loop {
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
+        let header = read_head_line(&mut reader)?;
+        if header.is_empty() {
             return Err(RequestError::Malformed("connection closed mid-headers".to_string()));
         }
         let header = header.trim_end();
         if header.is_empty() {
             break;
+        }
+        headers += 1;
+        if headers > MAX_HEADERS {
+            return Err(RequestError::HeadTooLarge);
         }
         if let Some((name, value)) = header.split_once(':') {
             if name.trim().eq_ignore_ascii_case("content-length") {
@@ -191,6 +217,7 @@ pub fn reason(status: u16) -> &'static str {
         409 => "Conflict",
         413 => "Payload Too Large",
         429 => "Too Many Requests",
+        431 => "Request Header Fields Too Large",
         500 => "Internal Server Error",
         503 => "Service Unavailable",
         _ => "Unknown",
@@ -250,6 +277,26 @@ mod tests {
             round_trip(b"GET http-no-slash HTTP/1.1\r\n\r\n"),
             Err(RequestError::Malformed(_))
         ));
+    }
+
+    #[test]
+    fn oversized_heads_are_refused() {
+        let long_target = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(MAX_HEAD_LINE));
+        assert!(matches!(round_trip(long_target.as_bytes()), Err(RequestError::HeadTooLarge)));
+        let long_header =
+            format!("GET / HTTP/1.1\r\nX-Pad: {}\r\n\r\n", "b".repeat(MAX_HEAD_LINE));
+        assert!(matches!(round_trip(long_header.as_bytes()), Err(RequestError::HeadTooLarge)));
+        let many: String = (0..=MAX_HEADERS).map(|i| format!("X-{i}: v\r\n")).collect();
+        let too_many = format!("GET / HTTP/1.1\r\n{many}\r\n");
+        assert!(matches!(round_trip(too_many.as_bytes()), Err(RequestError::HeadTooLarge)));
+        // Right at the caps is still a request.
+        let fits: String = (0..MAX_HEADERS).map(|i| format!("X-{i}: v\r\n")).collect();
+        let at_cap = format!("GET / HTTP/1.1\r\n{fits}\r\n");
+        assert_eq!(round_trip(at_cap.as_bytes()).unwrap().path, "/");
+        let pad = "c".repeat(MAX_HEAD_LINE - "X-Pad: \r\n".len());
+        let full_line = format!("GET / HTTP/1.1\r\nX-Pad: {pad}\r\n\r\n");
+        assert_eq!(round_trip(full_line.as_bytes()).unwrap().path, "/");
+        assert_eq!(reason(431), "Request Header Fields Too Large");
     }
 
     #[test]

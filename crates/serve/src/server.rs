@@ -325,6 +325,7 @@ fn connection_worker(state: &Arc<ServerState>, rx: &Arc<Mutex<mpsc::Receiver<Tcp
         let response = match read_request(&stream) {
             Ok(req) => dispatch(state, &req),
             Err(RequestError::TooLarge) => Response::error(413, "body too large"),
+            Err(RequestError::HeadTooLarge) => Response::error(431, "request head too large"),
             Err(RequestError::Malformed(m)) => Response::error(400, &m),
             Err(RequestError::Io(_)) => continue, // peer vanished
         };

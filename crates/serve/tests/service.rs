@@ -386,3 +386,17 @@ fn post_with_oversized_body_answers_413() {
     assert!(reply.starts_with("HTTP/1.1 413"), "got: {reply}");
     handle.stop();
 }
+
+#[test]
+fn deeply_nested_body_answers_400_and_the_server_stays_up() {
+    let (handle, addr) = start("nested", QueueConfig::default(), 1);
+    // 500 KB of `[`: a parser recursing once per level without a depth
+    // limit overflows the connection thread's stack and aborts the
+    // whole process.
+    let reply = client::post(&addr, "/jobs", &"[".repeat(500_000)).unwrap();
+    assert_eq!(reply.status, 400, "{}", reply.body);
+    assert!(reply.body.contains("nesting"), "{}", reply.body);
+    let health = client::get(&addr, "/healthz").unwrap();
+    assert_eq!(health.status, 200, "{}", health.body);
+    handle.stop();
+}

@@ -3,7 +3,7 @@
 //!
 //! The GA fitness workload evaluates a single genome on dozens to hundreds
 //! of initial configurations. [`BatchRunner`] compiles the genome and the
-//! environment once (neighbour tables, obstacle bitset, colour planes,
+//! environment once (neighbour tables, the empty-field cell image,
 //! per-phase FSM tables) and shares them across every run through an
 //! [`Arc`], so per-configuration cost is placement + simulation only.
 //! `BatchRunner` is `Sync`: `outcome_for` takes `&self`, which lets
@@ -15,47 +15,32 @@ use crate::config::WorldConfig;
 use crate::dispatch::{Dispatch, DispatchJob};
 use crate::error::SimError;
 use crate::init::InitialConfig;
-use crate::kernel::{FastWorld, KernelEnv};
+use crate::kernel::KernelEnv;
 use crate::multi::{preferred_chunk, MultiWorld};
 use crate::run::RunOutcome;
-use crate::sliced::{preferred_sliced_chunk, SlicedWorld};
 use a2a_fsm::Genome;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
-/// Worlds kept warm per thread (single-run and multi-run pools each).
-/// GA workers interleave at most a handful of runners (one per genome
-/// being pruned in a block), so a small pool already gives near-perfect
-/// reuse; anything colder is rebuilt.
-const WORLD_POOL_LIMIT: usize = 4;
+/// Worlds kept warm per thread. GA workers interleave at most a handful
+/// of runners (one per genome being pruned in a block), so a small pool
+/// already gives near-perfect reuse; anything colder is rebuilt.
+const POOL_LIMIT: usize = 4;
 
 thread_local! {
-    /// Per-thread pool of compiled single-run worlds, most recently
-    /// used at the back. Each pooled world pins its own
-    /// `Arc<KernelEnv>`, so matching by pointer identity
-    /// ([`FastWorld::shares_env`]) cannot alias a recycled allocation.
-    /// A `VecDeque` makes the cold-end eviction O(1) — with a `Vec`,
-    /// every eviction shifted the whole pool.
-    static WORLD_POOL: RefCell<VecDeque<FastWorld>> = const { RefCell::new(VecDeque::new()) };
-
-    /// Per-thread pool of multi-run worlds, same discipline.
+    /// Per-thread pool of compiled worlds, most recently used at the
+    /// back. Each pooled world pins its own `Arc<KernelEnv>`, so
+    /// matching by pointer identity ([`MultiWorld::shares_env`]) cannot
+    /// alias a recycled allocation. A `VecDeque` makes the cold-end
+    /// eviction O(1) — with a `Vec`, every eviction shifted the whole
+    /// pool.
     static MULTI_POOL: RefCell<VecDeque<MultiWorld>> = const { RefCell::new(VecDeque::new()) };
-
-    /// Per-thread pool of bit-sliced worlds, same discipline.
-    static SLICED_POOL: RefCell<VecDeque<SlicedWorld>> = const { RefCell::new(VecDeque::new()) };
-}
-
-/// Counts one cold-entry eviction in the registry (when metrics are on).
-fn count_eviction() {
-    if a2a_obs::metrics_enabled() {
-        a2a_obs::global().counter("kernel.pool.evictions").incr();
-    }
 }
 
 /// Takes the most recent pooled world compiled from `env`, if any.
-fn take_pooled(env: &Arc<KernelEnv>) -> Option<FastWorld> {
-    WORLD_POOL.with(|pool| {
+fn take_pooled(env: &Arc<KernelEnv>) -> Option<MultiWorld> {
+    MULTI_POOL.with(|pool| {
         let mut pool = pool.borrow_mut();
         pool.iter().rposition(|w| w.shares_env(env)).and_then(|i| pool.remove(i))
     })
@@ -63,61 +48,21 @@ fn take_pooled(env: &Arc<KernelEnv>) -> Option<FastWorld> {
 
 /// Returns a world to this thread's pool, evicting the coldest entry
 /// when full.
-fn return_pooled(world: FastWorld) {
-    WORLD_POOL.with(|pool| {
-        let mut pool = pool.borrow_mut();
-        if pool.len() >= WORLD_POOL_LIMIT {
-            pool.pop_front();
-            count_eviction();
-        }
-        pool.push_back(world);
-    });
-}
-
-/// Takes the most recent pooled sliced world compiled from `env`, if any.
-fn take_pooled_sliced(env: &Arc<KernelEnv>) -> Option<SlicedWorld> {
-    SLICED_POOL.with(|pool| {
-        let mut pool = pool.borrow_mut();
-        pool.iter().rposition(|w| w.shares_env(env)).and_then(|i| pool.remove(i))
-    })
-}
-
-/// Returns a sliced world to this thread's pool, evicting the coldest
-/// entry when full.
-fn return_pooled_sliced(world: SlicedWorld) {
-    SLICED_POOL.with(|pool| {
-        let mut pool = pool.borrow_mut();
-        if pool.len() >= WORLD_POOL_LIMIT {
-            pool.pop_front();
-            count_eviction();
-        }
-        pool.push_back(world);
-    });
-}
-
-/// Takes the most recent pooled multi-world compiled from `env`, if any.
-fn take_pooled_multi(env: &Arc<KernelEnv>) -> Option<MultiWorld> {
+fn return_pooled(world: MultiWorld) {
     MULTI_POOL.with(|pool| {
         let mut pool = pool.borrow_mut();
-        pool.iter().rposition(|w| w.shares_env(env)).and_then(|i| pool.remove(i))
-    })
-}
-
-/// Returns a multi-world to this thread's pool, evicting the coldest
-/// entry when full.
-fn return_pooled_multi(world: MultiWorld) {
-    MULTI_POOL.with(|pool| {
-        let mut pool = pool.borrow_mut();
-        if pool.len() >= WORLD_POOL_LIMIT {
+        if pool.len() >= POOL_LIMIT {
             pool.pop_front();
-            count_eviction();
+            if a2a_obs::metrics_enabled() {
+                a2a_obs::global().counter("kernel.pool.evictions").incr();
+            }
         }
         pool.push_back(world);
     });
 }
 
 /// Evaluates one behaviour over many initial configurations using the
-/// bit-packed [`FastWorld`] kernel.
+/// lockstep [`MultiWorld`] kernel.
 ///
 /// # Examples
 ///
@@ -164,9 +109,9 @@ impl BatchRunner {
         Ok(Self { env: Arc::new(KernelEnv::new(config, behaviour)?), t_max, dispatch: None })
     }
 
-    /// Attaches a parallel executor: [`BatchRunner::run_all`] (and the
-    /// engine-forcing multi seams) shard chunk-sized blocks of the
-    /// configuration set across it, committing block results in
+    /// Attaches a parallel executor: [`BatchRunner::run_all`] and
+    /// [`BatchRunner::run_all_multi_dense`] shard chunk-sized blocks of
+    /// the configuration set across it, committing block results in
     /// submission order — outcomes stay bit-identical to the serial
     /// path (the differential suite enforces this). Pass the
     /// GA worker pool through its `Dispatch` impl; detach with
@@ -205,49 +150,32 @@ impl BatchRunner {
         self.t_max
     }
 
-    /// Runs one initial configuration to completion (or the horizon),
-    /// reusing a pooled per-thread [`FastWorld`] when one matches this
-    /// runner's environment — the steady state of a batch performs no
-    /// per-run heap allocation (see [`FastWorld::allocation_count`]).
-    /// Outcomes are identical to [`BatchRunner::fresh_outcome_for`].
+    /// Runs one initial configuration to completion (or the horizon)
+    /// as a one-run batch on a pooled per-thread [`MultiWorld`] — the
+    /// same world pool [`BatchRunner::run_all`] draws from, so the
+    /// steady state performs no per-run world allocation (see
+    /// [`MultiWorld::allocation_count`]). Outcomes are identical to
+    /// [`BatchRunner::fresh_outcome_for`].
     ///
     /// # Errors
     ///
     /// The placement checks of [`crate::World::with_behaviour`]: invalid
     /// positions or directions, duplicates, agents on obstacles.
     pub fn outcome_for(&self, init: &InitialConfig) -> Result<RunOutcome, SimError> {
-        let mut world = match take_pooled(&self.env) {
-            Some(mut world) => {
-                // A placement error may leave the world half-rebuilt;
-                // drop it rather than pooling an inconsistent arena.
-                world.reset_from(init)?;
-                if a2a_obs::metrics_enabled() {
-                    a2a_obs::global().counter("kernel.pool.reuse").incr();
-                }
-                world
-            }
-            None => {
-                if a2a_obs::metrics_enabled() {
-                    a2a_obs::global().counter("kernel.pool.fresh").incr();
-                }
-                FastWorld::from_env(Arc::clone(&self.env), init)?
-            }
-        };
-        let outcome = world.run(self.t_max);
-        return_pooled(world);
-        Ok(outcome)
+        Ok(self.run_block(std::slice::from_ref(init), false)?[0])
     }
 
     /// [`BatchRunner::outcome_for`] without the per-thread world pool: a
-    /// fresh [`FastWorld`] per call. The pre-reuse baseline, kept for
-    /// benchmarks and differential tests against the pooled path.
+    /// fresh one-run [`MultiWorld`] per call. The pre-reuse baseline,
+    /// kept for benchmarks and tests of the pooled path.
     ///
     /// # Errors
     ///
     /// As [`BatchRunner::outcome_for`].
     pub fn fresh_outcome_for(&self, init: &InitialConfig) -> Result<RunOutcome, SimError> {
-        let mut world = FastWorld::from_env(Arc::clone(&self.env), init)?;
-        Ok(world.run(self.t_max))
+        let mut world = MultiWorld::from_env(Arc::clone(&self.env));
+        world.load(std::slice::from_ref(init))?;
+        Ok(world.run(self.t_max)[0])
     }
 
     /// Runs per lockstep chunk this runner prefers for configurations
@@ -260,66 +188,22 @@ impl BatchRunner {
         preferred_chunk(&self.env, k)
     }
 
-    /// Runs per bit-sliced chunk this runner prefers for uniform
-    /// batches of `k`-agent configurations — whole lanes of 64 runs,
-    /// as many as keep a [`SlicedWorld`] chunk's working set
-    /// cache-resident.
-    #[must_use]
-    pub fn sliced_chunk_size(&self, k: usize) -> usize {
-        preferred_sliced_chunk(&self.env, k)
-    }
-
-    /// Whether `inits` is a batch shape the bit-sliced engine
-    /// *accepts*: a uniform agent count `1 ≤ k ≤ 1024` across 64 or
-    /// more configurations (at least one full lane).
-    ///
-    /// Eligibility, not preference: paired benchmarks show the
-    /// run-transposed engine trailing the run-major one on every
-    /// measured workload (divergent runs defeat its word-parallel
-    /// merges — see DESIGN.md §11), so [`BatchRunner::run_all`] keeps
-    /// every batch on [`MultiWorld`] and the sliced path stays an
-    /// explicit opt-in via [`BatchRunner::run_all_sliced`].
-    #[must_use]
-    pub fn sliced_eligible(&self, inits: &[InitialConfig]) -> bool {
-        let Some(k) = inits.first().map(InitialConfig::agent_count) else {
-            return false;
-        };
-        inits.len() >= 64
-            && (1..=1024).contains(&k)
-            && inits.iter().all(|i| i.agent_count() == k)
-    }
-
-    /// Runs every configuration in order on the calling thread through
-    /// the fastest measured lockstep engine — the run-major
-    /// [`MultiWorld`] for every batch shape (see
-    /// [`BatchRunner::sliced_eligible`] for why the bit-sliced engine
-    /// is opt-in only). Outcomes are bit-identical to mapping
-    /// [`BatchRunner::outcome_for`] over the configurations. For
-    /// parallel evaluation, fan chunk-sized sub-slices of the
-    /// configuration set out over a thread pool — the runner is
-    /// `Sync`.
+    /// Runs every configuration in order through the lockstep
+    /// [`MultiWorld`] engine, in chunks of [`BatchRunner::chunk_size`]
+    /// runs with a pooled per-thread world per chunk. With an executor
+    /// attached ([`BatchRunner::with_dispatch`]) the chunk-blocks are
+    /// sharded across it; outcomes are bit-identical either way, and
+    /// bit-identical to mapping [`BatchRunner::outcome_for`] over the
+    /// configurations.
     ///
     /// # Errors
     ///
     /// The first placement error encountered, as [`BatchRunner::outcome_for`].
     pub fn run_all(&self, inits: &[InitialConfig]) -> Result<Vec<RunOutcome>, SimError> {
-        self.run_all_multi(inits)
+        self.run_all_with(inits, false)
     }
 
-    /// [`BatchRunner::run_all`] pinned to the run-major [`MultiWorld`]
-    /// engine, in chunks of [`BatchRunner::chunk_size`] runs with a
-    /// pooled per-thread world per chunk. The engine-forcing seam for
-    /// benchmarks and differential suites; [`BatchRunner::run_all`] is
-    /// the right call everywhere else.
-    ///
-    /// # Errors
-    ///
-    /// As [`BatchRunner::run_all`].
-    pub fn run_all_multi(&self, inits: &[InitialConfig]) -> Result<Vec<RunOutcome>, SimError> {
-        self.run_all_multi_with(inits, false)
-    }
-
-    /// [`BatchRunner::run_all_multi`] with the engine's dense-scan
+    /// [`BatchRunner::run_all`] with the engine's dense-scan
     /// compatibility mode forced on ([`MultiWorld::set_dense`]): the
     /// pre-frontier full-`k` exchange sweep, kept as the kernel
     /// bench's in-process baseline for `frontier_speedup`. Outcomes
@@ -329,10 +213,10 @@ impl BatchRunner {
     ///
     /// As [`BatchRunner::run_all`].
     pub fn run_all_multi_dense(&self, inits: &[InitialConfig]) -> Result<Vec<RunOutcome>, SimError> {
-        self.run_all_multi_with(inits, true)
+        self.run_all_with(inits, true)
     }
 
-    fn run_all_multi_with(
+    fn run_all_with(
         &self,
         inits: &[InitialConfig],
         dense: bool,
@@ -358,24 +242,23 @@ impl BatchRunner {
             None => {
                 let mut outcomes: Vec<RunOutcome> = Vec::with_capacity(inits.len());
                 for block in inits.chunks(chunk) {
-                    outcomes.extend(self.run_block_multi(block, dense)?);
+                    outcomes.extend(self.run_block(block, dense)?);
                 }
                 outcomes
             }
         };
-        self.log_run_all(&outcomes);
+        a2a_obs::event!(a2a_obs::Level::Debug, "batch.run_all",
+            "configs" => outcomes.len(),
+            "successful" => outcomes.iter().filter(|o| o.is_successful()).count(),
+            "t_max" => self.t_max);
         Ok(outcomes)
     }
 
     /// One chunk-block through a pooled per-thread [`MultiWorld`] —
-    /// the unit of work both the serial loop and the parallel
-    /// dispatcher execute.
-    fn run_block_multi(
-        &self,
-        block: &[InitialConfig],
-        dense: bool,
-    ) -> Result<Vec<RunOutcome>, SimError> {
-        let mut world = match take_pooled_multi(&self.env) {
+    /// the unit of work the serial loop, the parallel dispatcher and
+    /// the one-run [`BatchRunner::outcome_for`] all execute.
+    fn run_block(&self, block: &[InitialConfig], dense: bool) -> Result<Vec<RunOutcome>, SimError> {
+        let mut world = match take_pooled(&self.env) {
             Some(world) => {
                 if a2a_obs::metrics_enabled() {
                     a2a_obs::global().counter("kernel.pool.reuse").incr();
@@ -396,7 +279,7 @@ impl BatchRunner {
         let outcomes = world.run(self.t_max);
         // Pooled worlds always rest in frontier mode (the default).
         world.set_dense(false);
-        return_pooled_multi(world);
+        return_pooled(world);
         Ok(outcomes)
     }
 
@@ -424,7 +307,7 @@ impl BatchRunner {
                 let slots = Arc::clone(&slots);
                 let runner = self.clone();
                 Box::new(move || {
-                    let result = runner.run_block_multi(&blocks[b], dense);
+                    let result = runner.run_block(&blocks[b], dense);
                     *slots[b].lock().expect("slot poisoned") = Some(result);
                 }) as DispatchJob
             })
@@ -435,64 +318,11 @@ impl BatchRunner {
             let result = match slot.lock().expect("slot poisoned").take() {
                 Some(result) => result,
                 // Undelivered: repair deterministically on this thread.
-                None => self.run_block_multi(&blocks[b], dense),
+                None => self.run_block(&blocks[b], dense),
             };
             outcomes.extend(result?);
         }
         Ok(outcomes)
-    }
-
-    /// [`BatchRunner::run_all`] pinned to the bit-sliced
-    /// [`SlicedWorld`] engine, in chunks of
-    /// [`BatchRunner::sliced_chunk_size`] runs (whole lanes of 64)
-    /// with a pooled per-thread world per chunk. Requires a uniform
-    /// agent count across the batch; like `run_all_multi`, this is an
-    /// engine-forcing seam — prefer [`BatchRunner::run_all`].
-    ///
-    /// # Errors
-    ///
-    /// As [`BatchRunner::run_all`], plus [`SimError::SpecMismatch`]
-    /// for a batch whose configurations disagree on the agent count.
-    pub fn run_all_sliced(&self, inits: &[InitialConfig]) -> Result<Vec<RunOutcome>, SimError> {
-        let _span = a2a_obs::Span::enter("batch.run_all");
-        // An empty batch must not consult `inits[0]` for chunk sizing
-        // (it used to silently size chunks for k = 1).
-        let Some(first) = inits.first() else {
-            return Ok(Vec::new());
-        };
-        let chunk = self.sliced_chunk_size(first.agent_count());
-        let mut outcomes: Vec<RunOutcome> = Vec::with_capacity(inits.len());
-        for block in inits.chunks(chunk) {
-            let mut world = match take_pooled_sliced(&self.env) {
-                Some(world) => {
-                    if a2a_obs::metrics_enabled() {
-                        a2a_obs::global().counter("kernel.pool.reuse").incr();
-                    }
-                    world
-                }
-                None => {
-                    if a2a_obs::metrics_enabled() {
-                        a2a_obs::global().counter("kernel.pool.fresh").incr();
-                    }
-                    SlicedWorld::from_env(Arc::clone(&self.env))
-                }
-            };
-            // A load error may leave the world half-loaded; drop it
-            // rather than pooling an inconsistent arena.
-            world.load(block)?;
-            outcomes.extend(world.run(self.t_max));
-            return_pooled_sliced(world);
-        }
-        self.log_run_all(&outcomes);
-        Ok(outcomes)
-    }
-
-    /// The shared `batch.run_all` debug summary.
-    fn log_run_all(&self, outcomes: &[RunOutcome]) {
-        a2a_obs::event!(a2a_obs::Level::Debug, "batch.run_all",
-            "configs" => outcomes.len(),
-            "successful" => outcomes.iter().filter(|o| o.is_successful()).count(),
-            "t_max" => self.t_max);
     }
 }
 
@@ -634,35 +464,6 @@ mod tests {
     }
 
     #[test]
-    fn run_all_routes_uniform_batches_and_engines_agree() {
-        // 70 uniform configurations are sliced-eligible (and leave a
-        // partial lane); the dispatcher, the forced multi path and the
-        // forced sliced path must all report the same outcomes — and
-        // run_all must stay on the run-major engine (the sliced path
-        // is an explicit opt-in, never the routed default).
-        let cfg = WorldConfig::paper(GridKind::Triangulate, 16);
-        let runner = BatchRunner::from_genome(&cfg, best_agent(cfg.kind), 200).unwrap();
-        let mut rng = SmallRng::seed_from_u64(404);
-        let inits: Vec<InitialConfig> = (0..70)
-            .map(|_| InitialConfig::random(cfg.lattice, cfg.kind, 16, &[], &mut rng).unwrap())
-            .collect();
-        assert!(runner.sliced_eligible(&inits));
-        let routed = runner.run_all(&inits).unwrap();
-        assert_eq!(routed, runner.run_all_multi(&inits).unwrap());
-        assert_eq!(routed, runner.run_all_sliced(&inits).unwrap());
-        // Small or ragged batches are not even sliced-eligible.
-        assert!(!runner.sliced_eligible(&inits[..63]));
-        let mut ragged = inits[..64].to_vec();
-        ragged[40] =
-            InitialConfig::random(cfg.lattice, cfg.kind, 15, &[], &mut rng).unwrap();
-        assert!(!runner.sliced_eligible(&ragged));
-        assert_eq!(
-            runner.run_all(&ragged).unwrap(),
-            runner.run_all_multi(&ragged).unwrap()
-        );
-    }
-
-    #[test]
     fn empty_batch_returns_empty_on_every_path() {
         // Regression: chunk sizing used to read `inits.first()` with a
         // k = 1 fallback, silently shaping chunks for a batch that does
@@ -670,9 +471,7 @@ mod tests {
         let cfg = WorldConfig::paper(GridKind::Square, 16);
         let runner = BatchRunner::from_genome(&cfg, best_agent(cfg.kind), 200).unwrap();
         assert!(runner.run_all(&[]).unwrap().is_empty());
-        assert!(runner.run_all_multi(&[]).unwrap().is_empty());
         assert!(runner.run_all_multi_dense(&[]).unwrap().is_empty());
-        assert!(runner.run_all_sliced(&[]).unwrap().is_empty());
     }
 
     /// A real multi-threaded executor for the dispatch tests:
@@ -770,8 +569,9 @@ mod tests {
 
     #[test]
     fn run_all_matches_per_config_outcomes() {
-        // The chunked lockstep path must be bit-identical to mapping
-        // outcome_for over the set — ragged agent counts included.
+        // The chunked lockstep path must be bit-identical to the
+        // reference oracle run config by config — ragged agent counts
+        // included — and so must the one-run path.
         for kind in [GridKind::Square, GridKind::Triangulate] {
             let cfg = WorldConfig::paper(kind, 16);
             let runner = BatchRunner::from_genome(&cfg, best_agent(kind), 200).unwrap();
@@ -781,8 +581,11 @@ mod tests {
                 .map(|&k| InitialConfig::random(cfg.lattice, kind, k, &[], &mut rng).unwrap())
                 .collect();
             let singles: Vec<RunOutcome> =
-                inits.iter().map(|i| runner.outcome_for(i).unwrap()).collect();
+                inits.iter().map(|i| simulate(&cfg, best_agent(kind), i, 200).unwrap()).collect();
             assert_eq!(runner.run_all(&inits).unwrap(), singles, "{kind}");
+            let one_by_one: Vec<RunOutcome> =
+                inits.iter().map(|i| runner.outcome_for(i).unwrap()).collect();
+            assert_eq!(one_by_one, singles, "{kind}");
         }
     }
 }

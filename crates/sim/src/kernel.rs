@@ -1,38 +1,28 @@
-//! A bit-packed batch kernel for the CA system: the same step semantics as
-//! [`World`](crate::World), specialised for throughput.
+//! The compiled kernel environment every [`MultiWorld`](crate::MultiWorld)
+//! run shares: the same step semantics as [`World`](crate::World),
+//! precomputed for throughput.
 //!
-//! [`FastWorld`] keeps agent state as structure-of-arrays, occupancy and
-//! obstacles as one `u64` bitset (`solid`), cell colours as bit-planes,
-//! neighbour cells in a flat per-lattice offset table, the FSM rows as a
-//! pre-resolved per-phase table (turn codes already mapped to direction
-//! deltas), and the communication vectors as flat `u64` words merged
-//! word-wise with an incremental informed counter for early exit.
+//! [`KernelEnv`] holds everything about a simulation that does not
+//! depend on the initial configuration — neighbour cells in a flat
+//! per-lattice offset table, the FSM rows as a pre-resolved per-phase
+//! table (turn codes already mapped to direction deltas), and the
+//! empty field as one byte per cell (obstacle bit plus initial colour).
+//! [`MultiWorld`](crate::MultiWorld) stamps that byte image into every
+//! run it loads.
 //!
-//! The engine is differentially tested against `World` (the oracle) in
+//! The kernel is differentially tested against `World` (the oracle) in
 //! `tests/differential.rs`: both are driven in lockstep and must agree on
-//! every agent position, direction, state, colour plane, infoset and on
+//! every agent position, direction, state, colour, infoset and on
 //! `t_comm` at every step.
 
 use crate::behaviour::Behaviour;
 use crate::config::{ColorInit, ConflictPolicy, InitStatePolicy, WorldConfig};
 use crate::error::SimError;
-use crate::infoset::InfoSet;
-use crate::init::InitialConfig;
-use crate::run::RunOutcome;
 use a2a_fsm::Genome;
-use a2a_grid::{Dir, GridKind, Lattice, Pos};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use a2a_grid::{Dir, GridKind, Lattice};
 
 /// Sentinel for "no cell" / "no agent" in the flat index tables.
 pub(crate) const NONE: u32 = u32::MAX;
-
-/// Process-wide count of buffer-allocating world constructions: one per
-/// [`FastWorld::from_env`] plus one per [`FastWorld::reset_from`] that
-/// had to grow a buffer. The batch layer's steady state (world reuse
-/// with a stable agent count) must not move this counter — asserted by
-/// the allocation tests in `batch.rs`.
-static BUFFER_ALLOCS: AtomicU64 = AtomicU64::new(0);
 
 /// One FSM row with the turn code already resolved to a direction delta.
 #[derive(Debug, Clone, Copy)]
@@ -47,7 +37,7 @@ pub(crate) struct CompiledEntry {
 /// Everything about a simulation that does not depend on the initial
 /// configuration: lattice geometry, obstacles, initial colouring and the
 /// compiled behaviour. Immutable and `Sync`, so one environment is shared
-/// (via [`Arc`]) by every run of a batch.
+/// (via [`Arc`](std::sync::Arc)) by every run of a batch.
 #[derive(Debug)]
 pub(crate) struct KernelEnv {
     pub(crate) kind: GridKind,
@@ -57,10 +47,6 @@ pub(crate) struct KernelEnv {
     pub(crate) n_states: u8,
     pub(crate) n_colors: u8,
     pub(crate) n_dirs: usize,
-    /// `u64` words per field-sized bitset.
-    pub(crate) cell_words: usize,
-    /// Bit-planes needed to store a colour in `0..n_colors`.
-    pub(crate) n_color_planes: u32,
     /// Flat neighbour table: `fwd[cell * n_dirs + d]` is the cell one step
     /// along direction `d`, or [`NONE`] off a bordered field.
     pub(crate) fwd: Vec<u32>,
@@ -68,10 +54,10 @@ pub(crate) struct KernelEnv {
     /// fields are fully wrapped, so their exchange gathers skip the
     /// per-neighbour sentinel test entirely.
     pub(crate) has_border: bool,
-    /// Obstacle cells as a bitset.
-    pub(crate) obstacle_words: Vec<u64>,
-    /// Validated initial colouring, packed as bit-planes (plane-major).
-    pub(crate) color_planes_init: Vec<u64>,
+    /// The empty field, one byte per cell: bit 0 is set on obstacles,
+    /// bits 1.. hold the validated initial colour. Every run's cell
+    /// state starts as a copy of this image.
+    pub(crate) meta_init: Vec<u8>,
     /// Compiled FSM rows, one table per behaviour phase.
     pub(crate) phases: Vec<Vec<CompiledEntry>>,
 }
@@ -95,14 +81,8 @@ impl KernelEnv {
         }
         let lattice = config.lattice;
         let n_cells = lattice.len();
-        let cell_words = n_cells.div_ceil(64);
-
-        let mut obstacle_words = vec![0u64; cell_words];
-        for &p in &config.obstacles {
-            if !lattice.contains(p) {
-                return Err(SimError::OutsideField(p));
-            }
-            bit_set(&mut obstacle_words, lattice.index_of(p));
+        if let Some(&p) = config.obstacles.iter().find(|&&p| !lattice.contains(p)) {
+            return Err(SimError::OutsideField(p));
         }
 
         let colors = match &config.colors {
@@ -124,10 +104,9 @@ impl KernelEnv {
                 spec.n_colors
             )));
         }
-        let n_color_planes = planes_for(spec.n_colors);
-        let mut color_planes_init = vec![0u64; cell_words * n_color_planes as usize];
-        for (c, &color) in colors.iter().enumerate() {
-            write_color(&mut color_planes_init, cell_words, n_color_planes, c, color);
+        let mut meta_init: Vec<u8> = colors.iter().map(|&c| c << 1).collect();
+        for &p in &config.obstacles {
+            meta_init[lattice.index_of(p)] |= 1;
         }
 
         let n_dirs = usize::from(config.kind.dir_count());
@@ -154,12 +133,9 @@ impl KernelEnv {
             n_states: spec.n_states,
             n_colors: spec.n_colors,
             n_dirs,
-            cell_words,
-            n_color_planes,
             fwd,
             has_border,
-            obstacle_words,
-            color_planes_init,
+            meta_init,
             phases,
         })
     }
@@ -181,744 +157,37 @@ fn compile_genome(genome: &Genome) -> Vec<CompiledEntry> {
         .collect()
 }
 
-/// Bit-planes needed for colours in `0..n_colors` (0 when only colour 0
-/// exists).
-fn planes_for(n_colors: u8) -> u32 {
-    32 - u32::from(n_colors - 1).leading_zeros()
-}
-
-pub(crate) fn bit_get(words: &[u64], i: usize) -> bool {
-    words[i / 64] & (1u64 << (i % 64)) != 0
-}
-
-pub(crate) fn bit_set(words: &mut [u64], i: usize) {
-    words[i / 64] |= 1u64 << (i % 64);
-}
-
-pub(crate) fn bit_clear(words: &mut [u64], i: usize) {
-    words[i / 64] &= !(1u64 << (i % 64));
-}
-
-pub(crate) fn read_color(planes: &[u64], cell_words: usize, n_planes: u32, c: usize) -> u8 {
-    let mut color = 0u8;
-    for p in 0..n_planes as usize {
-        let bit = (planes[p * cell_words + c / 64] >> (c % 64)) & 1;
-        color |= (bit as u8) << p;
-    }
-    color
-}
-
-pub(crate) fn write_color(planes: &mut [u64], cell_words: usize, n_planes: u32, c: usize, color: u8) {
-    for p in 0..n_planes as usize {
-        let w = &mut planes[p * cell_words + c / 64];
-        let mask = 1u64 << (c % 64);
-        if (color >> p) & 1 == 1 {
-            *w |= mask;
-        } else {
-            *w &= !mask;
-        }
-    }
-}
-
-/// All `k`-bit vector words full, honouring the tail mask of the last word.
-pub(crate) fn words_complete(words: &[u64], tail_mask: u64) -> bool {
-    let n = words.len();
-    words[..n - 1].iter().all(|&w| w == u64::MAX) && words[n - 1] == tail_mask
-}
-
-/// The bit-packed simulation engine: same dynamics as
-/// [`World`](crate::World), structure-of-arrays layout.
-///
-/// # Examples
-///
-/// ```
-/// use a2a_sim::{FastWorld, InitialConfig, WorldConfig};
-/// use a2a_fsm::best_t_agent;
-/// use a2a_grid::GridKind;
-/// use rand::{rngs::SmallRng, SeedableRng};
-///
-/// # fn main() -> Result<(), a2a_sim::SimError> {
-/// let cfg = WorldConfig::paper(GridKind::Triangulate, 16);
-/// let mut rng = SmallRng::seed_from_u64(1);
-/// let init = InitialConfig::random(cfg.lattice, cfg.kind, 16, &[], &mut rng)?;
-/// let mut fast = FastWorld::new(&cfg, best_t_agent(), &init)?;
-/// let outcome = fast.run(200);
-/// assert!(outcome.is_successful());
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug)]
-pub struct FastWorld {
-    env: Arc<KernelEnv>,
-    /// Cell index per agent.
-    pos: Vec<u32>,
-    /// Direction index per agent.
-    dir: Vec<u8>,
-    /// Control state per agent.
-    state: Vec<u8>,
-    /// Agent on each cell ([`NONE`] when empty).
-    occupant: Vec<u32>,
-    /// Occupancy ∪ obstacles as a bitset — one load answers "hard blocked".
-    solid: Vec<u64>,
-    /// Current cell colours, bit-plane packed.
-    color_planes: Vec<u64>,
-    /// Communication vectors, `stride` words per agent.
-    info: Vec<u64>,
-    info_next: Vec<u64>,
-    /// Words per agent vector: `k.div_ceil(64)`.
-    stride: usize,
-    /// Mask of valid bits in each vector's last word.
-    tail_mask: u64,
-    /// Which agents are informed; drives the incremental counter.
-    complete: Vec<bool>,
-    /// The activity frontier: a permutation of `0..k` whose first
-    /// [`FastWorld::frontier_len`] entries are exactly the agents with
-    /// unsaturated infosets. The exchange sweep iterates this dense
-    /// list instead of scanning (and branching on) all `k` agents, and
-    /// an agent that completes is retired with one O(1) swap towards
-    /// the tail — so the saturation tail costs the active remainder,
-    /// not `k`.
-    frontier: Vec<u32>,
-    /// Live prefix length of [`FastWorld::frontier`].
-    frontier_len: usize,
-    informed: usize,
-    time: u32,
-    /// Movement conflicts lost so far (round-2 re-perceptions).
-    conflicts: u64,
-    // Scratch reused across steps.
-    claims: Vec<u32>,
-    requests: Vec<(u32, u32)>,
-    /// Per agent: (flat compiled-row index, move target or [`NONE`]).
-    decisions: Vec<(u32, u32)>,
-    /// Agents that completed during the current exchange sweep; their
-    /// stale buffer is back-filled to all-ones after the swap so both
-    /// buffers stay frozen and later sweeps can skip them entirely.
-    newly: Vec<u32>,
-}
-
-impl FastWorld {
-    /// Assembles a fast world for a single-FSM behaviour.
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`crate::World::new`].
-    pub fn new(
-        config: &WorldConfig,
-        genome: Genome,
-        init: &InitialConfig,
-    ) -> Result<Self, SimError> {
-        Self::with_behaviour(config, Behaviour::Single(genome), init)
-    }
-
-    /// Like [`FastWorld::new`] with a full [`Behaviour`].
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`crate::World::with_behaviour`].
-    pub fn with_behaviour(
-        config: &WorldConfig,
-        behaviour: Behaviour,
-        init: &InitialConfig,
-    ) -> Result<Self, SimError> {
-        Self::from_env(Arc::new(KernelEnv::new(config, &behaviour)?), init)
-    }
-
-    /// Places one initial configuration into a shared environment and
-    /// performs the uncounted `t = 0` exchange.
-    pub(crate) fn from_env(env: Arc<KernelEnv>, init: &InitialConfig) -> Result<Self, SimError> {
-        init.validate(env.lattice, env.kind)?;
-        let k = init.agent_count();
-        if k > usize::from(u16::MAX) {
-            return Err(SimError::TooManyAgents { requested: k, limit: usize::from(u16::MAX) });
-        }
-
-        let n_cells = env.lattice.len();
-        let mut occupant = vec![NONE; n_cells];
-        let mut solid = env.obstacle_words.clone();
-        let mut pos = Vec::with_capacity(k);
-        let mut dir = Vec::with_capacity(k);
-        let mut state = Vec::with_capacity(k);
-        for (i, &(p, d)) in init.placements().iter().enumerate() {
-            let idx = env.lattice.index_of(p);
-            if bit_get(&env.obstacle_words, idx) {
-                return Err(SimError::OnObstacle(p));
-            }
-            occupant[idx] = i as u32;
-            bit_set(&mut solid, idx);
-            pos.push(idx as u32);
-            dir.push(d.index());
-            state.push(env.init_states.state_for(i as u16, env.n_states));
-        }
-
-        let stride = k.div_ceil(64);
-        let mut info = vec![0u64; k * stride];
-        for i in 0..k {
-            info[i * stride + i / 64] |= 1u64 << (i % 64);
-        }
-        let tail = k % 64;
-        let tail_mask = if tail == 0 { u64::MAX } else { (1u64 << tail) - 1 };
-
-        let mut world = Self {
-            color_planes: env.color_planes_init.clone(),
-            info_next: info.clone(),
-            env,
-            pos,
-            dir,
-            state,
-            occupant,
-            solid,
-            info,
-            stride,
-            tail_mask,
-            complete: vec![false; k],
-            frontier: (0..k as u32).collect(),
-            frontier_len: k,
-            informed: 0,
-            time: 0,
-            conflicts: 0,
-            claims: vec![NONE; n_cells],
-            requests: Vec::with_capacity(k),
-            decisions: Vec::with_capacity(k),
-            newly: Vec::with_capacity(k),
-        };
-        // The uncounted exchange right after placement.
-        world.exchange();
-        BUFFER_ALLOCS.fetch_add(1, Ordering::Relaxed);
-        Ok(world)
-    }
-
-    /// Rebuilds this world in place for a new initial configuration of
-    /// the *same* environment, reusing every buffer: the steady state of
-    /// a batch (constant agent count) performs zero heap allocation.
-    /// Semantically identical to a fresh [`FastWorld::from_env`] on
-    /// `self`'s environment — validation order, placement, identity
-    /// info bits and the uncounted `t = 0` exchange all match.
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`FastWorld::from_env`]. On error the world may be
-    /// partially rebuilt and must be discarded, except for validation
-    /// errors (the first pass), which leave it untouched.
-    pub fn reset_from(&mut self, init: &InitialConfig) -> Result<(), SimError> {
-        let env = Arc::clone(&self.env);
-
-        // Pass 1 — validate without allocating, replicating
-        // `InitialConfig::validate` check for check (error order
-        // matters to callers). `claims` doubles as the duplicate
-        // scratch: it is all-NONE between steps by invariant.
-        if init.placements().is_empty() {
-            return Err(SimError::NoAgents);
-        }
-        let mut marked = 0usize;
-        let mut invalid = None;
-        for &(pos, dir) in init.placements() {
-            if !env.lattice.contains(pos) {
-                invalid = Some(SimError::OutsideField(pos));
-                break;
-            }
-            if !dir.is_valid_for(env.kind) {
-                invalid = Some(SimError::InvalidDirection {
-                    index: dir.index(),
-                    available: env.kind.dir_count(),
-                });
-                break;
-            }
-            let idx = env.lattice.index_of(pos);
-            if self.claims[idx] != NONE {
-                invalid = Some(SimError::DuplicatePosition(pos));
-                break;
-            }
-            self.claims[idx] = 0;
-            marked += 1;
-        }
-        for &(pos, _) in &init.placements()[..marked] {
-            self.claims[env.lattice.index_of(pos)] = NONE;
-        }
-        if let Some(e) = invalid {
-            return Err(e);
-        }
-        let k = init.agent_count();
-        if k > usize::from(u16::MAX) {
-            return Err(SimError::TooManyAgents { requested: k, limit: usize::from(u16::MAX) });
-        }
-
-        // Pass 2 — rebuild in place. Clear old occupancy through the old
-        // positions (cheaper than wiping the whole field), restore the
-        // environment's obstacle/colour baselines, then place.
-        let stride = k.div_ceil(64);
-        if k > self.pos.capacity()
-            || k > self.dir.capacity()
-            || k > self.state.capacity()
-            || k > self.complete.capacity()
-            || k > self.frontier.capacity()
-            || k > self.newly.capacity()
-            || k * stride > self.info.capacity()
-            || k * stride > self.info_next.capacity()
-        {
-            BUFFER_ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        for &c in &self.pos {
-            self.occupant[c as usize] = NONE;
-        }
-        self.solid.copy_from_slice(&env.obstacle_words);
-        self.color_planes.copy_from_slice(&env.color_planes_init);
-        self.pos.clear();
-        self.dir.clear();
-        self.state.clear();
-        for (i, &(p, d)) in init.placements().iter().enumerate() {
-            let idx = env.lattice.index_of(p);
-            if bit_get(&env.obstacle_words, idx) {
-                // Partially placed: the caller must discard this world.
-                return Err(SimError::OnObstacle(p));
-            }
-            self.occupant[idx] = i as u32;
-            bit_set(&mut self.solid, idx);
-            self.pos.push(idx as u32);
-            self.dir.push(d.index());
-            self.state.push(env.init_states.state_for(i as u16, env.n_states));
-        }
-
-        self.stride = stride;
-        let tail = k % 64;
-        self.tail_mask = if tail == 0 { u64::MAX } else { (1u64 << tail) - 1 };
-        self.info.clear();
-        self.info.resize(k * stride, 0);
-        for i in 0..k {
-            self.info[i * stride + i / 64] |= 1u64 << (i % 64);
-        }
-        self.info_next.clear();
-        self.info_next.extend_from_slice(&self.info);
-        self.complete.clear();
-        self.complete.resize(k, false);
-        self.frontier.clear();
-        self.frontier.extend(0..k as u32);
-        self.frontier_len = k;
-        self.informed = 0;
-        self.time = 0;
-        self.conflicts = 0;
-        self.requests.clear();
-        self.decisions.clear();
-        self.newly.clear();
-        // The uncounted exchange right after placement.
-        self.exchange();
-        Ok(())
-    }
-
-    /// Whether this world was compiled from exactly `env` (pointer
-    /// identity) — the reuse precondition of [`FastWorld::reset_from`].
-    pub(crate) fn shares_env(&self, env: &Arc<KernelEnv>) -> bool {
-        Arc::ptr_eq(&self.env, env)
-    }
-
-    /// Process-wide count of buffer-allocating constructions
-    /// ([`FastWorld::from_env`] calls plus [`FastWorld::reset_from`]
-    /// calls that grew a buffer). A reuse-only steady state keeps this
-    /// constant — the zero-allocation acceptance check of the batch
-    /// layer.
-    #[must_use]
-    pub fn allocation_count() -> u64 {
-        BUFFER_ALLOCS.load(Ordering::Relaxed)
-    }
-
-    /// Advances the system by one counted time step (act, then exchange).
-    pub fn step(&mut self) {
-        self.act();
-        self.exchange();
-        self.time += 1;
-    }
-
-    /// Runs until every agent is informed or `t_max` counted steps passed.
-    ///
-    /// When observability is on (see [`a2a_obs`]) the run feeds the
-    /// global registry (`kernel.t_comm`, `kernel.run.conflicts`,
-    /// `kernel.runs`/`kernel.steps`/`kernel.conflicts` counters) and, at
-    /// `Debug`, emits a `kernel.run` summary event plus the
-    /// informed-count curve (`kernel.informed`, one event per counted
-    /// step on which the count grew). At `Trace` every step's act and
-    /// exchange phases are timed into `kernel.act.ns` /
-    /// `kernel.exchange.ns`. With observability off the only cost over
-    /// the bare loop is two relaxed atomic loads per run.
-    pub fn run(&mut self, t_max: u32) -> RunOutcome {
-        let t_start = self.time;
-        let conflicts_start = self.conflicts;
-        let debug = a2a_obs::enabled(a2a_obs::Level::Debug);
-        if a2a_obs::enabled(a2a_obs::Level::Trace) {
-            self.run_traced(t_max);
-        } else if debug {
-            let mut last = self.informed;
-            while !self.all_informed() && self.time < t_max {
-                self.step();
-                if self.informed != last {
-                    last = self.informed;
-                    a2a_obs::event!(a2a_obs::Level::Debug, "kernel.informed",
-                        "t" => self.time, "informed" => self.informed, "k" => self.pos.len());
-                }
-            }
-        } else {
-            while !self.all_informed() && self.time < t_max {
-                self.step();
-            }
-        }
-        let outcome = RunOutcome {
-            t_comm: self.all_informed().then_some(self.time),
-            informed: self.informed,
-            agents: self.pos.len(),
-            steps: self.time,
-        };
-        if a2a_obs::metrics_enabled() {
-            self.record_run_metrics(outcome, t_start, conflicts_start);
-        }
-        outcome
-    }
-
-    /// `Trace`-level run loop: per-step phase timing on top of the
-    /// `Debug` informed-curve events. Arbitration (round 2 of the act
-    /// phase) is timed into its own histogram so the causal profiler's
-    /// phase table can attribute act time between scanning and
-    /// conflict resolution.
-    fn run_traced(&mut self, t_max: u32) {
-        let reg = a2a_obs::global();
-        let act_ns = reg.histogram("kernel.act.ns");
-        let arbitrate_ns = reg.histogram("kernel.arbitrate.ns");
-        let exchange_ns = reg.histogram("kernel.exchange.ns");
-        let mut last = self.informed;
-        while !self.all_informed() && self.time < t_max {
-            let t0 = std::time::Instant::now();
-            self.act_scan();
-            let ta = std::time::Instant::now();
-            self.act_arbitrate();
-            arbitrate_ns.record(ta.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
-            self.act_apply();
-            let t1 = std::time::Instant::now();
-            self.exchange();
-            exchange_ns.record(t1.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
-            act_ns.record(t1.duration_since(t0).as_nanos().min(u128::from(u64::MAX)) as u64);
-            self.time += 1;
-            if self.informed != last {
-                last = self.informed;
-                a2a_obs::event!(a2a_obs::Level::Debug, "kernel.informed",
-                    "t" => self.time, "informed" => self.informed, "k" => self.pos.len());
-            }
-        }
-    }
-
-    /// Feeds one finished run's deltas into the global registry and, at
-    /// `Debug`, emits the `kernel.run` summary (field-compatible with
-    /// the reference engine's `world.run`, so differential runs line up
-    /// in one event stream).
-    fn record_run_metrics(&self, outcome: RunOutcome, t_start: u32, conflicts_start: u64) {
-        let reg = a2a_obs::global();
-        let steps = outcome.steps - t_start;
-        let conflicts = self.conflicts - conflicts_start;
-        reg.counter("kernel.runs").incr();
-        reg.counter("kernel.steps").add(u64::from(steps));
-        reg.counter("kernel.conflicts").add(conflicts);
-        reg.histogram("kernel.run.conflicts").record(conflicts);
-        match outcome.t_comm {
-            Some(t) => reg.histogram("kernel.t_comm").record(u64::from(t)),
-            None => reg.counter("kernel.unsuccessful").incr(),
-        }
-        a2a_obs::event!(a2a_obs::Level::Debug, "kernel.run",
-            "engine" => "fast",
-            "grid" => self.env.kind.to_string(),
-            "k" => outcome.agents,
-            "steps" => steps,
-            "t_comm" => outcome.t_comm.map_or(-1i64, i64::from),
-            "informed" => outcome.informed,
-            "conflicts" => conflicts);
-    }
-
-    /// The act phase: table-driven perception, two-round arbitration,
-    /// colour writes and moves — mirroring `World::act` decision for
-    /// decision. Split into three inlined sub-phases so the traced run
-    /// loop can attribute time to each without touching the hot path.
-    fn act(&mut self) {
-        self.act_scan();
-        self.act_arbitrate();
-        self.act_apply();
-    }
-
-    /// Round 1: perceive the pre-step configuration; collect and
-    /// arbitrate move requests while scanning.
-    #[inline]
-    fn act_scan(&mut self) {
-        let env = &*self.env;
-        let phase = &env.phases[self.time as usize % env.phases.len()];
-        let n_states = usize::from(env.n_states);
-        let n_colors = usize::from(env.n_colors);
-        self.decisions.clear();
-        self.requests.clear();
-
-        for i in 0..self.pos.len() {
-            let here = self.pos[i] as usize;
-            let front = env.fwd[here * env.n_dirs + usize::from(self.dir[i])];
-            let hard_blocked = front == NONE || bit_get(&self.solid, front as usize);
-            let color = read_color(&self.color_planes, env.cell_words, env.n_color_planes, here);
-            let front_color = if front == NONE {
-                0
-            } else {
-                read_color(&self.color_planes, env.cell_words, env.n_color_planes, front as usize)
-            };
-            let x = usize::from(hard_blocked)
-                + 2 * (usize::from(color) + n_colors * usize::from(front_color));
-            let e = x * n_states + usize::from(self.state[i]);
-            let entry = phase[e];
-            let mut target = NONE;
-            if !hard_blocked && entry.mv {
-                target = front;
-                self.requests.push((i as u32, front));
-                let cur = self.claims[front as usize];
-                let winner = match (cur, env.conflict) {
-                    (NONE, _) => i as u32,
-                    (c, ConflictPolicy::LowestId) => c.min(i as u32),
-                    (c, ConflictPolicy::HighestId) => c.max(i as u32),
-                };
-                self.claims[front as usize] = winner;
-            }
-            self.decisions.push((e as u32, target));
-        }
-    }
-
-    /// Round 2: losers re-perceive with blocked = 1 and stay put.
-    #[inline]
-    fn act_arbitrate(&mut self) {
-        let env = &*self.env;
-        let n_states = usize::from(env.n_states);
-        let n_colors = usize::from(env.n_colors);
-        for r in 0..self.requests.len() {
-            let (i, target) = self.requests[r];
-            if self.claims[target as usize] != i {
-                self.conflicts += 1;
-                let here = self.pos[i as usize] as usize;
-                let color =
-                    read_color(&self.color_planes, env.cell_words, env.n_color_planes, here);
-                let front_color = read_color(
-                    &self.color_planes,
-                    env.cell_words,
-                    env.n_color_planes,
-                    target as usize,
-                );
-                let x = 1 + 2 * (usize::from(color) + n_colors * usize::from(front_color));
-                let e = x * n_states + usize::from(self.state[i as usize]);
-                self.decisions[i as usize] = (e as u32, NONE);
-            }
-        }
-        for &(_, target) in &self.requests {
-            self.claims[target as usize] = NONE;
-        }
-    }
-
-    /// Apply: colour writes, state/direction updates, moves. Targets
-    /// were empty at step start and claimed by one winner each, so
-    /// sequential application is safe (as in the oracle).
-    #[inline]
-    fn act_apply(&mut self) {
-        let env = &*self.env;
-        let phase = &env.phases[self.time as usize % env.phases.len()];
-        for i in 0..self.pos.len() {
-            let (e, target) = self.decisions[i];
-            let entry = phase[e as usize];
-            let here = self.pos[i] as usize;
-            write_color(
-                &mut self.color_planes,
-                env.cell_words,
-                env.n_color_planes,
-                here,
-                entry.set_color,
-            );
-            self.state[i] = entry.next_state;
-            self.dir[i] = (self.dir[i] + entry.delta) % env.n_dirs as u8;
-            if target != NONE {
-                let t = target as usize;
-                bit_clear(&mut self.solid, here);
-                bit_set(&mut self.solid, t);
-                self.occupant[here] = NONE;
-                self.occupant[t] = i as u32;
-                self.pos[i] = target;
-            }
-        }
-    }
-
-    /// The synchronous exchange: word-wise ORs of the pre-phase vectors.
-    /// The sweep iterates the activity frontier — the dense list of
-    /// agents whose infoset is still unsaturated — instead of scanning
-    /// (and branching on) all `k` agents: once an agent completes,
-    /// *both* buffers are frozen at all-ones (the stale buffer is
-    /// back-filled after the swap below), so there is nothing left to
-    /// maintain and it is swap-removed from the frontier in O(1).
-    /// Peers still read the correct pre-phase words either way, because
-    /// the back-fill value equals the value a copy would have produced.
-    /// Frontier order is irrelevant: each agent's gather reads only the
-    /// stale `info` buffer and writes its own `info_next` region.
-    fn exchange(&mut self) {
-        let env = &*self.env;
-        let stride = self.stride;
-        let mut len = self.frontier_len;
-        let mut j = 0;
-        while j < len {
-            let i = self.frontier[j] as usize;
-            let base = i * stride;
-            self.info_next[base..base + stride]
-                .copy_from_slice(&self.info[base..base + stride]);
-            let here = self.pos[i] as usize;
-            for d in 0..env.n_dirs {
-                let nc = env.fwd[here * env.n_dirs + d];
-                if nc == NONE {
-                    continue;
-                }
-                let occ = self.occupant[nc as usize];
-                if occ != NONE && occ as usize != i {
-                    let ob = occ as usize * stride;
-                    for w in 0..stride {
-                        self.info_next[base + w] |= self.info[ob + w];
-                    }
-                }
-            }
-            if words_complete(&self.info_next[base..base + stride], self.tail_mask) {
-                self.complete[i] = true;
-                self.informed += 1;
-                self.newly.push(i as u32);
-                len -= 1;
-                self.frontier[j] = self.frontier[len];
-                self.frontier[len] = i as u32;
-            } else {
-                j += 1;
-            }
-        }
-        self.frontier_len = len;
-        std::mem::swap(&mut self.info, &mut self.info_next);
-        // Freeze the stale buffer of agents that completed this sweep:
-        // from the next step on, both buffers hold their all-ones vector
-        // and the loop above can skip them without any copying.
-        for &i in &self.newly {
-            let base = i as usize * stride;
-            for w in &mut self.info_next[base..base + stride - 1] {
-                *w = u64::MAX;
-            }
-            self.info_next[base + stride - 1] = self.tail_mask;
-        }
-        self.newly.clear();
-    }
-
-    /// Steps executed so far.
-    #[must_use]
-    pub fn time(&self) -> u32 {
-        self.time
-    }
-
-    /// Grid family.
-    #[must_use]
-    pub fn kind(&self) -> GridKind {
-        self.env.kind
-    }
-
-    /// The cell field.
-    #[must_use]
-    pub fn lattice(&self) -> Lattice {
-        self.env.lattice
-    }
-
-    /// Number of agents.
-    #[must_use]
-    pub fn agent_count(&self) -> usize {
-        self.pos.len()
-    }
-
-    /// Number of informed agents.
-    #[must_use]
-    pub fn informed_count(&self) -> usize {
-        self.informed
-    }
-
-    /// Movement conflicts lost so far: agents that requested a cell,
-    /// lost the arbitration and re-perceived with `blocked = 1`.
-    #[must_use]
-    pub fn conflict_losses(&self) -> u64 {
-        self.conflicts
-    }
-
-    /// Whether the all-to-all task is solved.
-    #[must_use]
-    pub fn all_informed(&self) -> bool {
-        self.informed == self.pos.len()
-    }
-
-    /// Agent IDs still in the exchange frontier: exactly the agents whose
-    /// infoset is not yet saturated. Order is unspecified (the frontier is a
-    /// permutation prefix maintained by O(1) swap-remove).
-    #[must_use]
-    pub fn active_agents(&self) -> &[u32] {
-        &self.frontier[..self.frontier_len]
-    }
-
-    /// Agent positions in ID order (differential-test snapshot).
-    #[must_use]
-    pub fn positions(&self) -> Vec<Pos> {
-        self.pos.iter().map(|&c| self.env.lattice.pos_at(c as usize)).collect()
-    }
-
-    /// Agent directions in ID order.
-    #[must_use]
-    pub fn dirs(&self) -> Vec<Dir> {
-        self.dir.iter().map(|&d| Dir::new(d)).collect()
-    }
-
-    /// Agent control states in ID order.
-    #[must_use]
-    pub fn states(&self) -> Vec<u8> {
-        self.state.clone()
-    }
-
-    /// Row-major cell colours, unpacked from the bit-planes.
-    #[must_use]
-    pub fn colors(&self) -> Vec<u8> {
-        let env = &*self.env;
-        (0..env.lattice.len())
-            .map(|c| read_color(&self.color_planes, env.cell_words, env.n_color_planes, c))
-            .collect()
-    }
-
-    /// Agent `i`'s communication vector as an [`InfoSet`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.agent_count()`.
-    #[must_use]
-    pub fn agent_info(&self, i: usize) -> InfoSet {
-        let k = self.pos.len();
-        assert!(i < k, "agent {i} out of range for {k} agents");
-        let mut set = InfoSet::empty(k);
-        let base = i * self.stride;
-        for b in 0..k {
-            if self.info[base + b / 64] & (1u64 << (b % 64)) != 0 {
-                set.insert(b);
-            }
-        }
-        set
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::init::InitialConfig;
+    use crate::multi::MultiWorld;
     use crate::world::World;
     use a2a_fsm::{best_s_agent, best_t_agent};
+    use a2a_grid::Pos;
 
     fn cfg(kind: GridKind) -> WorldConfig {
         WorldConfig::paper(kind, 16)
     }
 
+    /// A kernel world holding exactly `init`, in run slot 0.
+    fn one_run(config: &WorldConfig, genome: Genome, init: &InitialConfig) -> MultiWorld {
+        let mut world = MultiWorld::new(config, genome).unwrap();
+        world.load(std::slice::from_ref(init)).unwrap();
+        world
+    }
+
     fn assert_lockstep(cfg: &WorldConfig, genome: Genome, init: &InitialConfig, steps: u32) {
         let mut slow = World::new(cfg, genome.clone(), init).unwrap();
-        let mut fast = FastWorld::new(cfg, genome, init).unwrap();
+        let mut fast = one_run(cfg, genome, init);
         for t in 0..=steps {
             assert_eq!(
-                fast.positions(),
+                fast.positions(0),
                 slow.agents().iter().map(|a| a.pos()).collect::<Vec<_>>(),
                 "positions diverge at t={t}"
             );
-            assert_eq!(fast.colors(), slow.colors().to_vec(), "colours diverge at t={t}");
-            assert_eq!(fast.informed_count(), slow.informed_count(), "informed at t={t}");
+            assert_eq!(fast.colors(0), slow.colors().to_vec(), "colours diverge at t={t}");
+            assert_eq!(fast.informed_count(0), slow.informed_count(), "informed at t={t}");
             slow.step();
             fast.step();
         }
@@ -946,13 +215,9 @@ mod tests {
             let lattice = Lattice::torus(16, 16);
             let placements: Vec<(Pos, Dir)> =
                 lattice.positions().map(|p| (p, Dir::new(0))).collect();
-            let mut fast = FastWorld::new(
-                &cfg(kind),
-                a2a_fsm::best_agent(kind),
-                &InitialConfig::new(placements),
-            )
-            .unwrap();
-            let outcome = fast.run(100);
+            let mut fast =
+                one_run(&cfg(kind), a2a_fsm::best_agent(kind), &InitialConfig::new(placements));
+            let outcome = fast.run(100)[0];
             assert_eq!(outcome.t_comm, Some(expected), "{kind}");
         }
     }
@@ -960,34 +225,22 @@ mod tests {
     #[test]
     fn single_agent_is_informed_immediately() {
         let init = InitialConfig::new(vec![(Pos::new(4, 4), Dir::new(0))]);
-        let mut w = FastWorld::new(&cfg(GridKind::Square), best_s_agent(), &init).unwrap();
-        assert!(w.all_informed());
-        assert_eq!(w.run(100).t_comm, Some(0));
+        let mut w = one_run(&cfg(GridKind::Square), best_s_agent(), &init);
+        assert_eq!(w.informed_count(0), 1);
+        assert_eq!(w.run(100)[0].t_comm, Some(0));
     }
 
     #[test]
     fn rejects_kind_mismatch_and_bad_pattern() {
-        let init = InitialConfig::new(vec![(Pos::new(0, 0), Dir::new(0))]);
         assert!(matches!(
-            FastWorld::new(&cfg(GridKind::Square), best_t_agent(), &init),
+            MultiWorld::new(&cfg(GridKind::Square), best_t_agent()),
             Err(SimError::SpecMismatch(_))
         ));
         let mut config = cfg(GridKind::Square);
         config.colors = ColorInit::Pattern(vec![7u8; 256]);
         assert!(matches!(
-            FastWorld::new(&config, best_s_agent(), &init),
+            MultiWorld::new(&config, best_s_agent()),
             Err(SimError::SpecMismatch(_))
-        ));
-    }
-
-    #[test]
-    fn obstacle_placement_rejected() {
-        let mut config = cfg(GridKind::Square);
-        config.obstacles = vec![Pos::new(3, 3)];
-        let init = InitialConfig::new(vec![(Pos::new(3, 3), Dir::new(0))]);
-        assert!(matches!(
-            FastWorld::new(&config, best_s_agent(), &init),
-            Err(SimError::OnObstacle(_))
         ));
     }
 
@@ -998,10 +251,10 @@ mod tests {
             (Pos::new(1, 0), Dir::new(0)),
             (Pos::new(8, 8), Dir::new(0)),
         ]);
-        let w = FastWorld::new(&cfg(GridKind::Square), best_s_agent(), &init).unwrap();
-        assert!(w.agent_info(0).contains(1), "adjacent pair exchanged at t=0");
-        assert!(!w.agent_info(0).contains(2), "distant agent unknown");
-        assert_eq!(w.agent_info(2).count(), 1);
+        let w = one_run(&cfg(GridKind::Square), best_s_agent(), &init);
+        assert!(w.agent_info(0, 0).contains(1), "adjacent pair exchanged at t=0");
+        assert!(!w.agent_info(0, 0).contains(2), "distant agent unknown");
+        assert_eq!(w.agent_info(0, 2).count(), 1);
     }
 
     #[test]
@@ -1017,87 +270,10 @@ mod tests {
             (Pos::new(5, 4), Dir::new(1)),
             (Pos::new(5, 6), Dir::new(3)),
         ]);
-        let mut w = FastWorld::new(&cfg(GridKind::Square), straight, &init).unwrap();
-        assert_eq!(w.conflict_losses(), 0);
+        let mut w = one_run(&cfg(GridKind::Square), straight, &init);
+        assert_eq!(w.conflict_losses(0), 0);
         w.step();
-        assert_eq!(w.conflict_losses(), 1, "id 1 lost the arbitration for (5,5)");
-        assert_eq!(w.positions()[0], Pos::new(5, 5));
-    }
-
-    #[test]
-    fn reset_from_matches_fresh_construction() {
-        use rand::rngs::SmallRng;
-        use rand::SeedableRng;
-        for (kind, genome) in [
-            (GridKind::Square, best_s_agent()),
-            (GridKind::Triangulate, best_t_agent()),
-        ] {
-            let config = cfg(kind);
-            let env = Arc::new(KernelEnv::new(&config, &Behaviour::Single(genome)).unwrap());
-            let mut rng = SmallRng::seed_from_u64(41);
-            let first = InitialConfig::random(config.lattice, kind, 8, &[], &mut rng).unwrap();
-            let mut reused = FastWorld::from_env(Arc::clone(&env), &first).unwrap();
-            let _ = reused.run(200);
-            // Varying k across resets exercises the stride/tail rebuild.
-            for k in [8usize, 12, 3, 12, 64] {
-                let init = InitialConfig::random(config.lattice, kind, k, &[], &mut rng).unwrap();
-                reused.reset_from(&init).unwrap();
-                let mut fresh = FastWorld::from_env(Arc::clone(&env), &init).unwrap();
-                assert_eq!(reused.positions(), fresh.positions(), "{kind} k={k}");
-                assert_eq!(reused.states(), fresh.states(), "{kind} k={k}");
-                assert_eq!(reused.colors(), fresh.colors(), "{kind} k={k}");
-                assert_eq!(reused.informed_count(), fresh.informed_count(), "{kind} k={k}");
-                assert_eq!(reused.run(200), fresh.run(200), "{kind} k={k}");
-            }
-        }
-    }
-
-    #[test]
-    fn reset_from_replicates_validation_error_order() {
-        let config = cfg(GridKind::Square);
-        let env = Arc::new(
-            KernelEnv::new(&config, &Behaviour::Single(best_s_agent())).unwrap(),
-        );
-        let ok = InitialConfig::new(vec![(Pos::new(1, 1), Dir::new(0))]);
-        let mut world = FastWorld::from_env(Arc::clone(&env), &ok).unwrap();
-        let dup = InitialConfig::new(vec![
-            (Pos::new(2, 2), Dir::new(0)),
-            (Pos::new(2, 2), Dir::new(1)),
-        ]);
-        assert!(matches!(world.reset_from(&dup), Err(SimError::DuplicatePosition(_))));
-        assert!(matches!(
-            world.reset_from(&InitialConfig::new(Vec::new())),
-            Err(SimError::NoAgents)
-        ));
-        assert!(matches!(
-            world.reset_from(&InitialConfig::new(vec![(Pos::new(99, 0), Dir::new(0))])),
-            Err(SimError::OutsideField(_))
-        ));
-        assert!(matches!(
-            world.reset_from(&InitialConfig::new(vec![(Pos::new(0, 0), Dir::new(7))])),
-            Err(SimError::InvalidDirection { index: 7, available: 4 })
-        ));
-        // Validation failures leave the world reusable.
-        world.reset_from(&ok).unwrap();
-        assert_eq!(world.run(50).t_comm, Some(0));
-    }
-
-    #[test]
-    fn color_planes_round_trip() {
-        for n_colors in [1u8, 2, 3, 4, 5, 8] {
-            let n_planes = planes_for(n_colors);
-            let mut planes = vec![0u64; 3 * n_planes as usize];
-            for c in 0..100 {
-                let color = (c % usize::from(n_colors)) as u8;
-                write_color(&mut planes, 3, n_planes, c, color);
-            }
-            for c in 0..100 {
-                assert_eq!(
-                    read_color(&planes, 3, n_planes, c),
-                    (c % usize::from(n_colors)) as u8,
-                    "n_colors={n_colors} cell={c}"
-                );
-            }
-        }
+        assert_eq!(w.conflict_losses(0), 1, "id 1 lost the arbitration for (5,5)");
+        assert_eq!(w.positions(0)[0], Pos::new(5, 5));
     }
 }

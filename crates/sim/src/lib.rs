@@ -9,7 +9,11 @@
 //! every agent holds the all-ones vector; the counted step at which that
 //! happens is the communication time `t_comm`.
 //!
-//! * [`World`] — the CA state and its synchronous `step`;
+//! * [`World`] — the CA state and its synchronous `step`: the reference
+//!   engine and semantic oracle;
+//! * [`MultiWorld`] / [`BatchRunner`] — the fast engine: many
+//!   configurations of one compiled genome stepped in lockstep, checked
+//!   against `World` step for step;
 //! * [`WorldConfig`] — environment and policy knobs
 //!   ([`ConflictPolicy`], [`InitStatePolicy`], [`ColorInit`], obstacles,
 //!   borders);
@@ -58,7 +62,6 @@ mod multi;
 mod recorder;
 mod render;
 mod run;
-mod sliced;
 mod world;
 
 pub use agent::Agent;
@@ -70,10 +73,8 @@ pub use dispatch::{Dispatch, DispatchJob, SerialDispatch};
 pub use error::SimError;
 pub use infoset::InfoSet;
 pub use init::{paper_config_set, InitialConfig};
-pub use kernel::FastWorld;
 pub use multi::MultiWorld;
 pub use recorder::{record_trajectory, AgentSnapshot, Frame, TimedEvent, Trajectory};
 pub use render::{render_agents, render_colors, render_snapshot, render_visited};
 pub use run::{run_to_completion, run_with_profile, simulate, simulate_behaviour, RunOutcome};
-pub use sliced::SlicedWorld;
 pub use world::World;

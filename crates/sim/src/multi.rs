@@ -14,18 +14,19 @@
 //! specialised one-word exchange.
 //!
 //! Outcomes are **bit-identical per configuration** to running each
-//! one through [`FastWorld`](crate::FastWorld): runs are fully
+//! one through the reference [`World`](crate::World): runs are fully
 //! independent (no state is shared between them except the immutable
 //! environment), and the per-run `act`/`exchange` bodies replicate the
-//! single-run kernel decision for decision. The differential suite in
-//! `tests/differential.rs` drives all three engines in lockstep.
+//! oracle's step decision for decision. A batch of one is the
+//! single-configuration path. The differential suite in
+//! `tests/differential.rs` drives both engines in lockstep.
 
 use crate::behaviour::Behaviour;
 use crate::config::{ConflictPolicy, WorldConfig};
 use crate::error::SimError;
 use crate::infoset::InfoSet;
 use crate::init::InitialConfig;
-use crate::kernel::{bit_get, read_color, words_complete, CompiledEntry, KernelEnv, NONE};
+use crate::kernel::{CompiledEntry, KernelEnv, NONE};
 use crate::run::RunOutcome;
 use a2a_fsm::Genome;
 use a2a_grid::{Dir, Pos};
@@ -36,7 +37,8 @@ use std::sync::Arc;
 /// one per [`MultiWorld::from_env`] plus one per [`MultiWorld::load`]
 /// that had to grow a buffer. The batch layer's steady state (chunked
 /// reuse with a stable workload shape) must not move this counter —
-/// asserted by `crates/sim/tests/allocation.rs`.
+/// asserted by `crates/sim/tests/allocation_multi.rs` and
+/// `crates/sim/tests/allocation.rs`.
 static MULTI_BUFFER_ALLOCS: AtomicU64 = AtomicU64::new(0);
 
 /// Working-set budget per lockstep chunk. Small enough that one
@@ -58,8 +60,8 @@ pub(crate) fn preferred_chunk(env: &KernelEnv, k: usize) -> usize {
 }
 
 /// The fused multi-run engine: same dynamics as
-/// [`FastWorld`](crate::FastWorld), one object simulating a whole
-/// batch of initial configurations in lockstep.
+/// [`World`](crate::World), one object simulating a whole batch of
+/// initial configurations in lockstep.
 ///
 /// # Examples
 ///
@@ -114,14 +116,10 @@ pub struct MultiWorld {
     /// `run_count() * n_cells`; one byte of cell state per cell — bit 0
     /// is the solid bit (occupancy ∪ obstacles), bits 1.. the cell's
     /// colour. One byte load serves a neighbour's whole perception
-    /// (blocked test and front colour) where the single-run engine's
-    /// separate bitsets take two word-gathers, and colour writes and
-    /// moves become plain byte stores instead of masked word
-    /// read-modify-writes.
+    /// (blocked test and front colour), and colour writes and moves
+    /// are plain byte stores. Every [`MultiWorld::load`] starts each
+    /// run from the environment's empty-field image.
     meta: Vec<u8>,
-    /// `n_cells`; the empty-field `meta` image (obstacles + initial
-    /// colours), copied per run at every [`MultiWorld::load`].
-    meta_init: Vec<u8>,
     /// `run_count() * n_cells`; used by runs with one-word infosets
     /// (`k ≤ 64`) only: each occupied cell holds its agent's info word,
     /// empty cells hold 0. Cell-indexing makes the exchange gather a
@@ -134,10 +132,10 @@ pub struct MultiWorld {
     pos: Vec<u32>,
     dir: Vec<u8>,
     state: Vec<u8>,
-    /// Colour of each agent's own cell, mirrored out of `color_planes`
-    /// (the invariant: `own_color[i] == read_color(.., pos[i])` between
-    /// phases). Perception reads it directly, saving one bit-plane
-    /// gather per agent per round.
+    /// Colour of each agent's own cell, mirrored out of `meta` (the
+    /// invariant: `own_color[i] == meta[pos[i]] >> 1` between phases).
+    /// Perception reads it directly, saving one field gather per agent
+    /// per round.
     own_color: Vec<u8>,
     complete: Vec<bool>,
     /// Per-run activity frontier, flat behind `agent_base` offsets:
@@ -209,15 +207,6 @@ impl MultiWorld {
     /// An empty multi-world over a shared environment.
     pub(crate) fn from_env(env: Arc<KernelEnv>) -> Self {
         MULTI_BUFFER_ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // The empty-field byte image every load stamps per run:
-        // obstacle bit plus the initial colour of each cell.
-        let meta_init = (0..env.lattice.len())
-            .map(|c| {
-                let color =
-                    read_color(&env.color_planes_init, env.cell_words, env.n_color_planes, c);
-                u8::from(bit_get(&env.obstacle_words, c)) | (color << 1)
-            })
-            .collect();
         Self {
             env,
             agent_base: Vec::new(),
@@ -231,7 +220,6 @@ impl MultiWorld {
             occupant: Vec::new(),
             claims: Vec::new(),
             meta: Vec::new(),
-            meta_init,
             cell_info: Vec::new(),
             pos: Vec::new(),
             dir: Vec::new(),
@@ -273,15 +261,15 @@ impl MultiWorld {
     /// performs every run's uncounted `t = 0` exchange. Reuses every
     /// buffer: reloading a workload of the same shape performs zero
     /// heap allocation. Each configuration is validated and placed
-    /// exactly as [`FastWorld::from_env`](crate::FastWorld) does, in
-    /// batch order, so the first error matches a serial engine's.
+    /// exactly as [`World::with_behaviour`](crate::World::with_behaviour)
+    /// does, in batch order, so the first error matches a serial loop's.
     ///
     /// # Errors
     ///
     /// The first per-configuration error, exactly as a serial
-    /// [`FastWorld`](crate::FastWorld) construction loop would report
-    /// it. On error the world is partially loaded and must be
-    /// discarded or re-loaded before use.
+    /// [`World`](crate::World) construction loop would report it. On
+    /// error the world is partially loaded and must be discarded or
+    /// re-loaded before use.
     pub fn load(&mut self, inits: &[InitialConfig]) -> Result<(), SimError> {
         let env = Arc::clone(&self.env);
         let n_cells = env.lattice.len();
@@ -365,7 +353,7 @@ impl MultiWorld {
         self.frontier_len.clear();
         self.meta.clear();
         for _ in 0..runs {
-            self.meta.extend_from_slice(&self.meta_init);
+            self.meta.extend_from_slice(&env.meta_init);
         }
 
         for (r, init) in inits.iter().enumerate() {
@@ -418,7 +406,7 @@ impl MultiWorld {
             let i0 = self.info.len();
             for (i, &(p, d)) in init.placements().iter().enumerate() {
                 let idx = env.lattice.index_of(p);
-                if bit_get(&env.obstacle_words, idx) {
+                if env.meta_init[idx] & 1 != 0 {
                     return Err(SimError::OnObstacle(p));
                 }
                 self.occupant[f0 + idx] = i as u32;
@@ -474,13 +462,13 @@ impl MultiWorld {
     /// counted steps have passed, retiring finished runs from the live
     /// list as they complete. Returns one [`RunOutcome`] per loaded
     /// configuration, in load order — each bit-identical to what
-    /// [`FastWorld::run`](crate::FastWorld::run) reports for that
-    /// configuration.
+    /// [`simulate`](crate::simulate) reports for that configuration.
     ///
-    /// With metrics on, feeds the same per-run `kernel.*` series as
-    /// the single-run engine plus the multi-kernel extras
-    /// (`kernel.multi.runs` / `.steps` / `.compactions` counters and
-    /// the `kernel.multi.in_flight` gauge).
+    /// With metrics on, feeds the per-run `kernel.*` series
+    /// (`kernel.runs` / `.steps` / `.conflicts` counters, the
+    /// `kernel.t_comm` and `kernel.run.conflicts` histograms) plus the
+    /// multi-kernel extras (`kernel.multi.runs` / `.steps` /
+    /// `.compactions` counters and the `kernel.multi.in_flight` gauge).
     ///
     /// # Panics
     ///
@@ -632,10 +620,10 @@ impl MultiWorld {
         }
     }
 
-    /// Feeds one retired run's numbers into the global registry —
-    /// the same series [`FastWorld::run`](crate::FastWorld::run)
-    /// records, so downstream consumers are engine-agnostic — and, at
-    /// `Debug`, emits the `kernel.run` summary with `engine: "multi"`.
+    /// Feeds one retired run's numbers into the global registry and,
+    /// at `Debug`, emits the `kernel.run` summary with `engine:
+    /// "multi"` (field-compatible with the reference engine's
+    /// `world.run`, so differential runs line up in one event stream).
     fn record_run(&self, outcome: RunOutcome, r: usize, debug: bool) {
         let reg = a2a_obs::global();
         let conflicts = self.conflicts[r];
@@ -659,9 +647,9 @@ impl MultiWorld {
         }
     }
 
-    /// One run's act phase — [`FastWorld`](crate::FastWorld)'s
-    /// table-driven perception, two-round arbitration, colour writes
-    /// and moves, decision for decision, on the run's slices.
+    /// One run's act phase — the reference engine's perception,
+    /// two-round arbitration, colour writes and moves, decision for
+    /// decision, table-driven on the run's slices.
     fn act_one(&mut self, env: &KernelEnv, phase: &[CompiledEntry], r: usize) {
         let n_states = usize::from(env.n_states);
         let n_colors = usize::from(env.n_colors);
@@ -1126,6 +1114,12 @@ impl MultiWorld {
     }
 }
 
+/// All `k`-bit vector words full, honouring the tail mask of the last word.
+fn words_complete(words: &[u64], tail_mask: u64) -> bool {
+    let n = words.len();
+    words[..n - 1].iter().all(|&w| w == u64::MAX) && words[n - 1] == tail_mask
+}
+
 /// The one-word gather sweep with the neighbourhood size `D` fixed at
 /// compile time, so the per-neighbour OR loop fully unrolls (the `fwd`
 /// row is copied into a `[u32; D]` to make the trip count a constant).
@@ -1280,7 +1274,8 @@ fn gather_frontier_any(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::BatchRunner;
+    use crate::run::simulate;
+    use crate::world::World;
     use a2a_fsm::{best_s_agent, best_t_agent};
     use a2a_grid::GridKind;
     use rand::rngs::SmallRng;
@@ -1300,7 +1295,7 @@ mod tests {
     }
 
     #[test]
-    fn outcomes_match_single_run_kernel_exactly() {
+    fn outcomes_match_world_oracle_exactly() {
         for (kind, genome) in
             [(GridKind::Square, best_s_agent()), (GridKind::Triangulate, best_t_agent())]
         {
@@ -1308,9 +1303,10 @@ mod tests {
             // Ragged agent counts in one batch, including a k > 64 run
             // (multi-word infosets) and a k = 1 run (solved at t = 0).
             let inits = random_batch(&config, &[16, 1, 70, 4, 16, 33], 7);
-            let runner = BatchRunner::from_genome(&config, genome.clone(), 300).unwrap();
-            let expected: Vec<RunOutcome> =
-                inits.iter().map(|i| runner.outcome_for(i).unwrap()).collect();
+            let expected: Vec<RunOutcome> = inits
+                .iter()
+                .map(|i| simulate(&config, genome.clone(), i, 300).unwrap())
+                .collect();
             let mut multi = MultiWorld::new(&config, genome).unwrap();
             multi.load(&inits).unwrap();
             assert_eq!(multi.run(300), expected, "{kind}");
@@ -1318,29 +1314,29 @@ mod tests {
     }
 
     #[test]
-    fn lockstep_step_matches_fast_world_per_run() {
+    fn lockstep_step_matches_world_per_run() {
         let config = cfg(GridKind::Triangulate);
         let inits = random_batch(&config, &[12, 5, 12], 11);
-        let mut fasts: Vec<crate::FastWorld> = inits
-            .iter()
-            .map(|i| crate::FastWorld::new(&config, best_t_agent(), i).unwrap())
-            .collect();
+        let mut worlds: Vec<World> =
+            inits.iter().map(|i| World::new(&config, best_t_agent(), i).unwrap()).collect();
         let mut multi = MultiWorld::new(&config, best_t_agent()).unwrap();
         multi.load(&inits).unwrap();
         for t in 0..40 {
-            for (r, fast) in fasts.iter().enumerate() {
-                assert_eq!(multi.positions(r), fast.positions(), "run {r} t={t}");
-                assert_eq!(multi.states(r), fast.states(), "run {r} t={t}");
-                assert_eq!(multi.colors(r), fast.colors(), "run {r} t={t}");
-                assert_eq!(multi.informed_count(r), fast.informed_count(), "run {r} t={t}");
-                assert_eq!(multi.conflict_losses(r), fast.conflict_losses(), "run {r} t={t}");
-                for i in 0..fast.agent_count() {
-                    assert_eq!(multi.agent_info(r, i), fast.agent_info(i), "run {r} t={t}");
+            for (r, world) in worlds.iter().enumerate() {
+                let agents = world.agents();
+                let positions: Vec<Pos> = agents.iter().map(|a| a.pos()).collect();
+                let states: Vec<u8> = agents.iter().map(|a| a.state()).collect();
+                assert_eq!(multi.positions(r), positions, "run {r} t={t}");
+                assert_eq!(multi.states(r), states, "run {r} t={t}");
+                assert_eq!(multi.colors(r), world.colors(), "run {r} t={t}");
+                assert_eq!(multi.informed_count(r), world.informed_count(), "run {r} t={t}");
+                for (i, agent) in agents.iter().enumerate() {
+                    assert_eq!(multi.agent_info(r, i), *agent.info(), "run {r} t={t}");
                 }
             }
             multi.step();
-            for fast in &mut fasts {
-                fast.step();
+            for world in &mut worlds {
+                world.step();
             }
         }
     }
@@ -1360,8 +1356,8 @@ mod tests {
             assert_eq!(got, fresh.run(200), "seed {seed}");
         }
         // The zero-allocation guarantee of reuse is asserted in
-        // tests/allocation.rs — the process-global counter cannot be
-        // compared exactly here, where tests run concurrently.
+        // tests/allocation_multi.rs — the process-global counter cannot
+        // be compared exactly here, where tests run concurrently.
     }
 
     #[test]

@@ -67,7 +67,7 @@ pub fn run_to_completion(world: &mut World, t_max: u32) -> RunOutcome {
 
 /// Feeds one reference-engine run into the global registry and, at
 /// `Debug`, the event stream (engine-comparable with
-/// `FastWorld::run`'s `kernel.run`).
+/// `MultiWorld::run`'s `kernel.run`).
 fn record_world_run(world: &World, outcome: RunOutcome, t_start: u32) {
     let steps = outcome.steps - t_start;
     if a2a_obs::metrics_enabled() {

@@ -1,14 +1,16 @@
-//! Steady-state allocation accounting for the batch layer.
+//! Steady-state allocation accounting for one-run-at-a-time batch calls.
 //!
-//! `FastWorld::allocation_count()` is a process-global counter of
-//! buffer-allocating world constructions, so this file holds exactly one
-//! test: any sibling test constructing worlds concurrently would move
+//! [`BatchRunner::outcome_for`] runs each configuration as a one-run
+//! block on the same pooled per-thread [`MultiWorld`] that `run_all`
+//! uses. `MultiWorld::allocation_count()` is a process-global counter of
+//! buffer-allocating constructions and grows, so this file holds exactly
+//! one test: a sibling test constructing worlds concurrently would move
 //! the counter and turn the assertion into noise. A dedicated
 //! integration binary gives the test its own process.
 
 use a2a_fsm::best_agent;
 use a2a_grid::GridKind;
-use a2a_sim::{BatchRunner, FastWorld, InitialConfig, WorldConfig};
+use a2a_sim::{BatchRunner, InitialConfig, MultiWorld, WorldConfig};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -22,20 +24,22 @@ fn steady_state_batch_runs_perform_no_world_allocation() {
             .map(|_| InitialConfig::random(cfg.lattice, kind, 16, &[], &mut rng).unwrap())
             .collect();
 
-        // Warm-up: the first pooled run builds the arena (one count).
+        // Warm-up: the first pooled run builds the one-run world and
+        // grows its buffers to the workload shape.
         let _ = runner.outcome_for(&configs[0]).unwrap();
-        let before = FastWorld::allocation_count();
+        let before = MultiWorld::allocation_count();
         for init in &configs {
             let _ = runner.outcome_for(init).unwrap();
         }
         assert_eq!(
-            FastWorld::allocation_count(),
+            MultiWorld::allocation_count(),
             before,
             "{kind}: steady-state outcome_for must not allocate a world"
         );
 
-        // The baseline path allocates every run, by contrast.
+        // The unpooled baseline allocates every run, by contrast: one
+        // construction plus the growing first load of its empty buffers.
         let _ = runner.fresh_outcome_for(&configs[0]).unwrap();
-        assert_eq!(FastWorld::allocation_count(), before + 1);
+        assert_eq!(MultiWorld::allocation_count(), before + 2);
     }
 }

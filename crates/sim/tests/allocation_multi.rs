@@ -1,10 +1,11 @@
-//! Steady-state allocation accounting for the fused multi-run kernel.
+//! Steady-state allocation accounting for the batch layer's chunked
+//! [`MultiWorld`] runs.
 //!
 //! `MultiWorld::allocation_count()` is a process-global counter of
 //! buffer-allocating constructions and grows, so this file holds exactly
-//! one test (same discipline as `allocation.rs` for the single-run
-//! counter): a sibling test constructing multi-worlds concurrently would
-//! move the counter and turn the assertion into noise.
+//! one test (the one-run `outcome_for` case lives in `allocation.rs` for
+//! the same reason): a sibling test constructing worlds concurrently
+//! would move the counter and turn the assertion into noise.
 
 use a2a_fsm::best_agent;
 use a2a_grid::GridKind;

@@ -1,5 +1,5 @@
 //! Property tests of the activity-frontier bookkeeping in the batch
-//! kernels: at every step, each engine's frontier must contain *exactly*
+//! kernel: at every step, each run's frontier must contain *exactly*
 //! the agents whose infoset is not yet saturated — no stale entries, no
 //! premature retirements — and the frontier sweep must reproduce the
 //! dense full-`k` scan bit for bit, including across mid-run mode
@@ -8,26 +8,13 @@
 
 use a2a_fsm::{FsmSpec, Genome};
 use a2a_grid::GridKind;
-use a2a_sim::{FastWorld, InitialConfig, MultiWorld, WorldConfig};
+use a2a_sim::{InitialConfig, MultiWorld, WorldConfig};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 fn arb_kind() -> impl Strategy<Value = GridKind> {
     prop_oneof![Just(GridKind::Square), Just(GridKind::Triangulate)]
-}
-
-/// A random single-run scenario on a small torus.
-fn arb_scenario() -> impl Strategy<Value = (WorldConfig, Genome, InitialConfig)> {
-    (arb_kind(), 4u16..=10, 1usize..=12, any::<u64>()).prop_map(|(kind, m, k, seed)| {
-        let cfg = WorldConfig::paper(kind, m);
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let genome = Genome::random(FsmSpec::paper(kind), &mut rng);
-        let k = k.min(cfg.lattice.len());
-        let init = InitialConfig::random(cfg.lattice, kind, k, &[], &mut rng)
-            .expect("k clamped to the cell count");
-        (cfg, genome, init)
-    })
 }
 
 /// A random batch: several runs of varying agent count in one
@@ -62,31 +49,6 @@ fn sorted(mut v: Vec<u32>) -> Vec<u32> {
 }
 
 proptest! {
-    /// `FastWorld`: after every step the exchange frontier is exactly
-    /// the unsaturated set, and its size mirrors the informed counter.
-    #[test]
-    fn fast_frontier_is_exactly_the_unsaturated_set(
-        (cfg, genome, init) in arb_scenario(),
-    ) {
-        let mut fast = FastWorld::new(&cfg, genome, &init).unwrap();
-        for step in 0..60 {
-            fast.step();
-            let truth: Vec<u32> = (0..fast.agent_count())
-                .filter(|&i| !fast.agent_info(i).is_complete())
-                .map(|i| i as u32)
-                .collect();
-            let frontier = sorted(fast.active_agents().to_vec());
-            prop_assert_eq!(&frontier, &truth, "step {}", step);
-            prop_assert_eq!(
-                frontier.len(),
-                fast.agent_count() - fast.informed_count(),
-                "step {}: frontier size vs informed counter", step
-            );
-            // Empty frontier ⟺ the run is solved (the retirement test).
-            prop_assert_eq!(frontier.is_empty(), fast.all_informed(), "step {}", step);
-        }
-    }
-
     /// `MultiWorld`: the per-run frontier permutation prefix is exactly
     /// the unsaturated set of every loaded run at every step.
     #[test]
@@ -107,6 +69,12 @@ proptest! {
                     frontier.len(),
                     multi.agent_count(r) - multi.informed_count(r),
                     "step {}, run {}: frontier size vs informed counter", step, r
+                );
+                // Empty frontier ⟺ the run is solved (the retirement test).
+                prop_assert_eq!(
+                    frontier.is_empty(),
+                    multi.informed_count(r) == multi.agent_count(r),
+                    "step {}, run {}", step, r
                 );
             }
         }

@@ -1,10 +1,10 @@
-//! Property-based tests of the bit-packed [`FastWorld`] kernel: agreement
-//! with the reference engine and the information-flow invariants the
-//! word-wise merge must preserve.
+//! Property-based tests of the [`MultiWorld`] kernel on one-run
+//! batches: agreement with the reference engine and the
+//! information-flow invariants the word-wise merge must preserve.
 
 use a2a_fsm::{FsmSpec, Genome};
 use a2a_grid::GridKind;
-use a2a_sim::{simulate, BatchRunner, FastWorld, InitialConfig, WorldConfig};
+use a2a_sim::{simulate, BatchRunner, InitialConfig, MultiWorld, WorldConfig};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -26,14 +26,21 @@ fn arb_scenario() -> impl Strategy<Value = (WorldConfig, Genome, InitialConfig)>
     })
 }
 
+/// A freshly compiled kernel world holding `init` in run slot 0.
+fn one_run(cfg: &WorldConfig, genome: Genome, init: &InitialConfig) -> MultiWorld {
+    let mut world = MultiWorld::new(cfg, genome).unwrap();
+    world.load(std::slice::from_ref(init)).unwrap();
+    world
+}
+
 proptest! {
     /// The kernel's whole outcome — `t_comm`, steps, informed count —
     /// equals the reference engine's for arbitrary genomes.
     #[test]
     fn outcome_matches_reference((cfg, genome, init) in arb_scenario(), t_max in 0u32..120) {
-        let mut fast = FastWorld::new(&cfg, genome.clone(), &init).unwrap();
+        let mut fast = one_run(&cfg, genome.clone(), &init);
         let reference = simulate(&cfg, genome, &init, t_max).unwrap();
-        prop_assert_eq!(fast.run(t_max), reference);
+        prop_assert_eq!(fast.run(t_max)[0], reference);
     }
 
     /// The incremental informed counter never decreases, never exceeds the
@@ -41,20 +48,20 @@ proptest! {
     /// word-wise OR merge can only add information.
     #[test]
     fn informed_count_is_monotone((cfg, genome, init) in arb_scenario()) {
-        let mut fast = FastWorld::new(&cfg, genome, &init).unwrap();
-        let mut counts: Vec<usize> =
-            (0..fast.agent_count()).map(|i| fast.agent_info(i).count()).collect();
-        let mut informed = fast.informed_count();
+        let mut fast = one_run(&cfg, genome, &init);
+        let k = fast.agent_count(0);
+        let mut counts: Vec<usize> = (0..k).map(|i| fast.agent_info(0, i).count()).collect();
+        let mut informed = fast.informed_count(0);
         for _ in 0..60 {
             fast.step();
             for (i, prev) in counts.iter_mut().enumerate() {
-                let c = fast.agent_info(i).count();
+                let c = fast.agent_info(0, i).count();
                 prop_assert!(c >= *prev, "agent {} lost bits ({} -> {})", i, *prev, c);
                 *prev = c;
             }
-            prop_assert!(fast.informed_count() >= informed);
-            prop_assert!(fast.informed_count() <= fast.agent_count());
-            informed = fast.informed_count();
+            prop_assert!(fast.informed_count(0) >= informed);
+            prop_assert!(fast.informed_count(0) <= k);
+            informed = fast.informed_count(0);
         }
     }
 
@@ -63,29 +70,30 @@ proptest! {
     /// (the tail mask hides no missing high bits).
     #[test]
     fn completion_implies_every_bit((cfg, genome, init) in arb_scenario()) {
-        let mut fast = FastWorld::new(&cfg, genome, &init).unwrap();
-        let out = fast.run(150);
+        let mut fast = one_run(&cfg, genome, &init);
+        let out = fast.run(150)[0];
+        let k = fast.agent_count(0);
         if out.t_comm.is_some() {
-            prop_assert!(fast.all_informed());
-            prop_assert_eq!(fast.informed_count(), fast.agent_count());
-            for i in 0..fast.agent_count() {
-                let info = fast.agent_info(i);
+            prop_assert_eq!(fast.informed_count(0), k);
+            for i in 0..k {
+                let info = fast.agent_info(0, i);
                 prop_assert!(info.is_complete(), "agent {} incomplete: {:?}", i, info);
-                for j in 0..fast.agent_count() {
+                for j in 0..k {
                     prop_assert!(info.contains(j), "agent {} misses bit {}", i, j);
                 }
             }
         } else {
-            prop_assert!(!fast.all_informed());
+            prop_assert!(fast.informed_count(0) < k);
         }
     }
 
-    /// Stepping is deterministic, and a shared [`BatchRunner`] environment
-    /// produces the same evolution as a freshly compiled kernel.
+    /// Stepping is deterministic, and a shared, pooled [`BatchRunner`]
+    /// environment produces the same evolution as a freshly compiled
+    /// kernel.
     #[test]
     fn shared_environment_is_equivalent((cfg, genome, init) in arb_scenario()) {
         let runner = BatchRunner::from_genome(&cfg, genome.clone(), 100).unwrap();
-        let mut fresh = FastWorld::new(&cfg, genome, &init).unwrap();
-        prop_assert_eq!(runner.outcome_for(&init).unwrap(), fresh.run(100));
+        let mut fresh = one_run(&cfg, genome, &init);
+        prop_assert_eq!(runner.outcome_for(&init).unwrap(), fresh.run(100)[0]);
     }
 }

@@ -1,6 +1,5 @@
-//! Differential harness: all four engines in lockstep — the reference
-//! [`World`] oracle, the bit-packed [`FastWorld`] kernel, the fused
-//! run-major [`MultiWorld`] and the bit-sliced [`SlicedWorld`] — on
+//! Differential harness: both engines in lockstep — the reference
+//! [`World`] oracle and the fused run-major [`MultiWorld`] — on
 //! randomized scenarios.
 //!
 //! Every scenario steps the engines together and asserts identical
@@ -8,118 +7,77 @@
 //! informed counts and, at the end, the same `t_comm`. The scenario pool
 //! (>200 randomized cases across the two grid families) covers bordered
 //! fields, obstacles, highest-ID arbitration, colour patterns,
-//! time-shuffled behaviours and full-density packings; dedicated batch
-//! cases pin the sliced engine's partial last lane (run counts that are
-//! not multiples of 64) and its mid-batch lane-masked retirement
-//! ordering.
+//! time-shuffled behaviours and full-density packings; the wide cases
+//! run 65 to 256 agents (multi-word infosets) on bordered and
+//! obstacle-strewn fields, and dedicated batch cases pin chunk
+//! boundaries, mid-batch retirement ordering and parallel dispatch
+//! against per-configuration oracle outcomes.
 
 use a2a_fsm::{best_agent, FsmSpec, Genome, TurnSet};
 use a2a_grid::{GridKind, Lattice, Pos};
 use a2a_sim::{
-    BatchRunner, Behaviour, ColorInit, ConflictPolicy, FastWorld, InitStatePolicy, InitialConfig,
-    MultiWorld, SlicedWorld, World, WorldConfig,
+    simulate, BatchRunner, Behaviour, ColorInit, ConflictPolicy, InitStatePolicy, InitialConfig,
+    MultiWorld, RunOutcome, World, WorldConfig,
 };
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
-/// Asserts that all four engines expose byte-identical observable
-/// state. The batch engines carry the scenario in run slot 0.
-fn assert_same_state(
-    world: &World,
-    fast: &FastWorld,
-    multi: &MultiWorld,
-    sliced: &SlicedWorld,
-    ctx: &str,
-) {
-    assert_eq!(world.time(), fast.time(), "{ctx}: time diverged");
-    assert_eq!(world.time(), multi.time(), "{ctx}: multi time diverged");
-    assert_eq!(world.time(), sliced.time(), "{ctx}: sliced time diverged");
-    let positions = fast.positions();
-    let dirs = fast.dirs();
-    let states = fast.states();
-    let m_positions = multi.positions(0);
-    let m_dirs = multi.dirs(0);
-    let m_states = multi.states(0);
-    let s_positions = sliced.positions(0);
-    let s_dirs = sliced.dirs(0);
-    let s_states = sliced.states(0);
-    assert_eq!(world.agents().len(), fast.agent_count(), "{ctx}: agent count");
-    assert_eq!(world.agents().len(), multi.agent_count(0), "{ctx}: multi agent count");
-    assert_eq!(world.agents().len(), sliced.agent_count(0), "{ctx}: sliced agent count");
+/// Asserts that both engines expose byte-identical observable state.
+/// The batch engine carries the scenario in run slot 0.
+fn assert_same_state(world: &World, multi: &MultiWorld, ctx: &str) {
+    assert_eq!(world.time(), multi.time(), "{ctx}: time diverged");
+    let positions = multi.positions(0);
+    let dirs = multi.dirs(0);
+    let states = multi.states(0);
+    assert_eq!(world.agents().len(), multi.agent_count(0), "{ctx}: agent count");
     for (i, agent) in world.agents().iter().enumerate() {
         assert_eq!(agent.pos(), positions[i], "{ctx}: agent {i} position");
         assert_eq!(agent.dir(), dirs[i], "{ctx}: agent {i} direction");
         assert_eq!(agent.state(), states[i], "{ctx}: agent {i} state");
-        assert_eq!(*agent.info(), fast.agent_info(i), "{ctx}: agent {i} infoset");
-        assert_eq!(agent.pos(), m_positions[i], "{ctx}: agent {i} multi position");
-        assert_eq!(agent.dir(), m_dirs[i], "{ctx}: agent {i} multi direction");
-        assert_eq!(agent.state(), m_states[i], "{ctx}: agent {i} multi state");
-        assert_eq!(*agent.info(), multi.agent_info(0, i), "{ctx}: agent {i} multi infoset");
-        assert_eq!(agent.pos(), s_positions[i], "{ctx}: agent {i} sliced position");
-        assert_eq!(agent.dir(), s_dirs[i], "{ctx}: agent {i} sliced direction");
-        assert_eq!(agent.state(), s_states[i], "{ctx}: agent {i} sliced state");
-        assert_eq!(*agent.info(), sliced.agent_info(0, i), "{ctx}: agent {i} sliced infoset");
+        assert_eq!(*agent.info(), multi.agent_info(0, i), "{ctx}: agent {i} infoset");
     }
-    assert_eq!(world.colors(), &fast.colors()[..], "{ctx}: colour field");
-    assert_eq!(world.colors(), &multi.colors(0)[..], "{ctx}: multi colour field");
-    assert_eq!(world.colors(), &sliced.colors(0)[..], "{ctx}: sliced colour field");
-    assert_eq!(world.informed_count(), fast.informed_count(), "{ctx}: informed count");
-    assert_eq!(world.informed_count(), multi.informed_count(0), "{ctx}: multi informed count");
-    assert_eq!(world.informed_count(), sliced.informed_count(0), "{ctx}: sliced informed count");
-    assert_eq!(world.all_informed(), fast.all_informed(), "{ctx}: completion flag");
-    let m_done = multi.informed_count(0) == multi.agent_count(0);
-    assert_eq!(world.all_informed(), m_done, "{ctx}: multi completion flag");
-    let s_done = sliced.informed_count(0) == sliced.agent_count(0);
-    assert_eq!(world.all_informed(), s_done, "{ctx}: sliced completion flag");
+    assert_eq!(world.colors(), &multi.colors(0)[..], "{ctx}: colour field");
+    assert_eq!(world.informed_count(), multi.informed_count(0), "{ctx}: informed count");
+    let done = multi.informed_count(0) == multi.agent_count(0);
+    assert_eq!(world.all_informed(), done, "{ctx}: completion flag");
 }
 
-/// Runs all four engines in lockstep for up to `t_max` counted steps,
+/// Runs both engines in lockstep for up to `t_max` counted steps,
 /// comparing the full state after every step and the resulting `t_comm`.
 fn lockstep(cfg: &WorldConfig, behaviour: &Behaviour, init: &InitialConfig, t_max: u32, ctx: &str) {
     let mut world = World::with_behaviour(cfg, behaviour.clone(), init)
         .unwrap_or_else(|e| panic!("{ctx}: oracle rejected scenario: {e}"));
-    let mut fast = FastWorld::with_behaviour(cfg, behaviour.clone(), init)
-        .unwrap_or_else(|e| panic!("{ctx}: kernel rejected scenario: {e}"));
     let mut multi = MultiWorld::with_behaviour(cfg, behaviour.clone())
         .unwrap_or_else(|e| panic!("{ctx}: multi kernel rejected scenario: {e}"));
     multi
         .load(std::slice::from_ref(init))
         .unwrap_or_else(|e| panic!("{ctx}: multi kernel rejected placement: {e}"));
-    let mut sliced = SlicedWorld::with_behaviour(cfg, behaviour.clone())
-        .unwrap_or_else(|e| panic!("{ctx}: sliced kernel rejected scenario: {e}"));
-    sliced
-        .load(std::slice::from_ref(init))
-        .unwrap_or_else(|e| panic!("{ctx}: sliced kernel rejected placement: {e}"));
-    assert_same_state(&world, &fast, &multi, &sliced, &format!("{ctx} @t=0"));
+    assert_same_state(&world, &multi, &format!("{ctx} @t=0"));
     let mut t_slow = world.all_informed().then_some(0u32);
-    let mut t_fast = fast.all_informed().then_some(0u32);
     let mut t_multi = (multi.informed_count(0) == multi.agent_count(0)).then_some(0u32);
-    let mut t_sliced = (sliced.informed_count(0) == sliced.agent_count(0)).then_some(0u32);
     for t in 1..=t_max {
         world.step();
-        fast.step();
         multi.step();
-        sliced.step();
-        assert_same_state(&world, &fast, &multi, &sliced, &format!("{ctx} @t={t}"));
+        assert_same_state(&world, &multi, &format!("{ctx} @t={t}"));
         if t_slow.is_none() && world.all_informed() {
             t_slow = Some(t);
-        }
-        if t_fast.is_none() && fast.all_informed() {
-            t_fast = Some(t);
         }
         if t_multi.is_none() && multi.informed_count(0) == multi.agent_count(0) {
             t_multi = Some(t);
         }
-        if t_sliced.is_none() && sliced.informed_count(0) == sliced.agent_count(0) {
-            t_sliced = Some(t);
-        }
-        if t_slow.is_some() && t_fast.is_some() && t_multi.is_some() && t_sliced.is_some() {
+        if t_slow.is_some() && t_multi.is_some() {
             break;
         }
     }
-    assert_eq!(t_slow, t_fast, "{ctx}: t_comm diverged");
-    assert_eq!(t_slow, t_multi, "{ctx}: multi t_comm diverged");
-    assert_eq!(t_slow, t_sliced, "{ctx}: sliced t_comm diverged");
+    assert_eq!(t_slow, t_multi, "{ctx}: t_comm diverged");
+}
+
+/// The reference outcome of every configuration, one oracle run each.
+fn oracle_outcomes(cfg: &WorldConfig, inits: &[InitialConfig], t_max: u32) -> Vec<RunOutcome> {
+    inits
+        .iter()
+        .map(|i| simulate(cfg, best_agent(cfg.kind), i, t_max).unwrap())
+        .collect()
 }
 
 /// One fully randomized scenario: lattice shape and edge rule, policies,
@@ -254,31 +212,78 @@ fn degenerate_fields_match() {
 }
 
 #[test]
-fn partial_lane_batches_match_per_config_outcomes() {
-    // Run counts straddling the 64-run lane width: a lone run, a lane
-    // one short, exactly one lane, one over, and a two-lane batch with
-    // a partial second lane. Every shape must report the same outcomes
-    // through the forced sliced path, the forced run-major path and the
-    // per-configuration kernel.
+fn wide_scenarios_match_on_bordered_and_obstacle_fields() {
+    // More than 64 agents: every infoset spans several words, so the
+    // strided exchange and multi-word completion test run instead of
+    // the one-word path. A 24×24 field leaves room for obstacles at
+    // k = 256, on both edge rules, under the published agents and
+    // random genomes alike.
+    let mut seed = 70_000;
+    for kind in [GridKind::Square, GridKind::Triangulate] {
+        for k in [65usize, 128, 256] {
+            for bordered in [false, true] {
+                for published in [true, false] {
+                    seed += 1;
+                    let mut rng = SmallRng::seed_from_u64(seed);
+                    let lattice = if bordered {
+                        Lattice::bordered(24, 24)
+                    } else {
+                        Lattice::torus(24, 24)
+                    };
+                    let mut cfg = WorldConfig::with_lattice(kind, lattice);
+                    let mut obstacles: Vec<Pos> = Vec::new();
+                    while obstacles.len() < 16 {
+                        let pos = lattice.pos_at(rng.random_range(0..lattice.len()));
+                        if !obstacles.contains(&pos) {
+                            obstacles.push(pos);
+                        }
+                    }
+                    cfg.obstacles.clone_from(&obstacles);
+                    let init = InitialConfig::random(lattice, kind, k, &obstacles, &mut rng)
+                        .expect("k fits the free cells");
+                    let (genome, t_max) = if published {
+                        (best_agent(kind), 200)
+                    } else {
+                        (Genome::random(FsmSpec::paper(kind), &mut rng), 60)
+                    };
+                    let edge = if bordered { "bordered" } else { "torus" };
+                    let agent = if published { "published" } else { "random" };
+                    lockstep(
+                        &cfg,
+                        &Behaviour::Single(genome),
+                        &init,
+                        t_max,
+                        &format!("{kind} k={k} {edge} {agent} seed {seed}"),
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn partial_chunk_batches_match_per_config_outcomes() {
+    // Run counts straddling the lockstep chunk: a lone run, a chunk one
+    // short, exactly one chunk, one over, and a two-chunk batch with a
+    // ragged tail. Every shape must report the oracle's outcomes.
     let cfg = WorldConfig::paper(GridKind::Triangulate, 16);
     let runner = BatchRunner::from_genome(&cfg, best_agent(cfg.kind), 300).unwrap();
+    let chunk = runner.chunk_size(16);
     let mut rng = SmallRng::seed_from_u64(64_001);
-    for runs in [1usize, 63, 64, 65, 130] {
+    for runs in [1usize, chunk - 1, chunk, chunk + 1, 2 * chunk + 3] {
         let inits: Vec<InitialConfig> = (0..runs)
             .map(|_| InitialConfig::random(cfg.lattice, cfg.kind, 16, &[], &mut rng).unwrap())
             .collect();
-        let singles: Vec<_> = inits.iter().map(|i| runner.outcome_for(i).unwrap()).collect();
-        assert_eq!(runner.run_all_sliced(&inits).unwrap(), singles, "sliced, {runs} runs");
-        assert_eq!(runner.run_all_multi(&inits).unwrap(), singles, "multi, {runs} runs");
-        assert_eq!(runner.run_all(&inits).unwrap(), singles, "routed, {runs} runs");
+        let oracle = oracle_outcomes(&cfg, &inits, 300);
+        assert_eq!(runner.run_all(&inits).unwrap(), oracle, "{runs} runs");
     }
 }
 
 #[test]
 fn mid_batch_retirement_preserves_outcome_order() {
-    // Random placements finish at scattered times, so lane bits retire
-    // out of slot order while later runs keep stepping. Outcome slots
-    // must stay aligned with load order in both batch engines, and the
+    // Random placements finish at scattered times, so runs retire out
+    // of slot order while later runs keep stepping. Outcome slots must
+    // stay aligned with load order in both exchange modes, and the
     // batch must actually exercise staggered retirement (many distinct
     // communication times) rather than one synchronized finish.
     let cfg = WorldConfig::paper(GridKind::Square, 16);
@@ -287,24 +292,24 @@ fn mid_batch_retirement_preserves_outcome_order() {
     let inits: Vec<InitialConfig> = (0..96)
         .map(|_| InitialConfig::random(cfg.lattice, cfg.kind, 8, &[], &mut rng).unwrap())
         .collect();
-    let singles: Vec<_> = inits.iter().map(|i| runner.outcome_for(i).unwrap()).collect();
-    let mut times: Vec<_> = singles.iter().map(|o| o.t_comm).collect();
+    let oracle = oracle_outcomes(&cfg, &inits, 2_000);
+    let mut times: Vec<_> = oracle.iter().map(|o| o.t_comm).collect();
     times.sort_unstable();
     times.dedup();
     assert!(times.len() > 10, "scenario pool no longer staggers retirements");
-    assert_eq!(runner.run_all_sliced(&inits).unwrap(), singles, "sliced retirement order");
-    assert_eq!(runner.run_all_multi(&inits).unwrap(), singles, "multi retirement order");
+    assert_eq!(runner.run_all(&inits).unwrap(), oracle, "frontier retirement order");
+    assert_eq!(runner.run_all_multi_dense(&inits).unwrap(), oracle, "dense retirement order");
 }
 
 #[test]
 fn parallel_dispatch_matches_serial_engines_under_mid_batch_retirement() {
     // The deterministic dispatcher shards chunk-sized blocks across a
     // real worker pool; the ordered commit must keep outcome slots
-    // bit-identical to every serial engine even while runs retire at
-    // scattered times inside each block. Batch size is derived from the
-    // runner's own chunk so the dispatcher genuinely fans out over
-    // several blocks (plus a ragged tail) instead of degenerating to a
-    // single submission.
+    // bit-identical to the serial path and the oracle even while runs
+    // retire at scattered times inside each block. Batch size is
+    // derived from the runner's own chunk so the dispatcher genuinely
+    // fans out over several blocks (plus a ragged tail) instead of
+    // degenerating to a single submission.
     use a2a_ga::WorkerPool;
     use a2a_sim::Dispatch;
     use std::sync::Arc;
@@ -316,8 +321,8 @@ fn parallel_dispatch_matches_serial_engines_under_mid_batch_retirement() {
     let inits: Vec<InitialConfig> = (0..runs)
         .map(|_| InitialConfig::random(cfg.lattice, cfg.kind, 8, &[], &mut rng).unwrap())
         .collect();
-    let singles: Vec<_> = inits.iter().map(|i| runner.outcome_for(i).unwrap()).collect();
-    let mut times: Vec<_> = singles.iter().map(|o| o.t_comm).collect();
+    let oracle = oracle_outcomes(&cfg, &inits, 2_000);
+    let mut times: Vec<_> = oracle.iter().map(|o| o.t_comm).collect();
     times.sort_unstable();
     times.dedup();
     assert!(times.len() > 10, "scenario pool no longer staggers retirements");
@@ -325,10 +330,9 @@ fn parallel_dispatch_matches_serial_engines_under_mid_batch_retirement() {
     let pool: Arc<dyn Dispatch> = Arc::new(WorkerPool::new(3));
     let parallel = runner.clone().with_dispatch(Arc::clone(&pool));
     assert_eq!(parallel.dispatch_workers(), 3, "pool advertises its worker count");
-    assert_eq!(parallel.run_all(&inits).unwrap(), singles, "dispatched routed path");
-    assert_eq!(parallel.run_all_multi(&inits).unwrap(), singles, "dispatched frontier path");
-    assert_eq!(parallel.run_all_multi_dense(&inits).unwrap(), singles, "dispatched dense path");
-    assert_eq!(runner.run_all_sliced(&inits).unwrap(), singles, "sliced vs dispatched");
+    assert_eq!(parallel.run_all(&inits).unwrap(), oracle, "dispatched frontier path");
+    assert_eq!(parallel.run_all_multi_dense(&inits).unwrap(), oracle, "dispatched dense path");
+    assert_eq!(runner.run_all(&inits).unwrap(), oracle, "serial vs dispatched");
     // Determinism across repeated dispatched executions of the same batch.
     assert_eq!(
         parallel.run_all(&inits).unwrap(),

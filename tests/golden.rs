@@ -13,10 +13,10 @@
 //!   finishable in the budget, so the pinned value is the exact
 //!   partial progress, which is just as sensitive to semantic drift.
 //!
-//! Every engine must reproduce every value exactly: the bit-packed
-//! kernel and the reference `World` for the sweep, and both batch
-//! paths — the run-major `run_all_multi` and the bit-sliced
-//! `run_all_sliced` — for both sections. The fixture also pins the
+//! Every path must reproduce every value exactly: the one-run kernel
+//! path (`outcome_for`) and the reference `World` for the sweep, and
+//! both batch exchange modes — the frontier `run_all` and the dense
+//! `run_all_multi_dense` — for both sections. The fixture also pins the
 //! paper's density observation that `k = 4` is the slowest sampled
 //! density.
 //!
@@ -78,15 +78,15 @@ fn kernel_times(kind: GridKind, k: usize) -> Vec<u32> {
 }
 
 /// One big-field cell as `(t_comm | -1, informed)` pairs, computed on
-/// the run-major batch path (the sliced path is asserted equal in the
-/// fixture test).
+/// the batch path (the dense mode is asserted equal in the fixture
+/// test).
 fn big_field_records(kind: GridKind, m: u16) -> Vec<(i64, usize)> {
     let cfg = WorldConfig::paper(kind, m);
     let runner = BatchRunner::from_genome(&cfg, best_agent(kind), BIG_T_MAX).unwrap();
     let inits: Vec<InitialConfig> =
         (0..BIG_SEEDS).map(|seed| placement(kind, m, BIG_K, seed)).collect();
     runner
-        .run_all_multi(&inits)
+        .run_all(&inits)
         .unwrap()
         .into_iter()
         .map(|o| (o.t_comm.map_or(-1, i64::from), o.informed))
@@ -250,10 +250,10 @@ fn golden_fixture_matches_both_engines() {
 
 #[test]
 fn golden_fixture_matches_batch_engines() {
-    // Both lockstep batch paths reproduce every sweep time through
-    // their chunked whole-batch APIs (all 32 placements of a cell in
-    // one call), pinning the run-major and bit-sliced engines to the
-    // same semantics.
+    // Both exchange modes of the lockstep batch path reproduce every
+    // sweep time through the chunked whole-batch API (all 32
+    // placements of a cell in one call), pinning the frontier and
+    // dense sweeps to the same semantics.
     let (golden, _) = load_fixture();
     for ((kind, k), (gkind, gk, gtimes)) in KINDS
         .iter()
@@ -267,8 +267,8 @@ fn golden_fixture_matches_batch_engines() {
         let inits: Vec<InitialConfig> =
             (0..SEEDS).map(|seed| placement(kind, FIELD, k, seed)).collect();
         for (engine, outcomes) in [
-            ("multi", runner.run_all_multi(&inits).unwrap()),
-            ("sliced", runner.run_all_sliced(&inits).unwrap()),
+            ("frontier", runner.run_all(&inits).unwrap()),
+            ("dense", runner.run_all_multi_dense(&inits).unwrap()),
         ] {
             let times: Vec<u32> = outcomes
                 .into_iter()
@@ -285,7 +285,7 @@ fn golden_fixture_matches_batch_engines() {
 #[test]
 fn golden_big_fields_match_batch_engines() {
     // M up to 1024: exact partial progress under the short horizon,
-    // identical on the run-major and bit-sliced paths.
+    // identical in the frontier and dense exchange modes.
     let (_, golden) = load_fixture();
     assert_eq!(golden.len(), KINDS.len() * BIG_FIELDS.len(), "big-field shape changed");
     for ((kind, m), (gkind, gm, gtimes, ginformed)) in KINDS
@@ -300,8 +300,8 @@ fn golden_big_fields_match_batch_engines() {
         let inits: Vec<InitialConfig> =
             (0..BIG_SEEDS).map(|seed| placement(kind, m, BIG_K, seed)).collect();
         for (engine, outcomes) in [
-            ("multi", runner.run_all_multi(&inits).unwrap()),
-            ("sliced", runner.run_all_sliced(&inits).unwrap()),
+            ("frontier", runner.run_all(&inits).unwrap()),
+            ("dense", runner.run_all_multi_dense(&inits).unwrap()),
         ] {
             let got: Vec<(i64, usize)> = outcomes
                 .iter()
