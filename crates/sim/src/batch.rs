@@ -179,7 +179,7 @@ impl BatchRunner {
     }
 
     /// Runs per lockstep chunk this runner prefers for configurations
-    /// of roughly `k` agents: as many as keep a [`MultiWorld`] chunk's
+    /// of up to `k` agents: as many as keep a [`MultiWorld`] chunk's
     /// working set cache-resident. Callers that fan
     /// [`BatchRunner::run_all`] out over threads should split the
     /// configuration set at this granularity.
@@ -190,7 +190,8 @@ impl BatchRunner {
 
     /// Runs every configuration in order through the lockstep
     /// [`MultiWorld`] engine, in chunks of [`BatchRunner::chunk_size`]
-    /// runs with a pooled per-thread world per chunk. With an executor
+    /// runs (sized for the batch's largest agent count) with a pooled
+    /// per-thread world per chunk. With an executor
     /// attached ([`BatchRunner::with_dispatch`]) the chunk-blocks are
     /// sharded across it; outcomes are bit-identical either way, and
     /// bit-identical to mapping [`BatchRunner::outcome_for`] over the
@@ -222,12 +223,13 @@ impl BatchRunner {
         dense: bool,
     ) -> Result<Vec<RunOutcome>, SimError> {
         let _span = a2a_obs::Span::enter("batch.run_all");
-        // An empty batch must not consult `inits[0]` for chunk sizing
-        // (it used to silently size chunks for k = 1).
-        let Some(first) = inits.first() else {
+        // Chunks are sized for the widest configuration, so no chunk of
+        // a ragged batch overruns the working-set budget. An empty batch
+        // has nothing to size.
+        let Some(max_k) = inits.iter().map(InitialConfig::agent_count).max() else {
             return Ok(Vec::new());
         };
-        let chunk = self.chunk_size(first.agent_count());
+        let chunk = self.chunk_size(max_k);
         let blocks = inits.len().div_ceil(chunk);
         let parallel = self
             .dispatch
@@ -540,6 +542,47 @@ mod tests {
         // them inline and the result is still bit-identical.
         let lossy = runner.clone().with_dispatch(Arc::new(LossyDispatch));
         assert_eq!(lossy.run_all(&inits).unwrap(), serial);
+    }
+
+    /// An executor that only counts the jobs it is handed, then runs
+    /// them inline.
+    #[derive(Debug, Default)]
+    struct CountingDispatch(std::sync::atomic::AtomicUsize);
+
+    impl crate::Dispatch for CountingDispatch {
+        fn run_jobs(&self, jobs: Vec<crate::DispatchJob>) {
+            self.0.fetch_add(jobs.len(), std::sync::atomic::Ordering::Relaxed);
+            for job in jobs {
+                job();
+            }
+        }
+
+        fn workers(&self) -> usize {
+            2
+        }
+    }
+
+    #[test]
+    fn ragged_batches_are_chunked_for_their_widest_configuration() {
+        // Regression: chunks used to be sized from `inits[0]` alone, so
+        // a small first k packed many wide runs into one chunk.
+        let cfg = WorldConfig::paper(GridKind::Triangulate, 16);
+        let runner = BatchRunner::from_genome(&cfg, best_agent(cfg.kind), 200).unwrap();
+        let mut rng = SmallRng::seed_from_u64(4);
+        let inits: Vec<InitialConfig> = [2usize, 256, 130, 8, 256, 65, 2, 200]
+            .iter()
+            .cycle()
+            .take(48)
+            .map(|&k| InitialConfig::random(cfg.lattice, cfg.kind, k, &[], &mut rng).unwrap())
+            .collect();
+        assert!(runner.chunk_size(256) < runner.chunk_size(2));
+        let counting = Arc::new(CountingDispatch::default());
+        let dispatched = runner.clone().with_dispatch(Arc::clone(&counting) as Arc<dyn Dispatch>);
+        assert_eq!(dispatched.run_all(&inits).unwrap(), runner.run_all(&inits).unwrap());
+        assert_eq!(
+            counting.0.load(std::sync::atomic::Ordering::Relaxed),
+            inits.len().div_ceil(runner.chunk_size(256))
+        );
     }
 
     #[test]

@@ -3,15 +3,16 @@
 //! structure-of-arrays object.
 //!
 //! [`MultiWorld`] lays every run's state out run-major in contiguous
-//! arrays (agent fields behind per-run base offsets, field-sized
-//! buffers at fixed per-run strides) and advances all live runs with
-//! one `act`/`exchange` sweep per global step. A run that solves the
-//! task or exhausts the horizon is *retired*: its slot is swap-removed
-//! from the live list (`active`), so the tail of slow configurations
-//! never drags dead iterations through the sweeps. The long fused
+//! arrays (agent fields and infoset words behind per-run base
+//! offsets, per-cell bytes at fixed per-run strides) and advances all
+//! live runs with one `act`/`exchange` sweep per global step. A run
+//! that solves the task or exhausts the horizon is *retired*: its slot
+//! is swap-removed from the live list (`active`), so the tail of slow
+//! configurations never drags dead iterations through the sweeps. The long fused
 //! loops amortise phase-table and neighbour-table loads across runs
-//! and keep branch predictors warm; the common `k ≤ 64` case gets a
-//! specialised one-word exchange.
+//! and keep branch predictors warm. Information sets are cell-indexed
+//! for every `k` (`⌈k/64⌉` words per cell), so the exchange is a plain
+//! OR over the neighbour cells' words.
 //!
 //! Outcomes are **bit-identical per configuration** to running each
 //! one through the reference [`World`](crate::World): runs are fully
@@ -47,15 +48,14 @@ static MULTI_BUFFER_ALLOCS: AtomicU64 = AtomicU64::new(0);
 /// per-step overhead over many runs.
 const CHUNK_BUDGET_BYTES: usize = 256 * 1024;
 
-/// Runs per lockstep chunk for `env` with configurations of roughly
+/// Runs per lockstep chunk for `env` with configurations of up to
 /// `k` agents: as many as fit [`CHUNK_BUDGET_BYTES`], clamped to
 /// `[4, 64]`.
 pub(crate) fn preferred_chunk(env: &KernelEnv, k: usize) -> usize {
     let k = k.max(1);
     let stride = k.div_ceil(64);
-    let per_run = 17 * env.lattice.len()                                 // occupant + claims + cell_info + meta
-        + 12 * k                                                         // pos/dir/state/complete/frontier
-        + 16 * k * stride;                                               // info + info_next
+    let per_run = (5 + 8 * stride) * env.lattice.len() // claims + meta + cell_info
+        + 12 * k; // pos/dir/state/own_color/complete/frontier
     (CHUNK_BUDGET_BYTES / per_run).clamp(4, 64)
 }
 
@@ -90,11 +90,11 @@ pub struct MultiWorld {
     // Per-run metadata, indexed by run slot `0..run_count()`.
     /// Start of each run's block in the agent arrays.
     agent_base: Vec<usize>,
-    /// Start of each run's block in the info word arrays.
-    info_base: Vec<usize>,
+    /// Start of each run's block in [`MultiWorld::cell_info`].
+    cell_base: Vec<usize>,
     /// Agents per run.
     k: Vec<u32>,
-    /// Info words per agent per run: `k.div_ceil(64)`.
+    /// Info words per cell per run: `k.div_ceil(64)`.
     stride: Vec<u32>,
     /// Mask of valid bits in each run's last info word.
     tail_mask: Vec<u64>,
@@ -105,12 +105,8 @@ pub struct MultiWorld {
     /// Recorded outcome per run slot, filled at retirement.
     outcomes: Vec<Option<RunOutcome>>,
 
-    // Field state, run-major at fixed per-run strides.
-    /// `run_count() * n_cells`; agent on each cell (local id) or `NONE`.
-    /// Read only by the multi-word (`k > 64`) exchange gather; runs with
-    /// one-word infosets skip its maintenance during `act`, so their
-    /// regions go stale after the first move (rebuilt by every `load`).
-    occupant: Vec<u32>,
+    // Field state, run-major: `n_cells` entries per run, `stride[r]`
+    // words per cell in `cell_info`.
     /// `run_count() * n_cells`; arbitration scratch, all-`NONE` between steps.
     claims: Vec<u32>,
     /// `run_count() * n_cells`; one byte of cell state per cell — bit 0
@@ -120,15 +116,15 @@ pub struct MultiWorld {
     /// are plain byte stores. Every [`MultiWorld::load`] starts each
     /// run from the environment's empty-field image.
     meta: Vec<u8>,
-    /// `run_count() * n_cells`; used by runs with one-word infosets
-    /// (`k ≤ 64`) only: each occupied cell holds its agent's info word,
-    /// empty cells hold 0. Cell-indexing makes the exchange gather a
-    /// plain `w |= cell_info[neighbour]` — no occupant indirection, no
+    /// `stride[r] * n_cells` words per run, behind `cell_base[r]`: each
+    /// occupied cell holds its agent's `stride` info words, empty cells
+    /// hold zeros. Cell-indexing makes the exchange gather a plain
+    /// `w |= cell_info[neighbour]` — no occupant indirection, no
     /// branches, and empty neighbours OR in a no-op 0 — at the price of
-    /// moving one word per agent move in the apply pass.
+    /// moving `stride` words per agent move in the apply pass.
     cell_info: Vec<u64>,
 
-    // Agent state, flat behind `agent_base` / `info_base` offsets.
+    // Agent state, flat behind `agent_base` offsets.
     pos: Vec<u32>,
     dir: Vec<u8>,
     state: Vec<u8>,
@@ -149,8 +145,6 @@ pub struct MultiWorld {
     frontier: Vec<u32>,
     /// Live prefix length of each run's [`MultiWorld::frontier`] block.
     frontier_len: Vec<u32>,
-    info: Vec<u64>,
-    info_next: Vec<u64>,
 
     /// Live run slots; retirement swap-removes (order is irrelevant —
     /// runs are independent, outcomes are reported by slot).
@@ -167,15 +161,12 @@ pub struct MultiWorld {
     // Scratch reused across steps.
     requests: Vec<(u32, u32)>,
     decisions: Vec<(CompiledEntry, u32)>,
-    /// `(info word base, stride, tail mask)` of agents that completed
-    /// during the current exchange sweep; back-filled after the swap.
-    /// Multi-word (`k > 64`) runs only — the one-word path needs no
-    /// double buffer.
-    newly: Vec<(usize, usize, u64)>,
-    /// Per-run staging of gathered one-word infosets: the whole run is
-    /// gathered from [`MultiWorld::cell_info`] into here, then committed
-    /// back, so same-sweep peers read pre-exchange values. Dense mode
-    /// only; the frontier path stages into [`MultiWorld::wpairs`].
+    /// Per-run staging of gathered infosets: gathered from
+    /// [`MultiWorld::cell_info`] into here, then committed back, so
+    /// same-sweep peers read pre-exchange values. Dense one-word sweeps
+    /// push one word per agent; wide (`stride > 1`) sweeps stage agent
+    /// `i`'s words at `i * stride`. The one-word frontier sweep stages
+    /// into [`MultiWorld::wpairs`].
     wbuf: Vec<u64>,
     /// Frontier-mode staging of gathered one-word infosets as
     /// `(cell, word)` pairs — only active agents are staged, so both
@@ -210,14 +201,13 @@ impl MultiWorld {
         Self {
             env,
             agent_base: Vec::new(),
-            info_base: Vec::new(),
+            cell_base: Vec::new(),
             k: Vec::new(),
             stride: Vec::new(),
             tail_mask: Vec::new(),
             informed: Vec::new(),
             conflicts: Vec::new(),
             outcomes: Vec::new(),
-            occupant: Vec::new(),
             claims: Vec::new(),
             meta: Vec::new(),
             cell_info: Vec::new(),
@@ -228,14 +218,11 @@ impl MultiWorld {
             complete: Vec::new(),
             frontier: Vec::new(),
             frontier_len: Vec::new(),
-            info: Vec::new(),
-            info_next: Vec::new(),
             active: Vec::new(),
             time: 0,
             dense: false,
             requests: Vec::new(),
             decisions: Vec::new(),
-            newly: Vec::new(),
             wbuf: Vec::new(),
             wpairs: Vec::new(),
         }
@@ -278,16 +265,19 @@ impl MultiWorld {
         // Sizing pass (agent counts only; validation happens per run
         // below, in batch order).
         let mut agent_total = 0usize;
-        let mut info_total = 0usize;
+        let mut words_total = 0usize;
         let mut max_k = 0usize;
+        // Most words one sweep stages: every agent of the widest run.
+        let mut max_staged = 0usize;
         for init in inits {
             let k = init.agent_count();
             agent_total += k;
-            info_total += k * k.div_ceil(64);
+            words_total += n_cells * k.div_ceil(64);
             max_k = max_k.max(k);
+            max_staged = max_staged.max(k * k.div_ceil(64));
         }
         if runs > self.agent_base.capacity()
-            || runs > self.info_base.capacity()
+            || runs > self.cell_base.capacity()
             || runs > self.k.capacity()
             || runs > self.stride.capacity()
             || runs > self.tail_mask.capacity()
@@ -295,10 +285,9 @@ impl MultiWorld {
             || runs > self.conflicts.capacity()
             || runs > self.outcomes.capacity()
             || runs > self.active.capacity()
-            || runs * n_cells > self.occupant.capacity()
             || runs * n_cells > self.claims.capacity()
-            || runs * n_cells > self.cell_info.capacity()
-            || max_k > self.wbuf.capacity()
+            || words_total > self.cell_info.capacity()
+            || max_staged > self.wbuf.capacity()
             || max_k > self.wpairs.capacity()
             || runs > self.frontier_len.capacity()
             || agent_total > self.frontier.capacity()
@@ -308,9 +297,6 @@ impl MultiWorld {
             || agent_total > self.state.capacity()
             || agent_total > self.own_color.capacity()
             || agent_total > self.complete.capacity()
-            || agent_total > self.newly.capacity()
-            || info_total > self.info.capacity()
-            || info_total > self.info_next.capacity()
             || max_k > self.requests.capacity()
             || max_k > self.decisions.capacity()
         {
@@ -318,7 +304,7 @@ impl MultiWorld {
         }
 
         self.agent_base.clear();
-        self.info_base.clear();
+        self.cell_base.clear();
         self.k.clear();
         self.stride.clear();
         self.tail_mask.clear();
@@ -331,22 +317,17 @@ impl MultiWorld {
         self.state.clear();
         self.own_color.clear();
         self.complete.clear();
-        self.info.clear();
         self.requests.clear();
         self.requests.reserve(max_k);
         self.decisions.clear();
         self.decisions.reserve(max_k);
-        self.newly.clear();
-        self.newly.reserve(agent_total);
         self.time = 0;
-        self.occupant.clear();
-        self.occupant.resize(runs * n_cells, NONE);
         self.claims.clear();
         self.claims.resize(runs * n_cells, NONE);
         self.cell_info.clear();
-        self.cell_info.resize(runs * n_cells, 0);
+        self.cell_info.resize(words_total, 0);
         self.wbuf.clear();
-        self.wbuf.reserve(max_k);
+        self.wbuf.reserve(max_staged);
         self.wpairs.clear();
         self.wpairs.reserve(max_k);
         self.frontier.clear();
@@ -356,6 +337,7 @@ impl MultiWorld {
             self.meta.extend_from_slice(&env.meta_init);
         }
 
+        let mut c0 = 0usize;
         for (r, init) in inits.iter().enumerate() {
             // Pass 1 — validate without allocating, replicating
             // `InitialConfig::validate` check for check (error order
@@ -401,37 +383,26 @@ impl MultiWorld {
                 });
             }
 
-            // Pass 2 — place into the run's slot.
+            // Pass 2 — place into the run's slot: each agent's own bit
+            // goes into its cell's words.
             let a0 = self.pos.len();
-            let i0 = self.info.len();
+            let stride = k.div_ceil(64);
             for (i, &(p, d)) in init.placements().iter().enumerate() {
                 let idx = env.lattice.index_of(p);
                 if env.meta_init[idx] & 1 != 0 {
                     return Err(SimError::OnObstacle(p));
                 }
-                self.occupant[f0 + idx] = i as u32;
                 self.meta[f0 + idx] |= 1;
+                self.cell_info[c0 + idx * stride + i / 64] |= 1u64 << (i % 64);
                 self.pos.push(idx as u32);
                 self.dir.push(d.index());
                 self.state.push(env.init_states.state_for(i as u16, env.n_states));
                 self.own_color.push(self.meta[f0 + idx] >> 1);
             }
-            let stride = k.div_ceil(64);
             self.complete.resize(a0 + k, false);
-            self.info.resize(i0 + k * stride, 0);
-            for i in 0..k {
-                self.info[i0 + i * stride + i / 64] |= 1u64 << (i % 64);
-            }
-            if stride == 1 {
-                // One-word runs keep their live vectors cell-indexed;
-                // the `info` copy above only seeds `info_next`'s layout.
-                for (i, &(p, _)) in init.placements().iter().enumerate() {
-                    self.cell_info[f0 + env.lattice.index_of(p)] = 1u64 << i;
-                }
-            }
             let tail = k % 64;
             self.agent_base.push(a0);
-            self.info_base.push(i0);
+            self.cell_base.push(c0);
             self.k.push(k as u32);
             self.stride.push(stride as u32);
             self.tail_mask.push(if tail == 0 { u64::MAX } else { (1u64 << tail) - 1 });
@@ -443,9 +414,8 @@ impl MultiWorld {
             // t = 0 exchange below, like everything else).
             self.frontier.extend(0..k as u32);
             self.frontier_len.push(k as u32);
+            c0 += n_cells * stride;
         }
-        self.info_next.clear();
-        self.info_next.extend_from_slice(&self.info);
 
         // The uncounted exchange right after placement, every run in
         // one sweep.
@@ -454,7 +424,6 @@ impl MultiWorld {
             self.exchange_one(&env, r as usize);
         }
         self.active = active;
-        self.finish_exchange();
         Ok(())
     }
 
@@ -537,7 +506,6 @@ impl MultiWorld {
             }
             run_steps += active.len() as u64;
             self.active = active;
-            self.finish_exchange();
             self.time += 1;
             self.retire_solved(metrics, debug, &mut compactions);
         }
@@ -585,7 +553,6 @@ impl MultiWorld {
             self.act_one(&env, phase, r);
             self.exchange_one(&env, r);
         }
-        self.finish_exchange();
         self.time += 1;
     }
 
@@ -663,10 +630,10 @@ impl MultiWorld {
         let dir = &mut self.dir[a0..a0 + k];
         let state = &mut self.state[a0..a0 + k];
         let own_color = &mut self.own_color[a0..a0 + k];
-        let occupant = &mut self.occupant[f0..f0 + n_cells];
         let claims = &mut self.claims[f0..f0 + n_cells];
-        let cell_info = &mut self.cell_info[f0..f0 + n_cells];
-        let one_word = self.stride[r] == 1;
+        let stride = self.stride[r] as usize;
+        let c0 = self.cell_base[r];
+        let cell_info = &mut self.cell_info[c0..c0 + n_cells * stride];
         let meta = &mut self.meta[f0..f0 + n_cells];
         let conflicts = &mut self.conflicts[r];
         let requests = &mut self.requests;
@@ -745,16 +712,12 @@ impl MultiWorld {
                 let mt = meta[t] | 1;
                 meta[t] = mt;
                 own_color[i] = mt >> 1;
-                if one_word {
-                    // Move targets are distinct pre-step-free cells and
-                    // sources are occupied ones, so the word moves never
-                    // alias each other within a step. One-word runs
-                    // never read `occupant`, so its stores are skipped.
-                    cell_info[t] = cell_info[here];
-                    cell_info[here] = 0;
-                } else {
-                    occupant[here] = NONE;
-                    occupant[t] = i as u32;
+                // Move targets are distinct pre-step-free cells and
+                // sources are occupied ones, so the word moves never
+                // alias each other within a step.
+                for w in 0..stride {
+                    cell_info[t * stride + w] = cell_info[here * stride + w];
+                    cell_info[here * stride + w] = 0;
                 }
                 pos[i] = target;
             }
@@ -765,9 +728,9 @@ impl MultiWorld {
     /// activity-frontier walk by default, the dense full-`k` scan under
     /// [`MultiWorld::set_dense`]. Both produce bit-identical state —
     /// a complete agent's exchange is a no-op by construction (its
-    /// vector is the all-ones fixed point and neighbours keep reading
-    /// it from the frozen stale buffer / `cell_info` word), so walking
-    /// only unsaturated agents is exact, not approximate.
+    /// `cell_info` words are the all-ones fixed point, and neighbours
+    /// keep reading them there), so walking only unsaturated agents is
+    /// exact, not approximate.
     #[inline]
     fn exchange_one(&mut self, env: &KernelEnv, r: usize) {
         if self.dense {
@@ -782,26 +745,28 @@ impl MultiWorld {
     /// stage `(cell, word)` pairs in [`MultiWorld::wpairs`] — staging
     /// and commit are both proportional to the frontier, and toroidal
     /// fields take a sentinel-free gather — so a run deep in its
-    /// saturation tail costs almost nothing per step.
+    /// saturation tail costs almost nothing per step. Wide runs stage
+    /// by agent in [`MultiWorld::wbuf`]; swap-removal permutes only
+    /// within the walked prefix, so that prefix names exactly the
+    /// staged agents at commit time.
     fn exchange_one_frontier(&mut self, env: &KernelEnv, r: usize) {
         let n_dirs = env.n_dirs;
         let n_cells = env.lattice.len();
-        let f0 = r * n_cells;
         let a0 = self.agent_base[r];
         let k = self.k[r] as usize;
         let len = self.frontier_len[r] as usize;
         if len == 0 {
             return;
         }
-        let i0 = self.info_base[r];
         let stride = self.stride[r] as usize;
+        let c0 = self.cell_base[r];
         let tail = self.tail_mask[r];
         let pos = &self.pos[a0..a0 + k];
         let complete = &mut self.complete[a0..a0 + k];
         let frontier = &mut self.frontier[a0..a0 + k];
+        let cell_info = &mut self.cell_info[c0..c0 + n_cells * stride];
 
         if stride == 1 {
-            let cell_info = &mut self.cell_info[f0..f0 + n_cells];
             let wpairs = &mut self.wpairs;
             wpairs.clear();
             // Dispatch on the two real neighbourhood sizes (unrolled
@@ -833,33 +798,15 @@ impl MultiWorld {
                 cell_info[c as usize] = w;
             }
         } else {
-            let occupant = &self.occupant[f0..f0 + n_cells];
-            let info = &self.info[i0..i0 + k * stride];
-            let info_next = &mut self.info_next[i0..i0 + k * stride];
-            let newly = &mut self.newly;
+            let wbuf = wide_stage(&mut self.wbuf, k * stride);
             let mut live = len;
             let mut j = 0;
             while j < live {
                 let i = frontier[j] as usize;
-                let base = i * stride;
-                info_next[base..base + stride].copy_from_slice(&info[base..base + stride]);
                 let here = pos[i] as usize;
-                let row = &env.fwd[here * n_dirs..here * n_dirs + n_dirs];
-                for &nc in row {
-                    if nc == NONE {
-                        continue;
-                    }
-                    let occ = occupant[nc as usize];
-                    if occ != NONE && occ as usize != i {
-                        let ob = occ as usize * stride;
-                        for w in 0..stride {
-                            info_next[base + w] |= info[ob + w];
-                        }
-                    }
-                }
-                if words_complete(&info_next[base..base + stride], tail) {
+                let acc = &mut wbuf[i * stride..i * stride + stride];
+                if gather_wide(n_dirs, &env.fwd, cell_info, here, acc, tail) {
                     complete[i] = true;
-                    newly.push((i0 + base, stride, tail));
                     live -= 1;
                     frontier[j] = frontier[live];
                     frontier[live] = i as u32;
@@ -867,41 +814,39 @@ impl MultiWorld {
                     j += 1;
                 }
             }
-            self.informed[r] += (len - live) as u32;
             self.frontier_len[r] = live as u32;
+            self.informed[r] += (len - live) as u32;
+            for &i in &frontier[..len] {
+                let (i, here) = (i as usize, pos[i as usize] as usize);
+                cell_info[here * stride..here * stride + stride]
+                    .copy_from_slice(&wbuf[i * stride..i * stride + stride]);
+            }
         }
     }
 
     /// One run's dense exchange sweep — the pre-frontier full-`k` scan,
-    /// kept verbatim as the kernel bench's same-process baseline for
-    /// `frontier_speedup`: word-wise ORs of the pre-phase vectors into
-    /// `info_next`, with a one-word fast path for `k ≤ 64`. Complete
-    /// agents are skipped one by one — both their buffers are frozen at
-    /// all-ones by the post-swap back-fill in
-    /// [`MultiWorld::finish_exchange`].
+    /// kept as the kernel bench's same-process baseline for
+    /// `frontier_speedup`: every agent gathers from
+    /// [`MultiWorld::cell_info`] into [`MultiWorld::wbuf`], and the run
+    /// is committed afterwards, so same-sweep peers read pre-exchange
+    /// values (the double-buffer role).
     fn exchange_one_dense(&mut self, env: &KernelEnv, r: usize) {
         let n_dirs = env.n_dirs;
         let n_cells = env.lattice.len();
-        let f0 = r * n_cells;
         let a0 = self.agent_base[r];
         let k = self.k[r] as usize;
-        let i0 = self.info_base[r];
         let stride = self.stride[r] as usize;
+        let c0 = self.cell_base[r];
         let tail = self.tail_mask[r];
         let pos = &self.pos[a0..a0 + k];
-        let occupant = &self.occupant[f0..f0 + n_cells];
         let complete = &mut self.complete[a0..a0 + k];
         let informed = &mut self.informed[r];
-        let newly = &mut self.newly;
+        let cell_info = &mut self.cell_info[c0..c0 + n_cells * stride];
 
         if stride == 1 {
-            // k ≤ 64: vectors live cell-indexed in `cell_info`, so the
-            // gather is a branch-free `w |= cell_info[neighbour]` — an
-            // empty neighbour ORs in 0, an occupied one its agent's
-            // word, with no occupant lookup at all. The whole run is
-            // staged in `wbuf` and committed afterwards, so same-sweep
-            // peers read pre-exchange values (the double-buffer role).
-            let cell_info = &mut self.cell_info[f0..f0 + n_cells];
+            // k ≤ 64: the gather is a branch-free `w |= cell_info[neighbour]`
+            // — an empty neighbour ORs in 0, an occupied one its agent's
+            // word, with no occupant lookup at all.
             let wbuf = &mut self.wbuf;
             wbuf.clear();
             // Dispatch on the two real neighbourhood sizes so the
@@ -915,51 +860,23 @@ impl MultiWorld {
                 cell_info[p as usize] = w;
             }
         } else {
-            let info = &self.info[i0..i0 + k * stride];
-            let info_next = &mut self.info_next[i0..i0 + k * stride];
-            for i in 0..k {
-                if complete[i] {
-                    continue;
-                }
-                let base = i * stride;
-                info_next[base..base + stride].copy_from_slice(&info[base..base + stride]);
+            let wbuf = wide_stage(&mut self.wbuf, k * stride);
+            for (i, acc) in wbuf.chunks_exact_mut(stride).enumerate() {
                 let here = pos[i] as usize;
-                let row = &env.fwd[here * n_dirs..here * n_dirs + n_dirs];
-                for &nc in row {
-                    if nc == NONE {
-                        continue;
-                    }
-                    let occ = occupant[nc as usize];
-                    if occ != NONE && occ as usize != i {
-                        let ob = occ as usize * stride;
-                        for w in 0..stride {
-                            info_next[base + w] |= info[ob + w];
-                        }
-                    }
-                }
-                if words_complete(&info_next[base..base + stride], tail) {
+                // A complete agent gathers nothing: its words are the
+                // frozen all-ones vector, re-committed as they are.
+                if complete[i] {
+                    acc.copy_from_slice(&cell_info[here * stride..here * stride + stride]);
+                } else if gather_wide(n_dirs, &env.fwd, cell_info, here, acc, tail) {
                     complete[i] = true;
                     *informed += 1;
-                    newly.push((i0 + base, stride, tail));
                 }
             }
-        }
-    }
-
-    /// Ends a global exchange: swaps the double buffers and freezes the
-    /// stale buffer of agents that completed this sweep at all-ones,
-    /// so both buffers agree and later sweeps skip those agents. The
-    /// back-fill value equals what a copy would have produced, so
-    /// same-sweep peers saw the correct pre-phase words.
-    fn finish_exchange(&mut self) {
-        std::mem::swap(&mut self.info, &mut self.info_next);
-        for &(base, stride, tail) in &self.newly {
-            for w in &mut self.info_next[base..base + stride - 1] {
-                *w = u64::MAX;
+            for (&p, acc) in pos.iter().zip(wbuf.chunks_exact(stride)) {
+                let here = p as usize;
+                cell_info[here * stride..here * stride + stride].copy_from_slice(acc);
             }
-            self.info_next[base + stride - 1] = tail;
         }
-        self.newly.clear();
     }
 
     /// Loaded configurations (including retired ones).
@@ -1092,32 +1009,16 @@ impl MultiWorld {
         let k = self.k[r] as usize;
         assert!(i < k, "agent {i} out of range for {k} agents in run {r}");
         let stride = self.stride[r] as usize;
+        let cell = self.pos[self.agent_base[r] + i] as usize;
+        let words = &self.cell_info[self.cell_base[r] + cell * stride..][..stride];
         let mut set = InfoSet::empty(k);
-        if stride == 1 {
-            // One-word runs keep their live vectors cell-indexed.
-            let cell = self.pos[self.agent_base[r] + i] as usize;
-            let word = self.cell_info[r * self.env.lattice.len() + cell];
-            for b in 0..k {
-                if word & (1u64 << b) != 0 {
-                    set.insert(b);
-                }
-            }
-            return set;
-        }
-        let base = self.info_base[r] + i * stride;
         for b in 0..k {
-            if self.info[base + b / 64] & (1u64 << (b % 64)) != 0 {
+            if words[b / 64] & (1u64 << (b % 64)) != 0 {
                 set.insert(b);
             }
         }
         set
     }
-}
-
-/// All `k`-bit vector words full, honouring the tail mask of the last word.
-fn words_complete(words: &[u64], tail_mask: u64) -> bool {
-    let n = words.len();
-    words[..n - 1].iter().all(|&w| w == u64::MAX) && words[n - 1] == tail_mask
 }
 
 /// The one-word gather sweep with the neighbourhood size `D` fixed at
@@ -1271,6 +1172,61 @@ fn gather_frontier_any(
     len
 }
 
+/// The wide staging area for a run of `words` staged words: grows
+/// `wbuf` (within the capacity [`MultiWorld::load`] reserved) without
+/// clearing it, since every sweep writes each word before reading it.
+fn wide_stage(wbuf: &mut Vec<u64>, words: usize) -> &mut [u64] {
+    debug_assert!(words <= wbuf.capacity(), "load reserves every run's staging");
+    if wbuf.len() < words {
+        wbuf.resize(words, 0);
+    }
+    &mut wbuf[..words]
+}
+
+/// The wide (`stride > 1`) gather of the agent on cell `here` into its
+/// staged words `acc`: ORs the cell's `stride` words with those of its
+/// `n_dirs` neighbour cells (empty cells hold zeros, so no occupant
+/// lookup is needed) and reports whether the vector is complete.
+#[inline(always)]
+fn gather_wide(
+    n_dirs: usize,
+    fwd: &[u32],
+    cell_info: &[u64],
+    here: usize,
+    acc: &mut [u64],
+    tail: u64,
+) -> bool {
+    match n_dirs {
+        6 => gather_wide_rows::<6>(fwd, cell_info, here, acc),
+        4 => gather_wide_rows::<4>(fwd, cell_info, here, acc),
+        _ => unreachable!("square and triangulate cells have 4 and 6 neighbours"),
+    }
+    let (&last, full) = acc.split_last().expect("stride is at least 1");
+    last == tail && full.iter().all(|&w| w == u64::MAX)
+}
+
+/// [`gather_wide`]'s OR with the neighbourhood size `D` fixed at compile
+/// time, so the neighbour loop unrolls and each word accumulates in a
+/// register. An off-field neighbour reads the agent's own cell, a no-op.
+#[inline(always)]
+fn gather_wide_rows<const D: usize>(fwd: &[u32], cell_info: &[u64], here: usize, acc: &mut [u64]) {
+    let stride = acc.len();
+    let row: [u32; D] = fwd[here * D..here * D + D].try_into().expect("row length is D");
+    let mut cells: [&[u64]; D] = [&[]; D];
+    for (cell, nc) in cells.iter_mut().zip(row) {
+        let c = if nc == NONE { here } else { nc as usize };
+        *cell = &cell_info[c * stride..c * stride + stride];
+    }
+    let own = &cell_info[here * stride..here * stride + stride];
+    for w in 0..stride {
+        let mut x = own[w];
+        for cell in &cells {
+            x |= cell[w];
+        }
+        acc[w] = x;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1301,7 +1257,8 @@ mod tests {
         {
             let config = cfg(kind);
             // Ragged agent counts in one batch, including a k > 64 run
-            // (multi-word infosets) and a k = 1 run (solved at t = 0).
+            // (two infoset words per cell) and a k = 1 run (solved at
+            // t = 0).
             let inits = random_batch(&config, &[16, 1, 70, 4, 16, 33], 7);
             let expected: Vec<RunOutcome> = inits
                 .iter()
@@ -1407,9 +1364,14 @@ mod tests {
         let env = Arc::new(
             KernelEnv::new(&small, &Behaviour::Single(best_t_agent())).unwrap(),
         );
-        let c16 = preferred_chunk(&env, 16);
-        assert!((4..=64).contains(&c16));
-        assert!(preferred_chunk(&env, 1000) <= c16);
+        // Per run on 16×16: (4 B claims + 1 B meta + 8·stride B words)
+        // per cell plus 12 B per agent, into a 256 KiB budget.
+        assert_eq!(preferred_chunk(&env, 16), 64); // 3520 B/run: 74, clamped
+        assert_eq!(preferred_chunk(&env, 65), 262_144 / (21 * 256 + 12 * 65));
+        assert_eq!(preferred_chunk(&env, 256), 262_144 / (37 * 256 + 12 * 256));
+        assert_eq!(preferred_chunk(&env, 256), 20);
+        assert!(preferred_chunk(&env, 1000) <= preferred_chunk(&env, 256));
+        assert_eq!(preferred_chunk(&env, 60_000), 4);
         assert!(preferred_chunk(&env, 0) >= 4);
     }
 }

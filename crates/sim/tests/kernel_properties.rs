@@ -1,10 +1,11 @@
-//! Property-based tests of the [`MultiWorld`] kernel on one-run
-//! batches: agreement with the reference engine and the
-//! information-flow invariants the word-wise merge must preserve.
+//! Property-based tests of the [`MultiWorld`] kernel: agreement with
+//! the reference engine and the information-flow invariants the
+//! word-wise merge must preserve, on one-run batches of every infoset
+//! width (`⌈k/64⌉` words per cell) and on ragged batches mixing widths.
 
 use a2a_fsm::{FsmSpec, Genome};
-use a2a_grid::GridKind;
-use a2a_sim::{simulate, BatchRunner, InitialConfig, MultiWorld, WorldConfig};
+use a2a_grid::{GridKind, Pos};
+use a2a_sim::{simulate, BatchRunner, InitialConfig, MultiWorld, World, WorldConfig};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -24,6 +25,40 @@ fn arb_scenario() -> impl Strategy<Value = (WorldConfig, Genome, InitialConfig)>
             .expect("k clamped to the cell count");
         (cfg, genome, init)
     })
+}
+
+/// A wide scenario: up to 200 agents on fields up to 20×20, with the
+/// infoset width (1–4 words per cell) drawn first so every width occurs.
+/// The field is at most three quarters full, so agents can still move.
+fn arb_wide_scenario() -> impl Strategy<Value = (WorldConfig, Genome, InitialConfig)> {
+    (arb_kind(), 1usize..=4, 0usize..64, 0u16..=3, any::<u64>()).prop_map(
+        |(kind, stride, extra_k, extra_m, seed)| {
+            let k = (64 * (stride - 1) + 1 + extra_k).min(200);
+            let mut m = 8u16;
+            while 3 * usize::from(m) * usize::from(m) < 4 * k {
+                m += 1;
+            }
+            let cfg = WorldConfig::paper(kind, (m + extra_m).min(20));
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let genome = Genome::random(FsmSpec::paper(kind), &mut rng);
+            let init = InitialConfig::random(cfg.lattice, kind, k, &[], &mut rng)
+                .expect("the field holds k agents");
+            (cfg, genome, init)
+        },
+    )
+}
+
+/// Asserts that run `r` of `multi` and `world` agree on positions,
+/// informed count and every agent's infoset.
+fn assert_run_matches(multi: &MultiWorld, r: usize, world: &World, at: &str) -> Result<(), String> {
+    let agents = world.agents();
+    let positions: Vec<Pos> = agents.iter().map(|a| a.pos()).collect();
+    prop_assert_eq!(multi.positions(r), positions, "run {} {}", r, at);
+    prop_assert_eq!(multi.informed_count(r), world.informed_count(), "run {} {}", r, at);
+    for (i, agent) in agents.iter().enumerate() {
+        prop_assert_eq!(&multi.agent_info(r, i), agent.info(), "run {} agent {} {}", r, i, at);
+    }
+    Ok(())
 }
 
 /// A freshly compiled kernel world holding `init` in run slot 0.
@@ -95,5 +130,69 @@ proptest! {
         let runner = BatchRunner::from_genome(&cfg, genome.clone(), 100).unwrap();
         let mut fresh = one_run(&cfg, genome, &init);
         prop_assert_eq!(runner.outcome_for(&init).unwrap(), fresh.run(100)[0]);
+    }
+}
+
+proptest! {
+    /// Wide runs (1–4 words per cell) reach the reference engine's
+    /// outcome for arbitrary genomes.
+    #[test]
+    fn wide_outcome_matches_reference((cfg, genome, init) in arb_wide_scenario(), t_max in 0u32..120) {
+        let mut fast = one_run(&cfg, genome.clone(), &init);
+        let reference = simulate(&cfg, genome, &init, t_max).unwrap();
+        prop_assert_eq!(fast.run(t_max)[0], reference);
+    }
+
+    /// Step by step, a wide run's agents sit where the reference engine's
+    /// do and carry the same infosets: the move copies all `stride` words
+    /// of an agent's cell, and the gather ORs whole neighbour cells.
+    #[test]
+    fn wide_lockstep_matches_reference((cfg, genome, init) in arb_wide_scenario()) {
+        let mut fast = one_run(&cfg, genome.clone(), &init);
+        let mut world = World::new(&cfg, genome, &init).unwrap();
+        for t in 0..25 {
+            assert_run_matches(&fast, 0, &world, &format!("t={t}"))?;
+            fast.step();
+            world.step();
+        }
+    }
+
+    /// One load mixing every width, in shuffled order: each run's
+    /// outcome equals the reference engine's, and after a few lockstep
+    /// steps every run's infosets equal the reference engine's — which
+    /// pins each run's offset into the shared cell-word arena.
+    #[test]
+    fn ragged_batch_matches_reference(kind in arb_kind(), seed in any::<u64>()) {
+        let cfg = WorldConfig::paper(kind, 20);
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let genome = Genome::random(FsmSpec::paper(kind), &mut rng);
+        let mut ks = [1usize, 8, 64, 65, 130, 200];
+        let rot = (seed % ks.len() as u64) as usize;
+        ks.rotate_left(rot);
+        if seed & 1 == 1 {
+            ks.reverse();
+        }
+        let inits: Vec<InitialConfig> = ks
+            .iter()
+            .map(|&k| InitialConfig::random(cfg.lattice, kind, k, &[], &mut rng).unwrap())
+            .collect();
+        let mut multi = MultiWorld::new(&cfg, genome.clone()).unwrap();
+        multi.load(&inits).unwrap();
+        let expected: Vec<_> =
+            inits.iter().map(|i| simulate(&cfg, genome.clone(), i, 80).unwrap()).collect();
+        prop_assert_eq!(multi.run(80), expected, "ks {:?}", ks);
+
+        multi.load(&inits).unwrap();
+        let mut worlds: Vec<World> =
+            inits.iter().map(|i| World::new(&cfg, genome.clone(), i).unwrap()).collect();
+        for _ in 0..4 {
+            multi.step();
+            for world in &mut worlds {
+                world.step();
+            }
+        }
+        for (r, world) in worlds.iter().enumerate() {
+            assert_run_matches(&multi, r, world, &format!("k={} t=4", ks[r]))?;
+        }
     }
 }
