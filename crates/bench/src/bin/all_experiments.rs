@@ -2,8 +2,9 @@
 //! prints a combined markdown report — a smoke-regeneration of every
 //! claim in EXPERIMENTS.md with one command — then measures a perf
 //! snapshot (kernel throughput, fitness throughput, t_comm histograms,
-//! a GA fitness series) and writes it to `BENCH_obs.json`
-//! (schema `a2a-obs/bench-snapshot/v1`, validated before writing).
+//! a GA fitness series, the per-call cost of the disabled observability
+//! paths) and writes it to `BENCH_obs.json` (schema
+//! `a2a-obs/bench-snapshot/v1`, validated before writing).
 //!
 //! ```text
 //! cargo run --release -p a2a-bench --bin all_experiments [--configs N] \
@@ -34,11 +35,12 @@ use a2a_obs::schema::{
     validate_kernel_snapshot, BENCH_HISTORY_SCHEMA, BENCH_SNAPSHOT_SCHEMA, REQUIRED_T_COMM_KS,
 };
 use a2a_obs::json::Json;
-use a2a_obs::HistogramSnapshot;
+use a2a_obs::{HistogramSnapshot, Level};
 use a2a_sim::{paper_config_set, BatchRunner, WorldConfig};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::time::Instant;
+use std::hint::black_box;
+use std::time::{Duration, Instant};
 
 /// Output path of the consolidated perf snapshot.
 const SNAPSHOT_PATH: &str = "BENCH_obs.json";
@@ -103,6 +105,61 @@ fn append_history_line(
     let mut file = std::fs::OpenOptions::new().create(true).append(true).open(HISTORY_PATH)?;
     file.write_all(format!("{line}\n").as_bytes())?;
     file.sync_all()
+}
+
+/// Reps per disabled-path cost; the snapshot records their median.
+const OVERHEAD_REPS: usize = 5;
+
+/// Shortest rep of a disabled-path cost, far above timer resolution.
+const OVERHEAD_MIN_REP: Duration = Duration::from_millis(50);
+
+/// Nanoseconds per `call()`: the median of [`OVERHEAD_REPS`] reps, each
+/// looping `call` in batches until [`OVERHEAD_MIN_REP`] has passed.
+fn ns_per_call(mut call: impl FnMut()) -> f64 {
+    const BATCH: u64 = 1 << 16;
+    let mut reps: Vec<f64> = (0..OVERHEAD_REPS)
+        .map(|_| {
+            let started = Instant::now();
+            let mut calls = 0u64;
+            while started.elapsed() < OVERHEAD_MIN_REP {
+                for _ in 0..BATCH {
+                    call();
+                }
+                calls += BATCH;
+            }
+            started.elapsed().as_nanos() as f64 / calls as f64
+        })
+        .collect();
+    reps.sort_by(f64::total_cmp);
+    reps[OVERHEAD_REPS / 2]
+}
+
+/// The per-call cost of the observability layer's two disabled paths:
+/// `event!` with the level off and `flight::record` with the recorder
+/// disabled. Their budget is ≤ 1 ns each; it is recorded, not gated,
+/// because a 2-core host measures the flight path at ~0.9 ns and a gate
+/// would flap. The level and recorder state are restored afterwards.
+fn disabled_overhead() -> Json {
+    let level = a2a_obs::max_level();
+    let flight_on = a2a_obs::flight::enabled();
+    a2a_obs::set_level(Level::Off);
+    a2a_obs::flight::disable();
+    let event_ns = ns_per_call(|| {
+        a2a_obs::event!(Level::Info, "bench.noop", "i" => black_box(42u64), "label" => "payload");
+    });
+    let flight_ns = ns_per_call(|| {
+        let kind = a2a_obs::flight::Kind::Event;
+        a2a_obs::flight::record(kind, "bench.flight", black_box(1), black_box(2));
+    });
+    a2a_obs::set_level(level);
+    if flight_on {
+        a2a_obs::flight::enable();
+    }
+    Json::object()
+        .with("event_disabled_ns", event_ns)
+        .with("flight_record_disabled_ns", flight_ns)
+        .with("reps", OVERHEAD_REPS)
+        .with("min_rep_ms", OVERHEAD_MIN_REP.as_millis() as u64)
 }
 
 /// Measures the perf snapshot on the T-grid: kernel steps/s and per-k
@@ -214,6 +271,7 @@ fn perf_snapshot(scale: &RunScale, ga_opts: &RunOptions) -> Json {
         )
         .with("t_comm", Json::Arr(t_comm_entries))
         .with("ga", Json::object().with("series", Json::Arr(series)))
+        .with("overhead", disabled_overhead())
         .with("metrics", a2a_obs::global().snapshot().to_json()))
 }
 
@@ -340,6 +398,11 @@ fn main() {
         "- kernel: {:.2e} agent-steps/s; fitness: {:.1} evals/s; wrote {SNAPSHOT_PATH} (schema-valid)",
         num(&["kernel", "steps_per_sec"]),
         num(&["fitness", "evals_per_sec"]),
+    ));
+    scale.outln(format!(
+        "- disabled paths: event! {:.2} ns/call, flight::record {:.2} ns/call (budget ≤ 1 ns, recorded)",
+        num(&["overhead", "event_disabled_ns"]),
+        num(&["overhead", "flight_record_disabled_ns"]),
     ));
 
     // Adaptive fitness pipeline before/after → BENCH_fitness.json.

@@ -37,14 +37,19 @@
 //!
 //! # Instrumented sites
 //!
-//! | site                   | shape         | instrumented where                         |
-//! |------------------------|---------------|--------------------------------------------|
-//! | `ga.pool.item`         | [`panic_point`] | every multi-threaded worker-pool item    |
-//! | `run.checkpoint.write` | [`io_error`]  | `CheckpointStore::save`                    |
-//! | `run.generation`       | [`should_kill`] | every generation/epoch boundary          |
-//! | `serve.request`        | [`io_error`]  | every accepted `a2a-serve` HTTP request    |
-//! | `serve.job.step`       | [`panic_point`] | every `a2a-serve` job generation boundary |
-//! | `serve.checkpoint`     | [`io_error`]  | `a2a-serve` manifest/result persistence    |
+//! | site                   | shape           | instrumented where                                   |
+//! |------------------------|-----------------|------------------------------------------------------|
+//! | `ga.pool.item`         | [`panic_point`] | every multi-threaded worker-pool item                |
+//! | `run.checkpoint.write` | [`io_error`]    | `SealedDir::save` of `CheckpointStore`, `CampaignStore` |
+//! | `run.generation`       | [`should_kill`] | every generation/epoch boundary                      |
+//! | `campaign.round`       | [`should_kill`] | every campaign shard round boundary                  |
+//! | `serve.request`        | [`io_error`]    | every accepted `a2a-serve` HTTP request              |
+//! | `serve.job.step`       | [`panic_point`] | every `a2a-serve` job generation boundary            |
+//! | `serve.checkpoint`     | [`io_error`]    | `SealedDir::save` of `JobStore` (manifests, results) |
+//!
+//! `SealedDir` (in `a2a-run`) is the one write path of every durable
+//! store; each save probes its store's site exactly once, before any
+//! filesystem effect.
 //!
 //! e.g. `A2A_FAULT="seed=9,serve.request:0.01,serve.job.step:0.2:2,serve.checkpoint:0.5:4"`
 //! chaos-tests the service layer: sporadic 500s, two simulated worker

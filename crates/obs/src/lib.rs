@@ -22,9 +22,9 @@
 //! With `A2A_LOG` unset and no sink attached the whole pipeline is
 //! disabled: [`enabled`] is a single relaxed atomic load, the [`event!`]
 //! macro constructs nothing, and [`metrics_enabled`] gates every
-//! registry update the simulation layers perform. The
-//! `obs_benches` criterion bench in `a2a-bench` verifies the disabled
-//! fast path costs ~1 ns per call site.
+//! registry update the simulation layers perform. `all_experiments`
+//! records the disabled path's per-call cost in `BENCH_obs.json`
+//! (`overhead.event_disabled_ns`; budget ~1 ns, recorded, not gated).
 //!
 //! # Quick start
 //!

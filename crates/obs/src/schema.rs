@@ -28,12 +28,20 @@
 //!   "fitness": {"evals_per_sec": 1234.5, ...},
 //!   "t_comm": [{"grid": "T", "k": 16, "histogram": {...}}, ...],
 //!   "ga": {"series": [{"generation": 0, "best": 1e4, "median": 2e4}, ...]},
+//!   "overhead": {"event_disabled_ns": 0.4, "flight_record_disabled_ns": 0.9,
+//!                "reps": 5, "min_rep_ms": 50},
 //!   "metrics": {"counters": {...}, "gauges": {...}, "histograms": {...}}
 //! }
 //! ```
 //!
 //! `t_comm` must cover `k ∈ {4, 16, 64}` and `ga.series` must be
-//! non-empty — the acceptance gate of the observability PR.
+//! non-empty — the acceptance gate of the observability PR. `overhead`
+//! carries the per-call cost of the two disabled paths (`event!` with
+//! the level off, `flight::record` with the recorder disabled), each
+//! the median of `reps` release-build reps of at least `min_rep_ms`.
+//! Both must be positive; their ≤ 1 ns budget is recorded, not gated
+//! (a 2-core host measures ~0.9 ns on the flight path, so a gate would
+//! flap).
 //!
 //! # Fitness-bench schema (`a2a-obs/fitness-bench/v1`)
 //!
@@ -484,6 +492,14 @@ pub fn validate_bench_snapshot(doc: &Json) -> Result<(), String> {
         require_num(point, "ga.series[]", "generation")?;
         require_num(point, "ga.series[]", "best")?;
         require_num(point, "ga.series[]", "median")?;
+    }
+
+    let overhead = doc.get("overhead").ok_or("missing `overhead`")?;
+    for key in ["event_disabled_ns", "flight_record_disabled_ns"] {
+        let ns = require_num(overhead, "overhead", key)?;
+        if !ns.is_finite() || ns <= 0.0 {
+            return Err(format!("`overhead.{key}` must be positive"));
+        }
     }
     Ok(())
 }
@@ -1117,6 +1133,12 @@ mod tests {
                             .with("best", 1e4)
                             .with("median", 2e4)],
                     ),
+                )
+                .with(
+                    "overhead",
+                    Json::object()
+                        .with("event_disabled_ns", 0.4)
+                        .with("flight_record_disabled_ns", 0.9),
                 ),
         )
     }
@@ -1551,6 +1573,14 @@ mod tests {
             Json::object().with("series", Json::Arr(Vec::new())),
         );
         assert!(validate_bench_snapshot(&empty_series).is_err());
+
+        let no_flight_cost = resealed(
+            minimal_snapshot(),
+            "overhead",
+            Json::object().with("event_disabled_ns", 0.4),
+        );
+        let err = validate_bench_snapshot(&no_flight_cost).unwrap_err();
+        assert!(err.contains("flight_record_disabled_ns"), "{err}");
 
         let mut tampered = minimal_snapshot();
         tampered.set("fitness", Json::object().with("evals_per_sec", 1e9));

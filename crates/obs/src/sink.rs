@@ -40,20 +40,7 @@ pub trait Sink: Send + Sync + fmt::Debug {
 /// Propagates IO errors from any step; on error the target file is
 /// untouched (a stale `.tmp` sibling may remain).
 pub fn atomic_write(path: impl AsRef<Path>, bytes: &[u8]) -> std::io::Result<()> {
-    let path = path.as_ref();
-    let tmp = unique_sibling(path, ".tmp");
-    {
-        let mut file = File::create(&tmp)?;
-        file.write_all(bytes)?;
-        file.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)?;
-    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        if let Ok(d) = File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
-    Ok(())
+    publish(path.as_ref(), bytes, ".tmp")
 }
 
 /// Writes `bytes` to the `.partial` sibling of `path` (fsynced), then
@@ -68,14 +55,21 @@ pub fn atomic_write(path: impl AsRef<Path>, bytes: &[u8]) -> std::io::Result<()>
 /// untouched (a `.partial` sibling may remain — deliberately, as the
 /// crash artifact).
 pub fn publish_via_partial(path: impl AsRef<Path>, bytes: &[u8]) -> std::io::Result<()> {
-    let path = path.as_ref();
-    let partial = unique_sibling(path, ".partial");
+    publish(path.as_ref(), bytes, ".partial")
+}
+
+/// The one publish body behind [`atomic_write`] and
+/// [`publish_via_partial`]: write and fsync a unique `tag` sibling,
+/// rename it over `path`, then fsync the directory so the rename itself
+/// is durable.
+fn publish(path: &Path, bytes: &[u8], tag: &str) -> std::io::Result<()> {
+    let temp = unique_sibling(path, tag);
     {
-        let mut file = File::create(&partial)?;
+        let mut file = File::create(&temp)?;
         file.write_all(bytes)?;
         file.sync_all()?;
     }
-    std::fs::rename(&partial, path)?;
+    std::fs::rename(&temp, path)?;
     if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
         if let Ok(d) = File::open(dir) {
             let _ = d.sync_all();

@@ -1,7 +1,9 @@
-//! Property tests: histogram merge algebra and JSONL round-trips.
+//! Property tests: histogram merge algebra, JSONL round-trips, and
+//! the JSON parser's totality on arbitrary input.
 
-use a2a_obs::json::{parse, Json};
+use a2a_obs::json::{parse, Json, MAX_DEPTH};
 use a2a_obs::{Event, HistogramSnapshot, Level, Value};
+use proptest::collection;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
@@ -27,8 +29,97 @@ fn hist_of(values: &[u64]) -> HistogramSnapshot {
     h
 }
 
+/// Bytes JSON text is made of, so mapped inputs reach deep parser
+/// states (nesting, escapes, numbers) that uniform bytes rarely do.
+const JSON_ALPHABET: &[u8] = b"[]{}\",:\\/ \n-+.eE0123456789truefalsnlbu\xc3\xa9";
+
+/// A string over characters the writer must escape or pass through:
+/// quotes, backslashes, every control character, non-ASCII and astral.
+fn text(rng: &mut SmallRng) -> String {
+    const SPECIAL: [char; 8] = ['"', '\\', '\u{7f}', 'é', '€', '😀', '\u{fffd}', '\u{2028}'];
+    (0..rng.random_range(0..12usize))
+        .map(|_| match rng.random_range(0..3u8) {
+            0 => char::from(rng.random_range(0x20..0x7fu8)),
+            1 => char::from(rng.random_range(0..0x20u8)),
+            _ => SPECIAL[rng.random_range(0..SPECIAL.len())],
+        })
+        .collect()
+}
+
+/// A finite number in one of the writer's two forms: integral values
+/// below 2⁵³ print as integers, everything else as the shortest
+/// round-trip float.
+fn number(rng: &mut SmallRng) -> f64 {
+    let sign = if rng.random_range(0..2u8) == 0 { 1.0 } else { -1.0 };
+    sign * match rng.random_range(0..3u8) {
+        0 => (rng.random_range(0..=u64::MAX) >> rng.random_range(11..64u32)) as f64,
+        1 => f64::from(rng.random_range(0..1u32 << 20)) / 64.0,
+        _ => loop {
+            let v = f64::from_bits(rng.random_range(0..=u64::MAX));
+            if v.is_finite() {
+                break v.abs();
+            }
+        },
+    }
+}
+
+/// A random tree nested exactly `depth` containers deep along one
+/// spine, with shallower random subtrees beside it.
+fn tree(rng: &mut SmallRng, depth: usize) -> Json {
+    if depth == 0 {
+        return match rng.random_range(0..4u8) {
+            0 => Json::Null,
+            1 => Json::Bool(rng.random_range(0..2u8) == 1),
+            2 => Json::Num(number(rng)),
+            _ => Json::Str(text(rng)),
+        };
+    }
+    let sides = rng.random_range(0..3usize);
+    let spine_at = rng.random_range(0..=sides);
+    let children: Vec<Json> = (0..=sides)
+        .map(|i| {
+            let child_depth =
+                if i == spine_at { depth - 1 } else { rng.random_range(0..depth.min(3)) };
+            tree(rng, child_depth)
+        })
+        .collect();
+    if rng.random_range(0..2u8) == 0 {
+        Json::Arr(children)
+    } else {
+        let keyed = children.into_iter().enumerate();
+        Json::Obj(keyed.map(|(i, v)| (format!("{i}{}", text(rng)), v)).collect())
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Arbitrary bytes (lossy UTF-8) — raw, mapped onto JSON's own
+    /// alphabet, or behind nesting far past the limit — parse to `Ok` or
+    /// `Err`: never a panic, never a stack overflow.
+    #[test]
+    fn parse_is_total_on_arbitrary_bytes(bytes in collection::vec(any::<u8>(), 0..2048)) {
+        let _ = parse(&String::from_utf8_lossy(&bytes));
+        let mapped: Vec<u8> =
+            bytes.iter().map(|b| JSON_ALPHABET[usize::from(*b) % JSON_ALPHABET.len()]).collect();
+        let mapped = String::from_utf8_lossy(&mapped);
+        let _ = parse(&mapped);
+        let _ = parse(&format!("{}{mapped}", "[".repeat(64 * bytes.len())));
+    }
+
+    /// Rendering is canonical: parsing a rendered tree (nested up to
+    /// the parser's limit) gives the tree back, and rendering that
+    /// gives the same text.
+    #[test]
+    fn render_then_parse_is_the_identity(seed in any::<u64>()) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let depth = rng.random_range(0..=MAX_DEPTH);
+        let doc = tree(&mut rng, depth);
+        let text = doc.to_string();
+        let back = parse(&text);
+        prop_assert_eq!(back.as_ref(), Ok(&doc), "depth {}: {}", depth, text);
+        prop_assert_eq!(back.unwrap().to_string(), text);
+    }
 
     /// (a ⊔ b) ⊔ c == a ⊔ (b ⊔ c): merging is associative, so
     /// per-worker partial histograms can be combined in any join order.

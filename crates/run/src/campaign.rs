@@ -57,8 +57,11 @@
 use a2a_fsm::{offspring, FsmSpec, Genome, MutationRates};
 use a2a_ga::{Evaluator, FitnessReport, WorkerPool};
 use a2a_grid::{GridKind, Lattice};
+use crate::sealed::{
+    arr_member, expect_schema, member, str_member, u64_member, usize_member, SealedDir,
+};
 use a2a_obs::json::Json;
-use a2a_obs::{atomic_write, fault, schema};
+use a2a_obs::{fault, schema};
 use a2a_sim::{paper_config_set, WorldConfig};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -73,6 +76,8 @@ pub const CAMPAIGN_SPEC_SCHEMA: &str = "a2a-run/campaign-spec/v1";
 pub const ARCHIVE_DELTA_SCHEMA: &str = "a2a-run/archive-delta/v1";
 /// Schema identifier of sealed merged-archive round barriers.
 pub const CAMPAIGN_MERGED_SCHEMA: &str = "a2a-run/campaign-merged/v1";
+/// Schema identifier of the sealed new-digest log of a merged round.
+pub const DIGEST_LOG_SCHEMA: &str = "a2a-run/digest-log/v1";
 /// Schema identifier of the sealed final archive.
 pub const ARCHIVE_SCHEMA: &str = "a2a-run/archive/v1";
 /// Schema identifier of the sealed campaign summary.
@@ -204,10 +209,7 @@ impl CampaignSpec {
     pub fn from_json(doc: &Json) -> Result<Self, String> {
         schema::verify_checksum(doc)?;
         expect_schema(doc, CAMPAIGN_SPEC_SCHEMA)?;
-        let niches = doc
-            .get("niches")
-            .and_then(Json::as_arr)
-            .ok_or("campaign spec missing `niches` array")?
+        let niches = arr_member(doc, "niches")?
             .iter()
             .map(|v| {
                 v.as_str()
@@ -215,10 +217,7 @@ impl CampaignSpec {
                     .and_then(NicheKey::parse)
             })
             .collect::<Result<Vec<_>, _>>()?;
-        let seed = doc
-            .get("seed")
-            .and_then(Json::as_str)
-            .ok_or("campaign spec missing hex `seed`")?;
+        let seed = str_member(doc, "seed")?;
         let spec = Self {
             niches,
             shards: usize_member(doc, "shards")?,
@@ -239,27 +238,21 @@ impl CampaignSpec {
     }
 }
 
-fn expect_schema(doc: &Json, want: &str) -> Result<(), String> {
-    let got = doc.get("schema").and_then(Json::as_str).unwrap_or("<missing>");
-    if got == want {
-        Ok(())
-    } else {
-        Err(format!("expected schema `{want}`, found `{got}`"))
-    }
+/// Genome digests as the sorted 16-digit hex strings every campaign
+/// document carries.
+fn digests_json<'a>(digests: impl IntoIterator<Item = &'a u64>) -> Json {
+    Json::Arr(digests.into_iter().map(|d| Json::Str(format!("{d:016x}"))).collect())
 }
 
-fn usize_member(doc: &Json, key: &str) -> Result<usize, String> {
-    doc.get(key)
-        .and_then(Json::as_f64)
-        .map(|v| v as usize)
-        .ok_or_else(|| format!("document missing numeric `{key}`"))
-}
-
-fn u64_member(doc: &Json, key: &str) -> Result<u64, String> {
-    doc.get(key)
-        .and_then(Json::as_f64)
-        .map(|v| v as u64)
-        .ok_or_else(|| format!("document missing numeric `{key}`"))
+/// The `digests` member of a delta or digest log.
+fn digests_member(doc: &Json) -> Result<Vec<u64>, String> {
+    arr_member(doc, "digests")?
+        .iter()
+        .map(|v| {
+            let s = v.as_str().ok_or("digest must be a hex string")?;
+            u64::from_str_radix(s, 16).map_err(|e| format!("bad digest `{s}`: {e}"))
+        })
+        .collect()
 }
 
 /// One archive entry: the niche champion and its full evaluation.
@@ -293,15 +286,35 @@ impl Elite {
     }
 
     fn from_json(doc: &Json) -> Result<Self, String> {
-        let digits = doc
-            .get("digits")
-            .and_then(Json::as_str)
-            .ok_or("elite missing string `digits`")?
-            .to_string();
-        let report =
-            FitnessReport::from_json(doc.get("report").ok_or("elite missing `report`")?)?;
+        let digits = str_member(doc, "digits")?.to_string();
+        let report = FitnessReport::from_json(member(doc, "report")?)?;
         Ok(Self { digits, report })
     }
+}
+
+/// Folds `elite` into the per-niche best of `entries` under the
+/// [`Elite::better_than`] order; returns whether it became the elite.
+fn fold_entry(entries: &mut BTreeMap<String, Elite>, niche_id: &str, elite: Elite) -> bool {
+    match entries.get(niche_id) {
+        Some(best) if !elite.better_than(best) => false,
+        _ => {
+            entries.insert(niche_id.to_string(), elite);
+            true
+        }
+    }
+}
+
+fn entries_json(entries: &BTreeMap<String, Elite>) -> Json {
+    Json::Arr(entries.iter().map(|(id, e)| e.to_json().with("niche", id.as_str())).collect())
+}
+
+/// The `entries` member of an archive, delta or merged barrier.
+fn entries_from_json(doc: &Json) -> Result<BTreeMap<String, Elite>, String> {
+    let mut entries = BTreeMap::new();
+    for item in arr_member(doc, "entries")? {
+        entries.insert(str_member(item, "niche")?.to_string(), Elite::from_json(item)?);
+    }
+    Ok(entries)
 }
 
 /// The MAP-Elites archive: best-known elite per niche id.
@@ -321,13 +334,7 @@ impl Archive {
     /// the niche elite. Commutative in the sense documented on
     /// [`Elite::better_than`].
     pub fn fold(&mut self, niche_id: &str, elite: Elite) -> bool {
-        match self.entries.get(niche_id) {
-            Some(best) if !elite.better_than(best) => false,
-            _ => {
-                self.entries.insert(niche_id.to_string(), elite);
-                true
-            }
-        }
+        fold_entry(&mut self.entries, niche_id, elite)
     }
 
     /// Folds a whole delta in; returns how many niches improved.
@@ -364,27 +371,6 @@ impl Archive {
         self.entries.values().filter(|e| e.report.is_completely_successful()).count()
     }
 
-    fn entries_json(&self) -> Json {
-        Json::Arr(
-            self.entries
-                .iter()
-                .map(|(id, e)| e.to_json().with("niche", id.as_str()))
-                .collect(),
-        )
-    }
-
-    fn entries_from_json(doc: &Json) -> Result<BTreeMap<String, Elite>, String> {
-        let mut entries = BTreeMap::new();
-        for item in doc.as_arr().ok_or("`entries` must be an array")? {
-            let id = item
-                .get("niche")
-                .and_then(Json::as_str)
-                .ok_or("archive entry missing string `niche`")?;
-            entries.insert(id.to_string(), Elite::from_json(item)?);
-        }
-        Ok(entries)
-    }
-
     /// Serialises the archive as the sealed final-artifact document
     /// (the file the chaos suite byte-compares).
     #[must_use]
@@ -394,7 +380,7 @@ impl Archive {
             .with("digest", spec_digest)
             .with("covered", self.covered() as u64)
             .with("solved", self.solved() as u64)
-            .with("entries", self.entries_json());
+            .with("entries", entries_json(&self.entries));
         schema::seal(doc)
     }
 
@@ -406,11 +392,7 @@ impl Archive {
     pub fn from_json(doc: &Json) -> Result<Self, String> {
         schema::verify_checksum(doc)?;
         expect_schema(doc, ARCHIVE_SCHEMA)?;
-        Ok(Self {
-            entries: Self::entries_from_json(
-                doc.get("entries").ok_or("archive missing `entries`")?,
-            )?,
-        })
+        Ok(Self { entries: entries_from_json(doc)? })
     }
 }
 
@@ -484,12 +466,7 @@ impl ArchiveDelta {
     /// Folds a candidate outcome into the delta (same total order as
     /// the archive).
     pub fn fold(&mut self, niche_id: &str, elite: Elite) {
-        match self.entries.get(niche_id) {
-            Some(best) if !elite.better_than(best) => {}
-            _ => {
-                self.entries.insert(niche_id.to_string(), elite);
-            }
-        }
+        fold_entry(&mut self.entries, niche_id, elite);
     }
 
     /// Serialises as a sealed delta document.
@@ -502,19 +479,8 @@ impl ArchiveDelta {
             .with("digest", spec_digest)
             .with("shard", self.shard as u64)
             .with("round", self.round as u64)
-            .with(
-                "entries",
-                Json::Arr(
-                    self.entries
-                        .iter()
-                        .map(|(id, e)| e.to_json().with("niche", id.as_str()))
-                        .collect(),
-                ),
-            )
-            .with(
-                "digests",
-                Json::Arr(digests.iter().map(|d| Json::Str(format!("{d:016x}"))).collect()),
-            )
+            .with("entries", entries_json(&self.entries))
+            .with("digests", digests_json(&digests))
             .with("evals", self.evals)
             .with("dedup_hits", self.dedup_hits)
             .with("migrations", self.migrations);
@@ -529,23 +495,11 @@ impl ArchiveDelta {
     pub fn from_json(doc: &Json) -> Result<Self, String> {
         schema::verify_checksum(doc)?;
         expect_schema(doc, ARCHIVE_DELTA_SCHEMA)?;
-        let digests = doc
-            .get("digests")
-            .and_then(Json::as_arr)
-            .ok_or("delta missing `digests` array")?
-            .iter()
-            .map(|v| {
-                let s = v.as_str().ok_or("digest must be a hex string")?;
-                u64::from_str_radix(s, 16).map_err(|e| format!("bad digest `{s}`: {e}"))
-            })
-            .collect::<Result<Vec<_>, String>>()?;
         Ok(Self {
             shard: usize_member(doc, "shard")?,
             round: usize_member(doc, "round")?,
-            entries: Archive::entries_from_json(
-                doc.get("entries").ok_or("delta missing `entries`")?,
-            )?,
-            digests,
+            entries: entries_from_json(doc)?,
+            digests: digests_member(doc)?,
             evals: u64_member(doc, "evals")?,
             dedup_hits: u64_member(doc, "dedup_hits")?,
             migrations: u64_member(doc, "migrations")?,
@@ -591,7 +545,9 @@ pub struct CampaignOutcome {
     pub rounds: Vec<RoundStats>,
 }
 
-/// File layout of one campaign in a store directory.
+/// File layout of one campaign in a store directory, every file a
+/// `SealedDir` document whose save probes the `run.checkpoint.write`
+/// fault site.
 ///
 /// ```text
 /// <root>/campaign.json          sealed spec
@@ -603,67 +559,54 @@ pub struct CampaignOutcome {
 /// ```
 #[derive(Debug, Clone)]
 pub struct CampaignStore {
-    root: PathBuf,
+    dir: SealedDir,
+}
+
+const SPEC_FILE: &str = "campaign.json";
+const FINAL_FILE: &str = "archive-final.json";
+const SUMMARY_FILE: &str = "campaign-summary.json";
+
+fn delta_file(shard: usize, round: usize) -> String {
+    format!("delta-s{shard}-r{round}.json")
+}
+
+fn digests_file(round: usize) -> String {
+    format!("digests-r{round}.json")
+}
+
+fn merged_file(round: usize) -> String {
+    format!("merged-r{round}.json")
 }
 
 impl CampaignStore {
     /// A store rooted at `root` (created on first write).
     #[must_use]
     pub fn new(root: impl Into<PathBuf>) -> Self {
-        Self { root: root.into() }
+        Self { dir: SealedDir::new(root, "run.checkpoint.write") }
     }
 
     /// The root directory.
     #[must_use]
     pub fn root(&self) -> &Path {
-        &self.root
-    }
-
-    fn delta_path(&self, shard: usize, round: usize) -> PathBuf {
-        self.root.join(format!("delta-s{shard}-r{round}.json"))
-    }
-
-    fn digests_path(&self, round: usize) -> PathBuf {
-        self.root.join(format!("digests-r{round}.json"))
-    }
-
-    fn merged_path(&self, round: usize) -> PathBuf {
-        self.root.join(format!("merged-r{round}.json"))
+        self.dir.dir()
     }
 
     /// Path of the sealed final archive.
     #[must_use]
     pub fn final_path(&self) -> PathBuf {
-        self.root.join("archive-final.json")
+        self.dir.path(FINAL_FILE)
     }
 
     /// Path of the sealed campaign summary.
     #[must_use]
     pub fn summary_path(&self) -> PathBuf {
-        self.root.join("campaign-summary.json")
+        self.dir.path(SUMMARY_FILE)
     }
 
-    fn spec_path(&self) -> PathBuf {
-        self.root.join("campaign.json")
-    }
-
-    fn write_doc(&self, path: &Path, doc: &Json) -> Result<(), String> {
-        std::fs::create_dir_all(&self.root)
-            .map_err(|e| format!("cannot create campaign store {}: {e}", self.root.display()))?;
-        fault::io_error("run.checkpoint.write")
-            .and_then(|()| atomic_write(path, format!("{doc}\n").as_bytes()))
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))
-    }
-
-    fn read_doc(&self, path: &Path) -> Result<Option<Json>, String> {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(format!("cannot read {}: {e}", path.display())),
-        };
-        a2a_obs::json::parse(text.trim())
-            .map(Some)
-            .map_err(|e| format!("corrupt document {}: {e}", path.display()))
+    fn write(&self, name: &str, doc: &Json) -> Result<(), String> {
+        self.dir
+            .save(name, doc)
+            .map_err(|e| format!("cannot write {}: {e}", self.dir.path(name).display()))
     }
 
     /// Publishes the sealed spec, or verifies it matches an existing
@@ -674,20 +617,19 @@ impl CampaignStore {
     ///
     /// Write failures, or a pre-existing spec with a different digest.
     pub fn init(&self, spec: &CampaignSpec) -> Result<(), String> {
-        if let Some(doc) = self.read_doc(&self.spec_path())? {
-            let existing = CampaignSpec::from_json(&doc)?;
+        if let Some(existing) = self.load_spec()? {
             if existing.digest() != spec.digest() {
                 return Err(format!(
                     "campaign store {} belongs to a different spec \
                      (stored digest {}, this campaign {})",
-                    self.root.display(),
+                    self.root().display(),
                     existing.digest(),
                     spec.digest()
                 ));
             }
             return Ok(());
         }
-        self.write_doc(&self.spec_path(), &spec.to_json())
+        self.write(SPEC_FILE, &spec.to_json())
     }
 
     /// Loads the sealed spec, if the store is initialised.
@@ -696,7 +638,7 @@ impl CampaignStore {
     ///
     /// Unreadable or corrupt spec document.
     pub fn load_spec(&self) -> Result<Option<CampaignSpec>, String> {
-        self.read_doc(&self.spec_path())?.map(|d| CampaignSpec::from_json(&d)).transpose()
+        self.dir.load(SPEC_FILE, |doc| CampaignSpec::from_json(&doc))
     }
 
     /// Persists one shard delta (atomic; the shard's round checkpoint).
@@ -705,7 +647,7 @@ impl CampaignStore {
     ///
     /// Write failures (including injected `run.checkpoint.write` faults).
     pub fn save_delta(&self, spec: &CampaignSpec, delta: &ArchiveDelta) -> Result<(), String> {
-        self.write_doc(&self.delta_path(delta.shard, delta.round), &delta.to_json(&spec.digest()))
+        self.write(&delta_file(delta.shard, delta.round), &delta.to_json(&spec.digest()))
     }
 
     /// Loads one shard delta if present and intact.
@@ -714,9 +656,7 @@ impl CampaignStore {
     ///
     /// Unreadable or corrupt (checksum-failing) delta.
     pub fn load_delta(&self, shard: usize, round: usize) -> Result<Option<ArchiveDelta>, String> {
-        self.read_doc(&self.delta_path(shard, round))?
-            .map(|d| ArchiveDelta::from_json(&d))
-            .transpose()
+        self.dir.load(&delta_file(shard, round), |doc| ArchiveDelta::from_json(&doc))
     }
 
     /// Persists the merged barrier of `round`: first the sealed digest
@@ -736,17 +676,12 @@ impl CampaignStore {
     ) -> Result<(), String> {
         let digest_doc = schema::seal(
             Json::object()
-                .with("schema", "a2a-run/digest-log/v1")
+                .with("schema", DIGEST_LOG_SCHEMA)
                 .with("digest", spec.digest())
                 .with("round", stats.round as u64)
-                .with(
-                    "digests",
-                    Json::Arr(
-                        new_digests.iter().map(|d| Json::Str(format!("{d:016x}"))).collect(),
-                    ),
-                ),
+                .with("digests", digests_json(new_digests)),
         );
-        self.write_doc(&self.digests_path(stats.round), &digest_doc)?;
+        self.write(&digests_file(stats.round), &digest_doc)?;
         let merged = schema::seal(
             Json::object()
                 .with("schema", CAMPAIGN_MERGED_SCHEMA)
@@ -758,9 +693,9 @@ impl CampaignStore {
                 .with("collisions", stats.counters.collisions)
                 .with("covered", stats.covered as u64)
                 .with("solved", stats.solved as u64)
-                .with("entries", archive.entries_json()),
+                .with("entries", entries_json(&archive.entries)),
         );
-        self.write_doc(&self.merged_path(stats.round), &merged)
+        self.write(&merged_file(stats.round), &merged)
     }
 
     /// Loads the merged barrier of `round`, if committed.
@@ -769,49 +704,54 @@ impl CampaignStore {
     ///
     /// Unreadable or corrupt merged document.
     pub fn load_merged(&self, round: usize) -> Result<Option<(RoundStats, Archive)>, String> {
-        let Some(doc) = self.read_doc(&self.merged_path(round))? else {
-            return Ok(None);
-        };
-        schema::verify_checksum(&doc)?;
-        expect_schema(&doc, CAMPAIGN_MERGED_SCHEMA)?;
-        let stats = RoundStats {
-            round: usize_member(&doc, "round")?,
-            counters: CampaignCounters {
-                evals: u64_member(&doc, "evals")?,
-                dedup_hits: u64_member(&doc, "dedup_hits")?,
-                migrations: u64_member(&doc, "migrations")?,
-                collisions: u64_member(&doc, "collisions")?,
-            },
-            covered: usize_member(&doc, "covered")?,
-            solved: usize_member(&doc, "solved")?,
-        };
-        let archive = Archive {
-            entries: Archive::entries_from_json(
-                doc.get("entries").ok_or("merged document missing `entries`")?,
-            )?,
-        };
-        Ok(Some((stats, archive)))
+        self.dir.load(&merged_file(round), |doc| {
+            expect_schema(&doc, CAMPAIGN_MERGED_SCHEMA)?;
+            let stats = RoundStats {
+                round: usize_member(&doc, "round")?,
+                counters: CampaignCounters {
+                    evals: u64_member(&doc, "evals")?,
+                    dedup_hits: u64_member(&doc, "dedup_hits")?,
+                    migrations: u64_member(&doc, "migrations")?,
+                    collisions: u64_member(&doc, "collisions")?,
+                },
+                covered: usize_member(&doc, "covered")?,
+                solved: usize_member(&doc, "solved")?,
+            };
+            Ok((stats, Archive { entries: entries_from_json(&doc)? }))
+        })
     }
 
     /// Loads the sealed digest log of one merged round.
     ///
     /// # Errors
     ///
-    /// Missing, unreadable or corrupt digest log.
+    /// Missing, unreadable or corrupt digest log, or a document of
+    /// another schema at its path.
     pub fn load_digests(&self, round: usize) -> Result<Vec<u64>, String> {
-        let doc = self
-            .read_doc(&self.digests_path(round))?
-            .ok_or_else(|| format!("digest log of round {round} is missing"))?;
-        schema::verify_checksum(&doc)?;
-        doc.get("digests")
-            .and_then(Json::as_arr)
-            .ok_or("digest log missing `digests` array")?
-            .iter()
-            .map(|v| {
-                let s = v.as_str().ok_or("digest must be a hex string")?;
-                u64::from_str_radix(s, 16).map_err(|e| format!("bad digest `{s}`: {e}"))
-            })
-            .collect()
+        self.dir
+            .load(&digests_file(round), |doc| {
+                expect_schema(&doc, DIGEST_LOG_SCHEMA)?;
+                digests_member(&doc)
+            })?
+            .ok_or_else(|| format!("digest log of round {round} is missing"))
+    }
+
+    /// Persists the sealed final archive.
+    ///
+    /// # Errors
+    ///
+    /// Write failures.
+    pub fn save_final(&self, spec: &CampaignSpec, archive: &Archive) -> Result<(), String> {
+        self.write(FINAL_FILE, &archive.to_json(&spec.digest()))
+    }
+
+    /// Loads the sealed final archive, if the campaign finished.
+    ///
+    /// # Errors
+    ///
+    /// Unreadable or corrupt final archive.
+    pub fn load_final(&self) -> Result<Option<Archive>, String> {
+        self.dir.load(FINAL_FILE, |doc| Archive::from_json(&doc))
     }
 
     /// Rebuilds the campaign-wide [`DigestSet`] through round
@@ -909,7 +849,6 @@ pub fn assign_round(
         .collect();
     deck.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
     let mut shards: Vec<Vec<(NicheKey, usize)>> = vec![Vec::new(); spec.shards.max(1)];
-    let n = deck.len();
     for (i, (class, _, niche)) in deck.into_iter().enumerate() {
         // Rotating the deal by the round index spreads cold niches
         // across shards over time (no shard is pinned to a cold set).
@@ -921,7 +860,6 @@ pub fn assign_round(
             // the incumbent probe plus one mutation slot.
             _ => (spec.batch / 2).max(2),
         };
-        let _ = n;
         shards[shard].push((niche, budget));
     }
     shards
@@ -1158,8 +1096,7 @@ where
         store.save_merged(spec, &stats, &archive, &new_digests)?;
         rounds.push(stats);
     }
-    let final_doc = archive.to_json(&spec.digest());
-    store.write_doc(&store.final_path(), &final_doc)?;
+    store.save_final(spec, &archive)?;
     let summary = schema::seal(
         Json::object()
             .with("schema", CAMPAIGN_SUMMARY_SCHEMA)
@@ -1187,7 +1124,7 @@ where
                 ),
             ),
     );
-    store.write_doc(&store.summary_path(), &summary)?;
+    store.write(SUMMARY_FILE, &summary)?;
     Ok(CampaignOutcome { archive, counters, rounds })
 }
 
@@ -1414,10 +1351,8 @@ mod tests {
         assert!(outcome.counters.dedup_hits > 0, "incumbent re-probes hit the dedup set");
         assert!(outcome.counters.migrations > 0, "same-kind elites migrate");
         assert_eq!(outcome.archive.covered(), spec.niches.len());
-        // Final artifact parses back to the merged archive.
-        let text = std::fs::read_to_string(store.final_path()).unwrap();
-        let doc = a2a_obs::json::parse(text.trim()).unwrap();
-        assert_eq!(Archive::from_json(&doc).unwrap(), outcome.archive);
+        // Final artifact loads back as the merged archive.
+        assert_eq!(store.load_final().unwrap(), Some(outcome.archive.clone()));
         // Coverage curve is monotone.
         for w in outcome.rounds.windows(2) {
             assert!(w[1].covered >= w[0].covered);
@@ -1448,6 +1383,22 @@ mod tests {
         let b = std::fs::read(broken.final_path()).unwrap();
         assert_eq!(a, b, "resumed archive must be byte-identical to the control");
         let _ = std::fs::remove_dir_all(&base);
+    }
+
+    #[test]
+    fn digest_log_path_refuses_a_sealed_delta() {
+        let dir = std::env::temp_dir().join(format!("a2a_campaign_digests_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = CampaignStore::new(&dir);
+        let spec = tiny_spec();
+        let delta = ArchiveDelta { digests: vec![7, 3], ..ArchiveDelta::default() };
+        store.save_delta(&spec, &delta).unwrap();
+        // A sealed delta carries a `digests` array too; only the schema
+        // tells it from a digest log.
+        std::fs::copy(dir.join(delta_file(0, 0)), dir.join(digests_file(0))).unwrap();
+        let err = store.load_digests(0).unwrap_err();
+        assert!(err.contains(DIGEST_LOG_SCHEMA), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -28,6 +28,7 @@
 
 use a2a_fsm::{FsmSpec, Genome, TurnSet};
 use a2a_ga::{GaConfig, GenerationStats, Individual, IslandsState, RunState};
+use crate::sealed::{arr_member, expect_schema, member, str_member, u64_member, usize_member};
 use a2a_obs::json::Json;
 use a2a_obs::schema;
 use a2a_sim::{InitialConfig, WorldConfig};
@@ -132,15 +133,10 @@ fn individual_to_json(ind: &Individual) -> Json {
 }
 
 fn individual_from_json(spec: FsmSpec, doc: &Json) -> Result<Individual, String> {
-    let digits = doc
-        .get("digits")
-        .and_then(Json::as_str)
-        .ok_or("individual missing string `digits`")?;
+    let digits = str_member(doc, "digits")?;
     let genome = Genome::from_digits(spec, digits)
         .ok_or_else(|| format!("genome digits `{digits}` do not fit the spec"))?;
-    let report = a2a_ga::FitnessReport::from_json(
-        doc.get("report").ok_or("individual missing `report`")?,
-    )?;
+    let report = a2a_ga::FitnessReport::from_json(member(doc, "report")?)?;
     Ok(Individual { genome, report })
 }
 
@@ -148,31 +144,18 @@ fn pool_to_json(pool: &[Individual]) -> Json {
     Json::Arr(pool.iter().map(individual_to_json).collect())
 }
 
+/// The `pool` member of a single-run checkpoint or of one island.
 fn pool_from_json(spec: FsmSpec, doc: &Json) -> Result<Vec<Individual>, String> {
-    doc.as_arr()
-        .ok_or("`pool` must be an array")?
-        .iter()
-        .map(|ind| individual_from_json(spec, ind))
-        .collect()
+    arr_member(doc, "pool")?.iter().map(|ind| individual_from_json(spec, ind)).collect()
 }
 
 fn history_to_json(history: &[GenerationStats]) -> Json {
     Json::Arr(history.iter().map(GenerationStats::to_json).collect())
 }
 
+/// The `history` member of a single-run checkpoint or of one island.
 fn history_from_json(doc: &Json) -> Result<Vec<GenerationStats>, String> {
-    doc.as_arr()
-        .ok_or("`history` must be an array")?
-        .iter()
-        .map(GenerationStats::from_json)
-        .collect()
-}
-
-fn usize_member(doc: &Json, key: &str) -> Result<usize, String> {
-    doc.get(key)
-        .and_then(Json::as_f64)
-        .map(|v| v as usize)
-        .ok_or_else(|| format!("checkpoint missing numeric `{key}`"))
+    arr_member(doc, "history")?.iter().map(GenerationStats::from_json).collect()
 }
 
 impl Checkpoint {
@@ -237,53 +220,26 @@ impl Checkpoint {
     /// schema, missing or mistyped member, undecodable genome).
     pub fn from_json(doc: &Json) -> Result<Self, String> {
         schema::verify_checksum(doc)?;
-        let schema_name = doc
-            .get("schema")
-            .and_then(Json::as_str)
-            .ok_or("checkpoint missing string `schema`")?;
-        if schema_name != CHECKPOINT_SCHEMA {
-            return Err(format!("schema `{schema_name}` is not `{CHECKPOINT_SCHEMA}`"));
-        }
-        let version = doc
-            .get("version")
-            .and_then(Json::as_f64)
-            .ok_or("checkpoint missing numeric `version`")? as u64;
+        expect_schema(doc, CHECKPOINT_SCHEMA)?;
+        let version = u64_member(doc, "version")?;
         if version != CHECKPOINT_VERSION {
             return Err(format!("unsupported checkpoint version {version}"));
         }
-        let digest = doc
-            .get("digest")
-            .and_then(Json::as_str)
-            .ok_or("checkpoint missing string `digest`")?
-            .to_string();
-        let spec_doc = doc.get("spec").ok_or("checkpoint missing `spec`")?;
+        let digest = str_member(doc, "digest")?.to_string();
+        let spec_doc = member(doc, "spec")?;
         let spec = FsmSpec::new(
             usize_member(spec_doc, "n_states")? as u8,
             usize_member(spec_doc, "n_colors")? as u8,
-            turn_set_from_name(
-                spec_doc
-                    .get("turn_set")
-                    .and_then(Json::as_str)
-                    .ok_or("spec missing string `turn_set`")?,
-            )?,
+            turn_set_from_name(str_member(spec_doc, "turn_set")?)?,
         );
-        let counters = match doc.get("counters") {
-            Some(c) => Counters {
-                cache_entries: usize_member(c, "cache_entries")? as u64,
-                cache_hits: usize_member(c, "cache_hits")? as u64,
-            },
-            None => return Err("checkpoint missing `counters`".to_string()),
+        let counters_doc = member(doc, "counters")?;
+        let counters = Counters {
+            cache_entries: u64_member(counters_doc, "cache_entries")?,
+            cache_hits: u64_member(counters_doc, "cache_hits")?,
         };
-        let mode = doc
-            .get("mode")
-            .and_then(Json::as_str)
-            .ok_or("checkpoint missing string `mode`")?;
-        let payload = match mode {
+        let payload = match str_member(doc, "mode")? {
             "single" => {
-                let words = doc
-                    .get("rng_state")
-                    .and_then(Json::as_arr)
-                    .ok_or("checkpoint missing array `rng_state`")?;
+                let words = arr_member(doc, "rng_state")?;
                 if words.len() != 4 {
                     return Err(format!("rng_state has {} words, want 4", words.len()));
                 }
@@ -296,32 +252,18 @@ impl Checkpoint {
                 }
                 Payload::Single(RunState {
                     rng_state,
-                    pool: pool_from_json(
-                        spec,
-                        doc.get("pool").ok_or("checkpoint missing `pool`")?,
-                    )?,
-                    history: history_from_json(
-                        doc.get("history").ok_or("checkpoint missing `history`")?,
-                    )?,
+                    pool: pool_from_json(spec, doc)?,
+                    history: history_from_json(doc)?,
                     next_generation: usize_member(doc, "next_generation")?,
                 })
             }
             "islands" => {
-                let islands = doc
-                    .get("islands")
-                    .and_then(Json::as_arr)
-                    .ok_or("checkpoint missing array `islands`")?;
-                let outcomes = islands
+                let outcomes = arr_member(doc, "islands")?
                     .iter()
                     .map(|island| {
                         Ok(a2a_ga::EvolutionOutcome {
-                            pool: pool_from_json(
-                                spec,
-                                island.get("pool").ok_or("island missing `pool`")?,
-                            )?,
-                            history: history_from_json(
-                                island.get("history").ok_or("island missing `history`")?,
-                            )?,
+                            pool: pool_from_json(spec, island)?,
+                            history: history_from_json(island)?,
                         })
                     })
                     .collect::<Result<Vec<_>, String>>()?;

@@ -10,7 +10,7 @@
 //!
 //! The layout is what makes `a2a-serve` crash-only: every piece of job
 //! state a restart needs lives in exactly one job subdirectory, every
-//! file is written atomically ([`a2a_obs::atomic_write`]), and two jobs
+//! file is a `SealedDir` document written atomically, and two jobs
 //! can never share a file path because job ids are validated to be
 //! plain path components ([`validate_job_id`]). A killed server
 //! therefore re-lists `jobs/`, reloads each manifest, and resumes each
@@ -22,9 +22,9 @@
 //! so the chaos suite can inject IO failures at exactly the moments a
 //! job's durable state transitions.
 
+use crate::sealed::{expect_schema, member, str_member, u64_member, SealedDir};
 use crate::store::CheckpointStore;
-use a2a_obs::fault;
-use a2a_obs::json::{self, Json};
+use a2a_obs::json::Json;
 use a2a_obs::schema;
 use std::path::{Path, PathBuf};
 
@@ -145,35 +145,20 @@ impl JobManifest {
     /// A message naming the first failed gate.
     pub fn from_json(doc: &Json) -> Result<Self, String> {
         schema::verify_checksum(doc)?;
-        let schema_name = doc
-            .get("schema")
-            .and_then(Json::as_str)
-            .ok_or("manifest missing string `schema`")?;
-        if schema_name != JOB_MANIFEST_SCHEMA {
-            return Err(format!("schema `{schema_name}` is not `{JOB_MANIFEST_SCHEMA}`"));
-        }
-        let str_member = |key: &str| -> Result<String, String> {
-            doc.get(key)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("manifest missing string `{key}`"))
+        expect_schema(doc, JOB_MANIFEST_SCHEMA)?;
+        let id = str_member(doc, "id")?;
+        validate_job_id(id)?;
+        let u32_member = |key: &str| {
+            u32::try_from(u64_member(doc, key)?).map_err(|e| format!("`{key}`: {e}"))
         };
-        let num_member = |key: &str| -> Result<u64, String> {
-            doc.get(key)
-                .and_then(Json::as_f64)
-                .map(|v| v as u64)
-                .ok_or_else(|| format!("manifest missing numeric `{key}`"))
-        };
-        let id = str_member("id")?;
-        validate_job_id(&id)?;
         Ok(Self {
-            id,
-            tenant: str_member("tenant")?,
-            priority: u32::try_from(num_member("priority")?).map_err(|e| e.to_string())?,
-            seq: num_member("seq")?,
-            status: JobStatus::parse(&str_member("status")?)?,
-            attempts: u32::try_from(num_member("attempts")?).map_err(|e| e.to_string())?,
-            spec: doc.get("spec").cloned().ok_or("manifest missing `spec`")?,
+            id: id.to_string(),
+            tenant: str_member(doc, "tenant")?.to_string(),
+            priority: u32_member("priority")?,
+            seq: u64_member(doc, "seq")?,
+            status: JobStatus::parse(str_member(doc, "status")?)?,
+            attempts: u32_member("attempts")?,
+            spec: member(doc, "spec")?.clone(),
             error: doc.get("error").and_then(Json::as_str).map(str::to_string),
         })
     }
@@ -311,81 +296,60 @@ impl JobStore {
         Ok(pruned)
     }
 
-    /// Persists `manifest` atomically (probing the `serve.checkpoint`
-    /// fault site first).
+    /// The `SealedDir` of job `id`: its manifest and result saves probe
+    /// the `serve.checkpoint` fault site.
+    fn sealed(&self, id: &str) -> Result<SealedDir, String> {
+        Ok(SealedDir::new(self.job_dir(id)?, "serve.checkpoint"))
+    }
+
+    /// Persists `manifest` atomically (`SealedDir::save`, probing the
+    /// `serve.checkpoint` fault site first).
     ///
     /// # Errors
     ///
     /// Invalid job id (as [`std::io::ErrorKind::InvalidInput`]) or any
     /// IO failure; the previous manifest survives either.
     pub fn save_manifest(&self, manifest: &JobManifest) -> std::io::Result<()> {
-        fault::io_error("serve.checkpoint")?;
-        let dir = self
-            .job_dir(&manifest.id)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
-        std::fs::create_dir_all(&dir)?;
-        let mut text = manifest.to_json().to_string();
-        text.push('\n');
-        a2a_obs::atomic_write(dir.join(MANIFEST_FILE), text.as_bytes())
+        let dir = self.sealed(&manifest.id).map_err(invalid_input)?;
+        dir.save(MANIFEST_FILE, &manifest.to_json())
     }
 
     /// Loads and validates job `id`'s manifest. `Ok(None)` when the job
-    /// has none yet.
+    /// has none (yet, or any more — a prune racing this read).
     ///
     /// # Errors
     ///
     /// Invalid id, unreadable file, bad JSON, checksum mismatch, or any
     /// schema violation — corruption is an error, never absence.
     pub fn load_manifest(&self, id: &str) -> Result<Option<JobManifest>, String> {
-        let path = self.job_dir(id)?.join(MANIFEST_FILE);
-        if !path.exists() {
-            return Ok(None);
-        }
-        let text = std::fs::read_to_string(&path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        let doc = json::parse(&text)
-            .map_err(|e| format!("{} is not valid JSON: {e}", path.display()))?;
-        JobManifest::from_json(&doc).map(Some).map_err(|e| format!("{}: {e}", path.display()))
+        self.sealed(id)?.load(MANIFEST_FILE, |doc| JobManifest::from_json(&doc))
     }
 
     /// Persists a job's sealed result document atomically (probing the
     /// `serve.checkpoint` fault site first). The document must already
-    /// be sealed — the store verifies rather than re-seals, so a caller
-    /// bug cannot be laundered into a valid-looking artifact.
+    /// be sealed: `SealedDir::save` verifies rather than re-seals.
     ///
     /// # Errors
     ///
     /// An unsealed document or invalid id (as
     /// [`std::io::ErrorKind::InvalidInput`]), or any IO failure.
     pub fn save_result(&self, id: &str, result: &Json) -> std::io::Result<()> {
-        fault::io_error("serve.checkpoint")?;
-        let invalid = |e: String| std::io::Error::new(std::io::ErrorKind::InvalidInput, e);
-        schema::verify_checksum(result).map_err(invalid)?;
-        let dir = self.job_dir(id).map_err(invalid)?;
-        std::fs::create_dir_all(&dir)?;
-        let mut text = result.to_string();
-        text.push('\n');
-        a2a_obs::atomic_write(dir.join(RESULT_FILE), text.as_bytes())
+        self.sealed(id).map_err(invalid_input)?.save(RESULT_FILE, result)
     }
 
     /// Loads and checksum-verifies job `id`'s result. `Ok(None)` when
-    /// no result was published yet.
+    /// no result was published (or the job was pruned meanwhile).
     ///
     /// # Errors
     ///
     /// Invalid id, unreadable file, bad JSON, or checksum mismatch.
     pub fn load_result(&self, id: &str) -> Result<Option<Json>, String> {
-        let path = self.job_dir(id)?.join(RESULT_FILE);
-        if !path.exists() {
-            return Ok(None);
-        }
-        let text = std::fs::read_to_string(&path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        let doc = json::parse(&text)
-            .map_err(|e| format!("{} is not valid JSON: {e}", path.display()))?;
-        schema::verify_checksum(&doc).map_err(|e| format!("{}: {e}", path.display()))?;
-        Ok(Some(doc))
+        self.sealed(id)?.load(RESULT_FILE, Ok)
     }
+}
+
+fn invalid_input(e: String) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidInput, e)
 }
 
 #[cfg(test)]

@@ -7,6 +7,9 @@
 //!
 //! * [`checkpoint`] — the sealed `a2a-run/checkpoint/v1` JSON document
 //!   (RNG state, full pool, history, context digest, counters);
+//! * `sealed` — `SealedDir`, the one read/write seam of every durable
+//!   document under the stores (fault probe, seal check, atomic publish;
+//!   absent is `None`, corrupt is an error);
 //! * [`store`] — a rolling `checkpoint.json` per run directory, written
 //!   atomically so crashes never corrupt the last good checkpoint;
 //! * [`harness`] — [`run_evolution`] / [`run_islands_checkpointed`]:
@@ -64,6 +67,7 @@ pub mod campaign;
 pub mod checkpoint;
 pub mod harness;
 pub mod jobs;
+mod sealed;
 pub mod store;
 
 pub use campaign::{
@@ -71,7 +75,7 @@ pub use campaign::{
     Archive, ArchiveDelta, CampaignCounters, CampaignOutcome, CampaignSpec, CampaignStore,
     DigestSet, Elite, EvaluatorBank, NicheKey, RoundStats, ShardExit, ARCHIVE_DELTA_SCHEMA,
     ARCHIVE_SCHEMA, CAMPAIGN_MERGED_SCHEMA, CAMPAIGN_ROUND_SITE, CAMPAIGN_SPEC_SCHEMA,
-    CAMPAIGN_SUMMARY_SCHEMA,
+    CAMPAIGN_SUMMARY_SCHEMA, DIGEST_LOG_SCHEMA,
 };
 pub use checkpoint::{
     context_digest, Checkpoint, Counters, Payload, CHECKPOINT_SCHEMA, CHECKPOINT_VERSION,

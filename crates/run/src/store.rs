@@ -1,10 +1,9 @@
 //! On-disk checkpoint storage: one rolling `checkpoint.json` per run
-//! directory, written atomically so a crash mid-save leaves the previous
-//! checkpoint intact.
+//! directory, a `SealedDir` document, so a crash mid-save leaves the
+//! previous checkpoint intact.
 
 use crate::checkpoint::Checkpoint;
-use a2a_obs::fault;
-use a2a_obs::json;
+use crate::sealed::SealedDir;
 use std::path::{Path, PathBuf};
 
 /// File name of the rolling checkpoint inside a run directory.
@@ -13,32 +12,31 @@ pub const CHECKPOINT_FILE: &str = "checkpoint.json";
 /// A run directory holding the rolling checkpoint.
 #[derive(Debug, Clone)]
 pub struct CheckpointStore {
-    dir: PathBuf,
+    dir: SealedDir,
 }
 
 impl CheckpointStore {
     /// A store rooted at `dir` (created on first save if absent).
     #[must_use]
     pub fn new(dir: impl Into<PathBuf>) -> Self {
-        Self { dir: dir.into() }
+        Self { dir: SealedDir::new(dir, "run.checkpoint.write") }
     }
 
     /// The directory this store writes into.
     #[must_use]
     pub fn dir(&self) -> &Path {
-        &self.dir
+        self.dir.dir()
     }
 
     /// Path of the rolling checkpoint file.
     #[must_use]
     pub fn path(&self) -> PathBuf {
-        self.dir.join(CHECKPOINT_FILE)
+        self.dir.path(CHECKPOINT_FILE)
     }
 
-    /// Persists `checkpoint` atomically (temp file + fsync + rename; see
-    /// [`a2a_obs::atomic_write`]). A reader — including a resuming run —
-    /// therefore sees either the previous complete checkpoint or this
-    /// one, never a torn mix.
+    /// Persists `checkpoint` atomically (`SealedDir::save`). A reader —
+    /// including a resuming run — therefore sees either the previous
+    /// complete checkpoint or this one, never a torn mix.
     ///
     /// # Errors
     ///
@@ -46,11 +44,7 @@ impl CheckpointStore {
     /// `run.checkpoint.write` fault site by the chaos suite); the
     /// previous checkpoint file survives any failure.
     pub fn save(&self, checkpoint: &Checkpoint) -> std::io::Result<()> {
-        fault::io_error("run.checkpoint.write")?;
-        std::fs::create_dir_all(&self.dir)?;
-        let mut text = checkpoint.to_json().to_string();
-        text.push('\n');
-        a2a_obs::atomic_write(self.path(), text.as_bytes())
+        self.dir.save(CHECKPOINT_FILE, &checkpoint.to_json())
     }
 
     /// Loads and fully validates the rolling checkpoint. `Ok(None)` when
@@ -62,17 +56,7 @@ impl CheckpointStore {
     /// checksum mismatch, or any schema violation — a corrupt checkpoint
     /// is an error, never silently treated as absent.
     pub fn load(&self) -> Result<Option<Checkpoint>, String> {
-        let path = self.path();
-        if !path.exists() {
-            return Ok(None);
-        }
-        let text = std::fs::read_to_string(&path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        let doc = json::parse(&text)
-            .map_err(|e| format!("{} is not valid JSON: {e}", path.display()))?;
-        Checkpoint::from_json(&doc)
-            .map(Some)
-            .map_err(|e| format!("{}: {e}", path.display()))
+        self.dir.load(CHECKPOINT_FILE, |doc| Checkpoint::from_json(&doc))
     }
 }
 

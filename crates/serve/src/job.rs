@@ -8,6 +8,19 @@ use a2a_run::{IslandsReport, RunReport};
 /// Schema identifier of a job's sealed result document.
 pub const RESULT_SCHEMA: &str = "a2a-serve/result/v1";
 
+/// Largest accepted torus side. The kernel allocates per field cell
+/// (and `m² · ⌈k/64⌉` infoset words per run), so an unbounded `m` lets
+/// one request exhaust memory; 64 covers the paper's 16×16 and 33×33
+/// fields. `k` is bounded by the cell count `m²`.
+pub const MAX_M: u64 = 64;
+
+/// Largest accepted random-configuration count (the paper's protocol
+/// uses 1000 on top of the 3 designed ones).
+pub const MAX_CONFIGS: u64 = 1000;
+
+/// Largest accepted GA pool (the paper's is 20).
+pub const MAX_POPULATION: u64 = 1000;
+
 /// A parsed evolution-job submission. Every field except `tenant` has
 /// a service default, so the minimal useful submission is
 /// `{"tenant": "t", "id": "job-1"}`.
@@ -67,6 +80,16 @@ fn num(doc: &Json, key: &str, default: u64) -> Result<u64, String> {
     }
 }
 
+/// [`num`], additionally bounded to `lo..=hi`.
+fn num_in(doc: &Json, key: &str, default: u64, lo: u64, hi: u64) -> Result<u64, String> {
+    let v = num(doc, key, default)?;
+    if (lo..=hi).contains(&v) {
+        Ok(v)
+    } else {
+        Err(format!("`{key}` must be in {lo}..={hi}, got {v}"))
+    }
+}
+
 impl JobSpec {
     /// Parses and validates a submission document.
     ///
@@ -95,17 +118,18 @@ impl JobSpec {
             "S" | "s" => GridKind::Square,
             other => return Err(format!("`grid` must be \"S\" or \"T\", got `{other}`")),
         };
+        let m = num_in(doc, "m", 8, 2, MAX_M)?;
         let spec = Self {
             id,
             tenant,
             priority: u32::try_from(num(doc, "priority", 1)?).map_err(|e| e.to_string())?,
             grid,
-            m: u16::try_from(num(doc, "m", 8)?).map_err(|e| e.to_string())?,
-            k: num(doc, "k", 4)? as usize,
-            configs: num(doc, "configs", 4)? as usize,
+            m: m as u16,
+            k: num_in(doc, "k", 4, 1, m * m)? as usize,
+            configs: num_in(doc, "configs", 4, 0, MAX_CONFIGS)? as usize,
             generations: num(doc, "generations", 4)? as usize,
             seed: num(doc, "seed", 1)?,
-            population: num(doc, "population", 8)? as usize,
+            population: num_in(doc, "population", 8, 2, MAX_POPULATION)? as usize,
             t_max: u32::try_from(num(doc, "t_max", 0)?).map_err(|e| e.to_string())?,
             deadline_ms: doc.get("deadline_ms").map(|_| num(doc, "deadline_ms", 0)).transpose()?,
             max_retries: doc
@@ -117,17 +141,8 @@ impl JobSpec {
             epoch: num(doc, "epoch", 2)? as usize,
             migrants: num(doc, "migrants", 1)? as usize,
         };
-        if spec.m < 2 {
-            return Err("`m` must be at least 2".to_string());
-        }
-        if spec.k == 0 {
-            return Err("`k` must be at least 1".to_string());
-        }
         if spec.generations == 0 {
             return Err("`generations` must be at least 1".to_string());
-        }
-        if spec.population < 2 {
-            return Err("`population` must be at least 2".to_string());
         }
         if spec.islands > 0 {
             if spec.islands > 16 {
@@ -273,10 +288,35 @@ mod tests {
     }
 
     #[test]
+    fn oversized_jobs_are_refused_at_the_boundary() {
+        let job = |key: &str, v: u64| Json::object().with("tenant", "t").with(key, v);
+        // The caps cover the paper's largest settings.
+        let largest = job("m", MAX_M)
+            .with("k", MAX_M * MAX_M)
+            .with("configs", MAX_CONFIGS)
+            .with("population", MAX_POPULATION);
+        let spec = JobSpec::from_json(&largest).unwrap();
+        assert_eq!((spec.m, spec.k), (64, 4096));
+        assert_eq!((spec.configs, spec.population), (1000, 1000));
+        // One request past any cap is a named 400, not an allocation.
+        for (doc, needle) in [
+            (job("m", 65_535), "`m`"),
+            (job("m", 4).with("k", 17u64), "`k`"),
+            (job("configs", 1_000_000_000), "`configs`"),
+            (job("configs", MAX_CONFIGS + 1), "`configs`"),
+            (job("population", MAX_POPULATION + 1), "`population`"),
+        ] {
+            let err = JobSpec::from_json(&doc).unwrap_err();
+            assert!(err.contains(needle), "{err} should mention {needle}");
+        }
+    }
+
+    #[test]
     fn invalid_submissions_are_named() {
         for (doc, needle) in [
             (Json::object(), "tenant"),
             (Json::object().with("tenant", "t").with("grid", "Q"), "grid"),
+            (Json::object().with("tenant", "t").with("m", 1u64), "`m`"),
             (Json::object().with("tenant", "t").with("k", 0u64), "k"),
             (Json::object().with("tenant", "t").with("generations", 0u64), "generations"),
             (Json::object().with("tenant", "t").with("population", 1u64), "population"),

@@ -41,6 +41,8 @@ pub mod job;
 pub mod queue;
 pub mod server;
 
-pub use job::{build_islands_result, build_result, JobSpec, RESULT_SCHEMA};
+pub use job::{
+    build_islands_result, build_result, JobSpec, MAX_CONFIGS, MAX_M, MAX_POPULATION, RESULT_SCHEMA,
+};
 pub use queue::{JobQueue, QueueConfig, QueuedJob, SubmitError};
 pub use server::{Server, ServerHandle, ServeConfig};

@@ -400,3 +400,17 @@ fn deeply_nested_body_answers_400_and_the_server_stays_up() {
     assert_eq!(health.status, 200, "{}", health.body);
     handle.stop();
 }
+
+#[test]
+fn oversized_job_answers_400_and_the_server_stays_up() {
+    let (handle, addr) = start("oversized", QueueConfig::default(), 1);
+    // A 65535×65535 torus would be allocated per field cell by the
+    // kernel; the boundary refuses it before anything is queued.
+    let body = Json::object().with("tenant", "t").with("m", 65_535u64).to_string();
+    let reply = client::post(&addr, "/jobs", &body).unwrap();
+    assert_eq!(reply.status, 400, "{}", reply.body);
+    assert!(reply.body.contains("`m`"), "{}", reply.body);
+    let health = client::get(&addr, "/healthz").unwrap();
+    assert_eq!(health.status, 200, "{}", health.body);
+    handle.stop();
+}
