@@ -180,8 +180,8 @@ pub fn run_series_in(
 ) -> Result<GridSeries, SimError> {
     // One compiled kernel environment serves every density and thread;
     // the worker pool rides inside `run_all` through the dispatch seam,
-    // so every density level runs the lockstep multi-run engine across
-    // all cores with outcomes bit-identical to the serial path.
+    // so every density level runs the kernel across all cores with
+    // outcomes bit-identical to the serial path.
     let pool: Arc<dyn Dispatch> = Arc::new(WorkerPool::new(exp.threads));
     let runner =
         BatchRunner::from_genome(cfg, genome.clone(), exp.t_max)?.with_dispatch(pool);

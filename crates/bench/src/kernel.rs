@@ -30,6 +30,7 @@ use a2a_obs::schema::KERNEL_BENCH_SCHEMA;
 use a2a_obs::HistogramSnapshot;
 use a2a_sim::{
     paper_config_set, simulate, BatchRunner, Dispatch, InitialConfig, RunOutcome, WorldConfig,
+    DISPATCH_BLOCK,
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -244,7 +245,7 @@ pub fn kernel_snapshot(configs: usize, seed: u64) -> Json {
     // rate.
     let total_steps: u64 = multi_outcomes.iter().map(|o| u64::from(o.steps)).sum();
     let evals = (w.population.len() * w.configs.len()) as f64;
-    let chunk = runners[0].chunk_size(KERNEL_K);
+    let chunk = DISPATCH_BLOCK;
     let rates = |us: f64| {
         Json::object()
             .with("elapsed_us", us)

@@ -317,11 +317,12 @@ impl Evaluator {
     pub fn evaluate_behaviour(&self, behaviour: &Behaviour) -> FitnessReport {
         let started = a2a_obs::metrics_enabled().then(std::time::Instant::now);
         // Compile the behaviour once and ride the in-kernel parallel
-        // dispatcher: `run_all` itself shards chunk-blocks across the
-        // shared worker pool (through the sim-visible `Dispatch` seam)
-        // and commits block results in submission order, so the
-        // outcome vector — and the fitness — is bit-identical to a
-        // serial `run_all`, whatever the thread count.
+        // dispatcher: `run_all` itself shards configuration ranges
+        // across the shared worker pool (through the sim-visible
+        // `Dispatch` seam) and commits range results in submission
+        // order, so the outcome vector — and the fitness — is
+        // bit-identical to a serial `run_all`, whatever the thread
+        // count.
         let runner = BatchRunner::new(&self.config, behaviour, self.t_max)
             .expect("behaviour and configuration set must match the environment")
             .with_dispatch(Arc::clone(self.pool()) as Arc<dyn a2a_sim::Dispatch>);
@@ -485,7 +486,7 @@ impl Evaluator {
                         BatchRunner::from_genome(&config, task.genome.clone(), t_max)
                             .expect("genome and configuration set must match the environment")
                     });
-                    // One lockstep batch per block: bit-identical to
+                    // One `run_all` per block: bit-identical to
                     // per-config runs, so the bounds (and therefore
                     // selection) are unchanged.
                     let outcomes: Vec<RunOutcome> = runner

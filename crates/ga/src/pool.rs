@@ -691,14 +691,14 @@ mod tests {
     #[test]
     fn dispatched_batch_runner_matches_serial() {
         use a2a_grid::GridKind;
-        use a2a_sim::{BatchRunner, InitialConfig, WorldConfig};
+        use a2a_sim::{BatchRunner, InitialConfig, WorldConfig, DISPATCH_BLOCK};
         use rand::rngs::SmallRng;
         use rand::SeedableRng;
         let cfg = WorldConfig::paper(GridKind::Triangulate, 16);
         let runner =
             BatchRunner::from_genome(&cfg, a2a_fsm::best_t_agent(), 200).unwrap();
         let mut rng = SmallRng::seed_from_u64(99);
-        let inits: Vec<InitialConfig> = (0..2 * runner.chunk_size(16) + 5)
+        let inits: Vec<InitialConfig> = (0..2 * DISPATCH_BLOCK + 5)
             .map(|_| InitialConfig::random(cfg.lattice, cfg.kind, 16, &[], &mut rng).unwrap())
             .collect();
         let serial = runner.run_all(&inits).unwrap();

@@ -132,12 +132,24 @@ impl Histogram {
     /// adds and min/max merges — associative and commutative, which the
     /// property tests pin down on the snapshot form).
     pub fn merge_from(&self, other: &Histogram) {
-        self.count.fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.sum.fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.min.fetch_min(other.min.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.max.fetch_max(other.max.load(Ordering::Relaxed), Ordering::Relaxed);
-        for (mine, theirs) in self.buckets.iter().zip(&other.buckets) {
-            mine.fetch_add(theirs.load(Ordering::Relaxed), Ordering::Relaxed);
+        self.merge_snapshot(&other.snapshot());
+    }
+
+    /// Folds a snapshot's samples into this histogram, so a hot loop
+    /// can record into a local [`HistogramSnapshot`] and publish once
+    /// instead of contending on the shared atomics per sample.
+    pub fn merge_snapshot(&self, other: &HistogramSnapshot) {
+        if other.count == 0 {
+            return;
+        }
+        self.count.fetch_add(other.count, Ordering::Relaxed);
+        self.sum.fetch_add(other.sum, Ordering::Relaxed);
+        self.min.fetch_min(other.min, Ordering::Relaxed);
+        self.max.fetch_max(other.max, Ordering::Relaxed);
+        for (mine, &theirs) in self.buckets.iter().zip(&other.buckets) {
+            if theirs != 0 {
+                mine.fetch_add(theirs, Ordering::Relaxed);
+            }
         }
     }
 

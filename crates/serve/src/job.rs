@@ -21,6 +21,12 @@ pub const MAX_CONFIGS: u64 = 1000;
 /// Largest accepted GA pool (the paper's is 20).
 pub const MAX_POPULATION: u64 = 1000;
 
+/// Largest accepted `generations` and island `epoch`. A run reserves
+/// its generation history up front, so an unbounded count panics the
+/// attempt on allocation; a million covers the longest jobs any bench
+/// submits.
+pub const MAX_GENERATIONS: u64 = 1_000_000;
+
 /// A parsed evolution-job submission. Every field except `tenant` has
 /// a service default, so the minimal useful submission is
 /// `{"tenant": "t", "id": "job-1"}`.
@@ -127,7 +133,7 @@ impl JobSpec {
             m: m as u16,
             k: num_in(doc, "k", 4, 1, m * m)? as usize,
             configs: num_in(doc, "configs", 4, 0, MAX_CONFIGS)? as usize,
-            generations: num(doc, "generations", 4)? as usize,
+            generations: num_in(doc, "generations", 4, 1, MAX_GENERATIONS)? as usize,
             seed: num(doc, "seed", 1)?,
             population: num_in(doc, "population", 8, 2, MAX_POPULATION)? as usize,
             t_max: u32::try_from(num(doc, "t_max", 0)?).map_err(|e| e.to_string())?,
@@ -138,12 +144,9 @@ impl JobSpec {
                 .transpose()?
                 .map(|v| u32::try_from(v).unwrap_or(u32::MAX)),
             islands: num(doc, "islands", 0)? as usize,
-            epoch: num(doc, "epoch", 2)? as usize,
+            epoch: num_in(doc, "epoch", 2, 0, MAX_GENERATIONS)? as usize,
             migrants: num(doc, "migrants", 1)? as usize,
         };
-        if spec.generations == 0 {
-            return Err("`generations` must be at least 1".to_string());
-        }
         if spec.islands > 0 {
             if spec.islands > 16 {
                 return Err("`islands` must be at most 16".to_string());
@@ -294,10 +297,14 @@ mod tests {
         let largest = job("m", MAX_M)
             .with("k", MAX_M * MAX_M)
             .with("configs", MAX_CONFIGS)
-            .with("population", MAX_POPULATION);
+            .with("population", MAX_POPULATION)
+            .with("generations", MAX_GENERATIONS)
+            .with("islands", 2u64)
+            .with("epoch", MAX_GENERATIONS);
         let spec = JobSpec::from_json(&largest).unwrap();
         assert_eq!((spec.m, spec.k), (64, 4096));
         assert_eq!((spec.configs, spec.population), (1000, 1000));
+        assert_eq!((spec.generations, spec.epoch), (1_000_000, 1_000_000));
         // One request past any cap is a named 400, not an allocation.
         for (doc, needle) in [
             (job("m", 65_535), "`m`"),
@@ -305,6 +312,12 @@ mod tests {
             (job("configs", 1_000_000_000), "`configs`"),
             (job("configs", MAX_CONFIGS + 1), "`configs`"),
             (job("population", MAX_POPULATION + 1), "`population`"),
+            (job("generations", MAX_GENERATIONS + 1), "`generations`"),
+            (
+                Json::object().with("tenant", "t").with("generations", 1e18),
+                "`generations`",
+            ),
+            (job("islands", 2).with("epoch", 1e18), "`epoch`"),
         ] {
             let err = JobSpec::from_json(&doc).unwrap_err();
             assert!(err.contains(needle), "{err} should mention {needle}");

@@ -405,11 +405,18 @@ fn deeply_nested_body_answers_400_and_the_server_stays_up() {
 fn oversized_job_answers_400_and_the_server_stays_up() {
     let (handle, addr) = start("oversized", QueueConfig::default(), 1);
     // A 65535×65535 torus would be allocated per field cell by the
-    // kernel; the boundary refuses it before anything is queued.
-    let body = Json::object().with("tenant", "t").with("m", 65_535u64).to_string();
-    let reply = client::post(&addr, "/jobs", &body).unwrap();
-    assert_eq!(reply.status, 400, "{}", reply.body);
-    assert!(reply.body.contains("`m`"), "{}", reply.body);
+    // kernel, and a run reserves its generation (or epoch) history up
+    // front; the boundary refuses all of them before anything is queued.
+    let job = Json::object().with("tenant", "t");
+    for (body, field) in [
+        (job.clone().with("m", 65_535u64), "`m`"),
+        (job.clone().with("generations", 1e18), "`generations`"),
+        (job.with("islands", 2u64).with("epoch", 1e18), "`epoch`"),
+    ] {
+        let reply = client::post(&addr, "/jobs", &body.to_string()).unwrap();
+        assert_eq!(reply.status, 400, "{}", reply.body);
+        assert!(reply.body.contains(field), "{}", reply.body);
+    }
     let health = client::get(&addr, "/healthz").unwrap();
     assert_eq!(health.status, 200, "{}", health.body);
     handle.stop();

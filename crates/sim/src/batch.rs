@@ -6,9 +6,11 @@
 //! environment once (neighbour tables, the empty-field cell image,
 //! per-phase FSM tables) and shares them across every run through an
 //! [`Arc`], so per-configuration cost is placement + simulation only.
-//! `BatchRunner` is `Sync`: `outcome_for` takes `&self`, which lets
-//! callers fan configurations out over threads (e.g. with
-//! `a2a_ga::parallel_map`).
+//! Runs go one at a time through a one-run [`MultiWorld`] taken from a
+//! per-thread pool and reloaded for each configuration. `BatchRunner`
+//! is `Sync`: `outcome_for` takes `&self`, which lets callers fan
+//! configurations out over threads, and `run_all` shards fixed
+//! [`DISPATCH_BLOCK`] ranges across an attached [`Dispatch`] executor.
 
 use crate::behaviour::Behaviour;
 use crate::config::WorldConfig;
@@ -16,12 +18,17 @@ use crate::dispatch::{Dispatch, DispatchJob};
 use crate::error::SimError;
 use crate::init::InitialConfig;
 use crate::kernel::KernelEnv;
-use crate::multi::{preferred_chunk, MultiWorld};
+use crate::multi::MultiWorld;
 use crate::run::RunOutcome;
 use a2a_fsm::Genome;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
+
+/// Configurations per job when [`BatchRunner::run_all`] shards a batch
+/// across a [`Dispatch`] executor. Results are committed in range
+/// order, so outcomes do not depend on it.
+pub const DISPATCH_BLOCK: usize = 64;
 
 /// Worlds kept warm per thread. GA workers interleave at most a handful
 /// of runners (one per genome being pruned in a block), so a small pool
@@ -61,8 +68,8 @@ fn return_pooled(world: MultiWorld) {
     });
 }
 
-/// Evaluates one behaviour over many initial configurations using the
-/// lockstep [`MultiWorld`] kernel.
+/// Evaluates one behaviour over many initial configurations on the
+/// one-run [`MultiWorld`] kernel.
 ///
 /// # Examples
 ///
@@ -85,10 +92,10 @@ fn return_pooled(world: MultiWorld) {
 pub struct BatchRunner {
     env: Arc<KernelEnv>,
     t_max: u32,
-    /// The executor [`BatchRunner::run_all`] shards chunk-blocks
-    /// across; `None` (the default) runs everything on the calling
-    /// thread. Results are committed in submission order either way,
-    /// so outcomes are bit-identical across executors.
+    /// The executor [`BatchRunner::run_all`] shards configuration
+    /// ranges across; `None` (the default) runs everything on the
+    /// calling thread. Results are committed in submission order either
+    /// way, so outcomes are bit-identical across executors.
     dispatch: Option<Arc<dyn Dispatch>>,
 }
 
@@ -110,22 +117,14 @@ impl BatchRunner {
     }
 
     /// Attaches a parallel executor: [`BatchRunner::run_all`] and
-    /// [`BatchRunner::run_all_multi_dense`] shard chunk-sized blocks of
-    /// the configuration set across it, committing block results in
-    /// submission order — outcomes stay bit-identical to the serial
-    /// path (the differential suite enforces this). Pass the
-    /// GA worker pool through its `Dispatch` impl; detach with
-    /// [`BatchRunner::without_dispatch`].
+    /// [`BatchRunner::run_all_multi_dense`] shard [`DISPATCH_BLOCK`]
+    /// ranges of the configuration set across it, committing range
+    /// results in submission order — outcomes stay bit-identical to the
+    /// serial path (the differential suite enforces this). Pass the GA
+    /// worker pool through its `Dispatch` impl.
     #[must_use]
     pub fn with_dispatch(mut self, dispatch: Arc<dyn Dispatch>) -> Self {
         self.dispatch = Some(dispatch);
-        self
-    }
-
-    /// Drops any attached executor; `run_all` runs inline again.
-    #[must_use]
-    pub fn without_dispatch(mut self) -> Self {
-        self.dispatch = None;
         self
     }
 
@@ -151,11 +150,10 @@ impl BatchRunner {
     }
 
     /// Runs one initial configuration to completion (or the horizon)
-    /// as a one-run batch on a pooled per-thread [`MultiWorld`] — the
-    /// same world pool [`BatchRunner::run_all`] draws from, so the
-    /// steady state performs no per-run world allocation (see
-    /// [`MultiWorld::allocation_count`]). Outcomes are identical to
-    /// [`BatchRunner::fresh_outcome_for`].
+    /// on a pooled per-thread [`MultiWorld`] — the same world pool
+    /// [`BatchRunner::run_all`] draws from, so the steady state performs
+    /// no per-run world allocation (see [`MultiWorld::allocation_count`]).
+    /// Outcomes are identical to [`BatchRunner::fresh_outcome_for`].
     ///
     /// # Errors
     ///
@@ -166,33 +164,21 @@ impl BatchRunner {
     }
 
     /// [`BatchRunner::outcome_for`] without the per-thread world pool: a
-    /// fresh one-run [`MultiWorld`] per call. The pre-reuse baseline,
-    /// kept for benchmarks and tests of the pooled path.
+    /// fresh [`MultiWorld`] per call. The pre-reuse baseline, kept for
+    /// benchmarks and tests of the pooled path.
     ///
     /// # Errors
     ///
     /// As [`BatchRunner::outcome_for`].
     pub fn fresh_outcome_for(&self, init: &InitialConfig) -> Result<RunOutcome, SimError> {
         let mut world = MultiWorld::from_env(Arc::clone(&self.env));
-        world.load(std::slice::from_ref(init))?;
-        Ok(world.run(self.t_max)[0])
+        world.load(init)?;
+        Ok(world.run(self.t_max))
     }
 
-    /// Runs per lockstep chunk this runner prefers for configurations
-    /// of up to `k` agents: as many as keep a [`MultiWorld`] chunk's
-    /// working set cache-resident. Callers that fan
-    /// [`BatchRunner::run_all`] out over threads should split the
-    /// configuration set at this granularity.
-    #[must_use]
-    pub fn chunk_size(&self, k: usize) -> usize {
-        preferred_chunk(&self.env, k)
-    }
-
-    /// Runs every configuration in order through the lockstep
-    /// [`MultiWorld`] engine, in chunks of [`BatchRunner::chunk_size`]
-    /// runs (sized for the batch's largest agent count) with a pooled
-    /// per-thread world per chunk. With an executor
-    /// attached ([`BatchRunner::with_dispatch`]) the chunk-blocks are
+    /// Runs every configuration in order, one at a time on a pooled
+    /// per-thread [`MultiWorld`]. With an executor attached
+    /// ([`BatchRunner::with_dispatch`]) [`DISPATCH_BLOCK`] ranges are
     /// sharded across it; outcomes are bit-identical either way, and
     /// bit-identical to mapping [`BatchRunner::outcome_for`] over the
     /// configurations.
@@ -223,14 +209,7 @@ impl BatchRunner {
         dense: bool,
     ) -> Result<Vec<RunOutcome>, SimError> {
         let _span = a2a_obs::Span::enter("batch.run_all");
-        // Chunks are sized for the widest configuration, so no chunk of
-        // a ragged batch overruns the working-set budget. An empty batch
-        // has nothing to size.
-        let Some(max_k) = inits.iter().map(InitialConfig::agent_count).max() else {
-            return Ok(Vec::new());
-        };
-        let chunk = self.chunk_size(max_k);
-        let blocks = inits.len().div_ceil(chunk);
+        let blocks = inits.len().div_ceil(DISPATCH_BLOCK);
         let parallel = self
             .dispatch
             .as_ref()
@@ -240,14 +219,8 @@ impl BatchRunner {
             a2a_obs::global().gauge("kernel.dispatch.workers").set(occupied as i64);
         }
         let outcomes = match parallel {
-            Some(dispatch) => self.run_blocks_parallel(dispatch, inits, chunk, dense)?,
-            None => {
-                let mut outcomes: Vec<RunOutcome> = Vec::with_capacity(inits.len());
-                for block in inits.chunks(chunk) {
-                    outcomes.extend(self.run_block(block, dense)?);
-                }
-                outcomes
-            }
+            Some(dispatch) => self.run_blocks_parallel(dispatch, inits, dense)?,
+            None => self.run_block(inits, dense)?,
         };
         a2a_obs::event!(a2a_obs::Level::Debug, "batch.run_all",
             "configs" => outcomes.len(),
@@ -256,9 +229,10 @@ impl BatchRunner {
         Ok(outcomes)
     }
 
-    /// One chunk-block through a pooled per-thread [`MultiWorld`] —
-    /// the unit of work the serial loop, the parallel dispatcher and
-    /// the one-run [`BatchRunner::outcome_for`] all execute.
+    /// Runs a block of configurations one at a time on a pooled
+    /// per-thread [`MultiWorld`] — the unit of work the serial path,
+    /// the parallel dispatcher and the one-run
+    /// [`BatchRunner::outcome_for`] all execute.
     fn run_block(&self, block: &[InitialConfig], dense: bool) -> Result<Vec<RunOutcome>, SimError> {
         let mut world = match take_pooled(&self.env) {
             Some(world) => {
@@ -275,32 +249,34 @@ impl BatchRunner {
             }
         };
         world.set_dense(dense);
-        // A load error may leave the world half-loaded; drop it
-        // rather than pooling an inconsistent arena.
-        world.load(block)?;
-        let outcomes = world.run(self.t_max);
+        let mut outcomes = Vec::with_capacity(block.len());
+        for init in block {
+            // A failed load leaves the world empty; it is dropped with
+            // the error rather than pooled.
+            world.load(init)?;
+            outcomes.push(world.run(self.t_max));
+        }
         // Pooled worlds always rest in frontier mode (the default).
         world.set_dense(false);
         return_pooled(world);
         Ok(outcomes)
     }
 
-    /// Shards chunk-blocks across `dispatch` and commits the results
-    /// in submission order, which makes the outcome vector — and the
-    /// first reported error — independent of scheduling. Jobs only
-    /// write their own pre-assigned slot; a slot the executor failed
-    /// to deliver (e.g. a worker died mid-batch) is detected by the
-    /// commit loop and re-run inline, so the result is total.
+    /// Shards [`DISPATCH_BLOCK`] ranges across `dispatch` and commits
+    /// the results in submission order, which makes the outcome vector
+    /// — and the first reported error — independent of scheduling. Jobs
+    /// only write their own pre-assigned slot; a slot the executor
+    /// failed to deliver (e.g. a worker died mid-batch) is detected by
+    /// the commit loop and re-run inline, so the result is total.
     fn run_blocks_parallel(
         &self,
         dispatch: &Arc<dyn Dispatch>,
         inits: &[InitialConfig],
-        chunk: usize,
         dense: bool,
     ) -> Result<Vec<RunOutcome>, SimError> {
         type Slot = Mutex<Option<Result<Vec<RunOutcome>, SimError>>>;
         let blocks: Arc<Vec<Vec<InitialConfig>>> =
-            Arc::new(inits.chunks(chunk).map(<[InitialConfig]>::to_vec).collect());
+            Arc::new(inits.chunks(DISPATCH_BLOCK).map(<[InitialConfig]>::to_vec).collect());
         let slots: Arc<Vec<Slot>> =
             Arc::new((0..blocks.len()).map(|_| Mutex::new(None)).collect());
         let jobs: Vec<DispatchJob> = (0..blocks.len())
@@ -467,9 +443,6 @@ mod tests {
 
     #[test]
     fn empty_batch_returns_empty_on_every_path() {
-        // Regression: chunk sizing used to read `inits.first()` with a
-        // k = 1 fallback, silently shaping chunks for a batch that does
-        // not exist.
         let cfg = WorldConfig::paper(GridKind::Square, 16);
         let runner = BatchRunner::from_genome(&cfg, best_agent(cfg.kind), 200).unwrap();
         assert!(runner.run_all(&[]).unwrap().is_empty());
@@ -528,8 +501,8 @@ mod tests {
         let cfg = WorldConfig::paper(GridKind::Triangulate, 16);
         let runner = BatchRunner::from_genome(&cfg, best_agent(cfg.kind), 200).unwrap();
         let mut rng = SmallRng::seed_from_u64(606);
-        // Enough configurations for several chunk-blocks.
-        let inits: Vec<InitialConfig> = (0..3 * runner.chunk_size(16) + 7)
+        // Enough configurations for several dispatch blocks.
+        let inits: Vec<InitialConfig> = (0..3 * DISPATCH_BLOCK + 7)
             .map(|_| InitialConfig::random(cfg.lattice, cfg.kind, 16, &[], &mut rng).unwrap())
             .collect();
         let serial = runner.run_all(&inits).unwrap();
@@ -537,52 +510,10 @@ mod tests {
         assert_eq!(threaded.run_all(&inits).unwrap(), serial);
         assert_eq!(threaded.run_all_multi_dense(&inits).unwrap(), serial);
         assert_eq!(threaded.dispatch_workers(), 3);
-        assert_eq!(threaded.without_dispatch().dispatch_workers(), 1);
         // A lossy executor leaves holes; the ordered commit repairs
         // them inline and the result is still bit-identical.
         let lossy = runner.clone().with_dispatch(Arc::new(LossyDispatch));
         assert_eq!(lossy.run_all(&inits).unwrap(), serial);
-    }
-
-    /// An executor that only counts the jobs it is handed, then runs
-    /// them inline.
-    #[derive(Debug, Default)]
-    struct CountingDispatch(std::sync::atomic::AtomicUsize);
-
-    impl crate::Dispatch for CountingDispatch {
-        fn run_jobs(&self, jobs: Vec<crate::DispatchJob>) {
-            self.0.fetch_add(jobs.len(), std::sync::atomic::Ordering::Relaxed);
-            for job in jobs {
-                job();
-            }
-        }
-
-        fn workers(&self) -> usize {
-            2
-        }
-    }
-
-    #[test]
-    fn ragged_batches_are_chunked_for_their_widest_configuration() {
-        // Regression: chunks used to be sized from `inits[0]` alone, so
-        // a small first k packed many wide runs into one chunk.
-        let cfg = WorldConfig::paper(GridKind::Triangulate, 16);
-        let runner = BatchRunner::from_genome(&cfg, best_agent(cfg.kind), 200).unwrap();
-        let mut rng = SmallRng::seed_from_u64(4);
-        let inits: Vec<InitialConfig> = [2usize, 256, 130, 8, 256, 65, 2, 200]
-            .iter()
-            .cycle()
-            .take(48)
-            .map(|&k| InitialConfig::random(cfg.lattice, cfg.kind, k, &[], &mut rng).unwrap())
-            .collect();
-        assert!(runner.chunk_size(256) < runner.chunk_size(2));
-        let counting = Arc::new(CountingDispatch::default());
-        let dispatched = runner.clone().with_dispatch(Arc::clone(&counting) as Arc<dyn Dispatch>);
-        assert_eq!(dispatched.run_all(&inits).unwrap(), runner.run_all(&inits).unwrap());
-        assert_eq!(
-            counting.0.load(std::sync::atomic::Ordering::Relaxed),
-            inits.len().div_ceil(runner.chunk_size(256))
-        );
     }
 
     #[test]
@@ -590,18 +521,18 @@ mod tests {
         let cfg = WorldConfig::paper(GridKind::Square, 16);
         let runner = BatchRunner::from_genome(&cfg, best_agent(cfg.kind), 200).unwrap();
         let mut rng = SmallRng::seed_from_u64(607);
-        let chunk = runner.chunk_size(8);
-        let mut inits: Vec<InitialConfig> = (0..3 * chunk)
+        let block = DISPATCH_BLOCK;
+        let mut inits: Vec<InitialConfig> = (0..3 * block)
             .map(|_| InitialConfig::random(cfg.lattice, cfg.kind, 8, &[], &mut rng).unwrap())
             .collect();
         // Earlier block: a duplicate placement. Later block: an
         // out-of-field position. Batch order decides which one wins,
         // regardless of which job finishes first.
-        inits[chunk + 1] = InitialConfig::new(vec![
+        inits[block + 1] = InitialConfig::new(vec![
             (a2a_grid::Pos::new(1, 1), a2a_grid::Dir::new(0)),
             (a2a_grid::Pos::new(1, 1), a2a_grid::Dir::new(0)),
         ]);
-        inits[2 * chunk + 1] =
+        inits[2 * block + 1] =
             InitialConfig::new(vec![(a2a_grid::Pos::new(99, 0), a2a_grid::Dir::new(0))]);
         let threaded = runner.clone().with_dispatch(Arc::new(ThreadedDispatch(3)));
         assert!(matches!(
@@ -612,9 +543,9 @@ mod tests {
 
     #[test]
     fn run_all_matches_per_config_outcomes() {
-        // The chunked lockstep path must be bit-identical to the
-        // reference oracle run config by config — ragged agent counts
-        // included — and so must the one-run path.
+        // The pooled path must be bit-identical to the reference oracle
+        // run config by config — ragged agent counts included — and so
+        // must the one-run path.
         for kind in [GridKind::Square, GridKind::Triangulate] {
             let cfg = WorldConfig::paper(kind, 16);
             let runner = BatchRunner::from_genome(&cfg, best_agent(kind), 200).unwrap();

@@ -6,13 +6,11 @@
 //! it directly without a dependency cycle. [`Dispatch`] inverts the
 //! seam: `a2a-ga` implements the trait for its pool and hands it to
 //! [`BatchRunner::with_dispatch`](crate::BatchRunner::with_dispatch),
-//! and the batch layer shards chunk-blocks across whatever executor it
-//! was given. [`SerialDispatch`] is the dependency-free default: it
-//! runs every job inline on the caller, which is also the reference
-//! behaviour the parallel paths must be bit-identical to.
-
-use std::fmt::Debug;
-use std::sync::Arc;
+//! and the batch layer shards fixed
+//! [`DISPATCH_BLOCK`](crate::DISPATCH_BLOCK) ranges of configurations
+//! across whatever executor it was given. Without one, `run_all` runs
+//! inline on the caller — the reference behaviour every parallel path
+//! must be bit-identical to.
 
 /// A boxed unit of work handed to a [`Dispatch`] executor.
 pub type DispatchJob = Box<dyn FnOnce() + Send + 'static>;
@@ -30,78 +28,12 @@ pub type DispatchJob = Box<dyn FnOnce() + Send + 'static>;
 ///   order and any assignment of jobs to threads is correct. All
 ///   determinism lives in the *caller*, which commits results in
 ///   submission order regardless of completion order.
-pub trait Dispatch: Send + Sync + Debug {
+pub trait Dispatch: Send + Sync + std::fmt::Debug {
     /// Runs every job to completion, in any order, on any threads.
     fn run_jobs(&self, jobs: Vec<DispatchJob>);
 
     /// Worker threads this executor can occupy at once (`1` means the
-    /// caller's thread only). Purely informational — used for chunk
-    /// shaping and the `kernel.dispatch.workers` gauge.
+    /// caller's thread only). Decides whether `run_all` dispatches at
+    /// all, and feeds the `kernel.dispatch.workers` gauge.
     fn workers(&self) -> usize;
-}
-
-/// The inline executor: runs each job on the calling thread, in
-/// submission order. This is the reference semantics parallel
-/// dispatchers are differential-tested against.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SerialDispatch;
-
-impl Dispatch for SerialDispatch {
-    fn run_jobs(&self, jobs: Vec<DispatchJob>) {
-        for job in jobs {
-            job();
-        }
-    }
-
-    fn workers(&self) -> usize {
-        1
-    }
-}
-
-impl<D: Dispatch + ?Sized> Dispatch for Arc<D> {
-    fn run_jobs(&self, jobs: Vec<DispatchJob>) {
-        (**self).run_jobs(jobs);
-    }
-
-    fn workers(&self) -> usize {
-        (**self).workers()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-
-    #[test]
-    fn serial_dispatch_runs_everything_in_order() {
-        let seen = Arc::new(Mutex::new(Vec::new()));
-        let jobs: Vec<DispatchJob> = (0..5)
-            .map(|i| {
-                let seen = Arc::clone(&seen);
-                Box::new(move || seen.lock().unwrap().push(i)) as DispatchJob
-            })
-            .collect();
-        SerialDispatch.run_jobs(jobs);
-        assert_eq!(*seen.lock().unwrap(), vec![0, 1, 2, 3, 4]);
-        assert_eq!(SerialDispatch.workers(), 1);
-    }
-
-    #[test]
-    fn arc_dispatch_delegates() {
-        let executor: Arc<dyn Dispatch> = Arc::new(SerialDispatch);
-        let count = Arc::new(AtomicUsize::new(0));
-        let jobs: Vec<DispatchJob> = (0..3)
-            .map(|_| {
-                let count = Arc::clone(&count);
-                Box::new(move || {
-                    count.fetch_add(1, Ordering::Relaxed);
-                }) as DispatchJob
-            })
-            .collect();
-        executor.run_jobs(jobs);
-        assert_eq!(count.load(Ordering::Relaxed), 3);
-        assert_eq!(executor.workers(), 1);
-    }
 }

@@ -1,5 +1,5 @@
 //! The compiled kernel environment every [`MultiWorld`](crate::MultiWorld)
-//! run shares: the same step semantics as [`World`](crate::World),
+//! run of a batch shares: the same step semantics as [`World`](crate::World),
 //! precomputed for throughput.
 //!
 //! [`KernelEnv`] holds everything about a simulation that does not
@@ -8,7 +8,7 @@
 //! table (turn codes already mapped to direction deltas), and the
 //! empty field as one byte per cell (obstacle bit plus initial colour).
 //! [`MultiWorld`](crate::MultiWorld) stamps that byte image into every
-//! run it loads.
+//! configuration it loads.
 //!
 //! The kernel is differentially tested against `World` (the oracle) in
 //! `tests/differential.rs`: both are driven in lockstep and must agree on
@@ -170,10 +170,10 @@ mod tests {
         WorldConfig::paper(kind, 16)
     }
 
-    /// A kernel world holding exactly `init`, in run slot 0.
+    /// A kernel world holding exactly `init`.
     fn one_run(config: &WorldConfig, genome: Genome, init: &InitialConfig) -> MultiWorld {
         let mut world = MultiWorld::new(config, genome).unwrap();
-        world.load(std::slice::from_ref(init)).unwrap();
+        world.load(init).unwrap();
         world
     }
 
@@ -182,12 +182,12 @@ mod tests {
         let mut fast = one_run(cfg, genome, init);
         for t in 0..=steps {
             assert_eq!(
-                fast.positions(0),
+                fast.positions(),
                 slow.agents().iter().map(|a| a.pos()).collect::<Vec<_>>(),
                 "positions diverge at t={t}"
             );
-            assert_eq!(fast.colors(0), slow.colors().to_vec(), "colours diverge at t={t}");
-            assert_eq!(fast.informed_count(0), slow.informed_count(), "informed at t={t}");
+            assert_eq!(fast.colors(), slow.colors().to_vec(), "colours diverge at t={t}");
+            assert_eq!(fast.informed_count(), slow.informed_count(), "informed at t={t}");
             slow.step();
             fast.step();
         }
@@ -217,7 +217,7 @@ mod tests {
                 lattice.positions().map(|p| (p, Dir::new(0))).collect();
             let mut fast =
                 one_run(&cfg(kind), a2a_fsm::best_agent(kind), &InitialConfig::new(placements));
-            let outcome = fast.run(100)[0];
+            let outcome = fast.run(100);
             assert_eq!(outcome.t_comm, Some(expected), "{kind}");
         }
     }
@@ -226,8 +226,8 @@ mod tests {
     fn single_agent_is_informed_immediately() {
         let init = InitialConfig::new(vec![(Pos::new(4, 4), Dir::new(0))]);
         let mut w = one_run(&cfg(GridKind::Square), best_s_agent(), &init);
-        assert_eq!(w.informed_count(0), 1);
-        assert_eq!(w.run(100)[0].t_comm, Some(0));
+        assert_eq!(w.informed_count(), 1);
+        assert_eq!(w.run(100).t_comm, Some(0));
     }
 
     #[test]
@@ -252,9 +252,9 @@ mod tests {
             (Pos::new(8, 8), Dir::new(0)),
         ]);
         let w = one_run(&cfg(GridKind::Square), best_s_agent(), &init);
-        assert!(w.agent_info(0, 0).contains(1), "adjacent pair exchanged at t=0");
-        assert!(!w.agent_info(0, 0).contains(2), "distant agent unknown");
-        assert_eq!(w.agent_info(0, 2).count(), 1);
+        assert!(w.agent_info(0).contains(1), "adjacent pair exchanged at t=0");
+        assert!(!w.agent_info(0).contains(2), "distant agent unknown");
+        assert_eq!(w.agent_info(2).count(), 1);
     }
 
     #[test]
@@ -271,9 +271,9 @@ mod tests {
             (Pos::new(5, 6), Dir::new(3)),
         ]);
         let mut w = one_run(&cfg(GridKind::Square), straight, &init);
-        assert_eq!(w.conflict_losses(0), 0);
+        assert_eq!(w.conflict_losses(), 0);
         w.step();
-        assert_eq!(w.conflict_losses(0), 1, "id 1 lost the arbitration for (5,5)");
-        assert_eq!(w.positions(0)[0], Pos::new(5, 5));
+        assert_eq!(w.conflict_losses(), 1, "id 1 lost the arbitration for (5,5)");
+        assert_eq!(w.positions()[0], Pos::new(5, 5));
     }
 }

@@ -11,9 +11,9 @@
 //!
 //! * [`World`] — the CA state and its synchronous `step`: the reference
 //!   engine and semantic oracle;
-//! * [`MultiWorld`] / [`BatchRunner`] — the fast engine: many
-//!   configurations of one compiled genome stepped in lockstep, checked
-//!   against `World` step for step;
+//! * [`MultiWorld`] / [`BatchRunner`] — the fast engine: one compiled
+//!   genome run over many configurations, one run at a time on a
+//!   reused kernel world, checked against `World` step for step;
 //! * [`WorldConfig`] — environment and policy knobs
 //!   ([`ConflictPolicy`], [`InitStatePolicy`], [`ColorInit`], obstacles,
 //!   borders);
@@ -65,11 +65,11 @@ mod run;
 mod world;
 
 pub use agent::Agent;
-pub use batch::BatchRunner;
+pub use batch::{BatchRunner, DISPATCH_BLOCK};
 pub use behaviour::Behaviour;
 pub use config::{ColorInit, ConflictPolicy, InitStatePolicy, WorldConfig};
 pub use decide::{decide, Decision};
-pub use dispatch::{Dispatch, DispatchJob, SerialDispatch};
+pub use dispatch::{Dispatch, DispatchJob};
 pub use error::SimError;
 pub use infoset::InfoSet;
 pub use init::{paper_config_set, InitialConfig};

@@ -1,26 +1,19 @@
-//! The lockstep multi-run kernel: R configurations of one compiled
-//! environment simulated simultaneously in a single fused
-//! structure-of-arrays object.
+//! The one-run kernel world: one configuration of one compiled
+//! environment, simulated in a structure-of-arrays object whose
+//! buffers are reused from run to run.
 //!
-//! [`MultiWorld`] lays every run's state out run-major in contiguous
-//! arrays (agent fields and infoset words behind per-run base
-//! offsets, per-cell bytes at fixed per-run strides) and advances all
-//! live runs with one `act`/`exchange` sweep per global step. A run
-//! that solves the task or exhausts the horizon is *retired*: its slot
-//! is swap-removed from the live list (`active`), so the tail of slow
-//! configurations never drags dead iterations through the sweeps. The long fused
-//! loops amortise phase-table and neighbour-table loads across runs
-//! and keep branch predictors warm. Information sets are cell-indexed
-//! for every `k` (`⌈k/64⌉` words per cell), so the exchange is a plain
-//! OR over the neighbour cells' words.
+//! [`MultiWorld`] keeps the run's agent fields in flat arrays, its cell
+//! state one byte per cell and its information sets cell-indexed for
+//! every `k` (`⌈k/64⌉` words per cell), so the exchange is a plain OR
+//! over the neighbour cells' words. An activity frontier keeps
+//! saturated agents out of the exchange sweep. [`MultiWorld::load`]
+//! re-seeds the same buffers for the next configuration, which is how
+//! the batch layer runs a whole configuration set without allocating.
 //!
-//! Outcomes are **bit-identical per configuration** to running each
-//! one through the reference [`World`](crate::World): runs are fully
-//! independent (no state is shared between them except the immutable
-//! environment), and the per-run `act`/`exchange` bodies replicate the
-//! oracle's step decision for decision. A batch of one is the
-//! single-configuration path. The differential suite in
-//! `tests/differential.rs` drives both engines in lockstep.
+//! Outcomes are **bit-identical** to running the configuration through
+//! the reference [`World`](crate::World): the `act`/`exchange` bodies
+//! replicate the oracle's step decision for decision. The differential
+//! suite in `tests/differential.rs` drives both engines in lockstep.
 
 use crate::behaviour::Behaviour;
 use crate::config::{ConflictPolicy, WorldConfig};
@@ -31,37 +24,20 @@ use crate::kernel::{CompiledEntry, KernelEnv, NONE};
 use crate::run::RunOutcome;
 use a2a_fsm::Genome;
 use a2a_grid::{Dir, Pos};
+use a2a_obs::HistogramSnapshot;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
-/// Process-wide count of buffer-allocating multi-world constructions:
+/// Process-wide count of buffer-allocating kernel-world constructions:
 /// one per [`MultiWorld::from_env`] plus one per [`MultiWorld::load`]
-/// that had to grow a buffer. The batch layer's steady state (chunked
+/// that had to grow a buffer. The batch layer's steady state (pooled
 /// reuse with a stable workload shape) must not move this counter —
-/// asserted by `crates/sim/tests/allocation_multi.rs` and
-/// `crates/sim/tests/allocation.rs`.
+/// asserted by `crates/sim/tests/allocation.rs` and `allocation_multi.rs`.
 static MULTI_BUFFER_ALLOCS: AtomicU64 = AtomicU64::new(0);
 
-/// Working-set budget per lockstep chunk. Small enough that one
-/// chunk's mutable state stays cache-resident across consecutive
-/// global steps, large enough that the fused sweeps amortise their
-/// per-step overhead over many runs.
-const CHUNK_BUDGET_BYTES: usize = 256 * 1024;
-
-/// Runs per lockstep chunk for `env` with configurations of up to
-/// `k` agents: as many as fit [`CHUNK_BUDGET_BYTES`], clamped to
-/// `[4, 64]`.
-pub(crate) fn preferred_chunk(env: &KernelEnv, k: usize) -> usize {
-    let k = k.max(1);
-    let stride = k.div_ceil(64);
-    let per_run = (5 + 8 * stride) * env.lattice.len() // claims + meta + cell_info
-        + 12 * k; // pos/dir/state/own_color/complete/frontier
-    (CHUNK_BUDGET_BYTES / per_run).clamp(4, 64)
-}
-
-/// The fused multi-run engine: same dynamics as
-/// [`World`](crate::World), one object simulating a whole batch of
-/// initial configurations in lockstep.
+/// The one-run kernel world: same dynamics as [`World`](crate::World),
+/// one loaded configuration at a time on buffers reused across loads.
 ///
 /// # Examples
 ///
@@ -74,12 +50,11 @@ pub(crate) fn preferred_chunk(env: &KernelEnv, k: usize) -> usize {
 /// # fn main() -> Result<(), a2a_sim::SimError> {
 /// let cfg = WorldConfig::paper(GridKind::Triangulate, 16);
 /// let mut rng = SmallRng::seed_from_u64(1);
-/// let inits: Vec<InitialConfig> = (0..8)
-///     .map(|_| InitialConfig::random(cfg.lattice, cfg.kind, 16, &[], &mut rng))
-///     .collect::<Result<_, _>>()?;
-/// let mut multi = MultiWorld::new(&cfg, best_t_agent())?;
-/// multi.load(&inits)?;
-/// assert!(multi.run(200).iter().all(|o| o.is_successful()));
+/// let mut world = MultiWorld::new(&cfg, best_t_agent())?;
+/// for _ in 0..8 {
+///     world.load(&InitialConfig::random(cfg.lattice, cfg.kind, 16, &[], &mut rng)?)?;
+///     assert!(world.run(200).is_successful());
+/// }
 /// # Ok(())
 /// # }
 /// ```
@@ -87,44 +62,37 @@ pub(crate) fn preferred_chunk(env: &KernelEnv, k: usize) -> usize {
 pub struct MultiWorld {
     env: Arc<KernelEnv>,
 
-    // Per-run metadata, indexed by run slot `0..run_count()`.
-    /// Start of each run's block in the agent arrays.
-    agent_base: Vec<usize>,
-    /// Start of each run's block in [`MultiWorld::cell_info`].
-    cell_base: Vec<usize>,
-    /// Agents per run.
-    k: Vec<u32>,
-    /// Info words per cell per run: `k.div_ceil(64)`.
-    stride: Vec<u32>,
-    /// Mask of valid bits in each run's last info word.
-    tail_mask: Vec<u64>,
-    /// Informed agents per run (incremental counter).
-    informed: Vec<u32>,
-    /// Movement conflicts lost per run.
-    conflicts: Vec<u64>,
-    /// Recorded outcome per run slot, filled at retirement.
-    outcomes: Vec<Option<RunOutcome>>,
+    /// Agents in the loaded run (`0` until a load succeeds).
+    k: u32,
+    /// Info words per cell: `k.div_ceil(64)`.
+    stride: u32,
+    /// Mask of valid bits in the last info word.
+    tail_mask: u64,
+    /// Informed agents (incremental counter).
+    informed: u32,
+    /// Movement conflicts lost so far.
+    conflicts: u64,
 
-    // Field state, run-major: `n_cells` entries per run, `stride[r]`
-    // words per cell in `cell_info`.
-    /// `run_count() * n_cells`; arbitration scratch, all-`NONE` between steps.
+    // Field state, `n_cells` entries (`stride` words per cell in
+    // `cell_info`).
+    /// Arbitration scratch, all-`NONE` between steps.
     claims: Vec<u32>,
-    /// `run_count() * n_cells`; one byte of cell state per cell — bit 0
-    /// is the solid bit (occupancy ∪ obstacles), bits 1.. the cell's
-    /// colour. One byte load serves a neighbour's whole perception
-    /// (blocked test and front colour), and colour writes and moves
-    /// are plain byte stores. Every [`MultiWorld::load`] starts each
-    /// run from the environment's empty-field image.
+    /// One byte of cell state per cell — bit 0 is the solid bit
+    /// (occupancy ∪ obstacles), bits 1.. the cell's colour. One byte
+    /// load serves a neighbour's whole perception (blocked test and
+    /// front colour), and colour writes and moves are plain byte
+    /// stores. Every [`MultiWorld::load`] starts from the environment's
+    /// empty-field image.
     meta: Vec<u8>,
-    /// `stride[r] * n_cells` words per run, behind `cell_base[r]`: each
-    /// occupied cell holds its agent's `stride` info words, empty cells
-    /// hold zeros. Cell-indexing makes the exchange gather a plain
-    /// `w |= cell_info[neighbour]` — no occupant indirection, no
-    /// branches, and empty neighbours OR in a no-op 0 — at the price of
-    /// moving `stride` words per agent move in the apply pass.
+    /// `stride` words per cell: each occupied cell holds its agent's
+    /// info words, empty cells hold zeros. Cell-indexing makes the
+    /// exchange gather a plain `w |= cell_info[neighbour]` — no
+    /// occupant indirection, no branches, and empty neighbours OR in a
+    /// no-op 0 — at the price of moving `stride` words per agent move
+    /// in the apply pass.
     cell_info: Vec<u64>,
 
-    // Agent state, flat behind `agent_base` offsets.
+    // Agent state, `k` entries in ID order.
     pos: Vec<u32>,
     dir: Vec<u8>,
     state: Vec<u8>,
@@ -134,23 +102,18 @@ pub struct MultiWorld {
     /// per round.
     own_color: Vec<u8>,
     complete: Vec<bool>,
-    /// Per-run activity frontier, flat behind `agent_base` offsets:
-    /// each run's `k` entries are a permutation of its local agent IDs
-    /// whose first [`MultiWorld::frontier_len`] entries are exactly the
-    /// agents with unsaturated infosets. Retirement is an O(1) swap
-    /// with the prefix's last entry, so the saturation tail drops out
-    /// of the exchange sweep instead of being skipped agent by agent.
-    /// Stale in dense mode ([`MultiWorld::set_dense`] rebuilds it on
-    /// re-entry to frontier mode).
+    /// Activity frontier: a permutation of the agent IDs whose first
+    /// [`MultiWorld::frontier_len`] entries are exactly the agents with
+    /// unsaturated infosets. Retirement is an O(1) swap with the
+    /// prefix's last entry, so the saturation tail drops out of the
+    /// exchange sweep instead of being skipped agent by agent. Stale in
+    /// dense mode ([`MultiWorld::set_dense`] rebuilds it on re-entry to
+    /// frontier mode).
     frontier: Vec<u32>,
-    /// Live prefix length of each run's [`MultiWorld::frontier`] block.
-    frontier_len: Vec<u32>,
+    /// Live prefix length of [`MultiWorld::frontier`].
+    frontier_len: u32,
 
-    /// Live run slots; retirement swap-removes (order is irrelevant —
-    /// runs are independent, outcomes are reported by slot).
-    active: Vec<u32>,
-    /// Global lockstep time: every live run has taken exactly this
-    /// many counted steps.
+    /// Counted steps taken since the last load.
     time: u32,
     /// Dense-scan compatibility mode: `true` replays the pre-frontier
     /// full-`k` exchange sweep (the in-process baseline the kernel
@@ -161,7 +124,7 @@ pub struct MultiWorld {
     // Scratch reused across steps.
     requests: Vec<(u32, u32)>,
     decisions: Vec<(CompiledEntry, u32)>,
-    /// Per-run staging of gathered infosets: gathered from
+    /// Staging of gathered infosets: gathered from
     /// [`MultiWorld::cell_info`] into here, then committed back, so
     /// same-sweep peers read pre-exchange values. Dense one-word sweeps
     /// push one word per agent; wide (`stride > 1`) sweeps stage agent
@@ -176,8 +139,8 @@ pub struct MultiWorld {
 }
 
 impl MultiWorld {
-    /// An empty multi-world for a single-FSM behaviour; call
-    /// [`MultiWorld::load`] to place a batch.
+    /// An empty kernel world for a single-FSM behaviour; call
+    /// [`MultiWorld::load`] to place a configuration.
     ///
     /// # Errors
     ///
@@ -195,19 +158,16 @@ impl MultiWorld {
         Ok(Self::from_env(Arc::new(KernelEnv::new(config, &behaviour)?)))
     }
 
-    /// An empty multi-world over a shared environment.
+    /// An empty kernel world over a shared environment.
     pub(crate) fn from_env(env: Arc<KernelEnv>) -> Self {
         MULTI_BUFFER_ALLOCS.fetch_add(1, Ordering::Relaxed);
         Self {
             env,
-            agent_base: Vec::new(),
-            cell_base: Vec::new(),
-            k: Vec::new(),
-            stride: Vec::new(),
-            tail_mask: Vec::new(),
-            informed: Vec::new(),
-            conflicts: Vec::new(),
-            outcomes: Vec::new(),
+            k: 0,
+            stride: 0,
+            tail_mask: 0,
+            informed: 0,
+            conflicts: 0,
             claims: Vec::new(),
             meta: Vec::new(),
             cell_info: Vec::new(),
@@ -217,8 +177,7 @@ impl MultiWorld {
             own_color: Vec::new(),
             complete: Vec::new(),
             frontier: Vec::new(),
-            frontier_len: Vec::new(),
-            active: Vec::new(),
+            frontier_len: 0,
             time: 0,
             dense: false,
             requests: Vec::new(),
@@ -237,405 +196,273 @@ impl MultiWorld {
     /// Process-wide count of buffer-allocating constructions
     /// ([`MultiWorld::from_env`] calls plus [`MultiWorld::load`] calls
     /// that grew a buffer). A reuse-only steady state keeps this
-    /// constant — the zero-allocation acceptance check of the chunked
+    /// constant — the zero-allocation acceptance check of the pooled
     /// batch layer.
     #[must_use]
     pub fn allocation_count() -> u64 {
         MULTI_BUFFER_ALLOCS.load(Ordering::Relaxed)
     }
 
-    /// Places a batch of initial configurations, one run slot each, and
-    /// performs every run's uncounted `t = 0` exchange. Reuses every
-    /// buffer: reloading a workload of the same shape performs zero
-    /// heap allocation. Each configuration is validated and placed
-    /// exactly as [`World::with_behaviour`](crate::World::with_behaviour)
-    /// does, in batch order, so the first error matches a serial loop's.
+    /// Total element capacity of every buffer. Loads only clear and
+    /// refill, never shrink, so this grows exactly when a buffer did.
+    fn capacity(&self) -> usize {
+        self.claims.capacity()
+            + self.meta.capacity()
+            + self.cell_info.capacity()
+            + self.pos.capacity()
+            + self.dir.capacity()
+            + self.state.capacity()
+            + self.own_color.capacity()
+            + self.complete.capacity()
+            + self.frontier.capacity()
+            + self.requests.capacity()
+            + self.decisions.capacity()
+            + self.wbuf.capacity()
+            + self.wpairs.capacity()
+    }
+
+    /// Places one initial configuration and performs its uncounted
+    /// `t = 0` exchange. Reuses every buffer: reloading a configuration
+    /// no larger than one loaded before performs zero heap allocation.
+    /// The configuration is validated and placed exactly as
+    /// [`World::with_behaviour`](crate::World::with_behaviour) does, so
+    /// the error matches a fresh construction's.
     ///
     /// # Errors
     ///
-    /// The first per-configuration error, exactly as a serial
-    /// [`World`](crate::World) construction loop would report it. On
-    /// error the world is partially loaded and must be discarded or
-    /// re-loaded before use.
-    pub fn load(&mut self, inits: &[InitialConfig]) -> Result<(), SimError> {
+    /// The configuration's first placement error, exactly as a
+    /// [`World`](crate::World) construction would report it. On error
+    /// the world holds no run and must be re-loaded before use.
+    pub fn load(&mut self, init: &InitialConfig) -> Result<(), SimError> {
         let env = Arc::clone(&self.env);
         let n_cells = env.lattice.len();
-        let runs = inits.len();
+        let k = init.agent_count();
+        let stride = k.div_ceil(64);
 
-        // Sizing pass (agent counts only; validation happens per run
-        // below, in batch order).
-        let mut agent_total = 0usize;
-        let mut words_total = 0usize;
-        let mut max_k = 0usize;
-        // Most words one sweep stages: every agent of the widest run.
-        let mut max_staged = 0usize;
-        for init in inits {
-            let k = init.agent_count();
-            agent_total += k;
-            words_total += n_cells * k.div_ceil(64);
-            max_k = max_k.max(k);
-            max_staged = max_staged.max(k * k.div_ceil(64));
-        }
-        if runs > self.agent_base.capacity()
-            || runs > self.cell_base.capacity()
-            || runs > self.k.capacity()
-            || runs > self.stride.capacity()
-            || runs > self.tail_mask.capacity()
-            || runs > self.informed.capacity()
-            || runs > self.conflicts.capacity()
-            || runs > self.outcomes.capacity()
-            || runs > self.active.capacity()
-            || runs * n_cells > self.claims.capacity()
-            || words_total > self.cell_info.capacity()
-            || max_staged > self.wbuf.capacity()
-            || max_k > self.wpairs.capacity()
-            || runs > self.frontier_len.capacity()
-            || agent_total > self.frontier.capacity()
-            || runs * n_cells > self.meta.capacity()
-            || agent_total > self.pos.capacity()
-            || agent_total > self.dir.capacity()
-            || agent_total > self.state.capacity()
-            || agent_total > self.own_color.capacity()
-            || agent_total > self.complete.capacity()
-            || max_k > self.requests.capacity()
-            || max_k > self.decisions.capacity()
-        {
+        // Reset every buffer to the run's shape up front, so placement
+        // and stepping never grow one.
+        let held = self.capacity();
+        self.k = 0;
+        self.claims.clear();
+        self.claims.resize(n_cells, NONE);
+        self.meta.clear();
+        self.meta.extend_from_slice(&env.meta_init);
+        self.cell_info.clear();
+        self.cell_info.resize(n_cells * stride, 0);
+        self.pos.clear();
+        self.pos.reserve(k);
+        self.dir.clear();
+        self.dir.reserve(k);
+        self.state.clear();
+        self.state.reserve(k);
+        self.own_color.clear();
+        self.own_color.reserve(k);
+        self.complete.clear();
+        self.complete.resize(k, false);
+        // Every agent starts unsaturated (k = 1 resolves at the t = 0
+        // exchange below, like everything else).
+        self.frontier.clear();
+        self.frontier.extend(0..k as u32);
+        self.requests.clear();
+        self.requests.reserve(k);
+        self.decisions.clear();
+        self.decisions.reserve(k);
+        self.wbuf.clear();
+        self.wbuf.reserve(k * stride);
+        self.wpairs.clear();
+        self.wpairs.reserve(k);
+        if self.capacity() != held {
             MULTI_BUFFER_ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
 
-        self.agent_base.clear();
-        self.cell_base.clear();
-        self.k.clear();
-        self.stride.clear();
-        self.tail_mask.clear();
-        self.informed.clear();
-        self.conflicts.clear();
-        self.outcomes.clear();
-        self.active.clear();
-        self.pos.clear();
-        self.dir.clear();
-        self.state.clear();
-        self.own_color.clear();
-        self.complete.clear();
-        self.requests.clear();
-        self.requests.reserve(max_k);
-        self.decisions.clear();
-        self.decisions.reserve(max_k);
-        self.time = 0;
-        self.claims.clear();
-        self.claims.resize(runs * n_cells, NONE);
-        self.cell_info.clear();
-        self.cell_info.resize(words_total, 0);
-        self.wbuf.clear();
-        self.wbuf.reserve(max_staged);
-        self.wpairs.clear();
-        self.wpairs.reserve(max_k);
-        self.frontier.clear();
-        self.frontier_len.clear();
-        self.meta.clear();
-        for _ in 0..runs {
-            self.meta.extend_from_slice(&env.meta_init);
+        // Pass 1 — validate without allocating, replicating
+        // `InitialConfig::validate` check for check (error order
+        // matters to callers). The claims array doubles as the
+        // duplicate scratch: it is all-NONE between steps.
+        if init.placements().is_empty() {
+            return Err(SimError::NoAgents);
         }
-
-        let mut c0 = 0usize;
-        for (r, init) in inits.iter().enumerate() {
-            // Pass 1 — validate without allocating, replicating
-            // `InitialConfig::validate` check for check (error order
-            // matters to callers). The run's claims region doubles as
-            // the duplicate scratch: it is all-NONE between steps.
-            if init.placements().is_empty() {
-                return Err(SimError::NoAgents);
+        let mut marked = 0usize;
+        let mut invalid = None;
+        for &(pos, dir) in init.placements() {
+            if !env.lattice.contains(pos) {
+                invalid = Some(SimError::OutsideField(pos));
+                break;
             }
-            let f0 = r * n_cells;
-            let mut marked = 0usize;
-            let mut invalid = None;
-            for &(pos, dir) in init.placements() {
-                if !env.lattice.contains(pos) {
-                    invalid = Some(SimError::OutsideField(pos));
-                    break;
-                }
-                if !dir.is_valid_for(env.kind) {
-                    invalid = Some(SimError::InvalidDirection {
-                        index: dir.index(),
-                        available: env.kind.dir_count(),
-                    });
-                    break;
-                }
-                let idx = env.lattice.index_of(pos);
-                if self.claims[f0 + idx] != NONE {
-                    invalid = Some(SimError::DuplicatePosition(pos));
-                    break;
-                }
-                self.claims[f0 + idx] = 0;
-                marked += 1;
-            }
-            for &(pos, _) in &init.placements()[..marked] {
-                self.claims[f0 + env.lattice.index_of(pos)] = NONE;
-            }
-            if let Some(e) = invalid {
-                return Err(e);
-            }
-            let k = init.agent_count();
-            if k > usize::from(u16::MAX) {
-                return Err(SimError::TooManyAgents {
-                    requested: k,
-                    limit: usize::from(u16::MAX),
+            if !dir.is_valid_for(env.kind) {
+                invalid = Some(SimError::InvalidDirection {
+                    index: dir.index(),
+                    available: env.kind.dir_count(),
                 });
+                break;
             }
-
-            // Pass 2 — place into the run's slot: each agent's own bit
-            // goes into its cell's words.
-            let a0 = self.pos.len();
-            let stride = k.div_ceil(64);
-            for (i, &(p, d)) in init.placements().iter().enumerate() {
-                let idx = env.lattice.index_of(p);
-                if env.meta_init[idx] & 1 != 0 {
-                    return Err(SimError::OnObstacle(p));
-                }
-                self.meta[f0 + idx] |= 1;
-                self.cell_info[c0 + idx * stride + i / 64] |= 1u64 << (i % 64);
-                self.pos.push(idx as u32);
-                self.dir.push(d.index());
-                self.state.push(env.init_states.state_for(i as u16, env.n_states));
-                self.own_color.push(self.meta[f0 + idx] >> 1);
+            let idx = env.lattice.index_of(pos);
+            if self.claims[idx] != NONE {
+                invalid = Some(SimError::DuplicatePosition(pos));
+                break;
             }
-            self.complete.resize(a0 + k, false);
-            let tail = k % 64;
-            self.agent_base.push(a0);
-            self.cell_base.push(c0);
-            self.k.push(k as u32);
-            self.stride.push(stride as u32);
-            self.tail_mask.push(if tail == 0 { u64::MAX } else { (1u64 << tail) - 1 });
-            self.informed.push(0);
-            self.conflicts.push(0);
-            self.outcomes.push(None);
-            self.active.push(r as u32);
-            // Every agent starts unsaturated (k = 1 resolves at the
-            // t = 0 exchange below, like everything else).
-            self.frontier.extend(0..k as u32);
-            self.frontier_len.push(k as u32);
-            c0 += n_cells * stride;
+            self.claims[idx] = 0;
+            marked += 1;
+        }
+        for &(pos, _) in &init.placements()[..marked] {
+            self.claims[env.lattice.index_of(pos)] = NONE;
+        }
+        if let Some(e) = invalid {
+            return Err(e);
+        }
+        if k > usize::from(u16::MAX) {
+            return Err(SimError::TooManyAgents { requested: k, limit: usize::from(u16::MAX) });
         }
 
-        // The uncounted exchange right after placement, every run in
-        // one sweep.
-        let active = std::mem::take(&mut self.active);
-        for &r in &active {
-            self.exchange_one(&env, r as usize);
+        // Pass 2 — place: each agent's own bit goes into its cell's
+        // words.
+        for (i, &(p, d)) in init.placements().iter().enumerate() {
+            let idx = env.lattice.index_of(p);
+            if env.meta_init[idx] & 1 != 0 {
+                return Err(SimError::OnObstacle(p));
+            }
+            self.meta[idx] |= 1;
+            self.cell_info[idx * stride + i / 64] |= 1u64 << (i % 64);
+            self.pos.push(idx as u32);
+            self.dir.push(d.index());
+            self.state.push(env.init_states.state_for(i as u16, env.n_states));
+            self.own_color.push(self.meta[idx] >> 1);
         }
-        self.active = active;
+        let tail = k % 64;
+        self.k = k as u32;
+        self.stride = stride as u32;
+        self.tail_mask = if tail == 0 { u64::MAX } else { (1u64 << tail) - 1 };
+        self.informed = 0;
+        self.conflicts = 0;
+        self.frontier_len = k as u32;
+        self.time = 0;
+
+        // The uncounted exchange right after placement.
+        self.exchange(&env);
         Ok(())
     }
 
-    /// Runs every loaded configuration until it is solved or `t_max`
-    /// counted steps have passed, retiring finished runs from the live
-    /// list as they complete. Returns one [`RunOutcome`] per loaded
-    /// configuration, in load order — each bit-identical to what
-    /// [`simulate`](crate::simulate) reports for that configuration.
+    /// Runs the loaded configuration until it is solved or `t_max`
+    /// counted steps have passed, and returns its [`RunOutcome`] —
+    /// bit-identical to what [`simulate`](crate::simulate) reports.
     ///
-    /// With metrics on, feeds the per-run `kernel.*` series
-    /// (`kernel.runs` / `.steps` / `.conflicts` counters, the
-    /// `kernel.t_comm` and `kernel.run.conflicts` histograms) plus the
-    /// multi-kernel extras (`kernel.multi.runs` / `.steps` /
-    /// `.compactions` counters and the `kernel.multi.in_flight` gauge).
+    /// With metrics on, feeds the per-run `kernel.*` series once per
+    /// run (`kernel.runs` / `.steps` / `.conflicts` /
+    /// `.frontier.active` counters, the `kernel.t_comm` and
+    /// `kernel.run.conflicts` histograms) and one
+    /// `kernel.frontier.active_pct` sample per step.
     ///
     /// # Panics
     ///
-    /// Panics if nothing is loaded (zero configurations).
-    pub fn run(&mut self, t_max: u32) -> Vec<RunOutcome> {
-        assert!(!self.outcomes.is_empty(), "load a batch before running");
-        let metrics = a2a_obs::metrics_enabled();
-        let debug = a2a_obs::enabled(a2a_obs::Level::Debug);
-        // At `Trace`, per-step phase timing goes into
-        // `kernel.multi.act.ns` / `kernel.multi.exchange.ns` for the
-        // profiler's phase table. Timing forces the sweeps apart (act
-        // over all runs, then exchange over all runs) — runs are
-        // independent, so the split changes nothing observable, only
-        // the cache behaviour of the traced run itself.
-        let phase_hists = a2a_obs::enabled(a2a_obs::Level::Trace).then(|| {
-            let reg = a2a_obs::global();
-            (reg.histogram("kernel.multi.act.ns"), reg.histogram("kernel.multi.exchange.ns"))
-        });
+    /// Panics if no configuration is loaded.
+    pub fn run(&mut self, t_max: u32) -> RunOutcome {
+        assert!(self.k > 0, "load a configuration before running");
         let env = Arc::clone(&self.env);
         // `kernel.frontier.active` counts active agent-steps (the work
         // the frontier sweep actually performs); the `_pct` histogram
-        // samples each global step's active fraction across live runs.
-        // Both derive from `k - informed`, so they are exact in dense
-        // mode too. Handles are interned once, outside the loop.
-        let frontier_stats = metrics.then(|| {
-            let reg = a2a_obs::global();
-            (reg.counter("kernel.frontier.active"), reg.histogram("kernel.frontier.active_pct"))
-        });
-        let mut run_steps: u64 = 0;
-        let mut compactions: u64 = 0;
-        self.retire_solved(metrics, debug, &mut compactions);
-        while !self.active.is_empty() && self.time < t_max {
-            if let Some((active_total, active_pct)) = &frontier_stats {
-                let mut act: u64 = 0;
-                let mut tot: u64 = 0;
-                for &r in &self.active {
-                    let r = r as usize;
-                    act += u64::from(self.k[r] - self.informed[r]);
-                    tot += u64::from(self.k[r]);
-                }
-                active_total.add(act);
-                active_pct.record(act * 100 / tot.max(1));
+        // samples each step's active fraction. Both derive from
+        // `k - informed`, so they are exact in dense mode too. The
+        // samples go into a local histogram, `Some` exactly when metrics
+        // are on, and are published once per run, so parallel runs do
+        // not contend on the shared histogram every step.
+        let mut active_pct = a2a_obs::metrics_enabled().then(HistogramSnapshot::default);
+        // At `Trace`, the act and exchange phases are timed apart for
+        // the profiler's phase table: two clock reads per step, the end
+        // of one step's exchange being the start of the next one's act.
+        let mut clock = a2a_obs::enabled(a2a_obs::Level::Trace).then(Instant::now);
+        let (mut act_ns, mut exchange_ns, mut active_steps) = (0u64, 0u64, 0u64);
+        while self.informed < self.k && self.time < t_max {
+            let active = u64::from(self.k - self.informed);
+            active_steps += active;
+            if let Some(pct) = &mut active_pct {
+                pct.record(active * 100 / u64::from(self.k));
             }
             let phase = &env.phases[self.time as usize % env.phases.len()];
-            let active = std::mem::take(&mut self.active);
-            if let Some((act_ns, exchange_ns)) = &phase_hists {
-                let t0 = std::time::Instant::now();
-                for &r in &active {
-                    self.act_one(&env, phase, r as usize);
-                }
-                let t1 = std::time::Instant::now();
-                for &r in &active {
-                    self.exchange_one(&env, r as usize);
-                }
-                exchange_ns.record(t1.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
-                act_ns
-                    .record(t1.duration_since(t0).as_nanos().min(u128::from(u64::MAX)) as u64);
+            self.act(&env, phase);
+            if let Some(t0) = clock {
+                let t1 = Instant::now();
+                self.exchange(&env);
+                let t2 = Instant::now();
+                act_ns += (t1 - t0).as_nanos() as u64;
+                exchange_ns += (t2 - t1).as_nanos() as u64;
+                clock = Some(t2);
             } else {
-                // Act and exchange back-to-back per run while its state
-                // is cache-hot; runs are independent, so fusing the
-                // sweeps changes nothing observable.
-                for &r in &active {
-                    self.act_one(&env, phase, r as usize);
-                    self.exchange_one(&env, r as usize);
-                }
+                self.exchange(&env);
             }
-            run_steps += active.len() as u64;
-            self.active = active;
             self.time += 1;
-            self.retire_solved(metrics, debug, &mut compactions);
         }
-        // Horizon: whatever is still live is out of time.
-        let horizon = std::mem::take(&mut self.active);
-        for &r in &horizon {
-            let r = r as usize;
-            let outcome = RunOutcome {
-                t_comm: None,
-                informed: self.informed[r] as usize,
-                agents: self.k[r] as usize,
-                steps: self.time,
-            };
-            self.outcomes[r] = Some(outcome);
-            if metrics {
-                self.record_run(outcome, r, debug);
+        let outcome = RunOutcome {
+            t_comm: (self.informed == self.k).then_some(self.time),
+            informed: self.informed as usize,
+            agents: self.k as usize,
+            steps: self.time,
+        };
+        let reg = a2a_obs::global();
+        if clock.is_some() {
+            reg.histogram("kernel.multi.act.ns").record(act_ns);
+            reg.histogram("kernel.multi.exchange.ns").record(exchange_ns);
+        }
+        if let Some(pct) = &active_pct {
+            reg.histogram("kernel.frontier.active_pct").merge_snapshot(pct);
+            reg.counter("kernel.runs").incr();
+            reg.counter("kernel.steps").add(u64::from(outcome.steps));
+            reg.counter("kernel.frontier.active").add(active_steps);
+            reg.counter("kernel.conflicts").add(self.conflicts);
+            reg.histogram("kernel.run.conflicts").record(self.conflicts);
+            match outcome.t_comm {
+                Some(t) => reg.histogram("kernel.t_comm").record(u64::from(t)),
+                None => reg.counter("kernel.unsuccessful").incr(),
+            }
+            // Field-compatible with the reference engine's `world.run`,
+            // so differential runs line up in one event stream.
+            if a2a_obs::enabled(a2a_obs::Level::Debug) {
+                a2a_obs::event!(a2a_obs::Level::Debug, "kernel.run",
+                    "engine" => "multi",
+                    "grid" => self.env.kind.to_string(),
+                    "k" => outcome.agents,
+                    "steps" => outcome.steps,
+                    "t_comm" => outcome.t_comm.map_or(-1i64, i64::from),
+                    "informed" => outcome.informed,
+                    "conflicts" => self.conflicts);
             }
         }
-        // Hand the buffer back (emptied) so reloading a same-shape
-        // batch stays allocation-free.
-        self.active = horizon;
-        self.active.clear();
-        if metrics {
-            let reg = a2a_obs::global();
-            reg.counter("kernel.multi.runs").add(self.outcomes.len() as u64);
-            reg.counter("kernel.multi.steps").add(run_steps);
-            reg.counter("kernel.multi.compactions").add(compactions);
-            reg.gauge("kernel.multi.in_flight").set(0);
-        }
-        self.outcomes
-            .iter()
-            .map(|o| o.expect("every run slot is retired by the loop above"))
-            .collect()
+        outcome
     }
 
-    /// Advances **every** loaded run by one counted time step — solved
-    /// runs included, exactly like stepping each world individually
-    /// (agents keep acting after completion). This is the lockstep
-    /// differential-test path; the retiring throughput path is
-    /// [`MultiWorld::run`].
+    /// Advances the loaded run by one counted time step, solved or not
+    /// — exactly like [`World::step`](crate::World::step) (agents keep
+    /// acting after completion). This is the lockstep
+    /// differential-test path; [`MultiWorld::run`] stops at
+    /// completion.
     pub fn step(&mut self) {
         let env = Arc::clone(&self.env);
         let phase = &env.phases[self.time as usize % env.phases.len()];
-        for r in 0..self.k.len() {
-            self.act_one(&env, phase, r);
-            self.exchange_one(&env, r);
-        }
+        self.act(&env, phase);
+        self.exchange(&env);
         self.time += 1;
     }
 
-    /// Retires every live run whose agents are all informed, recording
-    /// `t_comm = time`. Swap-remove keeps the live list dense.
-    fn retire_solved(&mut self, metrics: bool, debug: bool, compactions: &mut u64) {
-        let mut retired = false;
-        let mut idx = 0;
-        while idx < self.active.len() {
-            let r = self.active[idx] as usize;
-            if self.informed[r] == self.k[r] {
-                let k = self.k[r] as usize;
-                let outcome = RunOutcome {
-                    t_comm: Some(self.time),
-                    informed: k,
-                    agents: k,
-                    steps: self.time,
-                };
-                self.outcomes[r] = Some(outcome);
-                self.active.swap_remove(idx);
-                *compactions += 1;
-                retired = true;
-                if metrics {
-                    self.record_run(outcome, r, debug);
-                }
-            } else {
-                idx += 1;
-            }
-        }
-        if retired && metrics {
-            a2a_obs::global().gauge("kernel.multi.in_flight").set(self.active.len() as i64);
-        }
-    }
-
-    /// Feeds one retired run's numbers into the global registry and,
-    /// at `Debug`, emits the `kernel.run` summary with `engine:
-    /// "multi"` (field-compatible with the reference engine's
-    /// `world.run`, so differential runs line up in one event stream).
-    fn record_run(&self, outcome: RunOutcome, r: usize, debug: bool) {
-        let reg = a2a_obs::global();
-        let conflicts = self.conflicts[r];
-        reg.counter("kernel.runs").incr();
-        reg.counter("kernel.steps").add(u64::from(outcome.steps));
-        reg.counter("kernel.conflicts").add(conflicts);
-        reg.histogram("kernel.run.conflicts").record(conflicts);
-        match outcome.t_comm {
-            Some(t) => reg.histogram("kernel.t_comm").record(u64::from(t)),
-            None => reg.counter("kernel.unsuccessful").incr(),
-        }
-        if debug {
-            a2a_obs::event!(a2a_obs::Level::Debug, "kernel.run",
-                "engine" => "multi",
-                "grid" => self.env.kind.to_string(),
-                "k" => outcome.agents,
-                "steps" => outcome.steps,
-                "t_comm" => outcome.t_comm.map_or(-1i64, i64::from),
-                "informed" => outcome.informed,
-                "conflicts" => conflicts);
-        }
-    }
-
-    /// One run's act phase — the reference engine's perception,
-    /// two-round arbitration, colour writes and moves, decision for
-    /// decision, table-driven on the run's slices.
-    fn act_one(&mut self, env: &KernelEnv, phase: &[CompiledEntry], r: usize) {
+    /// The act phase — the reference engine's perception, two-round
+    /// arbitration, colour writes and moves, decision for decision,
+    /// table-driven.
+    fn act(&mut self, env: &KernelEnv, phase: &[CompiledEntry]) {
         let n_states = usize::from(env.n_states);
         let n_colors = usize::from(env.n_colors);
         let n_dirs = env.n_dirs;
         let n_cells = env.lattice.len();
-        let f0 = r * n_cells;
-        let a0 = self.agent_base[r];
-        let k = self.k[r] as usize;
+        let k = self.k as usize;
+        let stride = self.stride as usize;
 
-        let pos = &mut self.pos[a0..a0 + k];
-        let dir = &mut self.dir[a0..a0 + k];
-        let state = &mut self.state[a0..a0 + k];
-        let own_color = &mut self.own_color[a0..a0 + k];
-        let claims = &mut self.claims[f0..f0 + n_cells];
-        let stride = self.stride[r] as usize;
-        let c0 = self.cell_base[r];
-        let cell_info = &mut self.cell_info[c0..c0 + n_cells * stride];
-        let meta = &mut self.meta[f0..f0 + n_cells];
-        let conflicts = &mut self.conflicts[r];
+        // Slicing every array to its exact length up front lets the
+        // loops below run without per-access bounds checks.
+        let pos = &mut self.pos[..k];
+        let dir = &mut self.dir[..k];
+        let state = &mut self.state[..k];
+        let own_color = &mut self.own_color[..k];
+        let claims = &mut self.claims[..n_cells];
+        let cell_info = &mut self.cell_info[..n_cells * stride];
+        let meta = &mut self.meta[..n_cells];
+        let conflicts = &mut self.conflicts;
         let requests = &mut self.requests;
         let decisions = &mut self.decisions;
         requests.clear();
@@ -724,7 +551,7 @@ impl MultiWorld {
         }
     }
 
-    /// One run's exchange sweep, dispatched on the engine mode: the
+    /// The exchange sweep, dispatched on the engine mode: the
     /// activity-frontier walk by default, the dense full-`k` scan under
     /// [`MultiWorld::set_dense`]. Both produce bit-identical state —
     /// a complete agent's exchange is a no-op by construction (its
@@ -732,15 +559,15 @@ impl MultiWorld {
     /// keep reading them there), so walking only unsaturated agents is
     /// exact, not approximate.
     #[inline]
-    fn exchange_one(&mut self, env: &KernelEnv, r: usize) {
+    fn exchange(&mut self, env: &KernelEnv) {
         if self.dense {
-            self.exchange_one_dense(env, r);
+            self.exchange_dense(env);
         } else {
-            self.exchange_one_frontier(env, r);
+            self.exchange_frontier(env);
         }
     }
 
-    /// One run's frontier exchange: walk the live frontier prefix only,
+    /// The frontier exchange: walk the live frontier prefix only,
     /// swap-removing each agent that saturates in O(1). One-word runs
     /// stage `(cell, word)` pairs in [`MultiWorld::wpairs`] — staging
     /// and commit are both proportional to the frontier, and toroidal
@@ -749,22 +576,20 @@ impl MultiWorld {
     /// by agent in [`MultiWorld::wbuf`]; swap-removal permutes only
     /// within the walked prefix, so that prefix names exactly the
     /// staged agents at commit time.
-    fn exchange_one_frontier(&mut self, env: &KernelEnv, r: usize) {
+    fn exchange_frontier(&mut self, env: &KernelEnv) {
         let n_dirs = env.n_dirs;
         let n_cells = env.lattice.len();
-        let a0 = self.agent_base[r];
-        let k = self.k[r] as usize;
-        let len = self.frontier_len[r] as usize;
+        let k = self.k as usize;
+        let len = self.frontier_len as usize;
         if len == 0 {
             return;
         }
-        let stride = self.stride[r] as usize;
-        let c0 = self.cell_base[r];
-        let tail = self.tail_mask[r];
-        let pos = &self.pos[a0..a0 + k];
-        let complete = &mut self.complete[a0..a0 + k];
-        let frontier = &mut self.frontier[a0..a0 + k];
-        let cell_info = &mut self.cell_info[c0..c0 + n_cells * stride];
+        let stride = self.stride as usize;
+        let tail = self.tail_mask;
+        let pos = &self.pos[..k];
+        let complete = &mut self.complete[..k];
+        let frontier = &mut self.frontier[..k];
+        let cell_info = &mut self.cell_info[..n_cells * stride];
 
         if stride == 1 {
             let wpairs = &mut self.wpairs;
@@ -785,12 +610,10 @@ impl MultiWorld {
                 (4, true) => gather_frontier::<4, true>(
                     &env.fwd, cell_info, pos, complete, frontier, len, wpairs, tail,
                 ),
-                _ => gather_frontier_any(
-                    n_dirs, &env.fwd, cell_info, pos, complete, frontier, len, wpairs, tail,
-                ),
+                _ => unreachable!("square and triangulate cells have 4 and 6 neighbours"),
             };
-            self.frontier_len[r] = live as u32;
-            self.informed[r] += (len - live) as u32;
+            self.frontier_len = live as u32;
+            self.informed += (len - live) as u32;
             // Commit the staged words; each active agent occupies a
             // distinct cell, so the stores never alias, and same-sweep
             // peers read only pre-exchange values.
@@ -814,8 +637,8 @@ impl MultiWorld {
                     j += 1;
                 }
             }
-            self.frontier_len[r] = live as u32;
-            self.informed[r] += (len - live) as u32;
+            self.frontier_len = live as u32;
+            self.informed += (len - live) as u32;
             for &i in &frontier[..len] {
                 let (i, here) = (i as usize, pos[i as usize] as usize);
                 cell_info[here * stride..here * stride + stride]
@@ -824,24 +647,22 @@ impl MultiWorld {
         }
     }
 
-    /// One run's dense exchange sweep — the pre-frontier full-`k` scan,
-    /// kept as the kernel bench's same-process baseline for
+    /// The dense exchange sweep — the pre-frontier full-`k` scan, kept
+    /// as the kernel bench's same-process baseline for
     /// `frontier_speedup`: every agent gathers from
     /// [`MultiWorld::cell_info`] into [`MultiWorld::wbuf`], and the run
     /// is committed afterwards, so same-sweep peers read pre-exchange
     /// values (the double-buffer role).
-    fn exchange_one_dense(&mut self, env: &KernelEnv, r: usize) {
+    fn exchange_dense(&mut self, env: &KernelEnv) {
         let n_dirs = env.n_dirs;
         let n_cells = env.lattice.len();
-        let a0 = self.agent_base[r];
-        let k = self.k[r] as usize;
-        let stride = self.stride[r] as usize;
-        let c0 = self.cell_base[r];
-        let tail = self.tail_mask[r];
-        let pos = &self.pos[a0..a0 + k];
-        let complete = &mut self.complete[a0..a0 + k];
-        let informed = &mut self.informed[r];
-        let cell_info = &mut self.cell_info[c0..c0 + n_cells * stride];
+        let k = self.k as usize;
+        let stride = self.stride as usize;
+        let tail = self.tail_mask;
+        let pos = &self.pos[..k];
+        let complete = &mut self.complete[..k];
+        let informed = &mut self.informed;
+        let cell_info = &mut self.cell_info[..n_cells * stride];
 
         if stride == 1 {
             // k ≤ 64: the gather is a branch-free `w |= cell_info[neighbour]`
@@ -854,7 +675,7 @@ impl MultiWorld {
             *informed += match n_dirs {
                 6 => gather_one_word::<6>(&env.fwd, cell_info, pos, complete, wbuf, tail),
                 4 => gather_one_word::<4>(&env.fwd, cell_info, pos, complete, wbuf, tail),
-                _ => gather_one_word_any(n_dirs, &env.fwd, cell_info, pos, complete, wbuf, tail),
+                _ => unreachable!("square and triangulate cells have 4 and 6 neighbours"),
             };
             for (&p, &w) in pos.iter().zip(wbuf.iter()) {
                 cell_info[p as usize] = w;
@@ -879,39 +700,28 @@ impl MultiWorld {
         }
     }
 
-    /// Loaded configurations (including retired ones).
-    #[must_use]
-    pub fn run_count(&self) -> usize {
-        self.k.len()
-    }
-
-    /// Global lockstep steps executed so far.
+    /// Counted steps taken since the last load.
     #[must_use]
     pub fn time(&self) -> u32 {
         self.time
     }
 
-    /// Agents in run `r`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r >= self.run_count()` (here and in every per-run
-    /// accessor below).
+    /// Agents in the loaded run.
     #[must_use]
-    pub fn agent_count(&self, r: usize) -> usize {
-        self.k[r] as usize
+    pub fn agent_count(&self) -> usize {
+        self.k as usize
     }
 
-    /// Informed agents in run `r`.
+    /// Informed agents.
     #[must_use]
-    pub fn informed_count(&self, r: usize) -> usize {
-        self.informed[r] as usize
+    pub fn informed_count(&self) -> usize {
+        self.informed as usize
     }
 
-    /// Movement conflicts lost so far in run `r`.
+    /// Movement conflicts lost so far.
     #[must_use]
-    pub fn conflict_losses(&self, r: usize) -> u64 {
-        self.conflicts[r]
+    pub fn conflict_losses(&self) -> u64 {
+        self.conflicts
     }
 
     /// Whether the dense (pre-frontier) exchange sweep is in effect.
@@ -924,93 +734,78 @@ impl MultiWorld {
     /// scan (the kernel bench's in-process baseline for
     /// `frontier_speedup`), `false` (the default) walks the activity
     /// frontier. Both produce bit-identical trajectories. Switching
-    /// back to frontier mode rebuilds every run's frontier permutation
-    /// from its completion flags, so the toggle is safe mid-batch.
+    /// back to frontier mode rebuilds the frontier permutation from
+    /// the completion flags, so the toggle is safe mid-run.
     pub fn set_dense(&mut self, dense: bool) {
         if self.dense && !dense {
-            for r in 0..self.k.len() {
-                let a0 = self.agent_base[r];
-                let k = self.k[r] as usize;
-                let mut live = 0usize;
-                for i in 0..k {
-                    if !self.complete[a0 + i] {
-                        self.frontier[a0 + live] = i as u32;
-                        live += 1;
-                    }
+            let k = self.k as usize;
+            let mut live = 0usize;
+            for i in 0..k {
+                if !self.complete[i] {
+                    self.frontier[live] = i as u32;
+                    live += 1;
                 }
-                let mut t = live;
-                for i in 0..k {
-                    if self.complete[a0 + i] {
-                        self.frontier[a0 + t] = i as u32;
-                        t += 1;
-                    }
-                }
-                self.frontier_len[r] = live as u32;
             }
+            let mut t = live;
+            for i in 0..k {
+                if self.complete[i] {
+                    self.frontier[t] = i as u32;
+                    t += 1;
+                }
+            }
+            self.frontier_len = live as u32;
         }
         self.dense = dense;
     }
 
-    /// Run `r`'s active agent IDs — exactly the agents whose infoset is
-    /// not yet saturated — in unspecified order.
+    /// The active agent IDs — exactly the agents whose infoset is not
+    /// yet saturated — in unspecified order.
     #[must_use]
-    pub fn active_agents(&self, r: usize) -> Vec<u32> {
-        let a0 = self.agent_base[r];
-        let k = self.k[r] as usize;
+    pub fn active_agents(&self) -> Vec<u32> {
+        let k = self.k as usize;
         if self.dense {
-            (0..k as u32).filter(|&i| !self.complete[a0 + i as usize]).collect()
+            (0..k as u32).filter(|&i| !self.complete[i as usize]).collect()
         } else {
-            self.frontier[a0..a0 + self.frontier_len[r] as usize].to_vec()
+            self.frontier[..self.frontier_len as usize].to_vec()
         }
     }
 
-    /// Run `r`'s agent positions in ID order.
+    /// Agent positions in ID order.
     #[must_use]
-    pub fn positions(&self, r: usize) -> Vec<Pos> {
-        let a0 = self.agent_base[r];
-        let k = self.k[r] as usize;
-        self.pos[a0..a0 + k]
-            .iter()
-            .map(|&c| self.env.lattice.pos_at(c as usize))
-            .collect()
+    pub fn positions(&self) -> Vec<Pos> {
+        self.pos[..self.k as usize].iter().map(|&c| self.env.lattice.pos_at(c as usize)).collect()
     }
 
-    /// Run `r`'s agent directions in ID order.
+    /// Agent directions in ID order.
     #[must_use]
-    pub fn dirs(&self, r: usize) -> Vec<Dir> {
-        let a0 = self.agent_base[r];
-        let k = self.k[r] as usize;
-        self.dir[a0..a0 + k].iter().map(|&d| Dir::new(d)).collect()
+    pub fn dirs(&self) -> Vec<Dir> {
+        self.dir[..self.k as usize].iter().map(|&d| Dir::new(d)).collect()
     }
 
-    /// Run `r`'s agent control states in ID order.
+    /// Agent control states in ID order.
     #[must_use]
-    pub fn states(&self, r: usize) -> Vec<u8> {
-        let a0 = self.agent_base[r];
-        let k = self.k[r] as usize;
-        self.state[a0..a0 + k].to_vec()
+    pub fn states(&self) -> Vec<u8> {
+        self.state[..self.k as usize].to_vec()
     }
 
-    /// Run `r`'s row-major cell colours, unpacked from its cell bytes.
+    /// Row-major cell colours, unpacked from the cell bytes.
     #[must_use]
-    pub fn colors(&self, r: usize) -> Vec<u8> {
-        let n_cells = self.env.lattice.len();
-        assert!(r < self.k.len(), "run {r} out of range for {} runs", self.k.len());
-        self.meta[r * n_cells..(r + 1) * n_cells].iter().map(|m| m >> 1).collect()
+    pub fn colors(&self) -> Vec<u8> {
+        self.meta.iter().map(|m| m >> 1).collect()
     }
 
-    /// Agent `i` of run `r`'s communication vector as an [`InfoSet`].
+    /// Agent `i`'s communication vector as an [`InfoSet`].
     ///
     /// # Panics
     ///
-    /// Panics if `r` or `i` is out of range.
+    /// Panics if `i` is out of range.
     #[must_use]
-    pub fn agent_info(&self, r: usize, i: usize) -> InfoSet {
-        let k = self.k[r] as usize;
-        assert!(i < k, "agent {i} out of range for {k} agents in run {r}");
-        let stride = self.stride[r] as usize;
-        let cell = self.pos[self.agent_base[r] + i] as usize;
-        let words = &self.cell_info[self.cell_base[r] + cell * stride..][..stride];
+    pub fn agent_info(&self, i: usize) -> InfoSet {
+        let k = self.k as usize;
+        assert!(i < k, "agent {i} out of range for {k} agents");
+        let stride = self.stride as usize;
+        let cell = self.pos[i] as usize;
+        let words = &self.cell_info[cell * stride..][..stride];
         let mut set = InfoSet::empty(k);
         for b in 0..k {
             if words[b / 64] & (1u64 << (b % 64)) != 0 {
@@ -1046,39 +841,6 @@ fn gather_one_word<const D: usize>(
         let mut w = cell_info[here];
         let row: [u32; D] = fwd[here * D..here * D + D].try_into().expect("row length is D");
         for nc in row {
-            if nc != NONE {
-                w |= cell_info[nc as usize];
-            }
-        }
-        wbuf.push(w);
-        if w == tail {
-            complete[i] = true;
-            newly += 1;
-        }
-    }
-    newly
-}
-
-/// Runtime-`n_dirs` fallback of [`gather_one_word`], for neighbourhood
-/// sizes without a dedicated instantiation.
-fn gather_one_word_any(
-    n_dirs: usize,
-    fwd: &[u32],
-    cell_info: &[u64],
-    pos: &[u32],
-    complete: &mut [bool],
-    wbuf: &mut Vec<u64>,
-    tail: u64,
-) -> u32 {
-    let mut newly = 0;
-    for i in 0..pos.len() {
-        let here = pos[i] as usize;
-        if complete[i] {
-            wbuf.push(cell_info[here]);
-            continue;
-        }
-        let mut w = cell_info[here];
-        for &nc in &fwd[here * n_dirs..here * n_dirs + n_dirs] {
             if nc != NONE {
                 w |= cell_info[nc as usize];
             }
@@ -1135,48 +897,11 @@ fn gather_frontier<const D: usize, const BORDERED: bool>(
     len
 }
 
-/// Runtime-`n_dirs` fallback of [`gather_frontier`], for neighbourhood
-/// sizes without a dedicated instantiation.
-#[allow(clippy::too_many_arguments)]
-fn gather_frontier_any(
-    n_dirs: usize,
-    fwd: &[u32],
-    cell_info: &[u64],
-    pos: &[u32],
-    complete: &mut [bool],
-    frontier: &mut [u32],
-    mut len: usize,
-    wpairs: &mut Vec<(u32, u64)>,
-    tail: u64,
-) -> usize {
-    let mut j = 0;
-    while j < len {
-        let i = frontier[j] as usize;
-        let here = pos[i] as usize;
-        let mut w = cell_info[here];
-        for &nc in &fwd[here * n_dirs..here * n_dirs + n_dirs] {
-            if nc != NONE {
-                w |= cell_info[nc as usize];
-            }
-        }
-        wpairs.push((here as u32, w));
-        if w == tail {
-            complete[i] = true;
-            len -= 1;
-            frontier[j] = frontier[len];
-            frontier[len] = i as u32;
-        } else {
-            j += 1;
-        }
-    }
-    len
-}
-
 /// The wide staging area for a run of `words` staged words: grows
 /// `wbuf` (within the capacity [`MultiWorld::load`] reserved) without
 /// clearing it, since every sweep writes each word before reading it.
 fn wide_stage(wbuf: &mut Vec<u64>, words: usize) -> &mut [u64] {
-    debug_assert!(words <= wbuf.capacity(), "load reserves every run's staging");
+    debug_assert!(words <= wbuf.capacity(), "load reserves the run's staging");
     if wbuf.len() < words {
         wbuf.resize(words, 0);
     }
@@ -1256,43 +981,37 @@ mod tests {
             [(GridKind::Square, best_s_agent()), (GridKind::Triangulate, best_t_agent())]
         {
             let config = cfg(kind);
-            // Ragged agent counts in one batch, including a k > 64 run
-            // (two infoset words per cell) and a k = 1 run (solved at
-            // t = 0).
-            let inits = random_batch(&config, &[16, 1, 70, 4, 16, 33], 7);
-            let expected: Vec<RunOutcome> = inits
-                .iter()
-                .map(|i| simulate(&config, genome.clone(), i, 300).unwrap())
-                .collect();
-            let mut multi = MultiWorld::new(&config, genome).unwrap();
-            multi.load(&inits).unwrap();
-            assert_eq!(multi.run(300), expected, "{kind}");
+            // Ragged agent counts through one reloaded world, including
+            // a k > 64 run (two infoset words per cell) and a k = 1 run
+            // (solved at t = 0).
+            let mut multi = MultiWorld::new(&config, genome.clone()).unwrap();
+            for init in random_batch(&config, &[16, 1, 70, 4, 16, 33], 7) {
+                multi.load(&init).unwrap();
+                let expected = simulate(&config, genome.clone(), &init, 300).unwrap();
+                assert_eq!(multi.run(300), expected, "{kind} k={}", init.agent_count());
+            }
         }
     }
 
     #[test]
     fn lockstep_step_matches_world_per_run() {
         let config = cfg(GridKind::Triangulate);
-        let inits = random_batch(&config, &[12, 5, 12], 11);
-        let mut worlds: Vec<World> =
-            inits.iter().map(|i| World::new(&config, best_t_agent(), i).unwrap()).collect();
         let mut multi = MultiWorld::new(&config, best_t_agent()).unwrap();
-        multi.load(&inits).unwrap();
-        for t in 0..40 {
-            for (r, world) in worlds.iter().enumerate() {
+        for (r, init) in random_batch(&config, &[12, 5, 12], 11).iter().enumerate() {
+            let mut world = World::new(&config, best_t_agent(), init).unwrap();
+            multi.load(init).unwrap();
+            for t in 0..40 {
                 let agents = world.agents();
                 let positions: Vec<Pos> = agents.iter().map(|a| a.pos()).collect();
                 let states: Vec<u8> = agents.iter().map(|a| a.state()).collect();
-                assert_eq!(multi.positions(r), positions, "run {r} t={t}");
-                assert_eq!(multi.states(r), states, "run {r} t={t}");
-                assert_eq!(multi.colors(r), world.colors(), "run {r} t={t}");
-                assert_eq!(multi.informed_count(r), world.informed_count(), "run {r} t={t}");
+                assert_eq!(multi.positions(), positions, "run {r} t={t}");
+                assert_eq!(multi.states(), states, "run {r} t={t}");
+                assert_eq!(multi.colors(), world.colors(), "run {r} t={t}");
+                assert_eq!(multi.informed_count(), world.informed_count(), "run {r} t={t}");
                 for (i, agent) in agents.iter().enumerate() {
-                    assert_eq!(multi.agent_info(r, i), *agent.info(), "run {r} t={t}");
+                    assert_eq!(multi.agent_info(i), *agent.info(), "run {r} t={t}");
                 }
-            }
-            multi.step();
-            for world in &mut worlds {
+                multi.step();
                 world.step();
             }
         }
@@ -1302,76 +1021,53 @@ mod tests {
     fn reload_reuses_buffers_and_matches_fresh() {
         let config = cfg(GridKind::Triangulate);
         let mut multi = MultiWorld::new(&config, best_t_agent()).unwrap();
-        multi.load(&random_batch(&config, &[16; 8], 1)).unwrap();
+        multi.load(&random_batch(&config, &[16], 1)[0]).unwrap();
         let _ = multi.run(200);
-        for seed in 2..6 {
-            let inits = random_batch(&config, &[16; 8], seed);
-            multi.load(&inits).unwrap();
+        for init in random_batch(&config, &[16; 8], 2) {
+            multi.load(&init).unwrap();
             let got = multi.run(200);
             let mut fresh = MultiWorld::new(&config, best_t_agent()).unwrap();
-            fresh.load(&inits).unwrap();
-            assert_eq!(got, fresh.run(200), "seed {seed}");
+            fresh.load(&init).unwrap();
+            assert_eq!(got, fresh.run(200));
         }
         // The zero-allocation guarantee of reuse is asserted in
-        // tests/allocation_multi.rs — the process-global counter cannot
-        // be compared exactly here, where tests run concurrently.
+        // tests/allocation.rs — the process-global counter cannot be
+        // compared exactly here, where tests run concurrently.
     }
 
     #[test]
     fn load_replicates_serial_error_order() {
         let config = cfg(GridKind::Square);
         let good = InitialConfig::new(vec![(Pos::new(1, 1), Dir::new(0))]);
-        let dup = InitialConfig::new(vec![
+        let mut multi = MultiWorld::new(&config, best_s_agent()).unwrap();
+        // The first failing placement wins, later ones are not reached.
+        let dup_then_outside = InitialConfig::new(vec![
+            (Pos::new(2, 2), Dir::new(0)),
+            (Pos::new(2, 2), Dir::new(1)),
+            (Pos::new(99, 0), Dir::new(0)),
+        ]);
+        assert!(matches!(multi.load(&dup_then_outside), Err(SimError::DuplicatePosition(_))));
+        let outside_then_dup = InitialConfig::new(vec![
+            (Pos::new(99, 0), Dir::new(0)),
             (Pos::new(2, 2), Dir::new(0)),
             (Pos::new(2, 2), Dir::new(1)),
         ]);
-        let outside = InitialConfig::new(vec![(Pos::new(99, 0), Dir::new(0))]);
-        let mut multi = MultiWorld::new(&config, best_s_agent()).unwrap();
-        // First failing configuration wins, later ones are not reached.
-        assert!(matches!(
-            multi.load(&[good.clone(), dup.clone(), outside.clone()]),
-            Err(SimError::DuplicatePosition(_))
-        ));
-        assert!(matches!(multi.load(&[outside, dup]), Err(SimError::OutsideField(_))));
-        // An empty batch loads fine (and holds zero runs).
-        multi.load(&[]).unwrap();
-        assert_eq!(multi.run_count(), 0);
-        assert!(matches!(
-            multi.load(&[InitialConfig::new(Vec::new())]),
-            Err(SimError::NoAgents)
-        ));
+        assert!(matches!(multi.load(&outside_then_dup), Err(SimError::OutsideField(_))));
+        assert!(matches!(multi.load(&InitialConfig::new(Vec::new())), Err(SimError::NoAgents)));
         // A failed load leaves the world reloadable.
-        multi.load(&[good]).unwrap();
-        assert_eq!(multi.run(50)[0].t_comm, Some(0));
+        multi.load(&good).unwrap();
+        assert_eq!(multi.run(50).t_comm, Some(0));
     }
 
     #[test]
     fn obstacle_placement_rejected_per_run() {
         let mut config = cfg(GridKind::Square);
         config.obstacles = vec![Pos::new(3, 3)];
-        let on_obstacle = InitialConfig::new(vec![(Pos::new(3, 3), Dir::new(0))]);
-        let good = InitialConfig::new(vec![(Pos::new(1, 1), Dir::new(0))]);
+        let on_obstacle = InitialConfig::new(vec![
+            (Pos::new(1, 1), Dir::new(0)),
+            (Pos::new(3, 3), Dir::new(0)),
+        ]);
         let mut multi = MultiWorld::new(&config, best_s_agent()).unwrap();
-        assert!(matches!(
-            multi.load(&[good, on_obstacle]),
-            Err(SimError::OnObstacle(_))
-        ));
-    }
-
-    #[test]
-    fn preferred_chunk_is_clamped_and_shrinks_with_footprint() {
-        let small = cfg(GridKind::Triangulate);
-        let env = Arc::new(
-            KernelEnv::new(&small, &Behaviour::Single(best_t_agent())).unwrap(),
-        );
-        // Per run on 16×16: (4 B claims + 1 B meta + 8·stride B words)
-        // per cell plus 12 B per agent, into a 256 KiB budget.
-        assert_eq!(preferred_chunk(&env, 16), 64); // 3520 B/run: 74, clamped
-        assert_eq!(preferred_chunk(&env, 65), 262_144 / (21 * 256 + 12 * 65));
-        assert_eq!(preferred_chunk(&env, 256), 262_144 / (37 * 256 + 12 * 256));
-        assert_eq!(preferred_chunk(&env, 256), 20);
-        assert!(preferred_chunk(&env, 1000) <= preferred_chunk(&env, 256));
-        assert_eq!(preferred_chunk(&env, 60_000), 4);
-        assert!(preferred_chunk(&env, 0) >= 4);
+        assert!(matches!(multi.load(&on_obstacle), Err(SimError::OnObstacle(_))));
     }
 }

@@ -1,5 +1,6 @@
-//! Steady-state allocation accounting for the batch layer's chunked
-//! [`MultiWorld`] runs.
+//! Steady-state allocation accounting for [`BatchRunner::run_all`],
+//! which runs every configuration one at a time on a pooled per-thread
+//! [`MultiWorld`].
 //!
 //! `MultiWorld::allocation_count()` is a process-global counter of
 //! buffer-allocating constructions and grows, so this file holds exactly
@@ -26,7 +27,7 @@ fn steady_state_run_all_performs_no_multi_world_allocation() {
                 .map(|_| InitialConfig::random(cfg.lattice, kind, k, &[], &mut rng).unwrap())
                 .collect();
 
-            // Warm-up: the first batch builds the pooled arena and grows
+            // Warm-up: the first batch builds the pooled world and grows
             // its buffers to the workload shape.
             let warm = runner.run_all(&configs).unwrap();
             let before = MultiWorld::allocation_count();

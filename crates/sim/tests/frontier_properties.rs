@@ -18,7 +18,7 @@ fn arb_kind() -> impl Strategy<Value = GridKind> {
 }
 
 /// A random batch: several runs of varying agent count in one
-/// environment, so run-level retirement staggers.
+/// environment, loaded one after another into the same world.
 fn arb_batch() -> impl Strategy<Value = (WorldConfig, Genome, Vec<InitialConfig>)> {
     (arb_kind(), 4u16..=8, 2usize..=5, any::<u64>()).prop_map(|(kind, m, runs, seed)| {
         let cfg = WorldConfig::paper(kind, m);
@@ -35,10 +35,10 @@ fn arb_batch() -> impl Strategy<Value = (WorldConfig, Genome, Vec<InitialConfig>
     })
 }
 
-/// The ground truth: agent IDs of run `r` whose infoset is incomplete.
-fn unsaturated(world: &MultiWorld, r: usize) -> Vec<u32> {
-    (0..world.agent_count(r))
-        .filter(|&i| !world.agent_info(r, i).is_complete())
+/// The ground truth: agent IDs whose infoset is incomplete.
+fn unsaturated(world: &MultiWorld) -> Vec<u32> {
+    (0..world.agent_count())
+        .filter(|&i| !world.agent_info(i).is_complete())
         .map(|i| i as u32)
         .collect()
 }
@@ -49,31 +49,31 @@ fn sorted(mut v: Vec<u32>) -> Vec<u32> {
 }
 
 proptest! {
-    /// `MultiWorld`: the per-run frontier permutation prefix is exactly
-    /// the unsaturated set of every loaded run at every step.
+    /// `MultiWorld`: the frontier permutation prefix is exactly the
+    /// unsaturated set of every loaded run at every step.
     #[test]
     fn multi_frontier_is_exactly_the_unsaturated_set(
         (cfg, genome, inits) in arb_batch(),
     ) {
         let mut multi = MultiWorld::new(&cfg, genome).unwrap();
-        multi.load(&inits).unwrap();
-        for step in 0..40 {
-            multi.step();
-            for r in 0..multi.run_count() {
-                let frontier = sorted(multi.active_agents(r));
+        for (r, init) in inits.iter().enumerate() {
+            multi.load(init).unwrap();
+            for step in 0..40 {
+                multi.step();
+                let frontier = sorted(multi.active_agents());
                 prop_assert_eq!(
-                    &frontier, &unsaturated(&multi, r),
+                    &frontier, &unsaturated(&multi),
                     "step {}, run {}", step, r
                 );
                 prop_assert_eq!(
                     frontier.len(),
-                    multi.agent_count(r) - multi.informed_count(r),
+                    multi.agent_count() - multi.informed_count(),
                     "step {}, run {}: frontier size vs informed counter", step, r
                 );
-                // Empty frontier ⟺ the run is solved (the retirement test).
+                // Empty frontier ⟺ the run is solved (the stopping test).
                 prop_assert_eq!(
                     frontier.is_empty(),
-                    multi.informed_count(r) == multi.agent_count(r),
+                    multi.informed_count() == multi.agent_count(),
                     "step {}, run {}", step, r
                 );
             }
@@ -88,28 +88,28 @@ proptest! {
         (cfg, genome, inits) in arb_batch(),
     ) {
         let mut frontier = MultiWorld::new(&cfg, genome.clone()).unwrap();
-        frontier.load(&inits).unwrap();
         let mut dense = MultiWorld::new(&cfg, genome).unwrap();
         dense.set_dense(true);
-        dense.load(&inits).unwrap();
-        prop_assert!(dense.is_dense() && !frontier.is_dense());
-        for step in 0..40 {
-            frontier.step();
-            dense.step();
-            for r in 0..frontier.run_count() {
-                prop_assert_eq!(frontier.positions(r), dense.positions(r), "step {}", step);
-                prop_assert_eq!(frontier.dirs(r), dense.dirs(r), "step {}", step);
-                prop_assert_eq!(frontier.states(r), dense.states(r), "step {}", step);
-                prop_assert_eq!(frontier.colors(r), dense.colors(r), "step {}", step);
-                for i in 0..frontier.agent_count(r) {
+        for (r, init) in inits.iter().enumerate() {
+            frontier.load(init).unwrap();
+            dense.load(init).unwrap();
+            prop_assert!(dense.is_dense() && !frontier.is_dense());
+            for step in 0..40 {
+                frontier.step();
+                dense.step();
+                prop_assert_eq!(frontier.positions(), dense.positions(), "step {}", step);
+                prop_assert_eq!(frontier.dirs(), dense.dirs(), "step {}", step);
+                prop_assert_eq!(frontier.states(), dense.states(), "step {}", step);
+                prop_assert_eq!(frontier.colors(), dense.colors(), "step {}", step);
+                for i in 0..frontier.agent_count() {
                     prop_assert_eq!(
-                        frontier.agent_info(r, i), dense.agent_info(r, i),
+                        frontier.agent_info(i), dense.agent_info(i),
                         "step {}, run {}, agent {}", step, r, i
                     );
                 }
                 prop_assert_eq!(
-                    sorted(frontier.active_agents(r)),
-                    sorted(dense.active_agents(r)),
+                    sorted(frontier.active_agents()),
+                    sorted(dense.active_agents()),
                     "step {}, run {}: active sets diverged", step, r
                 );
             }
@@ -126,31 +126,31 @@ proptest! {
         flip_at in 1usize..20,
     ) {
         let mut straight = MultiWorld::new(&cfg, genome.clone()).unwrap();
-        straight.load(&inits).unwrap();
         let mut toggled = MultiWorld::new(&cfg, genome).unwrap();
-        toggled.load(&inits).unwrap();
-        for step in 0..30 {
-            if step == flip_at {
-                toggled.set_dense(true);
+        for (r, init) in inits.iter().enumerate() {
+            straight.load(init).unwrap();
+            toggled.load(init).unwrap();
+            for step in 0..30 {
+                if step == flip_at {
+                    toggled.set_dense(true);
+                }
+                if step == flip_at + 5 {
+                    toggled.set_dense(false);
+                }
+                straight.step();
+                toggled.step();
             }
-            if step == flip_at + 5 {
-                toggled.set_dense(false);
-            }
-            straight.step();
-            toggled.step();
-        }
-        toggled.set_dense(false); // rebuild even when the flip window never closed
-        for r in 0..straight.run_count() {
-            prop_assert_eq!(straight.positions(r), toggled.positions(r), "run {}", r);
-            prop_assert_eq!(straight.states(r), toggled.states(r), "run {}", r);
-            for i in 0..straight.agent_count(r) {
+            toggled.set_dense(false); // rebuild even when the flip window never closed
+            prop_assert_eq!(straight.positions(), toggled.positions(), "run {}", r);
+            prop_assert_eq!(straight.states(), toggled.states(), "run {}", r);
+            for i in 0..straight.agent_count() {
                 prop_assert_eq!(
-                    straight.agent_info(r, i), toggled.agent_info(r, i),
+                    straight.agent_info(i), toggled.agent_info(i),
                     "run {}, agent {}", r, i
                 );
             }
             prop_assert_eq!(
-                sorted(toggled.active_agents(r)), unsaturated(&toggled, r), "run {}", r
+                sorted(toggled.active_agents()), unsaturated(&toggled), "run {}", r
             );
         }
     }
@@ -168,23 +168,23 @@ fn wide_runs_keep_the_frontier_exact_and_match_dense() {
         .map(|_| InitialConfig::random(cfg.lattice, cfg.kind, 100, &[], &mut rng).unwrap())
         .collect();
     let mut frontier = MultiWorld::new(&cfg, genome.clone()).unwrap();
-    frontier.load(&inits).unwrap();
     let mut dense = MultiWorld::new(&cfg, genome).unwrap();
     dense.set_dense(true);
-    dense.load(&inits).unwrap();
-    for step in 0..60 {
-        frontier.step();
-        dense.step();
-        for r in 0..frontier.run_count() {
+    for (r, init) in inits.iter().enumerate() {
+        frontier.load(init).unwrap();
+        dense.load(init).unwrap();
+        for step in 0..60 {
+            frontier.step();
+            dense.step();
             assert_eq!(
-                sorted(frontier.active_agents(r)),
-                unsaturated(&frontier, r),
+                sorted(frontier.active_agents()),
+                unsaturated(&frontier),
                 "step {step}, run {r}: wide frontier drifted from the unsaturated set"
             );
-            for i in 0..frontier.agent_count(r) {
+            for i in 0..frontier.agent_count() {
                 assert_eq!(
-                    frontier.agent_info(r, i),
-                    dense.agent_info(r, i),
+                    frontier.agent_info(i),
+                    dense.agent_info(i),
                     "step {step}, run {r}, agent {i}: wide sweeps diverged"
                 );
             }

@@ -1,7 +1,7 @@
 //! Property-based tests of the [`MultiWorld`] kernel: agreement with
 //! the reference engine and the information-flow invariants the
-//! word-wise merge must preserve, on one-run batches of every infoset
-//! width (`⌈k/64⌉` words per cell) and on ragged batches mixing widths.
+//! word-wise merge must preserve, on runs of every infoset width
+//! (`⌈k/64⌉` words per cell) and on one world reloaded across widths.
 
 use a2a_fsm::{FsmSpec, Genome};
 use a2a_grid::{GridKind, Pos};
@@ -48,23 +48,23 @@ fn arb_wide_scenario() -> impl Strategy<Value = (WorldConfig, Genome, InitialCon
     )
 }
 
-/// Asserts that run `r` of `multi` and `world` agree on positions,
-/// informed count and every agent's infoset.
-fn assert_run_matches(multi: &MultiWorld, r: usize, world: &World, at: &str) -> Result<(), String> {
+/// Asserts that `multi` and `world` agree on positions, informed count
+/// and every agent's infoset.
+fn assert_run_matches(multi: &MultiWorld, world: &World, at: &str) -> Result<(), String> {
     let agents = world.agents();
     let positions: Vec<Pos> = agents.iter().map(|a| a.pos()).collect();
-    prop_assert_eq!(multi.positions(r), positions, "run {} {}", r, at);
-    prop_assert_eq!(multi.informed_count(r), world.informed_count(), "run {} {}", r, at);
+    prop_assert_eq!(multi.positions(), positions, "{}", at);
+    prop_assert_eq!(multi.informed_count(), world.informed_count(), "{}", at);
     for (i, agent) in agents.iter().enumerate() {
-        prop_assert_eq!(&multi.agent_info(r, i), agent.info(), "run {} agent {} {}", r, i, at);
+        prop_assert_eq!(&multi.agent_info(i), agent.info(), "agent {} {}", i, at);
     }
     Ok(())
 }
 
-/// A freshly compiled kernel world holding `init` in run slot 0.
+/// A freshly compiled kernel world holding `init`.
 fn one_run(cfg: &WorldConfig, genome: Genome, init: &InitialConfig) -> MultiWorld {
     let mut world = MultiWorld::new(cfg, genome).unwrap();
-    world.load(std::slice::from_ref(init)).unwrap();
+    world.load(init).unwrap();
     world
 }
 
@@ -75,7 +75,7 @@ proptest! {
     fn outcome_matches_reference((cfg, genome, init) in arb_scenario(), t_max in 0u32..120) {
         let mut fast = one_run(&cfg, genome.clone(), &init);
         let reference = simulate(&cfg, genome, &init, t_max).unwrap();
-        prop_assert_eq!(fast.run(t_max)[0], reference);
+        prop_assert_eq!(fast.run(t_max), reference);
     }
 
     /// The incremental informed counter never decreases, never exceeds the
@@ -84,19 +84,19 @@ proptest! {
     #[test]
     fn informed_count_is_monotone((cfg, genome, init) in arb_scenario()) {
         let mut fast = one_run(&cfg, genome, &init);
-        let k = fast.agent_count(0);
-        let mut counts: Vec<usize> = (0..k).map(|i| fast.agent_info(0, i).count()).collect();
-        let mut informed = fast.informed_count(0);
+        let k = fast.agent_count();
+        let mut counts: Vec<usize> = (0..k).map(|i| fast.agent_info(i).count()).collect();
+        let mut informed = fast.informed_count();
         for _ in 0..60 {
             fast.step();
             for (i, prev) in counts.iter_mut().enumerate() {
-                let c = fast.agent_info(0, i).count();
+                let c = fast.agent_info(i).count();
                 prop_assert!(c >= *prev, "agent {} lost bits ({} -> {})", i, *prev, c);
                 *prev = c;
             }
-            prop_assert!(fast.informed_count(0) >= informed);
-            prop_assert!(fast.informed_count(0) <= k);
-            informed = fast.informed_count(0);
+            prop_assert!(fast.informed_count() >= informed);
+            prop_assert!(fast.informed_count() <= k);
+            informed = fast.informed_count();
         }
     }
 
@@ -106,19 +106,19 @@ proptest! {
     #[test]
     fn completion_implies_every_bit((cfg, genome, init) in arb_scenario()) {
         let mut fast = one_run(&cfg, genome, &init);
-        let out = fast.run(150)[0];
-        let k = fast.agent_count(0);
+        let out = fast.run(150);
+        let k = fast.agent_count();
         if out.t_comm.is_some() {
-            prop_assert_eq!(fast.informed_count(0), k);
+            prop_assert_eq!(fast.informed_count(), k);
             for i in 0..k {
-                let info = fast.agent_info(0, i);
+                let info = fast.agent_info(i);
                 prop_assert!(info.is_complete(), "agent {} incomplete: {:?}", i, info);
                 for j in 0..k {
                     prop_assert!(info.contains(j), "agent {} misses bit {}", i, j);
                 }
             }
         } else {
-            prop_assert!(fast.informed_count(0) < k);
+            prop_assert!(fast.informed_count() < k);
         }
     }
 
@@ -129,7 +129,7 @@ proptest! {
     fn shared_environment_is_equivalent((cfg, genome, init) in arb_scenario()) {
         let runner = BatchRunner::from_genome(&cfg, genome.clone(), 100).unwrap();
         let mut fresh = one_run(&cfg, genome, &init);
-        prop_assert_eq!(runner.outcome_for(&init).unwrap(), fresh.run(100)[0]);
+        prop_assert_eq!(runner.outcome_for(&init).unwrap(), fresh.run(100));
     }
 }
 
@@ -140,7 +140,7 @@ proptest! {
     fn wide_outcome_matches_reference((cfg, genome, init) in arb_wide_scenario(), t_max in 0u32..120) {
         let mut fast = one_run(&cfg, genome.clone(), &init);
         let reference = simulate(&cfg, genome, &init, t_max).unwrap();
-        prop_assert_eq!(fast.run(t_max)[0], reference);
+        prop_assert_eq!(fast.run(t_max), reference);
     }
 
     /// Step by step, a wide run's agents sit where the reference engine's
@@ -151,16 +151,17 @@ proptest! {
         let mut fast = one_run(&cfg, genome.clone(), &init);
         let mut world = World::new(&cfg, genome, &init).unwrap();
         for t in 0..25 {
-            assert_run_matches(&fast, 0, &world, &format!("t={t}"))?;
+            assert_run_matches(&fast, &world, &format!("t={t}"))?;
             fast.step();
             world.step();
         }
     }
 
-    /// One load mixing every width, in shuffled order: each run's
-    /// outcome equals the reference engine's, and after a few lockstep
-    /// steps every run's infosets equal the reference engine's — which
-    /// pins each run's offset into the shared cell-word arena.
+    /// One world reloaded through every width, in shuffled order: each
+    /// run's outcome equals the reference engine's, and after a few
+    /// lockstep steps each run's infosets equal the reference engine's
+    /// — which pins reloading a world whose infoset width differs from
+    /// the last run's.
     #[test]
     fn ragged_batch_matches_reference(kind in arb_kind(), seed in any::<u64>()) {
         let cfg = WorldConfig::paper(kind, 20);
@@ -177,22 +178,20 @@ proptest! {
             .map(|&k| InitialConfig::random(cfg.lattice, kind, k, &[], &mut rng).unwrap())
             .collect();
         let mut multi = MultiWorld::new(&cfg, genome.clone()).unwrap();
-        multi.load(&inits).unwrap();
-        let expected: Vec<_> =
-            inits.iter().map(|i| simulate(&cfg, genome.clone(), i, 80).unwrap()).collect();
-        prop_assert_eq!(multi.run(80), expected, "ks {:?}", ks);
+        for (r, init) in inits.iter().enumerate() {
+            multi.load(init).unwrap();
+            let expected = simulate(&cfg, genome.clone(), init, 80).unwrap();
+            prop_assert_eq!(multi.run(80), expected, "run {} of ks {:?}", r, ks);
+        }
 
-        multi.load(&inits).unwrap();
-        let mut worlds: Vec<World> =
-            inits.iter().map(|i| World::new(&cfg, genome.clone(), i).unwrap()).collect();
-        for _ in 0..4 {
-            multi.step();
-            for world in &mut worlds {
+        for (r, init) in inits.iter().enumerate() {
+            multi.load(init).unwrap();
+            let mut world = World::new(&cfg, genome.clone(), init).unwrap();
+            for _ in 0..4 {
+                multi.step();
                 world.step();
             }
-        }
-        for (r, world) in worlds.iter().enumerate() {
-            assert_run_matches(&multi, r, world, &format!("k={} t=4", ks[r]))?;
+            assert_run_matches(&multi, &world, &format!("run {r} k={} t=4", ks[r]))?;
         }
     }
 }

@@ -1,5 +1,5 @@
 //! Differential harness: both engines in lockstep — the reference
-//! [`World`] oracle and the fused run-major [`MultiWorld`] — on
+//! [`World`] oracle and the one-run kernel [`MultiWorld`] — on
 //! randomized scenarios.
 //!
 //! Every scenario steps the engines together and asserts identical
@@ -9,36 +9,35 @@
 //! fields, obstacles, highest-ID arbitration, colour patterns,
 //! time-shuffled behaviours and full-density packings; the wide cases
 //! run 65 to 256 agents (multi-word infosets) on bordered and
-//! obstacle-strewn fields, and dedicated batch cases pin chunk
-//! boundaries, mid-batch retirement ordering and parallel dispatch
-//! against per-configuration oracle outcomes.
+//! obstacle-strewn fields, and dedicated batch cases pin dispatch
+//! block boundaries, outcome ordering and parallel dispatch against
+//! per-configuration oracle outcomes.
 
 use a2a_fsm::{best_agent, FsmSpec, Genome, TurnSet};
 use a2a_grid::{GridKind, Lattice, Pos};
 use a2a_sim::{
     simulate, BatchRunner, Behaviour, ColorInit, ConflictPolicy, InitStatePolicy, InitialConfig,
-    MultiWorld, RunOutcome, World, WorldConfig,
+    MultiWorld, RunOutcome, World, WorldConfig, DISPATCH_BLOCK,
 };
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
 /// Asserts that both engines expose byte-identical observable state.
-/// The batch engine carries the scenario in run slot 0.
 fn assert_same_state(world: &World, multi: &MultiWorld, ctx: &str) {
     assert_eq!(world.time(), multi.time(), "{ctx}: time diverged");
-    let positions = multi.positions(0);
-    let dirs = multi.dirs(0);
-    let states = multi.states(0);
-    assert_eq!(world.agents().len(), multi.agent_count(0), "{ctx}: agent count");
+    let positions = multi.positions();
+    let dirs = multi.dirs();
+    let states = multi.states();
+    assert_eq!(world.agents().len(), multi.agent_count(), "{ctx}: agent count");
     for (i, agent) in world.agents().iter().enumerate() {
         assert_eq!(agent.pos(), positions[i], "{ctx}: agent {i} position");
         assert_eq!(agent.dir(), dirs[i], "{ctx}: agent {i} direction");
         assert_eq!(agent.state(), states[i], "{ctx}: agent {i} state");
-        assert_eq!(*agent.info(), multi.agent_info(0, i), "{ctx}: agent {i} infoset");
+        assert_eq!(*agent.info(), multi.agent_info(i), "{ctx}: agent {i} infoset");
     }
-    assert_eq!(world.colors(), &multi.colors(0)[..], "{ctx}: colour field");
-    assert_eq!(world.informed_count(), multi.informed_count(0), "{ctx}: informed count");
-    let done = multi.informed_count(0) == multi.agent_count(0);
+    assert_eq!(world.colors(), &multi.colors()[..], "{ctx}: colour field");
+    assert_eq!(world.informed_count(), multi.informed_count(), "{ctx}: informed count");
+    let done = multi.informed_count() == multi.agent_count();
     assert_eq!(world.all_informed(), done, "{ctx}: completion flag");
 }
 
@@ -50,11 +49,11 @@ fn lockstep(cfg: &WorldConfig, behaviour: &Behaviour, init: &InitialConfig, t_ma
     let mut multi = MultiWorld::with_behaviour(cfg, behaviour.clone())
         .unwrap_or_else(|e| panic!("{ctx}: multi kernel rejected scenario: {e}"));
     multi
-        .load(std::slice::from_ref(init))
+        .load(init)
         .unwrap_or_else(|e| panic!("{ctx}: multi kernel rejected placement: {e}"));
     assert_same_state(&world, &multi, &format!("{ctx} @t=0"));
     let mut t_slow = world.all_informed().then_some(0u32);
-    let mut t_multi = (multi.informed_count(0) == multi.agent_count(0)).then_some(0u32);
+    let mut t_multi = (multi.informed_count() == multi.agent_count()).then_some(0u32);
     for t in 1..=t_max {
         world.step();
         multi.step();
@@ -62,7 +61,7 @@ fn lockstep(cfg: &WorldConfig, behaviour: &Behaviour, init: &InitialConfig, t_ma
         if t_slow.is_none() && world.all_informed() {
             t_slow = Some(t);
         }
-        if t_multi.is_none() && multi.informed_count(0) == multi.agent_count(0) {
+        if t_multi.is_none() && multi.informed_count() == multi.agent_count() {
             t_multi = Some(t);
         }
         if t_slow.is_some() && t_multi.is_some() {
@@ -263,12 +262,12 @@ fn wide_scenarios_match_on_bordered_and_obstacle_fields() {
 
 #[test]
 fn partial_chunk_batches_match_per_config_outcomes() {
-    // Run counts straddling the lockstep chunk: a lone run, a chunk one
-    // short, exactly one chunk, one over, and a two-chunk batch with a
+    // Run counts straddling the dispatch block: a lone run, a block one
+    // short, exactly one block, one over, and a two-block batch with a
     // ragged tail. Every shape must report the oracle's outcomes.
     let cfg = WorldConfig::paper(GridKind::Triangulate, 16);
     let runner = BatchRunner::from_genome(&cfg, best_agent(cfg.kind), 300).unwrap();
-    let chunk = runner.chunk_size(16);
+    let chunk = DISPATCH_BLOCK;
     let mut rng = SmallRng::seed_from_u64(64_001);
     for runs in [1usize, chunk - 1, chunk, chunk + 1, 2 * chunk + 3] {
         let inits: Vec<InitialConfig> = (0..runs)
@@ -281,10 +280,9 @@ fn partial_chunk_batches_match_per_config_outcomes() {
 
 #[test]
 fn mid_batch_retirement_preserves_outcome_order() {
-    // Random placements finish at scattered times, so runs retire out
-    // of slot order while later runs keep stepping. Outcome slots must
+    // Random placements finish at scattered times. Outcome slots must
     // stay aligned with load order in both exchange modes, and the
-    // batch must actually exercise staggered retirement (many distinct
+    // batch must actually exercise staggered finishes (many distinct
     // communication times) rather than one synchronized finish.
     let cfg = WorldConfig::paper(GridKind::Square, 16);
     let runner = BatchRunner::from_genome(&cfg, best_agent(cfg.kind), 2_000).unwrap();
@@ -303,12 +301,12 @@ fn mid_batch_retirement_preserves_outcome_order() {
 
 #[test]
 fn parallel_dispatch_matches_serial_engines_under_mid_batch_retirement() {
-    // The deterministic dispatcher shards chunk-sized blocks across a
-    // real worker pool; the ordered commit must keep outcome slots
+    // The deterministic dispatcher shards fixed blocks across a real
+    // worker pool; the ordered commit must keep outcome slots
     // bit-identical to the serial path and the oracle even while runs
-    // retire at scattered times inside each block. Batch size is
-    // derived from the runner's own chunk so the dispatcher genuinely
-    // fans out over several blocks (plus a ragged tail) instead of
+    // finish at scattered times inside each block. Batch size is
+    // derived from the dispatch block so the dispatcher genuinely fans
+    // out over several blocks (plus a ragged tail) instead of
     // degenerating to a single submission.
     use a2a_ga::WorkerPool;
     use a2a_sim::Dispatch;
@@ -317,7 +315,7 @@ fn parallel_dispatch_matches_serial_engines_under_mid_batch_retirement() {
     let cfg = WorldConfig::paper(GridKind::Triangulate, 16);
     let runner = BatchRunner::from_genome(&cfg, best_agent(cfg.kind), 2_000).unwrap();
     let mut rng = SmallRng::seed_from_u64(64_003);
-    let runs = runner.chunk_size(8) * 3 + 5;
+    let runs = DISPATCH_BLOCK * 3 + 5;
     let inits: Vec<InitialConfig> = (0..runs)
         .map(|_| InitialConfig::random(cfg.lattice, cfg.kind, 8, &[], &mut rng).unwrap())
         .collect();
