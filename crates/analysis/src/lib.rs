@@ -52,7 +52,6 @@ mod chart;
 mod histogram;
 pub mod experiments;
 mod inference;
-pub mod report;
 mod stats;
 mod table;
 mod transform;
@@ -64,7 +63,6 @@ pub use histogram::Histogram;
 pub use inference::{
     bootstrap_mean_ci, significantly_different, welch_t, ConfidenceInterval,
 };
-pub use report::{perf_report, PerfReport, ReportInputs};
 pub use stats::Summary;
 pub use table::{f2, f3, TextTable};
 pub use transform::{remap_to_full_turns, reinterpret_turns_naive, suppress_colors};

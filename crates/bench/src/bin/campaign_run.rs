@@ -1,6 +1,6 @@
 //! Sharded MAP-Elites campaign driver (DESIGN.md §15).
 //!
-//! One binary, four modes:
+//! One binary, three modes:
 //!
 //! * **parent** (default): spawns `--shards` worker processes of itself,
 //!   coordinates the round barriers, respawns any shard that dies
@@ -9,25 +9,18 @@
 //!   store and exits `137` when an injected `campaign.round` fault
 //!   fires (the chaos suite's SIGKILL stand-in);
 //! * **`--inline`**: the whole campaign in-process — byte-identical
-//!   artifacts to the process mode, handy for debugging;
-//! * **`--bench`**: the interleaved 1-shard vs N-shard measurement,
-//!   sealed into `BENCH_campaign.json` (self-validated before writing,
-//!   and gated in CI by `obs_validate --campaign`).
+//!   artifacts to the process mode, handy for debugging.
 //!
 //! ```text
 //! cargo run --release -p a2a-bench --bin campaign_run -- \
 //!     --store /tmp/campaign [--grids s,t] [--m 8] [--k 4,6,8,10] \
 //!     [--shards N] [--rounds N] [--batch N] [--t-max N] \
 //!     [--configs N] [--seed N] [--threads N] \
-//!     [--inline | --shard-worker I | --bench [--reps N] [--out FILE]]
+//!     [--inline | --shard-worker I]
 //! ```
 
-use a2a_bench::campaign::{
-    parse_grids, parse_list, run_bench, run_process_campaign, BenchConfig, CampaignParams,
-};
+use a2a_bench::campaign::{parse_grids, parse_list, run_process_campaign, CampaignParams};
 use a2a_bench::RunScale;
-use a2a_obs::json::Json;
-use a2a_obs::schema::validate_campaign_snapshot;
 use a2a_run::campaign::{run_inline, run_shard_process, CampaignStore, ShardExit};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -36,7 +29,6 @@ enum Mode {
     Parent,
     ShardWorker(usize),
     Inline,
-    Bench,
 }
 
 fn fail(msg: impl AsRef<str>) -> ExitCode {
@@ -44,32 +36,16 @@ fn fail(msg: impl AsRef<str>) -> ExitCode {
     ExitCode::FAILURE
 }
 
-fn pick(doc: &Json, path: &[&str]) -> String {
-    let mut cur = doc;
-    for key in path {
-        match cur.get(key) {
-            Some(next) => cur = next,
-            None => return "?".into(),
-        }
-    }
-    format!("{cur}")
-}
-
 #[allow(clippy::too_many_lines)]
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let bench_requested = args.iter().any(|a| a == "--bench");
-    let mut params =
-        if bench_requested { BenchConfig::default().params } else { CampaignParams::default() };
+    let mut params = CampaignParams::default();
     let scale = RunScale::extract(&mut args, params.configs);
     params.configs = scale.configs;
     params.seed = scale.seed;
 
     let mut mode = Mode::Parent;
     let mut store: Option<PathBuf> = None;
-    let mut out = PathBuf::from("BENCH_campaign.json");
-    let mut bench_shards: Option<usize> = None;
-    let mut reps = BenchConfig::default().reps;
     let mut it = args.into_iter();
     while let Some(flag) = it.next() {
         let mut value = |flag: &str| {
@@ -80,24 +56,16 @@ fn main() -> ExitCode {
                 mode = Mode::Inline;
                 Ok(())
             }
-            "--bench" => {
-                mode = Mode::Bench;
-                Ok(())
-            }
             "--shard-worker" => value(&flag)
                 .and_then(|v| v.parse().map_err(|_| format!("numeric --shard-worker, got `{v}`")))
                 .map(|i| mode = Mode::ShardWorker(i)),
             "--store" => value(&flag).map(|v| store = Some(PathBuf::from(v))),
-            "--out" => value(&flag).map(|v| out = PathBuf::from(v)),
             "--grids" => value(&flag).and_then(|v| parse_grids(&v)).map(|g| params.grids = g),
             "--m" => value(&flag).and_then(|v| parse_list(&v, "--m")).map(|m| params.ms = m),
             "--k" => value(&flag).and_then(|v| parse_list(&v, "--k")).map(|k| params.ks = k),
             "--shards" => value(&flag)
                 .and_then(|v| v.parse().map_err(|_| format!("numeric --shards, got `{v}`")))
-                .map(|s: usize| {
-                    params.shards = s.max(1);
-                    bench_shards = Some(s.max(1));
-                }),
+                .map(|s: usize| params.shards = s.max(1)),
             "--rounds" => value(&flag)
                 .and_then(|v| v.parse().map_err(|_| format!("numeric --rounds, got `{v}`")))
                 .map(|r| params.rounds = r),
@@ -107,9 +75,6 @@ fn main() -> ExitCode {
             "--t-max" => value(&flag)
                 .and_then(|v| v.parse().map_err(|_| format!("numeric --t-max, got `{v}`")))
                 .map(|t| params.t_max = t),
-            "--reps" => value(&flag)
-                .and_then(|v| v.parse().map_err(|_| format!("numeric --reps, got `{v}`")))
-                .map(|r: usize| reps = r.max(1)),
             other => Err(format!(
                 "unknown flag `{other}` (see the module docs at the top of campaign_run.rs)"
             )),
@@ -176,50 +141,6 @@ fn main() -> ExitCode {
                 }
                 Err(e) => fail(e),
             }
-        }
-        Mode::Bench => {
-            let exe = match std::env::current_exe() {
-                Ok(p) => p,
-                Err(e) => return fail(format!("cannot locate own binary: {e}")),
-            };
-            let mut cfg = BenchConfig { params, reps, ..BenchConfig::default() };
-            cfg.shards = bench_shards.unwrap_or(cfg.shards);
-            cfg.params.shards = 1;
-            if let Some(root) = store {
-                cfg.scratch = root;
-            }
-            scale.outln(scale.banner(&format!(
-                "campaign bench (1 vs {} shards, {} interleaved reps)",
-                cfg.shards, cfg.reps
-            )));
-            let snapshot = match run_bench(&exe, &cfg) {
-                Ok(s) => s,
-                Err(e) => return fail(e),
-            };
-            // Self-validate before writing: a snapshot this binary
-            // cannot validate must never reach CI.
-            if let Err(e) = validate_campaign_snapshot(&snapshot) {
-                return fail(format!("refusing to write invalid snapshot: {e}"));
-            }
-            if let Err(e) = a2a_obs::atomic_write(&out, format!("{snapshot}\n").as_bytes()) {
-                return fail(format!("cannot write {}: {e}", out.display()));
-            }
-            let covered = snapshot
-                .get("coverage_curve")
-                .and_then(Json::as_arr)
-                .and_then(|curve| curve.last())
-                .map_or_else(|| "?".into(), |point| pick(point, &["covered"]));
-            scale.outln(format!(
-                "sharded evals/s {} (single {}, ratio {} on {} cores), dedup hit rate {}, \
-                 covered {covered}",
-                pick(&snapshot, &["throughput", "evals_per_sec"]),
-                pick(&snapshot, &["scaling", "single_evals_per_sec"]),
-                pick(&snapshot, &["scaling", "ratio"]),
-                pick(&snapshot, &["scaling", "cores"]),
-                pick(&snapshot, &["dedup", "hit_rate"]),
-            ));
-            scale.outln(format!("sealed snapshot: {}", out.display()));
-            ExitCode::SUCCESS
         }
     }
 }

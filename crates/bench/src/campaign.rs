@@ -1,32 +1,12 @@
-//! Process-mode driver and throughput measurement for the campaign
-//! engine (`a2a_run::campaign`): spawns N shard worker processes of the
-//! `campaign_run` binary against one store, supervises them crash-only
-//! (a dead shard is respawned and resumes from its durable deltas), and
-//! distills the interleaved 1-shard vs N-shard measurement into the
-//! sealed `BENCH_campaign.json` snapshot (schema
-//! `a2a-obs/campaign-bench/v1`) gated in CI by `obs_validate
-//! --campaign`.
-//!
-//! Honest-measurement notes (the PR 6/8 conventions):
-//!
-//! * the two arms are **interleaved** (single, sharded, single,
-//!   sharded), each rep on a fresh store, and each arm reports its
-//!   minimum elapsed time — ambient noise inflates both arms equally
-//!   and the minimum discards it;
-//! * every shard of both arms runs **one worker thread**, so the
-//!   ratio measures process sharding itself, not thread-count
-//!   asymmetry;
-//! * the ≥ 2× shard-scaling gate is armed by the validator only when
-//!   the host actually has ≥ 4 cores — a single-core runner records
-//!   the ratio without pretending to bind it.
+//! Process-mode driver for the campaign engine (`a2a_run::campaign`):
+//! spawns N shard worker processes of the `campaign_run` binary against
+//! one store and supervises them crash-only (a dead shard is respawned
+//! and resumes from its durable deltas).
 
 use a2a_grid::GridKind;
-use a2a_obs::json::Json;
-use a2a_obs::schema::{self, CAMPAIGN_BENCH_SCHEMA};
 use a2a_run::campaign::{coordinate, CampaignOutcome, CampaignSpec, CampaignStore, NicheKey};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Child, Command, Stdio};
-use std::time::{Duration, Instant};
 
 /// How often a dead shard may be respawned before the campaign is
 /// declared crash-looping.
@@ -178,8 +158,6 @@ pub struct ProcessCampaign {
     pub outcome: CampaignOutcome,
     /// Shard children respawned after dying mid-campaign.
     pub respawns: usize,
-    /// Wall-clock of the whole campaign (spawn → final seal).
-    pub elapsed: Duration,
 }
 
 fn spawn_shard(
@@ -225,7 +203,6 @@ pub fn run_process_campaign(
     let spec = params.spec();
     let store = CampaignStore::new(store_root);
     store.init(&spec)?;
-    let started = Instant::now();
     let mut children: Vec<ShardChild> = (0..spec.shards)
         .map(|shard| {
             spawn_shard(exe, params, store_root, threads, shard, false).map(|child| ShardChild {
@@ -281,140 +258,7 @@ pub fn run_process_campaign(
             let _ = child.wait();
         }
     }
-    Ok(ProcessCampaign { outcome: outcome?, respawns, elapsed: started.elapsed() })
-}
-
-/// Scale of the `--bench` measurement.
-#[derive(Debug, Clone)]
-pub struct BenchConfig {
-    /// Niche/budget parameters of both arms (`shards` is overridden
-    /// per arm).
-    pub params: CampaignParams,
-    /// Shard count of the sharded arm.
-    pub shards: usize,
-    /// Interleaved repetitions per arm (min elapsed wins).
-    pub reps: usize,
-    /// Scratch directory for the per-rep stores.
-    pub scratch: PathBuf,
-}
-
-impl Default for BenchConfig {
-    fn default() -> Self {
-        Self {
-            params: CampaignParams {
-                shards: 1,
-                rounds: 4,
-                batch: 8,
-                configs: 8,
-                ..CampaignParams::default()
-            },
-            shards: 4,
-            reps: 2,
-            scratch: std::env::temp_dir().join("a2a-campaign-bench"),
-        }
-    }
-}
-
-fn arm_elapsed(
-    exe: &Path,
-    params: &CampaignParams,
-    store: &Path,
-) -> Result<(Duration, CampaignOutcome), String> {
-    let _ = std::fs::remove_dir_all(store);
-    let run = run_process_campaign(exe, params, store, 1, |_, _| {})?;
-    Ok((run.elapsed, run.outcome))
-}
-
-/// Runs the interleaved 1-shard vs N-shard measurement and returns the
-/// sealed `BENCH_campaign.json` snapshot.
-///
-/// # Errors
-///
-/// Any campaign failure of either arm.
-pub fn run_bench(exe: &Path, cfg: &BenchConfig) -> Result<Json, String> {
-    let single_params = CampaignParams { shards: 1, ..cfg.params.clone() };
-    let sharded_params = CampaignParams { shards: cfg.shards, ..cfg.params.clone() };
-    let mut single_best: Option<(Duration, CampaignOutcome)> = None;
-    let mut sharded_best: Option<(Duration, CampaignOutcome)> = None;
-    for rep in 0..cfg.reps.max(1) {
-        // Interleaved arms: noise lands on both equally.
-        let single =
-            arm_elapsed(exe, &single_params, &cfg.scratch.join(format!("single-{rep}")))?;
-        if single_best.as_ref().is_none_or(|b| single.0 < b.0) {
-            single_best = Some(single);
-        }
-        let sharded =
-            arm_elapsed(exe, &sharded_params, &cfg.scratch.join(format!("sharded-{rep}")))?;
-        if sharded_best.as_ref().is_none_or(|b| sharded.0 < b.0) {
-            sharded_best = Some(sharded);
-        }
-    }
-    let (single_elapsed, single_outcome) = single_best.expect("reps >= 1");
-    let (sharded_elapsed, sharded_outcome) = sharded_best.expect("reps >= 1");
-    let _ = std::fs::remove_dir_all(&cfg.scratch);
-
-    let eps = |evals: u64, elapsed: Duration| evals as f64 / elapsed.as_secs_f64().max(1e-9);
-    let single_eps = eps(single_outcome.counters.evals, single_elapsed);
-    let sharded_eps = eps(sharded_outcome.counters.evals, sharded_elapsed);
-    let counters = sharded_outcome.counters;
-    let hit_rate = counters.dedup_hits as f64 / (counters.dedup_hits + counters.evals).max(1) as f64;
-    let cores = std::thread::available_parallelism().map(usize::from).unwrap_or(1);
-
-    Ok(schema::seal(
-        Json::object()
-            .with("schema", CAMPAIGN_BENCH_SCHEMA)
-            .with(
-                "workload",
-                Json::object()
-                    .with("niches", sharded_params.spec().niches.len() as u64)
-                    .with("shards", cfg.shards as u64)
-                    .with("rounds", cfg.params.rounds as u64)
-                    .with("batch", cfg.params.batch as u64)
-                    .with("configs", cfg.params.configs as u64)
-                    .with("seed", cfg.params.seed)
-                    .with("reps", cfg.reps as u64),
-            )
-            .with(
-                "throughput",
-                Json::object()
-                    .with("evals_per_sec", sharded_eps)
-                    .with("evals", counters.evals)
-                    .with("elapsed_us", sharded_elapsed.as_micros() as f64),
-            )
-            .with(
-                "dedup",
-                Json::object()
-                    .with("hits", counters.dedup_hits)
-                    .with("hit_rate", hit_rate)
-                    .with("collisions", counters.collisions),
-            )
-            .with("migrations", counters.migrations)
-            .with(
-                "scaling",
-                Json::object()
-                    .with("cores", cores as u64)
-                    .with("shards", cfg.shards as u64)
-                    .with("single_evals_per_sec", single_eps)
-                    .with("sharded_evals_per_sec", sharded_eps)
-                    .with("ratio", sharded_eps / single_eps.max(1e-9)),
-            )
-            .with(
-                "coverage_curve",
-                Json::Arr(
-                    sharded_outcome
-                        .rounds
-                        .iter()
-                        .map(|r| {
-                            Json::object()
-                                .with("round", r.round as u64)
-                                .with("covered", r.covered as u64)
-                                .with("solved", r.solved as u64)
-                                .with("evals", r.counters.evals)
-                        })
-                        .collect(),
-                ),
-            ),
-    ))
+    Ok(ProcessCampaign { outcome: outcome?, respawns })
 }
 
 #[cfg(test)]

@@ -10,9 +10,6 @@
 #![warn(missing_docs, missing_debug_implementations)]
 
 pub mod campaign;
-pub mod fitness;
-pub mod kernel;
-pub mod serve;
 
 use a2a_ga::default_threads;
 use a2a_obs::{JsonlSink, Level, Sink};
@@ -123,14 +120,11 @@ impl RunScale {
     /// Panics when the `--json-out` file cannot be created.
     pub fn init_obs(&self, experiment: &str) -> ObsGuard {
         a2a_obs::init_from_env();
-        let sink = self.json_out.as_deref().map(|path| {
-            let sink = Arc::new(
-                JsonlSink::create(path, Level::Debug)
-                    .unwrap_or_else(|e| panic!("cannot create --json-out {path}: {e}")),
-            );
-            a2a_obs::attach_sink(Arc::clone(&sink) as Arc<dyn Sink>);
-            sink
-        });
+        if let Some(path) = self.json_out.as_deref() {
+            let sink = JsonlSink::create(path, Level::Debug)
+                .unwrap_or_else(|e| panic!("cannot create --json-out {path}: {e}"));
+            a2a_obs::attach_sink(Arc::new(sink) as Arc<dyn Sink>);
+        }
         a2a_obs::event!(Level::Info, "bench.start",
             "experiment" => experiment,
             "configs" => self.configs,
@@ -138,7 +132,7 @@ impl RunScale {
             "threads" => self.threads,
             "full" => self.full,
             "quiet" => self.quiet);
-        ObsGuard { sink }
+        ObsGuard(())
     }
 
     /// Writes one report line to stdout unless `--quiet` was given, and
@@ -181,18 +175,7 @@ impl RunScale {
 /// attached sink on drop. Bind it for the whole `main`
 /// (`let _sink = scale.init_obs(...)`).
 #[derive(Debug)]
-pub struct ObsGuard {
-    sink: Option<Arc<JsonlSink>>,
-}
-
-impl ObsGuard {
-    /// The `--json-out` sink, for appending auxiliary documents with
-    /// [`JsonlSink::write_json`].
-    #[must_use]
-    pub fn sink(&self) -> Option<&Arc<JsonlSink>> {
-        self.sink.as_ref()
-    }
-}
+pub struct ObsGuard(());
 
 impl Drop for ObsGuard {
     fn drop(&mut self) {

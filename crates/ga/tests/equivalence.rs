@@ -9,9 +9,9 @@
 //! and both garbage and elite incumbents mixed in.
 
 use a2a_fsm::{best_agent, offspring, FsmSpec, Genome, MutationRates};
-use a2a_ga::{Evaluator, Evolution, FitnessReport, GaConfig, GenomeEval};
+use a2a_ga::{Evaluator, Evolution, FitnessReport, GaConfig, GenomeEval, PAPER_WEIGHT};
 use a2a_grid::GridKind;
-use a2a_sim::{paper_config_set, WorldConfig};
+use a2a_sim::{paper_config_set, simulate, WorldConfig};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::HashSet;
@@ -150,6 +150,59 @@ fn evolved_pool_reports_match_a_fresh_evaluator() {
                 ind.report,
                 "{kind}: pool report drifted from a fresh evaluation"
             );
+        }
+    }
+}
+
+#[test]
+fn cached_epochs_match_an_independent_fold_over_the_oracle() {
+    // Island-style epoch re-ranks: the same population evaluated three
+    // times through one evaluator. Every epoch must report exactly the
+    // paper's fold over reference-`World` outcomes, and epochs 2 and 3
+    // must come from the cache.
+    for kind in [GridKind::Square, GridKind::Triangulate] {
+        let cfg = WorldConfig::paper(kind, 8);
+        // 9 random placements plus the 3 manual hard cases.
+        let configs = paper_config_set(cfg.lattice, kind, 6, 9, 0xF17).unwrap();
+        assert_eq!(configs.len(), 12);
+        let mut rng = SmallRng::seed_from_u64(0xF17_BE5);
+        let elite = best_agent(kind);
+        let mut genomes = vec![elite.clone()];
+        for _ in 0..3 {
+            genomes.push(offspring(&elite, MutationRates::uniform(0.05), &mut rng));
+        }
+        for _ in 0..2 {
+            genomes.push(Genome::random(FsmSpec::paper(kind), &mut rng));
+        }
+
+        let expected: Vec<FitnessReport> = genomes
+            .iter()
+            .map(|genome| {
+                let outcomes: Vec<_> = configs
+                    .iter()
+                    .map(|init| simulate(&cfg, genome.clone(), init, 120).unwrap())
+                    .collect();
+                let successes = outcomes.iter().filter(|o| o.is_successful()).count();
+                let t_sum: u64 = outcomes.iter().filter_map(|o| o.t_comm.map(u64::from)).sum();
+                FitnessReport {
+                    fitness: outcomes.iter().map(|o| o.fitness(PAPER_WEIGHT)).sum::<f64>()
+                        / outcomes.len() as f64,
+                    successes,
+                    total: outcomes.len(),
+                    mean_t_comm: (successes > 0).then(|| t_sum as f64 / successes as f64),
+                }
+            })
+            .collect();
+
+        let evaluator = Evaluator::new(cfg, configs).with_t_max(120).with_threads(2);
+        let mut hits = evaluator.cache().hits();
+        for epoch in 1..=3 {
+            assert_eq!(evaluator.evaluate_all(&genomes), expected, "{kind} epoch {epoch}");
+            let now = evaluator.cache().hits();
+            if epoch > 1 {
+                assert!(now > hits, "{kind} epoch {epoch}: re-rank missed the cache");
+            }
+            hits = now;
         }
     }
 }

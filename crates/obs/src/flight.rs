@@ -13,9 +13,8 @@
 //! names are interned to small ids once per distinct `&'static str`, so
 //! the steady-state record path never allocates. Disabled (the
 //! default), [`record`] is a single relaxed atomic load and an untaken
-//! branch — the same fast-path discipline as [`crate::enabled`]; its
-//! ≤ 1 ns per-call budget is measured into `BENCH_obs.json`
-//! (`overhead.flight_record_disabled_ns`, recorded, not gated).
+//! branch — the same fast-path discipline as [`crate::enabled`], with
+//! the same ≤ 1 ns per-call budget.
 //!
 //! Rings are registered in a process-global list and kept alive by
 //! `Arc`, so a dump sees the final records of threads that have already

@@ -11,7 +11,8 @@
 //! * **Metrics registry** — a process-global, thread-safe [`Registry`]
 //!   of named [`Counter`]s, [`Gauge`]s and log-scale [`Histogram`]s
 //!   (power-of-two buckets, lock-free atomic updates, associative
-//!   merge), snapshotted to JSON for the `BENCH_obs.json` trajectory.
+//!   merge), snapshotted to JSON (the end-to-end benchmark's per-layer
+//!   ledger reads it).
 //! * **Sinks** — pluggable [`Sink`] backends: a human-readable
 //!   [`StderrSink`] whose verbosity follows the `A2A_LOG` environment
 //!   variable, and a [`JsonlSink`] writing one schema-validated JSON
@@ -22,9 +23,9 @@
 //! With `A2A_LOG` unset and no sink attached the whole pipeline is
 //! disabled: [`enabled`] is a single relaxed atomic load, the [`event!`]
 //! macro constructs nothing, and [`metrics_enabled`] gates every
-//! registry update the simulation layers perform. `all_experiments`
-//! records the disabled path's per-call cost in `BENCH_obs.json`
-//! (`overhead.event_disabled_ns`; budget ~1 ns, recorded, not gated).
+//! registry update the simulation layers perform. The disabled path's
+//! budget is ~1 ns per call; a change to that path measures it against
+//! its parent (median and spread) rather than against a sealed figure.
 //!
 //! # Quick start
 //!

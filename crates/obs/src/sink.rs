@@ -32,8 +32,8 @@ pub trait Sink: Send + Sync + fmt::Debug {
 /// fsynced, then renamed over `path`, and the containing directory is
 /// fsynced so the rename itself is durable. Readers therefore see
 /// either the previous complete file or the new complete file, never a
-/// truncated mix — the invariant every `BENCH_*.json` artifact and
-/// checkpoint write in this workspace relies on.
+/// truncated mix — the invariant every sealed store document in this
+/// workspace relies on.
 ///
 /// # Errors
 ///
@@ -229,7 +229,7 @@ impl JsonlSink {
     }
 
     /// Appends an arbitrary JSON document as one line (registry
-    /// snapshots, bench summaries).
+    /// snapshots, summaries).
     pub fn write_json(&self, doc: &Json) {
         let mut out = self.out.lock().expect("jsonl lock never poisoned");
         let _ = writeln!(out, "{doc}");
@@ -275,8 +275,7 @@ impl Drop for JsonlSink {
 }
 
 /// A sink that counts records and keeps the last few events in memory —
-/// for tests and the overhead bench (measures dispatch cost without
-/// I/O).
+/// for tests (observes dispatch without I/O).
 #[derive(Debug, Default)]
 pub struct MemorySink {
     records: Mutex<Vec<Event>>,

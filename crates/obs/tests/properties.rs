@@ -1,12 +1,16 @@
 //! Property tests: histogram merge algebra, JSONL round-trips, and
-//! the JSON parser's totality on arbitrary input.
+//! the totality of the JSON parser and the flight-dump readers on
+//! arbitrary or damaged input.
 
+use a2a_obs::flight::{self, Kind};
 use a2a_obs::json::{parse, Json, MAX_DEPTH};
+use a2a_obs::schema::validate_flight;
 use a2a_obs::{Event, HistogramSnapshot, Level, Value};
 use proptest::collection;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
+use std::sync::OnceLock;
 
 /// Samples spanning the first 32 log buckets (the realistic range of
 /// step counts and microsecond timings; JSON numbers are `f64`, so
@@ -91,6 +95,23 @@ fn tree(rng: &mut SmallRng, depth: usize) -> Json {
     }
 }
 
+/// A real flight-recorder dump with one record of every kind, which
+/// both dump readers accept as written.
+fn flight_dump() -> &'static str {
+    static DUMP: OnceLock<String> = OnceLock::new();
+    DUMP.get_or_init(|| {
+        flight::enable();
+        let kinds = [Kind::Event, Kind::SpanEnter, Kind::SpanExit, Kind::Fault, Kind::Mark];
+        for (i, kind) in kinds.into_iter().enumerate() {
+            flight::record(kind, "prop.flight", i as u64, u64::MAX - i as u64);
+        }
+        let dump = flight::dump_string("totality");
+        validate_flight(&dump).expect("a pristine dump validates");
+        flight::parse_dump(&dump).expect("a pristine dump parses");
+        dump
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -99,12 +120,34 @@ proptest! {
     /// `Err`: never a panic, never a stack overflow.
     #[test]
     fn parse_is_total_on_arbitrary_bytes(bytes in collection::vec(any::<u8>(), 0..2048)) {
-        let _ = parse(&String::from_utf8_lossy(&bytes));
+        let raw = String::from_utf8_lossy(&bytes);
         let mapped: Vec<u8> =
             bytes.iter().map(|b| JSON_ALPHABET[usize::from(*b) % JSON_ALPHABET.len()]).collect();
         let mapped = String::from_utf8_lossy(&mapped);
-        let _ = parse(&mapped);
+        for text in [&raw, &mapped] {
+            let _ = parse(text);
+            let _ = validate_flight(text);
+            let _ = flight::parse_dump(text);
+        }
         let _ = parse(&format!("{}{mapped}", "[".repeat(64 * bytes.len())));
+    }
+
+    /// A real flight dump torn at a random byte (a crash mid-write) or
+    /// with one byte flipped reads as `Ok` or `Err` through both dump
+    /// readers: never a panic.
+    #[test]
+    fn damaged_flight_dumps_never_panic_the_readers(seed in any::<u64>(), tear in any::<bool>()) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut bytes = flight_dump().as_bytes().to_vec();
+        if tear {
+            bytes.truncate(rng.random_range(0..bytes.len()));
+        } else {
+            let at = rng.random_range(0..bytes.len());
+            bytes[at] ^= rng.random_range(1..=255u8);
+        }
+        let text = String::from_utf8_lossy(&bytes);
+        let _ = validate_flight(&text);
+        let _ = flight::parse_dump(&text);
     }
 
     /// Rendering is canonical: parsing a rendered tree (nested up to

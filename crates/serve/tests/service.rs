@@ -309,6 +309,98 @@ fn tenant_quota_answers_429_and_other_tenants_proceed() {
 }
 
 #[test]
+fn concurrent_clients_lose_and_duplicate_no_job() {
+    // 8 clients push 40 client-id'd jobs from 4 tenants through a queue
+    // of 4, so submissions race for slots and some are shed (the two
+    // tests above pin each `429` kind deterministically). Every `429`
+    // carries Retry-After and is retried; no retry may meet a `409` (a
+    // shed submission leaves no durable trace), and every job completes
+    // exactly once.
+    const JOBS: usize = 40;
+    const CLIENTS: usize = 8;
+    const TENANTS: usize = 4;
+    let queue = QueueConfig { capacity: 4, tenant_max_queued: 2, tenant_max_running: 4 };
+    let (handle, addr) = start("load", queue, 4);
+
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|c| {
+            let addr = addr.clone();
+            std::thread::spawn(move || {
+                for i in (c..JOBS).step_by(CLIENTS) {
+                    let id = format!("load-{i}");
+                    let body = Json::object()
+                        .with("tenant", format!("tenant-{}", i % TENANTS))
+                        .with("id", id.as_str())
+                        .with("seed", i as u64)
+                        .with("m", 4u64)
+                        .with("k", 2u64)
+                        .with("configs", 1u64)
+                        .with("generations", 1u64)
+                        .with("population", 2u64)
+                        .with("t_max", 100u64)
+                        .to_string();
+                    loop {
+                        let reply = client::post(&addr, "/jobs", &body).expect("POST /jobs");
+                        match reply.status {
+                            202 => break,
+                            429 => {
+                                assert!(
+                                    reply.header("retry-after").is_some(),
+                                    "job {id}: 429 without Retry-After: {}",
+                                    reply.body
+                                );
+                                std::thread::sleep(Duration::from_millis(2));
+                            }
+                            409 => panic!("job {id}: a refused submission left a duplicate"),
+                            other => panic!("job {id}: unexpected {other}: {}", reply.body),
+                        }
+                    }
+                    let polled = Instant::now();
+                    let doc = loop {
+                        let reply = client::get(&addr, &format!("/jobs/{id}/result")).unwrap();
+                        if reply.status == 200 {
+                            break reply.json().unwrap();
+                        }
+                        assert!(
+                            polled.elapsed() < Duration::from_secs(60),
+                            "job {id} lost: {}",
+                            reply.body
+                        );
+                        std::thread::sleep(Duration::from_millis(5));
+                    };
+                    a2a_obs::schema::verify_checksum(&doc).expect("result is sealed");
+                    assert_eq!(doc.get("id").and_then(Json::as_str), Some(id.as_str()));
+                }
+            })
+        })
+        .collect();
+    for client in clients {
+        client.join().expect("client thread");
+    }
+
+    // The paged listing names every job exactly once, all completed.
+    let mut listed: Vec<String> = Vec::new();
+    let mut path = "/jobs?limit=7".to_string();
+    loop {
+        let page = client::get(&addr, &path).unwrap().json().unwrap();
+        for job in page.get("jobs").and_then(Json::as_arr).unwrap() {
+            assert_eq!(job.get("status").and_then(Json::as_str), Some("completed"));
+            listed.push(job.get("id").and_then(Json::as_str).unwrap().to_string());
+        }
+        match page.get("next").and_then(Json::as_str) {
+            Some(next) => path = format!("/jobs?after={next}&limit=7"),
+            None => break,
+        }
+    }
+    listed.sort();
+    let mut expected: Vec<String> = (0..JOBS).map(|i| format!("load-{i}")).collect();
+    expected.sort();
+    assert_eq!(listed, expected);
+
+    handle.stop();
+}
+
+#[test]
 fn deadline_marks_job_timed_out() {
     let (handle, addr) = start("deadline", QueueConfig::default(), 1);
     let body = Json::object()

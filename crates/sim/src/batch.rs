@@ -116,12 +116,11 @@ impl BatchRunner {
         Ok(Self { env: Arc::new(KernelEnv::new(config, behaviour)?), t_max, dispatch: None })
     }
 
-    /// Attaches a parallel executor: [`BatchRunner::run_all`] and
-    /// [`BatchRunner::run_all_multi_dense`] shard [`DISPATCH_BLOCK`]
-    /// ranges of the configuration set across it, committing range
-    /// results in submission order — outcomes stay bit-identical to the
-    /// serial path (the differential suite enforces this). Pass the GA
-    /// worker pool through its `Dispatch` impl.
+    /// Attaches a parallel executor: [`BatchRunner::run_all`] shards
+    /// [`DISPATCH_BLOCK`] ranges of the configuration set across it,
+    /// committing range results in submission order — outcomes stay
+    /// bit-identical to the serial path (the differential suite enforces
+    /// this). Pass the GA worker pool through its `Dispatch` impl.
     #[must_use]
     pub fn with_dispatch(mut self, dispatch: Arc<dyn Dispatch>) -> Self {
         self.dispatch = Some(dispatch);
@@ -160,12 +159,12 @@ impl BatchRunner {
     /// The placement checks of [`crate::World::with_behaviour`]: invalid
     /// positions or directions, duplicates, agents on obstacles.
     pub fn outcome_for(&self, init: &InitialConfig) -> Result<RunOutcome, SimError> {
-        Ok(self.run_block(std::slice::from_ref(init), false)?[0])
+        Ok(self.run_block(std::slice::from_ref(init))?[0])
     }
 
     /// [`BatchRunner::outcome_for`] without the per-thread world pool: a
-    /// fresh [`MultiWorld`] per call. The pre-reuse baseline, kept for
-    /// benchmarks and tests of the pooled path.
+    /// fresh [`MultiWorld`] per call: the fresh-world reference the pool
+    /// tests and `tests/allocation.rs` check the pooled path against.
     ///
     /// # Errors
     ///
@@ -187,27 +186,6 @@ impl BatchRunner {
     ///
     /// The first placement error encountered, as [`BatchRunner::outcome_for`].
     pub fn run_all(&self, inits: &[InitialConfig]) -> Result<Vec<RunOutcome>, SimError> {
-        self.run_all_with(inits, false)
-    }
-
-    /// [`BatchRunner::run_all`] with the engine's dense-scan
-    /// compatibility mode forced on ([`MultiWorld::set_dense`]): the
-    /// pre-frontier full-`k` exchange sweep, kept as the kernel
-    /// bench's in-process baseline for `frontier_speedup`. Outcomes
-    /// are bit-identical to the default path; only the cost differs.
-    ///
-    /// # Errors
-    ///
-    /// As [`BatchRunner::run_all`].
-    pub fn run_all_multi_dense(&self, inits: &[InitialConfig]) -> Result<Vec<RunOutcome>, SimError> {
-        self.run_all_with(inits, true)
-    }
-
-    fn run_all_with(
-        &self,
-        inits: &[InitialConfig],
-        dense: bool,
-    ) -> Result<Vec<RunOutcome>, SimError> {
         let _span = a2a_obs::Span::enter("batch.run_all");
         let blocks = inits.len().div_ceil(DISPATCH_BLOCK);
         let parallel = self
@@ -219,8 +197,8 @@ impl BatchRunner {
             a2a_obs::global().gauge("kernel.dispatch.workers").set(occupied as i64);
         }
         let outcomes = match parallel {
-            Some(dispatch) => self.run_blocks_parallel(dispatch, inits, dense)?,
-            None => self.run_block(inits, dense)?,
+            Some(dispatch) => self.run_blocks_parallel(dispatch, inits)?,
+            None => self.run_block(inits)?,
         };
         a2a_obs::event!(a2a_obs::Level::Debug, "batch.run_all",
             "configs" => outcomes.len(),
@@ -233,7 +211,7 @@ impl BatchRunner {
     /// per-thread [`MultiWorld`] — the unit of work the serial path,
     /// the parallel dispatcher and the one-run
     /// [`BatchRunner::outcome_for`] all execute.
-    fn run_block(&self, block: &[InitialConfig], dense: bool) -> Result<Vec<RunOutcome>, SimError> {
+    fn run_block(&self, block: &[InitialConfig]) -> Result<Vec<RunOutcome>, SimError> {
         let mut world = match take_pooled(&self.env) {
             Some(world) => {
                 if a2a_obs::metrics_enabled() {
@@ -248,7 +226,6 @@ impl BatchRunner {
                 MultiWorld::from_env(Arc::clone(&self.env))
             }
         };
-        world.set_dense(dense);
         let mut outcomes = Vec::with_capacity(block.len());
         for init in block {
             // A failed load leaves the world empty; it is dropped with
@@ -256,8 +233,6 @@ impl BatchRunner {
             world.load(init)?;
             outcomes.push(world.run(self.t_max));
         }
-        // Pooled worlds always rest in frontier mode (the default).
-        world.set_dense(false);
         return_pooled(world);
         Ok(outcomes)
     }
@@ -272,7 +247,6 @@ impl BatchRunner {
         &self,
         dispatch: &Arc<dyn Dispatch>,
         inits: &[InitialConfig],
-        dense: bool,
     ) -> Result<Vec<RunOutcome>, SimError> {
         type Slot = Mutex<Option<Result<Vec<RunOutcome>, SimError>>>;
         let blocks: Arc<Vec<Vec<InitialConfig>>> =
@@ -285,7 +259,7 @@ impl BatchRunner {
                 let slots = Arc::clone(&slots);
                 let runner = self.clone();
                 Box::new(move || {
-                    let result = runner.run_block(&blocks[b], dense);
+                    let result = runner.run_block(&blocks[b]);
                     *slots[b].lock().expect("slot poisoned") = Some(result);
                 }) as DispatchJob
             })
@@ -296,7 +270,7 @@ impl BatchRunner {
             let result = match slot.lock().expect("slot poisoned").take() {
                 Some(result) => result,
                 // Undelivered: repair deterministically on this thread.
-                None => self.run_block(&blocks[b], dense),
+                None => self.run_block(&blocks[b]),
             };
             outcomes.extend(result?);
         }
@@ -446,7 +420,8 @@ mod tests {
         let cfg = WorldConfig::paper(GridKind::Square, 16);
         let runner = BatchRunner::from_genome(&cfg, best_agent(cfg.kind), 200).unwrap();
         assert!(runner.run_all(&[]).unwrap().is_empty());
-        assert!(runner.run_all_multi_dense(&[]).unwrap().is_empty());
+        let threaded = runner.with_dispatch(Arc::new(ThreadedDispatch(2)));
+        assert!(threaded.run_all(&[]).unwrap().is_empty());
     }
 
     /// A real multi-threaded executor for the dispatch tests:
@@ -508,7 +483,6 @@ mod tests {
         let serial = runner.run_all(&inits).unwrap();
         let threaded = runner.clone().with_dispatch(Arc::new(ThreadedDispatch(3)));
         assert_eq!(threaded.run_all(&inits).unwrap(), serial);
-        assert_eq!(threaded.run_all_multi_dense(&inits).unwrap(), serial);
         assert_eq!(threaded.dispatch_workers(), 3);
         // A lossy executor leaves holes; the ordered commit repairs
         // them inline and the result is still bit-identical.

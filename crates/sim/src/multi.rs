@@ -24,7 +24,6 @@ use crate::kernel::{CompiledEntry, KernelEnv, NONE};
 use crate::run::RunOutcome;
 use a2a_fsm::Genome;
 use a2a_grid::{Dir, Pos};
-use a2a_obs::HistogramSnapshot;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -101,37 +100,29 @@ pub struct MultiWorld {
     /// Perception reads it directly, saving one field gather per agent
     /// per round.
     own_color: Vec<u8>,
-    complete: Vec<bool>,
     /// Activity frontier: a permutation of the agent IDs whose first
     /// [`MultiWorld::frontier_len`] entries are exactly the agents with
-    /// unsaturated infosets. Retirement is an O(1) swap with the
-    /// prefix's last entry, so the saturation tail drops out of the
-    /// exchange sweep instead of being skipped agent by agent. Stale in
-    /// dense mode ([`MultiWorld::set_dense`] rebuilds it on re-entry to
-    /// frontier mode).
+    /// unsaturated infosets; the rest are complete. Retirement is an
+    /// O(1) swap with the prefix's last entry, so the saturation tail
+    /// drops out of the exchange sweep instead of being skipped agent
+    /// by agent.
     frontier: Vec<u32>,
     /// Live prefix length of [`MultiWorld::frontier`].
     frontier_len: u32,
 
     /// Counted steps taken since the last load.
     time: u32,
-    /// Dense-scan compatibility mode: `true` replays the pre-frontier
-    /// full-`k` exchange sweep (the in-process baseline the kernel
-    /// bench measures `frontier_speedup` against); `false` (the
-    /// default) walks the activity frontier.
-    dense: bool,
 
     // Scratch reused across steps.
     requests: Vec<(u32, u32)>,
     decisions: Vec<(CompiledEntry, u32)>,
     /// Staging of gathered infosets: gathered from
     /// [`MultiWorld::cell_info`] into here, then committed back, so
-    /// same-sweep peers read pre-exchange values. Dense one-word sweeps
-    /// push one word per agent; wide (`stride > 1`) sweeps stage agent
-    /// `i`'s words at `i * stride`. The one-word frontier sweep stages
-    /// into [`MultiWorld::wpairs`].
+    /// same-sweep peers read pre-exchange values. Wide (`stride > 1`)
+    /// sweeps stage agent `i`'s words at `i * stride`; the one-word
+    /// sweep stages into [`MultiWorld::wpairs`].
     wbuf: Vec<u64>,
-    /// Frontier-mode staging of gathered one-word infosets as
+    /// Staging of gathered one-word infosets as
     /// `(cell, word)` pairs — only active agents are staged, so both
     /// the gather and the commit loop are proportional to the live
     /// frontier, not `k`.
@@ -175,11 +166,9 @@ impl MultiWorld {
             dir: Vec::new(),
             state: Vec::new(),
             own_color: Vec::new(),
-            complete: Vec::new(),
             frontier: Vec::new(),
             frontier_len: 0,
             time: 0,
-            dense: false,
             requests: Vec::new(),
             decisions: Vec::new(),
             wbuf: Vec::new(),
@@ -213,7 +202,6 @@ impl MultiWorld {
             + self.dir.capacity()
             + self.state.capacity()
             + self.own_color.capacity()
-            + self.complete.capacity()
             + self.frontier.capacity()
             + self.requests.capacity()
             + self.decisions.capacity()
@@ -257,8 +245,6 @@ impl MultiWorld {
         self.state.reserve(k);
         self.own_color.clear();
         self.own_color.reserve(k);
-        self.complete.clear();
-        self.complete.resize(k, false);
         // Every agent starts unsaturated (k = 1 resolves at the t = 0
         // exchange below, like everything else).
         self.frontier.clear();
@@ -349,8 +335,7 @@ impl MultiWorld {
     /// With metrics on, feeds the per-run `kernel.*` series once per
     /// run (`kernel.runs` / `.steps` / `.conflicts` /
     /// `.frontier.active` counters, the `kernel.t_comm` and
-    /// `kernel.run.conflicts` histograms) and one
-    /// `kernel.frontier.active_pct` sample per step.
+    /// `kernel.run.conflicts` histograms).
     ///
     /// # Panics
     ///
@@ -359,24 +344,15 @@ impl MultiWorld {
         assert!(self.k > 0, "load a configuration before running");
         let env = Arc::clone(&self.env);
         // `kernel.frontier.active` counts active agent-steps (the work
-        // the frontier sweep actually performs); the `_pct` histogram
-        // samples each step's active fraction. Both derive from
-        // `k - informed`, so they are exact in dense mode too. The
-        // samples go into a local histogram, `Some` exactly when metrics
-        // are on, and are published once per run, so parallel runs do
-        // not contend on the shared histogram every step.
-        let mut active_pct = a2a_obs::metrics_enabled().then(HistogramSnapshot::default);
+        // the frontier sweep actually performs), published once per run
+        // so parallel runs do not contend on the shared counter.
         // At `Trace`, the act and exchange phases are timed apart for
         // the profiler's phase table: two clock reads per step, the end
         // of one step's exchange being the start of the next one's act.
         let mut clock = a2a_obs::enabled(a2a_obs::Level::Trace).then(Instant::now);
         let (mut act_ns, mut exchange_ns, mut active_steps) = (0u64, 0u64, 0u64);
         while self.informed < self.k && self.time < t_max {
-            let active = u64::from(self.k - self.informed);
-            active_steps += active;
-            if let Some(pct) = &mut active_pct {
-                pct.record(active * 100 / u64::from(self.k));
-            }
+            active_steps += u64::from(self.k - self.informed);
             let phase = &env.phases[self.time as usize % env.phases.len()];
             self.act(&env, phase);
             if let Some(t0) = clock {
@@ -402,8 +378,7 @@ impl MultiWorld {
             reg.histogram("kernel.multi.act.ns").record(act_ns);
             reg.histogram("kernel.multi.exchange.ns").record(exchange_ns);
         }
-        if let Some(pct) = &active_pct {
-            reg.histogram("kernel.frontier.active_pct").merge_snapshot(pct);
+        if a2a_obs::metrics_enabled() {
             reg.counter("kernel.runs").incr();
             reg.counter("kernel.steps").add(u64::from(outcome.steps));
             reg.counter("kernel.frontier.active").add(active_steps);
@@ -551,24 +526,11 @@ impl MultiWorld {
         }
     }
 
-    /// The exchange sweep, dispatched on the engine mode: the
-    /// activity-frontier walk by default, the dense full-`k` scan under
-    /// [`MultiWorld::set_dense`]. Both produce bit-identical state —
-    /// a complete agent's exchange is a no-op by construction (its
-    /// `cell_info` words are the all-ones fixed point, and neighbours
-    /// keep reading them there), so walking only unsaturated agents is
-    /// exact, not approximate.
-    #[inline]
-    fn exchange(&mut self, env: &KernelEnv) {
-        if self.dense {
-            self.exchange_dense(env);
-        } else {
-            self.exchange_frontier(env);
-        }
-    }
-
-    /// The frontier exchange: walk the live frontier prefix only,
-    /// swap-removing each agent that saturates in O(1). One-word runs
+    /// The exchange sweep: walk the live frontier prefix only,
+    /// swap-removing each agent that saturates in O(1). This is exact,
+    /// not approximate — a complete agent's exchange is a no-op by
+    /// construction (its `cell_info` words are the all-ones fixed point,
+    /// and neighbours keep reading them there). One-word runs
     /// stage `(cell, word)` pairs in [`MultiWorld::wpairs`] — staging
     /// and commit are both proportional to the frontier, and toroidal
     /// fields take a sentinel-free gather — so a run deep in its
@@ -576,7 +538,7 @@ impl MultiWorld {
     /// by agent in [`MultiWorld::wbuf`]; swap-removal permutes only
     /// within the walked prefix, so that prefix names exactly the
     /// staged agents at commit time.
-    fn exchange_frontier(&mut self, env: &KernelEnv) {
+    fn exchange(&mut self, env: &KernelEnv) {
         let n_dirs = env.n_dirs;
         let n_cells = env.lattice.len();
         let k = self.k as usize;
@@ -587,7 +549,6 @@ impl MultiWorld {
         let stride = self.stride as usize;
         let tail = self.tail_mask;
         let pos = &self.pos[..k];
-        let complete = &mut self.complete[..k];
         let frontier = &mut self.frontier[..k];
         let cell_info = &mut self.cell_info[..n_cells * stride];
 
@@ -599,16 +560,16 @@ impl MultiWorld {
             // contain no `NONE`, so the sentinel test vanishes).
             let live = match (n_dirs, env.has_border) {
                 (6, false) => gather_frontier::<6, false>(
-                    &env.fwd, cell_info, pos, complete, frontier, len, wpairs, tail,
+                    &env.fwd, cell_info, pos, frontier, len, wpairs, tail,
                 ),
                 (6, true) => gather_frontier::<6, true>(
-                    &env.fwd, cell_info, pos, complete, frontier, len, wpairs, tail,
+                    &env.fwd, cell_info, pos, frontier, len, wpairs, tail,
                 ),
                 (4, false) => gather_frontier::<4, false>(
-                    &env.fwd, cell_info, pos, complete, frontier, len, wpairs, tail,
+                    &env.fwd, cell_info, pos, frontier, len, wpairs, tail,
                 ),
                 (4, true) => gather_frontier::<4, true>(
-                    &env.fwd, cell_info, pos, complete, frontier, len, wpairs, tail,
+                    &env.fwd, cell_info, pos, frontier, len, wpairs, tail,
                 ),
                 _ => unreachable!("square and triangulate cells have 4 and 6 neighbours"),
             };
@@ -629,7 +590,6 @@ impl MultiWorld {
                 let here = pos[i] as usize;
                 let acc = &mut wbuf[i * stride..i * stride + stride];
                 if gather_wide(n_dirs, &env.fwd, cell_info, here, acc, tail) {
-                    complete[i] = true;
                     live -= 1;
                     frontier[j] = frontier[live];
                     frontier[live] = i as u32;
@@ -643,59 +603,6 @@ impl MultiWorld {
                 let (i, here) = (i as usize, pos[i as usize] as usize);
                 cell_info[here * stride..here * stride + stride]
                     .copy_from_slice(&wbuf[i * stride..i * stride + stride]);
-            }
-        }
-    }
-
-    /// The dense exchange sweep — the pre-frontier full-`k` scan, kept
-    /// as the kernel bench's same-process baseline for
-    /// `frontier_speedup`: every agent gathers from
-    /// [`MultiWorld::cell_info`] into [`MultiWorld::wbuf`], and the run
-    /// is committed afterwards, so same-sweep peers read pre-exchange
-    /// values (the double-buffer role).
-    fn exchange_dense(&mut self, env: &KernelEnv) {
-        let n_dirs = env.n_dirs;
-        let n_cells = env.lattice.len();
-        let k = self.k as usize;
-        let stride = self.stride as usize;
-        let tail = self.tail_mask;
-        let pos = &self.pos[..k];
-        let complete = &mut self.complete[..k];
-        let informed = &mut self.informed;
-        let cell_info = &mut self.cell_info[..n_cells * stride];
-
-        if stride == 1 {
-            // k ≤ 64: the gather is a branch-free `w |= cell_info[neighbour]`
-            // — an empty neighbour ORs in 0, an occupied one its agent's
-            // word, with no occupant lookup at all.
-            let wbuf = &mut self.wbuf;
-            wbuf.clear();
-            // Dispatch on the two real neighbourhood sizes so the
-            // per-neighbour loop fully unrolls.
-            *informed += match n_dirs {
-                6 => gather_one_word::<6>(&env.fwd, cell_info, pos, complete, wbuf, tail),
-                4 => gather_one_word::<4>(&env.fwd, cell_info, pos, complete, wbuf, tail),
-                _ => unreachable!("square and triangulate cells have 4 and 6 neighbours"),
-            };
-            for (&p, &w) in pos.iter().zip(wbuf.iter()) {
-                cell_info[p as usize] = w;
-            }
-        } else {
-            let wbuf = wide_stage(&mut self.wbuf, k * stride);
-            for (i, acc) in wbuf.chunks_exact_mut(stride).enumerate() {
-                let here = pos[i] as usize;
-                // A complete agent gathers nothing: its words are the
-                // frozen all-ones vector, re-committed as they are.
-                if complete[i] {
-                    acc.copy_from_slice(&cell_info[here * stride..here * stride + stride]);
-                } else if gather_wide(n_dirs, &env.fwd, cell_info, here, acc, tail) {
-                    complete[i] = true;
-                    *informed += 1;
-                }
-            }
-            for (&p, acc) in pos.iter().zip(wbuf.chunks_exact(stride)) {
-                let here = p as usize;
-                cell_info[here * stride..here * stride + stride].copy_from_slice(acc);
             }
         }
     }
@@ -724,50 +631,11 @@ impl MultiWorld {
         self.conflicts
     }
 
-    /// Whether the dense (pre-frontier) exchange sweep is in effect.
-    #[must_use]
-    pub fn is_dense(&self) -> bool {
-        self.dense
-    }
-
-    /// Selects the exchange sweep: `true` replays the dense full-`k`
-    /// scan (the kernel bench's in-process baseline for
-    /// `frontier_speedup`), `false` (the default) walks the activity
-    /// frontier. Both produce bit-identical trajectories. Switching
-    /// back to frontier mode rebuilds the frontier permutation from
-    /// the completion flags, so the toggle is safe mid-run.
-    pub fn set_dense(&mut self, dense: bool) {
-        if self.dense && !dense {
-            let k = self.k as usize;
-            let mut live = 0usize;
-            for i in 0..k {
-                if !self.complete[i] {
-                    self.frontier[live] = i as u32;
-                    live += 1;
-                }
-            }
-            let mut t = live;
-            for i in 0..k {
-                if self.complete[i] {
-                    self.frontier[t] = i as u32;
-                    t += 1;
-                }
-            }
-            self.frontier_len = live as u32;
-        }
-        self.dense = dense;
-    }
-
     /// The active agent IDs — exactly the agents whose infoset is not
     /// yet saturated — in unspecified order.
     #[must_use]
     pub fn active_agents(&self) -> Vec<u32> {
-        let k = self.k as usize;
-        if self.dense {
-            (0..k as u32).filter(|&i| !self.complete[i as usize]).collect()
-        } else {
-            self.frontier[..self.frontier_len as usize].to_vec()
-        }
+        self.frontier[..self.frontier_len as usize].to_vec()
     }
 
     /// Agent positions in ID order.
@@ -816,44 +684,6 @@ impl MultiWorld {
     }
 }
 
-/// The one-word gather sweep with the neighbourhood size `D` fixed at
-/// compile time, so the per-neighbour OR loop fully unrolls (the `fwd`
-/// row is copied into a `[u32; D]` to make the trip count a constant).
-/// Pushes one gathered word per agent into `wbuf` and returns how many
-/// agents became complete.
-fn gather_one_word<const D: usize>(
-    fwd: &[u32],
-    cell_info: &[u64],
-    pos: &[u32],
-    complete: &mut [bool],
-    wbuf: &mut Vec<u64>,
-    tail: u64,
-) -> u32 {
-    let mut newly = 0;
-    for i in 0..pos.len() {
-        let here = pos[i] as usize;
-        if complete[i] {
-            // Identity re-commit: the cell word is already the frozen
-            // all-ones vector.
-            wbuf.push(cell_info[here]);
-            continue;
-        }
-        let mut w = cell_info[here];
-        let row: [u32; D] = fwd[here * D..here * D + D].try_into().expect("row length is D");
-        for nc in row {
-            if nc != NONE {
-                w |= cell_info[nc as usize];
-            }
-        }
-        wbuf.push(w);
-        if w == tail {
-            complete[i] = true;
-            newly += 1;
-        }
-    }
-    newly
-}
-
 /// The frontier one-word gather: walks the run's live frontier prefix,
 /// staging `(cell, gathered word)` pairs for exactly the active agents
 /// and swap-removing each agent that saturates. `D` fixes the
@@ -862,12 +692,10 @@ fn gather_one_word<const D: usize>(
 /// `fwd`) removes the per-neighbour sentinel test from the inner loop
 /// entirely. Returns the new live length; the caller derives the newly
 /// informed count as `len - returned`.
-#[allow(clippy::too_many_arguments)]
 fn gather_frontier<const D: usize, const BORDERED: bool>(
     fwd: &[u32],
     cell_info: &[u64],
     pos: &[u32],
-    complete: &mut [bool],
     frontier: &mut [u32],
     mut len: usize,
     wpairs: &mut Vec<(u32, u64)>,
@@ -886,7 +714,6 @@ fn gather_frontier<const D: usize, const BORDERED: bool>(
         }
         wpairs.push((here as u32, w));
         if w == tail {
-            complete[i] = true;
             len -= 1;
             frontier[j] = frontier[len];
             frontier[len] = i as u32;

@@ -114,48 +114,6 @@ pub fn render_chart(
     doc.finish()
 }
 
-/// Renders a compact inline sparkline — the per-metric trend cell of
-/// the perf observatory's markdown report. A single polyline over the
-/// value series, the last point marked with a dot; an empty or
-/// single-point series still renders (dot only), and a flat series is
-/// centred vertically.
-#[must_use]
-pub fn sparkline(values: &[f64], width: f64, height: f64) -> String {
-    const PAD: f64 = 2.0;
-    let mut doc = SvgDoc::new(width, height);
-    doc.rect(0.0, 0.0, width, height, "#ffffff", 1.0);
-    let finite: Vec<f64> = values.iter().copied().filter(|v| v.is_finite()).collect();
-    if finite.is_empty() {
-        return doc.finish();
-    }
-    let (lo, hi) = finite
-        .iter()
-        .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| (lo.min(v), hi.max(v)));
-    let span = (hi - lo).max(f64::MIN_POSITIVE);
-    let n = finite.len();
-    let px = |i: usize| {
-        if n == 1 {
-            width / 2.0
-        } else {
-            PAD + i as f64 / (n - 1) as f64 * (width - 2.0 * PAD)
-        }
-    };
-    let py = |v: f64| {
-        if hi == lo {
-            height / 2.0
-        } else {
-            PAD + (1.0 - (v - lo) / span) * (height - 2.0 * PAD)
-        }
-    };
-    let pts: Vec<(f64, f64)> = finite.iter().enumerate().map(|(i, &v)| (px(i), py(v))).collect();
-    if pts.len() >= 2 {
-        doc.polyline(&pts, "#2a6f97", 1.2);
-    }
-    let &(x, y) = pts.last().expect("non-empty");
-    doc.circle(x, y, 2.0, "#c1121f");
-    doc.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,25 +181,5 @@ mod tests {
     #[should_panic(expected = "at least one point")]
     fn empty_chart_rejected() {
         let _ = render_chart("x", "x", "y", ChartScale::Linear, &[]);
-    }
-
-    #[test]
-    fn sparkline_renders_line_and_marker() {
-        let svg = sparkline(&[1.0, 1.5, 1.2, 1.8], 120.0, 24.0);
-        assert!(svg.starts_with("<svg"));
-        assert_eq!(svg.matches("<polyline").count(), 1);
-        assert_eq!(svg.matches("<circle").count(), 1, "last point marked");
-    }
-
-    #[test]
-    fn sparkline_handles_degenerate_series() {
-        // Empty: background only. Single point / flat series: no panic,
-        // marker present.
-        assert!(!sparkline(&[], 60.0, 16.0).contains("<circle"));
-        assert!(sparkline(&[2.0], 60.0, 16.0).contains("<circle"));
-        let flat = sparkline(&[3.0, 3.0, 3.0], 60.0, 16.0);
-        assert!(flat.contains("<polyline"));
-        // NaN values are dropped, not propagated into coordinates.
-        assert!(!sparkline(&[1.0, f64::NAN, 2.0], 60.0, 16.0).contains("NaN"));
     }
 }

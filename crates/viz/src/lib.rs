@@ -39,7 +39,7 @@ mod svg;
 mod theme;
 mod trajectory;
 
-pub use chart::{render_chart, sparkline, ChartScale, ChartSeries};
+pub use chart::{render_chart, ChartScale, ChartSeries};
 pub use field::render_field;
 pub use svg::SvgDoc;
 pub use theme::Theme;

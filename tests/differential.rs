@@ -281,7 +281,7 @@ fn partial_chunk_batches_match_per_config_outcomes() {
 #[test]
 fn mid_batch_retirement_preserves_outcome_order() {
     // Random placements finish at scattered times. Outcome slots must
-    // stay aligned with load order in both exchange modes, and the
+    // stay aligned with load order, and the
     // batch must actually exercise staggered finishes (many distinct
     // communication times) rather than one synchronized finish.
     let cfg = WorldConfig::paper(GridKind::Square, 16);
@@ -296,7 +296,6 @@ fn mid_batch_retirement_preserves_outcome_order() {
     times.dedup();
     assert!(times.len() > 10, "scenario pool no longer staggers retirements");
     assert_eq!(runner.run_all(&inits).unwrap(), oracle, "frontier retirement order");
-    assert_eq!(runner.run_all_multi_dense(&inits).unwrap(), oracle, "dense retirement order");
 }
 
 #[test]
@@ -329,7 +328,6 @@ fn parallel_dispatch_matches_serial_engines_under_mid_batch_retirement() {
     let parallel = runner.clone().with_dispatch(Arc::clone(&pool));
     assert_eq!(parallel.dispatch_workers(), 3, "pool advertises its worker count");
     assert_eq!(parallel.run_all(&inits).unwrap(), oracle, "dispatched frontier path");
-    assert_eq!(parallel.run_all_multi_dense(&inits).unwrap(), oracle, "dispatched dense path");
     assert_eq!(runner.run_all(&inits).unwrap(), oracle, "serial vs dispatched");
     // Determinism across repeated dispatched executions of the same batch.
     assert_eq!(

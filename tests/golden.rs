@@ -15,8 +15,7 @@
 //!
 //! Every path must reproduce every value exactly: the one-run kernel
 //! path (`outcome_for`) and the reference `World` for the sweep, and
-//! both batch exchange modes — the frontier `run_all` and the dense
-//! `run_all_multi_dense` — for both sections. The fixture also pins the
+//! the batch path `run_all` for both sections. The fixture also pins the
 //! paper's density observation that `k = 4` is the slowest sampled
 //! density.
 //!
@@ -78,8 +77,7 @@ fn kernel_times(kind: GridKind, k: usize) -> Vec<u32> {
 }
 
 /// One big-field cell as `(t_comm | -1, informed)` pairs, computed on
-/// the batch path (the dense mode is asserted equal in the fixture
-/// test).
+/// the batch path.
 fn big_field_records(kind: GridKind, m: u16) -> Vec<(i64, usize)> {
     let cfg = WorldConfig::paper(kind, m);
     let runner = BatchRunner::from_genome(&cfg, best_agent(kind), BIG_T_MAX).unwrap();
@@ -250,10 +248,8 @@ fn golden_fixture_matches_both_engines() {
 
 #[test]
 fn golden_fixture_matches_batch_engines() {
-    // Both exchange modes of the lockstep batch path reproduce every
-    // sweep time through the chunked whole-batch API (all 32
-    // placements of a cell in one call), pinning the frontier and
-    // dense sweeps to the same semantics.
+    // The batch path reproduces every sweep time through the
+    // whole-batch API (all 32 placements of a cell in one call).
     let (golden, _) = load_fixture();
     for ((kind, k), (gkind, gk, gtimes)) in KINDS
         .iter()
@@ -266,26 +262,19 @@ fn golden_fixture_matches_batch_engines() {
         let runner = BatchRunner::from_genome(&cfg, best_agent(kind), T_MAX).unwrap();
         let inits: Vec<InitialConfig> =
             (0..SEEDS).map(|seed| placement(kind, FIELD, k, seed)).collect();
-        for (engine, outcomes) in [
-            ("frontier", runner.run_all(&inits).unwrap()),
-            ("dense", runner.run_all_multi_dense(&inits).unwrap()),
-        ] {
-            let times: Vec<u32> = outcomes
-                .into_iter()
-                .map(|o| o.t_comm.expect("published agents solve every golden sweep scenario"))
-                .collect();
-            assert_eq!(
-                &times, gtimes,
-                "{gkind} k={gk}: {engine} kernel diverged from golden times"
-            );
-        }
+        let times: Vec<u32> = runner
+            .run_all(&inits)
+            .unwrap()
+            .into_iter()
+            .map(|o| o.t_comm.expect("published agents solve every golden sweep scenario"))
+            .collect();
+        assert_eq!(&times, gtimes, "{gkind} k={gk}: batch kernel diverged from golden times");
     }
 }
 
 #[test]
 fn golden_big_fields_match_batch_engines() {
-    // M up to 1024: exact partial progress under the short horizon,
-    // identical in the frontier and dense exchange modes.
+    // M up to 1024: exact partial progress under the short horizon.
     let (_, golden) = load_fixture();
     assert_eq!(golden.len(), KINDS.len() * BIG_FIELDS.len(), "big-field shape changed");
     for ((kind, m), (gkind, gm, gtimes, ginformed)) in KINDS
@@ -299,18 +288,15 @@ fn golden_big_fields_match_batch_engines() {
         let runner = BatchRunner::from_genome(&cfg, best_agent(kind), BIG_T_MAX).unwrap();
         let inits: Vec<InitialConfig> =
             (0..BIG_SEEDS).map(|seed| placement(kind, m, BIG_K, seed)).collect();
-        for (engine, outcomes) in [
-            ("frontier", runner.run_all(&inits).unwrap()),
-            ("dense", runner.run_all_multi_dense(&inits).unwrap()),
-        ] {
-            let got: Vec<(i64, usize)> = outcomes
-                .iter()
-                .map(|o: &RunOutcome| (o.t_comm.map_or(-1, i64::from), o.informed))
-                .collect();
-            let want: Vec<(i64, usize)> =
-                gtimes.iter().copied().zip(ginformed.iter().copied()).collect();
-            assert_eq!(got, want, "{gkind} M={gm}: {engine} diverged from golden records");
-        }
+        let got: Vec<(i64, usize)> = runner
+            .run_all(&inits)
+            .unwrap()
+            .iter()
+            .map(|o: &RunOutcome| (o.t_comm.map_or(-1, i64::from), o.informed))
+            .collect();
+        let want: Vec<(i64, usize)> =
+            gtimes.iter().copied().zip(ginformed.iter().copied()).collect();
+        assert_eq!(got, want, "{gkind} M={gm}: batch kernel diverged from golden records");
     }
 }
 
