@@ -11,12 +11,10 @@
 
 use crate::experiments::density::{run_series_in, DensityExperiment, GridSeries};
 use crate::transform::{remap_to_full_turns, reinterpret_turns_naive, suppress_colors};
-use a2a_fsm::best_agent;
-use a2a_ga::parallel_map;
+use a2a_fsm::{best_agent, Genome};
+use a2a_ga::WorkerPool;
 use a2a_grid::GridKind;
-use a2a_sim::{
-    simulate, ConflictPolicy, InitStatePolicy, InitialConfig, SimError, WorldConfig,
-};
+use a2a_sim::{BatchRunner, ConflictPolicy, InitStatePolicy, InitialConfig, SimError, WorldConfig};
 use serde::{Deserialize, Serialize};
 
 /// A labelled variant outcome within an ablation.
@@ -96,21 +94,22 @@ pub fn colors_paired(
     let configs = a2a_sim::paper_config_set(cfg.lattice, kind, k, n_random, seed)?;
     let with = best_agent(kind);
     let without = suppress_colors(&with);
-    let pairs = parallel_map(&configs, threads, |init| {
-        let a = simulate(&cfg, with.clone(), init, t_max).expect("valid construction");
-        let b = simulate(&cfg, without.clone(), init, t_max).expect("valid construction");
-        (a.t_comm, b.t_comm)
-    });
-    let common: Vec<(u32, u32)> = pairs
+    let pool = WorkerPool::new(threads);
+    let run = |genome: Genome| -> Result<_, SimError> {
+        pool.run_all(&BatchRunner::from_genome(&cfg, genome, t_max)?, &configs)
+    };
+    let (a, b) = (run(with)?, run(without)?);
+    let common: Vec<(u32, u32)> = a
         .iter()
-        .filter_map(|&(a, b)| Some((a?, b?)))
+        .zip(&b)
+        .filter_map(|(a, b)| Some((a.t_comm?, b.t_comm?)))
         .collect();
     let n = common.len().max(1) as f64;
     Ok(PairedColors {
         kind,
         agents: k,
         both_solved: common.len(),
-        total: pairs.len(),
+        total: configs.len(),
         mean_with: common.iter().map(|&(a, _)| f64::from(a)).sum::<f64>() / n,
         mean_without: common.iter().map(|&(_, b)| f64::from(b)).sum::<f64>() / n,
     })
@@ -169,24 +168,19 @@ pub fn init_state_ablation(
         ("uniform state 0".to_string(), InitStatePolicy::Uniform(0)),
         ("uniform state 3".to_string(), InitStatePolicy::Uniform(3)),
     ];
+    let pool = WorkerPool::new(threads);
     let mut outcomes = Vec::new();
     for (label, policy) in policies {
         let cfg = WorldConfig { init_states: policy, ..base.clone() };
-        let count = |set: &[InitialConfig]| -> usize {
-            parallel_map(set, threads, |init| {
-                simulate(&cfg, genome.clone(), init, t_max)
-                    .expect("valid construction")
-                    .is_successful()
-            })
-            .into_iter()
-            .filter(|&s| s)
-            .count()
+        let runner = BatchRunner::from_genome(&cfg, genome.clone(), t_max)?;
+        let count = |set: &[InitialConfig]| -> Result<usize, SimError> {
+            Ok(pool.run_all(&runner, set)?.iter().filter(|o| o.is_successful()).count())
         };
         outcomes.push(PolicyOutcome {
             policy: label,
-            manual_successes: count(&manual),
+            manual_successes: count(&manual)?,
             manual_total: manual.len(),
-            random_successes: count(&random),
+            random_successes: count(&random)?,
             random_total: random.len(),
         });
     }

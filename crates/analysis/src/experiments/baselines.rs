@@ -8,9 +8,9 @@ use crate::experiments::ablation::Variant;
 use crate::experiments::density::{run_series_in, DensityExperiment};
 use crate::stats::Summary;
 use a2a_fsm::{all_baselines, best_agent};
-use a2a_ga::parallel_map;
+use a2a_ga::WorkerPool;
 use a2a_grid::GridKind;
-use a2a_sim::{paper_config_set, simulate, SimError, WorldConfig};
+use a2a_sim::{paper_config_set, BatchRunner, SimError, WorldConfig};
 use serde::{Deserialize, Serialize};
 
 /// Runs the published best agent plus every hand-coded baseline over the
@@ -73,34 +73,26 @@ pub fn bound_comparison(
 ) -> Result<BoundReport, SimError> {
     let cfg = WorldConfig::paper(kind, 16);
     let configs = paper_config_set(cfg.lattice, kind, k, n_random, seed)?;
-    let genome = best_agent(kind);
-    let rows = parallel_map(&configs, threads, |init| {
-        let bound = diffusion_lower_bound(cfg.lattice, kind, init);
-        let outcome = simulate(&cfg, genome.clone(), init, t_max)
-            .expect("configuration sets match the environment");
-        (bound, outcome.t_comm)
-    });
-    let bounds: Vec<u32> = rows.iter().map(|&(b, _)| b).collect();
-    let times: Vec<u32> = rows.iter().filter_map(|&(_, t)| t).collect();
-    let slowdowns: Vec<f64> = rows
+    let runner = BatchRunner::from_genome(&cfg, best_agent(kind), t_max)?;
+    let outcomes = WorkerPool::new(threads).run_all(&runner, &configs)?;
+    let bounds: Vec<u32> = configs
         .iter()
-        .filter_map(|&(b, t)| t.map(|t| f64::from(t) / f64::from(b.max(1))))
+        .map(|init| diffusion_lower_bound(cfg.lattice, kind, init))
+        .collect();
+    let times: Vec<u32> = outcomes.iter().filter_map(|o| o.t_comm).collect();
+    let slowdowns: Vec<f64> = bounds
+        .iter()
+        .zip(&outcomes)
+        .filter_map(|(&b, o)| o.t_comm.map(|t| f64::from(t) / f64::from(b.max(1))))
         .collect();
     Ok(BoundReport {
         kind,
         agents: k,
         bound: Summary::of_u32(&bounds).expect("non-empty configuration set"),
-        measured: Summary::of_u32(&times).unwrap_or(Summary {
-            n: 0,
-            mean: f64::NAN,
-            std_dev: f64::NAN,
-            min: f64::NAN,
-            max: f64::NAN,
-            median: f64::NAN,
-        }),
+        measured: Summary::of_u32(&times).unwrap_or(Summary::NAN),
         mean_slowdown: slowdowns.iter().sum::<f64>() / slowdowns.len().max(1) as f64,
         successes: times.len(),
-        total: rows.len(),
+        total: outcomes.len(),
     })
 }
 

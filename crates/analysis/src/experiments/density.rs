@@ -7,9 +7,8 @@ use crate::table::{f2, f3, TextTable};
 use a2a_fsm::{best_agent, Genome};
 use a2a_ga::WorkerPool;
 use a2a_grid::GridKind;
-use a2a_sim::{paper_config_set, BatchRunner, Dispatch, SimError, WorldConfig};
+use a2a_sim::{paper_config_set, BatchRunner, RunOutcome, SimError, WorldConfig};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// The agent counts of Table 1.
 pub const TABLE1_AGENT_COUNTS: [usize; 6] = [2, 4, 8, 16, 32, 256];
@@ -73,6 +72,19 @@ pub struct DensityPoint {
 }
 
 impl DensityPoint {
+    /// Folds the outcomes of one configuration set at `agents` agents:
+    /// `t_comm` is summarised over the successful runs.
+    #[must_use]
+    pub fn from_outcomes(agents: usize, outcomes: &[RunOutcome]) -> Self {
+        let times: Vec<u32> = outcomes.iter().filter_map(|o| o.t_comm).collect();
+        Self {
+            agents,
+            times: Summary::of_u32(&times).unwrap_or(Summary::NAN),
+            successes: times.len(),
+            total: outcomes.len(),
+        }
+    }
+
     /// Whether every configuration was solved ("completely successful").
     #[must_use]
     pub fn is_complete(&self) -> bool {
@@ -178,33 +190,18 @@ pub fn run_series_in(
     genome: &Genome,
     exp: &DensityExperiment,
 ) -> Result<GridSeries, SimError> {
-    // One compiled kernel environment serves every density and thread;
-    // the worker pool rides inside `run_all` through the dispatch seam,
-    // so every density level runs the kernel across all cores with
-    // outcomes bit-identical to the serial path.
-    let pool: Arc<dyn Dispatch> = Arc::new(WorkerPool::new(exp.threads));
-    let runner =
-        BatchRunner::from_genome(cfg, genome.clone(), exp.t_max)?.with_dispatch(pool);
+    // One compiled kernel environment serves every density; the pool
+    // shards each configuration set across its threads, with outcomes
+    // bit-identical to the serial path.
+    let pool = WorkerPool::new(exp.threads);
+    let runner = BatchRunner::from_genome(cfg, genome.clone(), exp.t_max)?;
     let mut points = Vec::with_capacity(exp.agent_counts.len());
     for &k in &exp.agent_counts {
         let configs = paper_config_set(cfg.lattice, cfg.kind, k, exp.n_random, exp.seed)?;
-        let outcomes = runner
-            .run_all(&configs)
+        let outcomes = pool
+            .run_all(&runner, &configs)
             .expect("configuration sets are generated to match the environment");
-        let times: Vec<u32> = outcomes.iter().filter_map(|o| o.t_comm).collect();
-        points.push(DensityPoint {
-            agents: k,
-            times: Summary::of_u32(&times).unwrap_or(Summary {
-                n: 0,
-                mean: f64::NAN,
-                std_dev: f64::NAN,
-                min: f64::NAN,
-                max: f64::NAN,
-                median: f64::NAN,
-            }),
-            successes: times.len(),
-            total: outcomes.len(),
-        });
+        points.push(DensityPoint::from_outcomes(k, &outcomes));
     }
     Ok(GridSeries { kind: cfg.kind, points })
 }

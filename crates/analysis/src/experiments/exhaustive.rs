@@ -11,10 +11,11 @@
 
 use crate::histogram::Histogram;
 use a2a_fsm::best_agent;
-use a2a_ga::parallel_map;
+use a2a_ga::WorkerPool;
 use a2a_grid::{Dir, GridKind, Lattice, Pos};
 use a2a_sim::{decide, Decision, InitialConfig, World, WorldConfig};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Outcome of the exhaustive sweep for one grid kind.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -71,7 +72,8 @@ pub fn exhaustive_two_agents(
         }
     }
 
-    let outcomes = parallel_map(&cases, threads, |&(pos1, d0, d1)| {
+    let cases = Arc::new(cases);
+    let outcomes = WorkerPool::new(threads).map(&cases, move |_, &(pos1, d0, d1)| {
         let init = InitialConfig::new(vec![(Pos::new(0, 0), d0), (pos1, d1)]);
         let mut world = World::new(&cfg, genome.clone(), &init)
             .expect("enumerated configurations are valid");
@@ -136,7 +138,8 @@ pub fn exhaustive_three_agents(
         }
     }
 
-    let outcomes = parallel_map(&cases, threads, |&(p1, p2, ds)| {
+    let cases = Arc::new(cases);
+    let outcomes = WorkerPool::new(threads).map(&cases, move |_, &(p1, p2, ds)| {
         let init = InitialConfig::new(vec![
             (Pos::new(0, 0), ds[0]),
             (p1, ds[1]),

@@ -2,10 +2,11 @@
 //! bordered fields ("environments with border are easier") and obstacle
 //! fields, exercised with the published best agents.
 
-use crate::experiments::density::{run_series_in, DensityExperiment, GridSeries};
+use crate::experiments::density::{run_series_in, DensityExperiment, DensityPoint, GridSeries};
 use a2a_fsm::best_agent;
+use a2a_ga::WorkerPool;
 use a2a_grid::{GridKind, Lattice, Pos};
-use a2a_sim::{SimError, WorldConfig};
+use a2a_sim::{BatchRunner, InitialConfig, SimError, WorldConfig};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -98,34 +99,16 @@ fn run_obstacle_series(
     exp: &DensityExperiment,
     obstacles: &[Pos],
 ) -> Result<GridSeries, SimError> {
-    use crate::stats::Summary;
-    use a2a_ga::parallel_map;
-    use a2a_sim::{simulate, InitialConfig};
-
+    let pool = WorkerPool::new(exp.threads);
+    let runner = BatchRunner::from_genome(cfg, genome.clone(), exp.t_max)?;
     let mut points = Vec::new();
     for &k in &exp.agent_counts {
         let mut rng = SmallRng::seed_from_u64(exp.seed ^ (k as u64) << 1);
         let configs: Result<Vec<InitialConfig>, SimError> = (0..exp.n_random)
             .map(|_| InitialConfig::random(cfg.lattice, cfg.kind, k, obstacles, &mut rng))
             .collect();
-        let configs = configs?;
-        let outcomes = parallel_map(&configs, exp.threads, |init| {
-            simulate(cfg, genome.clone(), init, exp.t_max).expect("valid construction")
-        });
-        let times: Vec<u32> = outcomes.iter().filter_map(|o| o.t_comm).collect();
-        points.push(crate::experiments::density::DensityPoint {
-            agents: k,
-            times: Summary::of_u32(&times).unwrap_or(Summary {
-                n: 0,
-                mean: f64::NAN,
-                std_dev: f64::NAN,
-                min: f64::NAN,
-                max: f64::NAN,
-                median: f64::NAN,
-            }),
-            successes: times.len(),
-            total: outcomes.len(),
-        });
+        let outcomes = pool.run_all(&runner, &configs?).expect("valid construction");
+        points.push(DensityPoint::from_outcomes(k, &outcomes));
     }
     Ok(GridSeries { kind: cfg.kind, points })
 }

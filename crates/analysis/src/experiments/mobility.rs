@@ -6,10 +6,11 @@
 
 use crate::stats::Summary;
 use a2a_fsm::best_agent;
-use a2a_ga::parallel_map;
+use a2a_ga::WorkerPool;
 use a2a_grid::GridKind;
 use a2a_sim::{paper_config_set, record_trajectory, SimError, World, WorldConfig};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Mobility statistics of one grid kind at one density.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -40,10 +41,12 @@ pub fn mobility_sweep(
 ) -> Result<Vec<MobilityPoint>, SimError> {
     let cfg = WorldConfig::paper(kind, 16);
     let genome = best_agent(kind);
+    let pool = WorkerPool::new(threads);
     let mut points = Vec::with_capacity(agent_counts.len());
     for &k in agent_counts {
-        let configs = paper_config_set(cfg.lattice, kind, k, n_random, seed)?;
-        let rows = parallel_map(&configs, threads, |init| {
+        let configs = Arc::new(paper_config_set(cfg.lattice, kind, k, n_random, seed)?);
+        let (cfg, genome) = (cfg.clone(), genome.clone());
+        let rows = pool.map(&configs, move |_, init| {
             let mut world = World::new(&cfg, genome.clone(), init)
                 .expect("configuration sets match the environment");
             let (outcome, traj) = record_trajectory(&mut world, t_max);
@@ -55,14 +58,7 @@ pub fn mobility_sweep(
             kind,
             agents: k,
             mobility: Summary::of(&mobilities).expect("non-empty set"),
-            times: Summary::of_u32(&times).unwrap_or(Summary {
-                n: 0,
-                mean: f64::NAN,
-                std_dev: f64::NAN,
-                min: f64::NAN,
-                max: f64::NAN,
-                median: f64::NAN,
-            }),
+            times: Summary::of_u32(&times).unwrap_or(Summary::NAN),
         });
     }
     Ok(points)

@@ -5,10 +5,11 @@
 //! consolidation phase).
 
 use a2a_fsm::best_agent;
-use a2a_ga::parallel_map;
+use a2a_ga::WorkerPool;
 use a2a_grid::GridKind;
 use a2a_sim::{paper_config_set, run_with_profile, SimError, World, WorldConfig};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Mean informed-fraction curve of one grid kind.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -49,9 +50,9 @@ pub fn diffusion_profile(
     threads: usize,
 ) -> Result<DiffusionProfile, SimError> {
     let cfg = WorldConfig::paper(kind, 16);
-    let configs = paper_config_set(cfg.lattice, kind, k, n_random, seed)?;
+    let configs = Arc::new(paper_config_set(cfg.lattice, kind, k, n_random, seed)?);
     let genome = best_agent(kind);
-    let profiles: Vec<Vec<usize>> = parallel_map(&configs, threads, |init| {
+    let profiles: Vec<Vec<usize>> = WorkerPool::new(threads).map(&configs, move |_, init| {
         let mut world = World::new(&cfg, genome.clone(), init)
             .expect("configuration sets match the environment");
         run_with_profile(&mut world, t_max).1

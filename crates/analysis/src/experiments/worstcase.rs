@@ -10,7 +10,7 @@
 
 use a2a_fsm::best_agent;
 use a2a_grid::{Dir, GridKind, Pos};
-use a2a_sim::{BatchRunner, InitialConfig, SimError, WorldConfig};
+use a2a_sim::{InitialConfig, MultiWorld, SimError, WorldConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -53,12 +53,13 @@ pub fn adversarial_search(
 ) -> Result<WorstCase, SimError> {
     let cfg = WorldConfig::paper(kind, 16);
     // The search re-simulates thousands of candidates against one genome:
-    // compile it once and reuse the kernel environment throughout.
-    let runner = BatchRunner::from_genome(&cfg, best_agent(kind), t_max)?;
+    // compile it once and reload one kernel world per candidate.
+    let mut world = MultiWorld::new(&cfg, best_agent(kind))?;
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut current = InitialConfig::random(cfg.lattice, kind, k, &[], &mut rng)?;
-    let run = |c: &InitialConfig| -> Result<Option<u32>, SimError> {
-        Ok(runner.outcome_for(c)?.t_comm)
+    let mut run = |c: &InitialConfig| -> Result<Option<u32>, SimError> {
+        world.load(c)?;
+        Ok(world.run(t_max).t_comm)
     };
     let Some(initial_time) = run(&current)? else {
         return Ok(WorstCase {

@@ -21,6 +21,16 @@ pub struct Summary {
 }
 
 impl Summary {
+    /// The summary of an empty sample: `n = 0` and every statistic NaN.
+    pub const NAN: Self = Self {
+        n: 0,
+        mean: f64::NAN,
+        std_dev: f64::NAN,
+        min: f64::NAN,
+        max: f64::NAN,
+        median: f64::NAN,
+    };
+
     /// Summarises a sample.
     ///
     /// Returns `None` for an empty sample.

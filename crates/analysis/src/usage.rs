@@ -6,9 +6,10 @@
 //! reason mutation-only search works well here.
 
 use a2a_fsm::Genome;
-use a2a_ga::parallel_map;
+use a2a_ga::WorkerPool;
 use a2a_sim::{InitialConfig, World, WorldConfig};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Aggregated entry-usage over a configuration set.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -61,16 +62,17 @@ pub fn profile_usage(
     t_max: u32,
     threads: usize,
 ) -> UsageProfile {
-    let per_config = parallel_map(configs, threads, |init| {
+    let len = genome.spec().entry_count();
+    let (env, genome) = (env.clone(), genome.clone());
+    let per_config = WorkerPool::new(threads).map(&Arc::new(configs.to_vec()), move |_, init| {
         let mut world =
-            World::new(env, genome.clone(), init).expect("valid configuration");
+            World::new(&env, genome.clone(), init).expect("valid configuration");
         world.enable_usage_tracking();
         while !world.all_informed() && world.time() < t_max {
             world.step();
         }
         (world.usage().expect("tracking enabled").to_vec(), u64::from(world.time()))
     });
-    let len = genome.spec().entry_count();
     let mut counts = vec![0u64; len];
     let mut total_steps = 0u64;
     for (usage, steps) in &per_config {

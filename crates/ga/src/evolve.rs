@@ -327,8 +327,8 @@ impl Evolution {
                 break;
             }
             // Each generation is a causal span: evaluation fan-outs
-            // (`parallel.map` / `ga.pool.map`) opened below adopt it as
-            // parent, so a captured trace groups work by generation.
+            // (`ga.pool.map`) opened below adopt it as parent, so a
+            // captured trace groups work by generation.
             let _gen_span = a2a_obs::Span::enter("ga.generation");
             let timer = a2a_obs::metrics_enabled().then(std::time::Instant::now);
             // N/2 offspring from the top N/2 individuals.

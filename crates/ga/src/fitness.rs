@@ -4,15 +4,16 @@
 //! configurations.
 //!
 //! The [`Evaluator`] is an *adaptive* pipeline (see DESIGN.md §8): a
-//! persistent [`WorkerPool`] replaces per-call scoped threads, a
+//! persistent [`WorkerPool`] runs every evaluation (one genome's
+//! configuration set through [`WorkerPool::run_all`], whole populations
+//! through [`WorkerPool::map`]), a
 //! [`FitnessCache`] memoizes exact reports by canonical genome digits,
 //! and [`Evaluator::evaluate_selection`] prunes hopeless genomes early
 //! using provable fitness bounds — all without changing a single
 //! reported number relative to the exhaustive path.
 
 use crate::cache::FitnessCache;
-use crate::parallel::default_threads_for;
-use crate::pool::WorkerPool;
+use crate::pool::{default_threads, WorkerPool};
 use a2a_fsm::{FsmSpec, Genome};
 use a2a_obs::json::Json;
 use a2a_sim::{BatchRunner, Behaviour, InitialConfig, RunOutcome, WorldConfig};
@@ -208,7 +209,7 @@ impl Evaluator {
         assert!(!configs.is_empty(), "fitness needs at least one configuration");
         Self {
             config,
-            threads: default_threads_for(configs.len()),
+            threads: default_threads().min(configs.len()),
             configs: Arc::new(configs),
             t_max: PAPER_T_MAX,
             weight: PAPER_WEIGHT,
@@ -316,18 +317,15 @@ impl Evaluator {
     #[must_use]
     pub fn evaluate_behaviour(&self, behaviour: &Behaviour) -> FitnessReport {
         let started = a2a_obs::metrics_enabled().then(std::time::Instant::now);
-        // Compile the behaviour once and ride the in-kernel parallel
-        // dispatcher: `run_all` itself shards configuration ranges
-        // across the shared worker pool (through the sim-visible
-        // `Dispatch` seam) and commits range results in submission
-        // order, so the outcome vector — and the fitness — is
-        // bit-identical to a serial `run_all`, whatever the thread
-        // count.
+        // Compile the behaviour once and shard the configuration set
+        // across the shared pool: ranges are committed in set order, so
+        // the outcome vector — and the fitness — is bit-identical to a
+        // serial `run_all`, whatever the thread count.
         let runner = BatchRunner::new(&self.config, behaviour, self.t_max)
-            .expect("behaviour and configuration set must match the environment")
-            .with_dispatch(Arc::clone(self.pool()) as Arc<dyn a2a_sim::Dispatch>);
-        let outcomes = runner
-            .run_all(&self.configs)
+            .expect("behaviour and configuration set must match the environment");
+        let outcomes = self
+            .pool()
+            .run_all(&runner, &self.configs)
             .expect("behaviour and configuration set must match the environment");
         record_genome_eval(started);
         FitnessReport::from_outcomes(&outcomes, self.weight)

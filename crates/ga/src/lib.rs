@@ -14,8 +14,9 @@
 //!   ([`Evaluator::evaluate_selection`]) — see DESIGN.md §8;
 //! * [`Evolution`] / [`GaConfig`] — the generational loop;
 //! * [`screen`] — reliability screening across agent densities (Sect. 5);
-//! * [`parallel_map`] — the scoped-thread work-stealing map kept for
-//!   one-shot batches.
+//! * [`WorkerPool`] — the workspace's one executor: [`WorkerPool::map`]
+//!   over any shared item set, and [`WorkerPool::run_all`] sharding a
+//!   configuration set across threads in [`DISPATCH_BLOCK`] ranges.
 //!
 //! # Examples
 //!
@@ -50,7 +51,6 @@ mod crossover;
 mod evolve;
 mod fitness;
 mod islands;
-mod parallel;
 mod pool;
 mod reliability;
 
@@ -67,6 +67,5 @@ pub use islands::{
     run_islands, run_islands_resumable, IslandConfig, IslandOutcome, IslandsState,
     ResumableIslands,
 };
-pub use parallel::{default_threads, default_threads_for, parallel_map};
-pub use pool::{WorkerPool, DEFAULT_TASK_DEADLINE, MAX_STRIKES};
+pub use pool::{default_threads, WorkerPool, DEFAULT_TASK_DEADLINE, DISPATCH_BLOCK, MAX_STRIKES};
 pub use reliability::{screen, DensityReport, ReliabilityReport};

@@ -1,6 +1,5 @@
 //! A persistent worker pool on `std::thread`: a condvar-guarded job
-//! queue shared by long-lived workers, replacing the per-call scoped
-//! threads of [`crate::parallel_map`] on the GA hot path.
+//! queue shared by long-lived workers — the workspace's one executor.
 //!
 //! The GA calls `evaluate_all` once per generation; spawning and joining
 //! OS threads each time costs tens of microseconds per worker and shows
@@ -8,11 +7,14 @@
 //! parks them on a [`Condvar`], and hands them `'static` jobs — the
 //! crate forbids `unsafe`, so instead of lifetime-erased borrows the
 //! [`WorkerPool::map`] primitive shares its input through an [`Arc`].
+//! [`WorkerPool::run_all`] shards a configuration set across the pool
+//! in [`DISPATCH_BLOCK`] ranges on top of `map`; `a2a-sim`'s batch
+//! layer itself is serial.
 //!
-//! Workers tag themselves in the observability layer exactly like
-//! `parallel_map` workers do (`a2a_obs::set_worker_id`), so events
-//! emitted from inside jobs carry a stable worker id, and every executed
-//! task bumps the `ga.pool.tasks` counter while metrics are on.
+//! Workers tag themselves in the observability layer
+//! (`a2a_obs::set_worker_id`), so events emitted from inside jobs carry
+//! a stable worker id, and every executed task bumps the
+//! `ga.pool.tasks` counter while metrics are on.
 //!
 //! # Watchdog
 //!
@@ -29,8 +31,7 @@
 //!   helper quarantined the map degrades to a clean inline loop on the
 //!   caller.
 //! * **Deadline** — the caller waits at most
-//!   [`WorkerPool::with_task_deadline`] (default [`DEFAULT_TASK_DEADLINE`],
-//!   overridable process-wide with the `A2A_POOL_DEADLINE_MS` env var)
+//!   [`WorkerPool::with_task_deadline`] (default [`DEFAULT_TASK_DEADLINE`])
 //!   for helper results; items a hung or dead worker never delivered
 //!   are reclaimed, and any worker still stuck on a job older than the
 //!   deadline is quarantined (`ga.pool.deadline_quarantines` counter)
@@ -42,7 +43,9 @@
 //! * **Bounded retry** — every failed or undelivered item is retried
 //!   exactly once, inline on the caller (`ga.pool.retries` counter). A
 //!   second failure propagates as a panic: deterministic poison must
-//!   surface, not loop.
+//!   surface, not loop. This is the only repair path: a
+//!   [`WorkerPool::run_all`] range a worker panicked on or never
+//!   delivered is re-run inline like any other item.
 //!
 //! A single-threaded pool keeps the old contract — a plain inline map
 //! with no containment, no probes and no allocation, so `threads = 1`
@@ -53,7 +56,9 @@
 //! seeded `FaultPlan` simulate worker crashes; disarmed, the probe is
 //! one relaxed atomic load per item.
 
+use a2a_sim::{BatchRunner, InitialConfig, RunOutcome, SimError};
 use std::collections::VecDeque;
+use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -69,14 +74,22 @@ pub const MAX_STRIKES: usize = 3;
 /// Default per-map deadline for helper results; items not delivered in
 /// time are retried inline. Far above any sane generation time — the
 /// deadline exists to unwedge a hung worker, not to pace healthy ones.
-/// Overridable process-wide with the `A2A_POOL_DEADLINE_MS` env var
-/// (read once per [`WorkerPool::new`]) or per pool with
-/// [`WorkerPool::with_task_deadline`].
+/// Overridable per pool with [`WorkerPool::with_task_deadline`].
 pub const DEFAULT_TASK_DEADLINE: Duration = Duration::from_secs(120);
 
-/// Env var naming the watchdog deadline in milliseconds (see
-/// [`DEFAULT_TASK_DEADLINE`]).
-pub const POOL_DEADLINE_ENV: &str = "A2A_POOL_DEADLINE_MS";
+/// Configurations per range when [`WorkerPool::run_all`] shards a
+/// configuration set. Ranges are committed in set order, so outcomes do
+/// not depend on it.
+pub const DISPATCH_BLOCK: usize = 64;
+
+/// Number of worker threads to use by default: the machine's available
+/// parallelism.
+#[must_use]
+pub fn default_threads() -> usize {
+    std::thread::available_parallelism()
+        .map(NonZeroUsize::get)
+        .unwrap_or(1)
+}
 
 /// Queue state behind the pool's mutex.
 struct PoolState {
@@ -159,8 +172,7 @@ impl WorkerPool {
     ///
     /// A single-threaded pool spawns no OS threads at all: every
     /// [`WorkerPool::map`] runs inline on the caller, which keeps
-    /// `threads = 1` call sites deterministic to profile — the same
-    /// contract as [`crate::parallel_map`].
+    /// `threads = 1` call sites deterministic to profile.
     #[must_use]
     pub fn new(threads: usize) -> Self {
         let threads = threads.max(1);
@@ -182,11 +194,7 @@ impl WorkerPool {
             })
             .collect::<Vec<_>>();
         shared.live.store(handles.len(), Ordering::Relaxed);
-        let deadline = std::env::var(POOL_DEADLINE_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .map_or(DEFAULT_TASK_DEADLINE, Duration::from_millis);
-        Self { shared, threads, deadline, handles }
+        Self { shared, threads, deadline: DEFAULT_TASK_DEADLINE, handles }
     }
 
     /// Replaces the per-map helper deadline (see [`DEFAULT_TASK_DEADLINE`]).
@@ -359,32 +367,42 @@ impl WorkerPool {
             .map(|r| r.expect("the retry pass attempted every item"))
             .collect()
     }
-}
 
-/// The sim-facing executor seam: `a2a-sim`'s batch layer cannot name
-/// this crate (it would cycle the dependency graph), so it shards work
-/// through the [`a2a_sim::Dispatch`] trait and the pool plugs in here.
-/// Jobs ride the full [`WorkerPool::map`] watchdog — deadline,
-/// panic containment, quarantine — by parking each boxed job in a
-/// taken-once slot; a job the pool fails to run leaves its slot's
-/// result hole for the batch layer's deterministic inline repair.
-impl a2a_sim::Dispatch for WorkerPool {
-    fn run_jobs(&self, jobs: Vec<a2a_sim::DispatchJob>) {
-        let slots: Arc<Vec<Mutex<Option<a2a_sim::DispatchJob>>>> =
-            Arc::new(jobs.into_iter().map(|job| Mutex::new(Some(job))).collect());
-        self.map(&slots, |_, slot| {
-            // `take` makes the bounded retry a no-op for a job whose
-            // first attempt panicked mid-run: dispatch jobs are not
-            // idempotent from the pool's point of view, so the hole is
-            // left for the caller to repair instead of re-executed.
-            if let Some(job) = slot.lock().expect("dispatch slot lock").take() {
-                job();
-            }
-        });
-    }
-
-    fn workers(&self) -> usize {
-        self.threads().max(1)
+    /// Runs `runner` over every configuration and returns the outcomes
+    /// in set order. Sets larger than one [`DISPATCH_BLOCK`] are split
+    /// into ranges that [`WorkerPool::map`] shards across the pool, one
+    /// `runner.run_all(range)` per item, so a range a worker panicked
+    /// on or never delivered is re-run inline by the bounded retry.
+    /// Single-threaded pools and sets of one range run
+    /// `runner.run_all(inits)` inline. Outcomes, and the error reported,
+    /// are bit-identical to the serial call either way.
+    ///
+    /// # Errors
+    ///
+    /// The first placement error in set order, as
+    /// [`BatchRunner::run_all`].
+    pub fn run_all(
+        &self,
+        runner: &BatchRunner,
+        inits: &[InitialConfig],
+    ) -> Result<Vec<RunOutcome>, SimError> {
+        if self.threads == 1 || inits.len() <= DISPATCH_BLOCK {
+            return runner.run_all(inits);
+        }
+        // The span keeps the fan-out below it attributed to the kernel.
+        let _span = a2a_obs::Span::enter("batch.run_all");
+        let ranges: Arc<Vec<Vec<InitialConfig>>> = Arc::new(
+            inits
+                .chunks(DISPATCH_BLOCK)
+                .map(<[InitialConfig]>::to_vec)
+                .collect(),
+        );
+        let runner = runner.clone();
+        let mut outcomes = Vec::with_capacity(inits.len());
+        for range in self.map(&ranges, move |_, range| runner.run_all(range)) {
+            outcomes.extend(range?);
+        }
+        Ok(outcomes)
     }
 }
 
@@ -491,6 +509,7 @@ impl Drop for WorkerPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use a2a_grid::GridKind;
     use std::collections::HashSet;
 
     #[test]
@@ -543,6 +562,29 @@ mod tests {
         assert!(pool.map(&empty, |_, &x| x).is_empty());
         let one: Arc<Vec<u32>> = Arc::new(vec![5]);
         assert_eq!(pool.map(&one, |_, &x| x + 1), vec![6]);
+        // Fewer items than threads: every result, in order.
+        let three: Arc<Vec<u32>> = Arc::new((0..3).collect());
+        assert_eq!(pool.map(&three, |_, &x| x + 10), vec![10, 11, 12]);
+    }
+
+    #[test]
+    fn balances_heterogeneous_work() {
+        // Items with wildly different costs still come back in order.
+        let pool = WorkerPool::new(4);
+        let items: Arc<Vec<u64>> = Arc::new((0..64).collect());
+        let results = pool.map(&items, |_, &x| {
+            let mut acc = 0u64;
+            for i in 0..(x % 7) * 10_000 {
+                acc = acc.wrapping_add(i);
+            }
+            (x, acc).0
+        });
+        assert_eq!(results, *items);
+    }
+
+    #[test]
+    fn default_threads_is_positive() {
+        assert!(default_threads() >= 1);
     }
 
     #[test]
@@ -620,23 +662,6 @@ mod tests {
     }
 
     #[test]
-    fn env_var_overrides_default_deadline() {
-        // This test owns A2A_POOL_DEADLINE_MS — nothing else in the
-        // suite reads it at pool-construction time.
-        std::env::set_var(POOL_DEADLINE_ENV, "250");
-        let pool = WorkerPool::new(2);
-        assert_eq!(pool.deadline, Duration::from_millis(250));
-        std::env::set_var(POOL_DEADLINE_ENV, "not a number");
-        let pool = WorkerPool::new(2);
-        assert_eq!(pool.deadline, DEFAULT_TASK_DEADLINE, "garbage falls back to the default");
-        std::env::remove_var(POOL_DEADLINE_ENV);
-        let pool = WorkerPool::new(2);
-        assert_eq!(pool.deadline, DEFAULT_TASK_DEADLINE);
-        let pool = pool.with_task_deadline(Duration::from_millis(7));
-        assert_eq!(pool.deadline, Duration::from_millis(7), "builder still wins over env");
-    }
-
-    #[test]
     fn lowered_deadline_quarantines_hung_workers() {
         // Every item wedges when claimed by a pool helper (recognised by
         // the `a2a-pool-*` thread name) but computes instantly on the
@@ -668,42 +693,52 @@ mod tests {
         assert_eq!(pool.map(&items, |_, &x| x + 1), (1..65).collect::<Vec<_>>());
     }
 
-    #[test]
-    fn dispatch_runs_every_job_across_threads() {
-        use a2a_sim::Dispatch;
-        for threads in [1, 3] {
-            let pool = WorkerPool::new(threads);
-            assert_eq!(pool.workers(), threads);
-            let hits = Arc::new(AtomicUsize::new(0));
-            let jobs: Vec<a2a_sim::DispatchJob> = (0..17)
-                .map(|_| {
-                    let hits = Arc::clone(&hits);
-                    Box::new(move || {
-                        hits.fetch_add(1, Ordering::Relaxed);
-                    }) as a2a_sim::DispatchJob
-                })
-                .collect();
-            pool.run_jobs(jobs);
-            assert_eq!(hits.load(Ordering::Relaxed), 17, "threads={threads}");
-        }
+    fn runner_and_configs(
+        kind: GridKind,
+        seed: u64,
+        n: usize,
+        k: usize,
+    ) -> (BatchRunner, Vec<InitialConfig>) {
+        use rand::SeedableRng;
+        let cfg = a2a_sim::WorldConfig::paper(kind, 16);
+        let runner = BatchRunner::from_genome(&cfg, a2a_fsm::best_agent(kind), 200).unwrap();
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+        let inits = (0..n)
+            .map(|_| InitialConfig::random(cfg.lattice, cfg.kind, k, &[], &mut rng).unwrap())
+            .collect();
+        (runner, inits)
     }
 
     #[test]
     fn dispatched_batch_runner_matches_serial() {
-        use a2a_grid::GridKind;
-        use a2a_sim::{BatchRunner, InitialConfig, WorldConfig, DISPATCH_BLOCK};
-        use rand::rngs::SmallRng;
-        use rand::SeedableRng;
-        let cfg = WorldConfig::paper(GridKind::Triangulate, 16);
-        let runner =
-            BatchRunner::from_genome(&cfg, a2a_fsm::best_t_agent(), 200).unwrap();
-        let mut rng = SmallRng::seed_from_u64(99);
-        let inits: Vec<InitialConfig> = (0..2 * DISPATCH_BLOCK + 5)
-            .map(|_| InitialConfig::random(cfg.lattice, cfg.kind, 16, &[], &mut rng).unwrap())
-            .collect();
+        let n = 2 * DISPATCH_BLOCK + 5;
+        let (runner, inits) = runner_and_configs(GridKind::Triangulate, 99, n, 16);
         let serial = runner.run_all(&inits).unwrap();
-        let pool: Arc<dyn a2a_sim::Dispatch> = Arc::new(WorkerPool::new(3));
-        let dispatched = runner.with_dispatch(pool).run_all(&inits).unwrap();
-        assert_eq!(serial, dispatched);
+        for threads in [1, 3] {
+            let pool = WorkerPool::new(threads);
+            let sharded = pool.run_all(&runner, &inits).unwrap();
+            assert_eq!(sharded, serial, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn dispatched_run_all_reports_the_first_error_in_batch_order() {
+        let block = DISPATCH_BLOCK;
+        let (runner, mut inits) = runner_and_configs(GridKind::Square, 607, 3 * block, 8);
+        let pool = WorkerPool::new(3);
+        assert!(pool.run_all(&runner, &[]).unwrap().is_empty());
+        // Earlier range: a duplicate placement. Later range: an
+        // out-of-field position. Set order decides which one wins,
+        // regardless of which range finishes first.
+        inits[block + 1] = InitialConfig::new(vec![
+            (a2a_grid::Pos::new(1, 1), a2a_grid::Dir::new(0)),
+            (a2a_grid::Pos::new(1, 1), a2a_grid::Dir::new(0)),
+        ]);
+        inits[2 * block + 1] =
+            InitialConfig::new(vec![(a2a_grid::Pos::new(99, 0), a2a_grid::Dir::new(0))]);
+        assert!(matches!(
+            pool.run_all(&runner, &inits),
+            Err(SimError::DuplicatePosition(_))
+        ));
     }
 }

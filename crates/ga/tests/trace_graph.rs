@@ -1,13 +1,13 @@
 //! Differential test of the causal trace profiler: the parent/child
-//! span tree captured while `parallel_map` and `WorkerPool::map` run
-//! must match the *logical* task graph those schedulers execute — one
-//! map span fanning out into per-worker child spans — including the
-//! panic/quarantine path, where a worker's drain job unwinds mid-item
-//! and its span must still close under the right parent.
+//! span tree captured while `WorkerPool::map` runs must match the
+//! *logical* task graph the pool executes — one map span fanning out
+//! into per-worker drain spans — including the panic/quarantine path,
+//! where a worker's drain job unwinds mid-item and its span must still
+//! close under the right parent.
 //!
 //! Capture is process-global, so the tests serialise through one mutex.
 
-use a2a_ga::{parallel_map, WorkerPool, MAX_STRIKES};
+use a2a_ga::{WorkerPool, MAX_STRIKES};
 use a2a_obs::trace;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -21,40 +21,6 @@ fn ids_of(t: &trace::Trace, name: &str) -> Vec<u64> {
 
 fn span(t: &trace::Trace, id: u64) -> &trace::SpanRecord {
     t.spans.iter().find(|s| s.id == id).expect("span is captured")
-}
-
-#[test]
-fn parallel_map_trace_matches_the_fork_join_graph() {
-    let _guard = CAPTURE_GUARD.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    let threads = 4;
-    let items: Vec<u64> = (0..64).collect();
-
-    trace::start_capture();
-    let doubled = parallel_map(&items, threads, |&x| x * 2);
-    let t = trace::take_capture();
-
-    assert_eq!(doubled, items.iter().map(|x| x * 2).collect::<Vec<_>>());
-    let maps = ids_of(&t, "parallel.map");
-    assert_eq!(maps.len(), 1, "one map call, one map span");
-    let workers = ids_of(&t, "parallel.worker");
-    assert_eq!(workers.len(), threads, "one worker span per scoped thread");
-    for w in &workers {
-        assert_eq!(span(&t, *w).parent, maps[0], "every worker is a child of the map");
-    }
-    // The reconstructed tree is exactly {map → workers}: the map is a
-    // root and its child set is the worker set.
-    let children = t.children();
-    assert!(t.roots().contains(&maps[0]));
-    let mut got = children.get(&maps[0]).cloned().unwrap_or_default();
-    let mut want = workers.clone();
-    got.sort_unstable();
-    want.sort_unstable();
-    assert_eq!(got, want);
-    // Worker spans carry the worker tag the scheduler assigned.
-    let mut tags: Vec<usize> =
-        workers.iter().filter_map(|w| span(&t, *w).worker).collect();
-    tags.sort_unstable();
-    assert_eq!(tags, (0..threads).collect::<Vec<_>>());
 }
 
 #[test]

@@ -9,7 +9,8 @@ use std::fmt;
 
 thread_local! {
     /// Worker id tag for events emitted from pool threads (set by
-    /// `a2a_ga::parallel_map`), so per-thread throughput is attributable.
+    /// `a2a_ga::WorkerPool` workers), so per-thread throughput is
+    /// attributable.
     static WORKER: Cell<Option<usize>> = const { Cell::new(None) };
 }
 

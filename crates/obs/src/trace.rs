@@ -1,8 +1,8 @@
 //! Causal span identity and trace capture: every armed [`crate::Span`]
 //! gets a process-unique id and a parent (the span current on its
 //! thread when it opened), and the parent context can be carried
-//! across threads — `parallel_map` and `WorkerPool` adopt the
-//! submitting span before running an item, so a captured trace
+//! across threads — `a2a_ga::WorkerPool` adopts the submitting span
+//! before its workers run an item, so a captured trace
 //! reconstructs the *logical* task tree, not the accidental thread
 //! layout.
 //!

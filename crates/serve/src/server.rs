@@ -29,8 +29,8 @@ use a2a_ga::{Evaluator, GaConfig, IslandConfig, WorkerPool};
 use a2a_obs::json::{self, Json};
 use a2a_obs::{fault, Event, Level};
 use a2a_run::{
-    context_digest, run_evolution, run_islands_checkpointed, IslandsReport, JobManifest,
-    JobStatus, JobStore, RunOptions, RunReport, StopSignal,
+    context_digest, run_evolution, run_islands_checkpointed, validate_job_id, IslandsReport,
+    JobManifest, JobStatus, JobStore, RunOptions, RunReport, StopSignal,
 };
 use a2a_sim::{paper_config_set, WorldConfig};
 use std::collections::{HashMap, VecDeque};
@@ -345,6 +345,13 @@ fn dispatch(state: &Arc<ServerState>, req: &Request) -> Response {
     match (req.method.as_str(), segments.as_slice()) {
         ("POST", ["jobs"]) => submit(state, &req.body),
         ("GET", ["jobs"]) => jobs_index(state, req),
+        // An id the store would refuse names no job; checked here so
+        // the store's refusal is not answered as a server fault.
+        ("GET", ["jobs", id] | ["jobs", id, "result" | "events"])
+            if validate_job_id(id).is_err() =>
+        {
+            Response::error(404, "no such job")
+        }
         ("GET", ["jobs", id]) => job_status(state, id),
         ("GET", ["jobs", id, "result"]) => job_result(state, id),
         ("GET", ["jobs", id, "events"]) => job_events(state, id),

@@ -118,8 +118,18 @@ fn submit_poll_result_round_trip() {
         events.body
     );
 
-    // Unknown routes and ids.
+    // Unknown routes and ids; malformed ids name no job either.
     assert_eq!(client::get(&addr, "/jobs/absent").unwrap().status, 404);
+    let long = format!("/jobs/{}", "x".repeat(65));
+    for path in [
+        "/jobs/.hidden",
+        "/jobs/a%2Fb",
+        "/jobs/.hidden/result",
+        "/jobs/a%2Fb/events",
+        &long,
+    ] {
+        assert_eq!(client::get(&addr, path).unwrap().status, 404, "{path}");
+    }
     assert_eq!(client::get(&addr, "/nope").unwrap().status, 404);
     assert_eq!(client::post(&addr, "/jobs", "{not json").unwrap().status, 400);
     assert_eq!(client::post(&addr, "/jobs", "{}").unwrap().status, 400);

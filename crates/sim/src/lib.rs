@@ -13,7 +13,9 @@
 //!   engine and semantic oracle;
 //! * [`MultiWorld`] / [`BatchRunner`] — the fast engine: one compiled
 //!   genome run over many configurations, one run at a time on a
-//!   reused kernel world, checked against `World` step for step;
+//!   kernel world reloaded per configuration, checked against `World`
+//!   step for step. The crate is serial; `a2a-ga`'s `WorkerPool`
+//!   shards configuration sets across threads;
 //! * [`WorldConfig`] — environment and policy knobs
 //!   ([`ConflictPolicy`], [`InitStatePolicy`], [`ColorInit`], obstacles,
 //!   borders);
@@ -53,7 +55,6 @@ mod batch;
 mod behaviour;
 mod config;
 mod decide;
-mod dispatch;
 mod error;
 mod infoset;
 mod init;
@@ -65,11 +66,10 @@ mod run;
 mod world;
 
 pub use agent::Agent;
-pub use batch::{BatchRunner, DISPATCH_BLOCK};
+pub use batch::BatchRunner;
 pub use behaviour::Behaviour;
 pub use config::{ColorInit, ConflictPolicy, InitStatePolicy, WorldConfig};
 pub use decide::{decide, Decision};
-pub use dispatch::{Dispatch, DispatchJob};
 pub use error::SimError;
 pub use infoset::InfoSet;
 pub use init::{paper_config_set, InitialConfig};

@@ -30,9 +30,10 @@ use std::time::Instant;
 
 /// Process-wide count of buffer-allocating kernel-world constructions:
 /// one per [`MultiWorld::from_env`] plus one per [`MultiWorld::load`]
-/// that had to grow a buffer. The batch layer's steady state (pooled
-/// reuse with a stable workload shape) must not move this counter —
-/// asserted by `crates/sim/tests/allocation.rs` and `allocation_multi.rs`.
+/// that had to grow a buffer. A world reloaded with a stable workload
+/// shape must not move this counter, so a `run_all` call over a
+/// non-empty set moves it by exactly 2 — asserted by `crates/sim/tests/allocation.rs` and
+/// `allocation_multi.rs`.
 static MULTI_BUFFER_ALLOCS: AtomicU64 = AtomicU64::new(0);
 
 /// The one-run kernel world: same dynamics as [`World`](crate::World),
@@ -176,17 +177,14 @@ impl MultiWorld {
         }
     }
 
-    /// Whether this world was compiled from exactly `env` (pointer
-    /// identity) — the reuse precondition of [`MultiWorld::load`].
-    pub(crate) fn shares_env(&self, env: &Arc<KernelEnv>) -> bool {
-        Arc::ptr_eq(&self.env, env)
-    }
-
     /// Process-wide count of buffer-allocating constructions
     /// ([`MultiWorld::from_env`] calls plus [`MultiWorld::load`] calls
-    /// that grew a buffer). A reuse-only steady state keeps this
-    /// constant — the zero-allocation acceptance check of the pooled
-    /// batch layer.
+    /// that grew a buffer). Reloading a world with a stable workload
+    /// shape keeps this constant; a [`BatchRunner::run_all`] call over a
+    /// non-empty set moves it by 2 (its construction and its first,
+    /// growing load).
+    ///
+    /// [`BatchRunner::run_all`]: crate::BatchRunner::run_all
     #[must_use]
     pub fn allocation_count() -> u64 {
         MULTI_BUFFER_ALLOCS.load(Ordering::Relaxed)

@@ -1,17 +1,18 @@
-//! Steady-state allocation accounting for one-run-at-a-time batch calls.
+//! Steady-state allocation accounting for single-configuration runs.
 //!
-//! [`BatchRunner::outcome_for`] runs each configuration as a one-run
-//! block on the same pooled per-thread [`MultiWorld`] that `run_all`
-//! uses. `MultiWorld::allocation_count()` is a process-global counter of
-//! buffer-allocating constructions and grows, so this file holds exactly
-//! one test (the `run_all` case lives in `allocation_multi.rs` for the
-//! same reason): a sibling test constructing worlds concurrently would
-//! move the counter and turn the assertion into noise. A dedicated
-//! integration binary gives the test its own process.
+//! A caller that loops over single configurations holds its own
+//! [`MultiWorld`] and reloads it; [`BatchRunner::outcome_for`] builds a
+//! fresh world per call instead. `MultiWorld::allocation_count()` is a
+//! process-global counter of buffer-allocating constructions and grows,
+//! so this file holds exactly one test (the `run_all` case lives in
+//! `allocation_multi.rs` for the same reason): a sibling test
+//! constructing worlds concurrently would move the counter and turn the
+//! assertion into noise. A dedicated integration binary gives the test
+//! its own process.
 
 use a2a_fsm::best_agent;
 use a2a_grid::GridKind;
-use a2a_sim::{BatchRunner, InitialConfig, MultiWorld, WorldConfig};
+use a2a_sim::{BatchRunner, InitialConfig, MultiWorld, RunOutcome, WorldConfig};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -20,6 +21,7 @@ fn steady_state_batch_runs_perform_no_world_allocation() {
     for kind in [GridKind::Square, GridKind::Triangulate] {
         let cfg = WorldConfig::paper(kind, 16);
         let runner = BatchRunner::from_genome(&cfg, best_agent(kind), 200).unwrap();
+        let mut world = MultiWorld::new(&cfg, best_agent(kind)).unwrap();
         let mut rng = SmallRng::seed_from_u64(2013);
         // One-word infosets, then the fully packed field's four words per
         // cell, whose wide staging buffer `load` must reserve up front.
@@ -28,24 +30,31 @@ fn steady_state_batch_runs_perform_no_world_allocation() {
                 .map(|_| InitialConfig::random(cfg.lattice, kind, k, &[], &mut rng).unwrap())
                 .collect();
 
-            // Warm-up: the first pooled run builds the one-run world (or
-            // reuses the previous k's) and grows its buffers to the
-            // workload shape.
-            let _ = runner.outcome_for(&configs[0]).unwrap();
+            // Warm-up: the first load grows the caller-held world's
+            // buffers to the workload shape.
+            world.load(&configs[0]).unwrap();
+            let _ = world.run(200);
             let before = MultiWorld::allocation_count();
-            for init in &configs {
-                let _ = runner.outcome_for(init).unwrap();
-            }
+            let reloaded: Vec<RunOutcome> = configs
+                .iter()
+                .map(|init| {
+                    world.load(init).unwrap();
+                    world.run(200)
+                })
+                .collect();
             assert_eq!(
                 MultiWorld::allocation_count(),
                 before,
-                "{kind} k={k}: steady-state outcome_for must not allocate a world"
+                "{kind} k={k}: a reloaded world must not allocate"
             );
 
-            // The unpooled baseline allocates every run, by contrast: one
-            // construction plus the growing first load of its empty
-            // buffers.
-            let _ = runner.fresh_outcome_for(&configs[0]).unwrap();
+            // `outcome_for` builds a world and grows it on its first load.
+            let before = MultiWorld::allocation_count();
+            assert_eq!(
+                runner.outcome_for(&configs[0]).unwrap(),
+                reloaded[0],
+                "{kind} k={k}"
+            );
             assert_eq!(MultiWorld::allocation_count(), before + 2, "{kind} k={k}");
         }
     }

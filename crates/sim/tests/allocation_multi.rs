@@ -1,10 +1,9 @@
-//! Steady-state allocation accounting for [`BatchRunner::run_all`],
-//! which runs every configuration one at a time on a pooled per-thread
-//! [`MultiWorld`].
+//! Allocation accounting for [`BatchRunner::run_all`], which builds one
+//! [`MultiWorld`] per call and reloads it for every configuration.
 //!
 //! `MultiWorld::allocation_count()` is a process-global counter of
 //! buffer-allocating constructions and grows, so this file holds exactly
-//! one test (the one-run `outcome_for` case lives in `allocation.rs` for
+//! one test (the single-configuration case lives in `allocation.rs` for
 //! the same reason): a sibling test constructing worlds concurrently
 //! would move the counter and turn the assertion into noise.
 
@@ -27,22 +26,22 @@ fn steady_state_run_all_performs_no_multi_world_allocation() {
                 .map(|_| InitialConfig::random(cfg.lattice, kind, k, &[], &mut rng).unwrap())
                 .collect();
 
-            // Warm-up: the first batch builds the pooled world and grows
-            // its buffers to the workload shape.
-            let warm = runner.run_all(&configs).unwrap();
-            let before = MultiWorld::allocation_count();
+            let first = runner.run_all(&configs).unwrap();
             for _ in 0..5 {
+                let before = MultiWorld::allocation_count();
                 assert_eq!(
                     runner.run_all(&configs).unwrap(),
-                    warm,
+                    first,
                     "{kind} k={k}: outcomes drifted"
                 );
+                // One construction plus its first, growing load: no run
+                // after the call's first load allocates.
+                assert_eq!(
+                    MultiWorld::allocation_count(),
+                    before + 2,
+                    "{kind} k={k}: run_all must allocate only its world"
+                );
             }
-            assert_eq!(
-                MultiWorld::allocation_count(),
-                before,
-                "{kind} k={k}: steady-state run_all must not grow any multi-world buffer"
-            );
         }
     }
 }

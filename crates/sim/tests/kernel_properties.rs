@@ -122,7 +122,7 @@ proptest! {
         }
     }
 
-    /// Stepping is deterministic, and a shared, pooled [`BatchRunner`]
+    /// Stepping is deterministic, and a shared [`BatchRunner`]
     /// environment produces the same evolution as a freshly compiled
     /// kernel.
     #[test]

@@ -5,7 +5,7 @@ use a2a::analysis::{
     bootstrap_mean_ci, diffusion_lower_bound, profile_usage, significantly_different,
     stationary_time, welch_t, AsciiChart, Series, XScale,
 };
-use a2a::ga::parallel_map;
+use a2a::ga::WorkerPool;
 use a2a::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -67,10 +67,13 @@ fn t_vs_s_difference_is_significant() {
     let times = |kind: GridKind| -> Vec<f64> {
         let configs = a2a::sim::paper_config_set(lattice, kind, 16, 80, 5).unwrap();
         let cfg = WorldConfig::paper(kind, 16);
-        let genome = best_agent(kind);
-        parallel_map(&configs, 4, |init| {
-            f64::from(simulate(&cfg, genome.clone(), init, 4000).unwrap().t_comm.unwrap())
-        })
+        let runner = a2a::sim::BatchRunner::from_genome(&cfg, best_agent(kind), 4000).unwrap();
+        WorkerPool::new(4)
+            .run_all(&runner, &configs)
+            .unwrap()
+            .iter()
+            .map(|o| f64::from(o.t_comm.unwrap()))
+            .collect()
     };
     let t = times(GridKind::Triangulate);
     let s = times(GridKind::Square);

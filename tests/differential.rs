@@ -14,10 +14,11 @@
 //! per-configuration oracle outcomes.
 
 use a2a_fsm::{best_agent, FsmSpec, Genome, TurnSet};
+use a2a_ga::{WorkerPool, DISPATCH_BLOCK};
 use a2a_grid::{GridKind, Lattice, Pos};
 use a2a_sim::{
     simulate, BatchRunner, Behaviour, ColorInit, ConflictPolicy, InitStatePolicy, InitialConfig,
-    MultiWorld, RunOutcome, World, WorldConfig, DISPATCH_BLOCK,
+    MultiWorld, RunOutcome, World, WorldConfig,
 };
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
@@ -300,17 +301,12 @@ fn mid_batch_retirement_preserves_outcome_order() {
 
 #[test]
 fn parallel_dispatch_matches_serial_engines_under_mid_batch_retirement() {
-    // The deterministic dispatcher shards fixed blocks across a real
-    // worker pool; the ordered commit must keep outcome slots
-    // bit-identical to the serial path and the oracle even while runs
-    // finish at scattered times inside each block. Batch size is
-    // derived from the dispatch block so the dispatcher genuinely fans
-    // out over several blocks (plus a ragged tail) instead of
-    // degenerating to a single submission.
-    use a2a_ga::WorkerPool;
-    use a2a_sim::Dispatch;
-    use std::sync::Arc;
-
+    // The pool shards fixed ranges across real worker threads; the
+    // ordered commit must keep outcome slots bit-identical to the
+    // serial path and the oracle even while runs finish at scattered
+    // times inside each range. Batch size is derived from the dispatch
+    // block so the pool genuinely fans out over several ranges (plus a
+    // ragged tail) instead of degenerating to a single item.
     let cfg = WorldConfig::paper(GridKind::Triangulate, 16);
     let runner = BatchRunner::from_genome(&cfg, best_agent(cfg.kind), 2_000).unwrap();
     let mut rng = SmallRng::seed_from_u64(64_003);
@@ -324,15 +320,14 @@ fn parallel_dispatch_matches_serial_engines_under_mid_batch_retirement() {
     times.dedup();
     assert!(times.len() > 10, "scenario pool no longer staggers retirements");
 
-    let pool: Arc<dyn Dispatch> = Arc::new(WorkerPool::new(3));
-    let parallel = runner.clone().with_dispatch(Arc::clone(&pool));
-    assert_eq!(parallel.dispatch_workers(), 3, "pool advertises its worker count");
-    assert_eq!(parallel.run_all(&inits).unwrap(), oracle, "dispatched frontier path");
+    let pool = WorkerPool::new(3);
+    assert_eq!(pool.threads(), 3, "pool reports its worker count");
+    assert_eq!(pool.run_all(&runner, &inits).unwrap(), oracle, "dispatched frontier path");
     assert_eq!(runner.run_all(&inits).unwrap(), oracle, "serial vs dispatched");
     // Determinism across repeated dispatched executions of the same batch.
     assert_eq!(
-        parallel.run_all(&inits).unwrap(),
-        parallel.run_all(&inits).unwrap(),
+        pool.run_all(&runner, &inits).unwrap(),
+        pool.run_all(&runner, &inits).unwrap(),
         "dispatched run is reproducible"
     );
 }
