@@ -218,13 +218,15 @@ impl CampaignSpec {
             })
             .collect::<Result<Vec<_>, _>>()?;
         let seed = str_member(doc, "seed")?;
+        let t_max = u64_member(doc, "t_max")?;
         let spec = Self {
             niches,
             shards: usize_member(doc, "shards")?,
             rounds: usize_member(doc, "rounds")?,
             batch: usize_member(doc, "batch")?,
             configs: usize_member(doc, "configs")?,
-            t_max: usize_member(doc, "t_max")? as u32,
+            t_max: u32::try_from(t_max)
+                .map_err(|_| format!("`t_max` must fit in 32 bits, got {t_max}"))?,
             seed: u64::from_str_radix(seed, 16).map_err(|e| format!("bad seed `{seed}`: {e}"))?,
         };
         let recorded = doc.get("digest").and_then(Json::as_str).unwrap_or("");
@@ -1232,6 +1234,15 @@ mod tests {
         let doc = spec.to_json();
         assert!(schema::verify_checksum(&doc).is_ok());
         assert_eq!(CampaignSpec::from_json(&doc).unwrap(), spec);
+    }
+
+    #[test]
+    fn spec_with_an_oversized_horizon_is_refused() {
+        // 2³² + 40 used to truncate to the spec's own 40 and so pass the
+        // digest check as that spec.
+        let doc = schema::seal(tiny_spec().to_json().with("t_max", (1u64 << 32) + 40));
+        let err = CampaignSpec::from_json(&doc).unwrap_err();
+        assert!(err.contains("`t_max`"), "{err}");
     }
 
     #[test]

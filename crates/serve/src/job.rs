@@ -27,6 +27,13 @@ pub const MAX_POPULATION: u64 = 1000;
 /// submits.
 pub const MAX_GENERATIONS: u64 = 1_000_000;
 
+/// Largest accepted simulation horizon `t_max`. The job deadline is
+/// only checked between generations, and a failing run that never
+/// repeats a state simulates its whole horizon, so an unbounded `t_max`
+/// lets one request pin an executor for hours; 100 000 is five times
+/// the 33×33 experiment's 20 000.
+pub const MAX_T_MAX: u64 = 100_000;
+
 /// A parsed evolution-job submission. Every field except `tenant` has
 /// a service default, so the minimal useful submission is
 /// `{"tenant": "t", "id": "job-1"}`.
@@ -56,7 +63,7 @@ pub struct JobSpec {
     /// service job — ask for it explicitly).
     pub population: usize,
     /// Simulation step budget override (`0` keeps the evaluator's
-    /// default).
+    /// default; at most [`MAX_T_MAX`]).
     pub t_max: u32,
     /// Wall-clock deadline in milliseconds, checked at generation
     /// boundaries; `None` means no deadline.
@@ -128,7 +135,7 @@ impl JobSpec {
         let spec = Self {
             id,
             tenant,
-            priority: u32::try_from(num(doc, "priority", 1)?).map_err(|e| e.to_string())?,
+            priority: num_in(doc, "priority", 1, 0, u64::from(u32::MAX))? as u32,
             grid,
             m: m as u16,
             k: num_in(doc, "k", 4, 1, m * m)? as usize,
@@ -136,7 +143,7 @@ impl JobSpec {
             generations: num_in(doc, "generations", 4, 1, MAX_GENERATIONS)? as usize,
             seed: num(doc, "seed", 1)?,
             population: num_in(doc, "population", 8, 2, MAX_POPULATION)? as usize,
-            t_max: u32::try_from(num(doc, "t_max", 0)?).map_err(|e| e.to_string())?,
+            t_max: num_in(doc, "t_max", 0, 0, MAX_T_MAX)? as u32,
             deadline_ms: doc.get("deadline_ms").map(|_| num(doc, "deadline_ms", 0)).transpose()?,
             max_retries: doc
                 .get("max_retries")
@@ -300,11 +307,13 @@ mod tests {
             .with("population", MAX_POPULATION)
             .with("generations", MAX_GENERATIONS)
             .with("islands", 2u64)
-            .with("epoch", MAX_GENERATIONS);
+            .with("epoch", MAX_GENERATIONS)
+            .with("t_max", MAX_T_MAX);
         let spec = JobSpec::from_json(&largest).unwrap();
         assert_eq!((spec.m, spec.k), (64, 4096));
         assert_eq!((spec.configs, spec.population), (1000, 1000));
         assert_eq!((spec.generations, spec.epoch), (1_000_000, 1_000_000));
+        assert_eq!(spec.t_max, 100_000);
         // One request past any cap is a named 400, not an allocation.
         for (doc, needle) in [
             (job("m", 65_535), "`m`"),
@@ -318,6 +327,9 @@ mod tests {
                 "`generations`",
             ),
             (job("islands", 2).with("epoch", 1e18), "`epoch`"),
+            (job("t_max", MAX_T_MAX + 1), "`t_max`"),
+            (Json::object().with("tenant", "t").with("priority", 1e30), "`priority`"),
+            (Json::object().with("tenant", "t").with("t_max", 1e30), "`t_max`"),
         ] {
             let err = JobSpec::from_json(&doc).unwrap_err();
             assert!(err.contains(needle), "{err} should mention {needle}");

@@ -4,7 +4,7 @@
 //! needs its own process because fault plans are process-global).
 
 use a2a_obs::json::Json;
-use a2a_serve::{client, QueueConfig, ServeConfig, Server, ServerHandle};
+use a2a_serve::{client, QueueConfig, ServeConfig, Server, ServerHandle, MAX_T_MAX};
 use std::time::{Duration, Instant};
 
 fn scratch(name: &str) -> std::path::PathBuf {
@@ -507,12 +507,15 @@ fn deeply_nested_body_answers_400_and_the_server_stays_up() {
 fn oversized_job_answers_400_and_the_server_stays_up() {
     let (handle, addr) = start("oversized", QueueConfig::default(), 1);
     // A 65535×65535 torus would be allocated per field cell by the
-    // kernel, and a run reserves its generation (or epoch) history up
-    // front; the boundary refuses all of them before anything is queued.
+    // kernel, a run reserves its generation (or epoch) history up front,
+    // and a horizon past `MAX_T_MAX` could pin an executor for hours;
+    // the boundary refuses all of them before anything is queued.
     let job = Json::object().with("tenant", "t");
     for (body, field) in [
         (job.clone().with("m", 65_535u64), "`m`"),
         (job.clone().with("generations", 1e18), "`generations`"),
+        (job.clone().with("t_max", MAX_T_MAX + 1), "`t_max`"),
+        (job.clone().with("t_max", 1e30), "`t_max`"),
         (job.with("islands", 2u64).with("epoch", 1e18), "`epoch`"),
     ] {
         let reply = client::post(&addr, "/jobs", &body.to_string()).unwrap();

@@ -14,6 +14,19 @@
 //! the reference [`World`](crate::World): the `act`/`exchange` bodies
 //! replicate the oracle's step decision for decision. The differential
 //! suite in `tests/differential.rs` drives both engines in lockstep.
+//!
+//! **Stuck runs end by arithmetic.** A run is a deterministic map on a
+//! finite state, so a run that never completes is eventually periodic.
+//! Once `informed` has stayed put for [`ORBIT_ARM`] counted steps,
+//! [`MultiWorld::run`] keeps a Brent power-of-two snapshot of
+//! everything the step map reads (positions, directions, control
+//! states, cell bytes and each agent's infoset words). When the live
+//! run equals the snapshot `λ` steps later, `λ` a whole number of
+//! behaviour phases, every later period repeats this one and no
+//! infoset can grow again (they only grow, and one came back), so `run`
+//! adds the remaining whole periods to the time, the conflict count and
+//! the active-step tally and steps only the remainder. The end state is
+//! the one stepping would reach; [`MultiWorld::step`] never skips.
 
 use crate::behaviour::Behaviour;
 use crate::config::{ConflictPolicy, WorldConfig};
@@ -35,6 +48,11 @@ use std::time::Instant;
 /// non-empty set moves it by exactly 2 — asserted by `crates/sim/tests/allocation.rs` and
 /// `allocation_multi.rs`.
 static MULTI_BUFFER_ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+/// Counted steps `informed` must stay unchanged before
+/// [`MultiWorld::run`] arms periodic-orbit detection, and its first
+/// Brent window.
+const ORBIT_ARM: u32 = 16;
 
 /// The one-run kernel world: same dynamics as [`World`](crate::World),
 /// one loaded configuration at a time on buffers reused across loads.
@@ -113,6 +131,11 @@ pub struct MultiWorld {
 
     /// Counted steps taken since the last load.
     time: u32,
+    /// Counted steps the last [`MultiWorld::run`] skipped over a
+    /// periodic orbit.
+    skipped: u32,
+    /// The Brent snapshot of [`MultiWorld::run`]'s orbit detection.
+    snap: Snapshot,
 
     // Scratch reused across steps.
     requests: Vec<(u32, u32)>,
@@ -170,6 +193,8 @@ impl MultiWorld {
             frontier: Vec::new(),
             frontier_len: 0,
             time: 0,
+            skipped: 0,
+            snap: Snapshot::default(),
             requests: Vec::new(),
             decisions: Vec::new(),
             wbuf: Vec::new(),
@@ -205,6 +230,7 @@ impl MultiWorld {
             + self.decisions.capacity()
             + self.wbuf.capacity()
             + self.wpairs.capacity()
+            + self.snap.capacity()
     }
 
     /// Places one initial configuration and performs its uncounted
@@ -255,6 +281,7 @@ impl MultiWorld {
         self.wbuf.reserve(k * stride);
         self.wpairs.clear();
         self.wpairs.reserve(k);
+        self.snap.reserve(k, n_cells, stride);
         if self.capacity() != held {
             MULTI_BUFFER_ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
@@ -320,6 +347,7 @@ impl MultiWorld {
         self.conflicts = 0;
         self.frontier_len = k as u32;
         self.time = 0;
+        self.skipped = 0;
 
         // The uncounted exchange right after placement.
         self.exchange(&env);
@@ -330,10 +358,15 @@ impl MultiWorld {
     /// counted steps have passed, and returns its [`RunOutcome`] —
     /// bit-identical to what [`simulate`](crate::simulate) reports.
     ///
+    /// A run caught in a periodic orbit jumps over its remaining whole
+    /// periods (module docs); the outcome, the end state and every
+    /// counter below are those of stepping to the horizon.
+    ///
     /// With metrics on, feeds the per-run `kernel.*` series once per
     /// run (`kernel.runs` / `.steps` / `.conflicts` /
     /// `.frontier.active` counters, the `kernel.t_comm` and
-    /// `kernel.run.conflicts` histograms).
+    /// `kernel.run.conflicts` histograms, and
+    /// `kernel.orbit.skipped_steps` for the steps jumped over).
     ///
     /// # Panics
     ///
@@ -349,6 +382,8 @@ impl MultiWorld {
         // of one step's exchange being the start of the next one's act.
         let mut clock = a2a_obs::enabled(a2a_obs::Level::Trace).then(Instant::now);
         let (mut act_ns, mut exchange_ns, mut active_steps) = (0u64, 0u64, 0u64);
+        let (mut informed, mut orbit) = (self.informed, Orbit::Quiet { since: self.time });
+        self.skipped = 0;
         while self.informed < self.k && self.time < t_max {
             active_steps += u64::from(self.k - self.informed);
             let phase = &env.phases[self.time as usize % env.phases.len()];
@@ -364,6 +399,18 @@ impl MultiWorld {
                 self.exchange(&env);
             }
             self.time += 1;
+            // Orbit detection (module docs); an agent completing
+            // changes the state for good, so it starts over.
+            if self.informed != informed {
+                informed = self.informed;
+                orbit = Orbit::Quiet { since: self.time };
+            } else if let Some((lam, lost)) = self.watch_orbit(&mut orbit) {
+                let periods = (t_max - self.time) / lam;
+                self.skipped = periods * lam;
+                self.time += self.skipped;
+                self.conflicts += u64::from(periods) * lost;
+                active_steps += u64::from(self.skipped) * u64::from(self.k - self.informed);
+            }
         }
         let outcome = RunOutcome {
             t_comm: (self.informed == self.k).then_some(self.time),
@@ -382,6 +429,9 @@ impl MultiWorld {
             reg.counter("kernel.frontier.active").add(active_steps);
             reg.counter("kernel.conflicts").add(self.conflicts);
             reg.histogram("kernel.run.conflicts").record(self.conflicts);
+            if self.skipped > 0 {
+                reg.counter("kernel.orbit.skipped_steps").add(u64::from(self.skipped));
+            }
             match outcome.t_comm {
                 Some(t) => reg.histogram("kernel.t_comm").record(u64::from(t)),
                 None => reg.counter("kernel.unsuccessful").incr(),
@@ -413,6 +463,73 @@ impl MultiWorld {
         self.act(&env, phase);
         self.exchange(&env);
         self.time += 1;
+    }
+
+    /// Advances orbit detection past the counted step just taken, with
+    /// `informed` unchanged since `orbit` last went quiet: arms once it
+    /// has been quiet for [`ORBIT_ARM`] steps, then compares the live
+    /// run with the snapshot and retakes it at the end of each Brent
+    /// window. Returns the period `λ` and the conflicts lost over one
+    /// period once the run equals the snapshot `λ` steps on, `λ` a
+    /// whole number of behaviour phases.
+    fn watch_orbit(&mut self, orbit: &mut Orbit) -> Option<(u32, u64)> {
+        match *orbit {
+            Orbit::Quiet { since } if self.time - since >= ORBIT_ARM => {
+                self.take_snapshot();
+                *orbit =
+                    Orbit::Armed { at: self.time, window: ORBIT_ARM, conflicts: self.conflicts };
+            }
+            Orbit::Armed { at, window, conflicts } => {
+                let lam = self.time - at;
+                let phases = self.env.phases.len() as u32;
+                if self.at_snapshot() && (phases == 1 || lam.is_multiple_of(phases)) {
+                    *orbit = Orbit::Found;
+                    return Some((lam, self.conflicts - conflicts));
+                }
+                if lam == window {
+                    self.take_snapshot();
+                    *orbit = Orbit::Armed {
+                        at: self.time,
+                        window: window.saturating_mul(2),
+                        conflicts: self.conflicts,
+                    };
+                }
+            }
+            Orbit::Quiet { .. } | Orbit::Found => {}
+        }
+        None
+    }
+
+    /// Copies the live run state into [`MultiWorld::snap`], within the
+    /// capacity [`MultiWorld::load`] reserved.
+    fn take_snapshot(&mut self) {
+        let stride = self.stride as usize;
+        let snap = &mut self.snap;
+        snap.pos.clone_from(&self.pos);
+        snap.dir.clone_from(&self.dir);
+        snap.state.clone_from(&self.state);
+        snap.meta.clone_from(&self.meta);
+        snap.info.clear();
+        for &c in &self.pos {
+            snap.info.extend_from_slice(&self.cell_info[c as usize * stride..][..stride]);
+        }
+    }
+
+    /// Whether the live run state equals [`MultiWorld::snap`]. Positions
+    /// go first: they differ on almost every step of a moving run, so a
+    /// miss usually costs one short compare.
+    fn at_snapshot(&self) -> bool {
+        let stride = self.stride as usize;
+        let snap = &self.snap;
+        snap.pos == self.pos
+            && snap.dir == self.dir
+            && snap.state == self.state
+            && snap.meta == self.meta
+            && self
+                .pos
+                .iter()
+                .zip(snap.info.chunks_exact(stride))
+                .all(|(&c, words)| self.cell_info[c as usize * stride..][..stride] == *words)
     }
 
     /// The act phase — the reference engine's perception, two-round
@@ -682,6 +799,57 @@ impl MultiWorld {
     }
 }
 
+/// Where one [`MultiWorld::run`] call's periodic-orbit detection stands.
+#[derive(Debug, Clone, Copy)]
+enum Orbit {
+    /// `informed` last changed at time `since`.
+    Quiet { since: u32 },
+    /// The snapshot holds the run at time `at`, when `conflicts` had
+    /// been lost; it is retaken at `at + window`.
+    Armed { at: u32, window: u32, conflicts: u64 },
+    /// The period was found and skipped: less than one period is left.
+    Found,
+}
+
+/// Everything the step map reads, copied out of a [`MultiWorld`] for
+/// orbit detection. Empty cells hold zero info words, and `own_color`,
+/// `informed`, the frontier's agent set and the all-`NONE` `claims`
+/// follow from these fields, so equal snapshots mean equal futures.
+#[derive(Debug, Default)]
+struct Snapshot {
+    pos: Vec<u32>,
+    dir: Vec<u8>,
+    state: Vec<u8>,
+    meta: Vec<u8>,
+    /// Each agent's `stride` info words, in ID order.
+    info: Vec<u64>,
+}
+
+impl Snapshot {
+    /// Empties the snapshot and reserves a run of `k` agents on
+    /// `n_cells` cells with `stride` info words each.
+    fn reserve(&mut self, k: usize, n_cells: usize, stride: usize) {
+        self.pos.clear();
+        self.pos.reserve(k);
+        self.dir.clear();
+        self.dir.reserve(k);
+        self.state.clear();
+        self.state.reserve(k);
+        self.meta.clear();
+        self.meta.reserve(n_cells);
+        self.info.clear();
+        self.info.reserve(k * stride);
+    }
+
+    fn capacity(&self) -> usize {
+        self.pos.capacity()
+            + self.dir.capacity()
+            + self.state.capacity()
+            + self.meta.capacity()
+            + self.info.capacity()
+    }
+}
+
 /// The frontier one-word gather: walks the run's live frontier prefix,
 /// staging `(cell, gathered word)` pairs for exactly the active agents
 /// and swap-removing each agent that saturates. `D` fixes the
@@ -780,9 +948,9 @@ fn gather_wide_rows<const D: usize>(fwd: &[u32], cell_info: &[u64], here: usize,
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run::simulate;
+    use crate::run::{simulate, simulate_behaviour};
     use crate::world::World;
-    use a2a_fsm::{best_s_agent, best_t_agent};
+    use a2a_fsm::{ballistic, best_s_agent, best_t_agent, Action, Entry, FsmSpec};
     use a2a_grid::GridKind;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -882,6 +1050,135 @@ mod tests {
         // A failed load leaves the world reloadable.
         multi.load(&good).unwrap();
         assert_eq!(multi.run(50).t_comm, Some(0));
+    }
+
+    /// A paper-spec genome that keeps its control state and writes
+    /// colour 0, acting `free` on a free front and `blocked` on a
+    /// blocked one.
+    fn reflex(kind: GridKind, free: Action, blocked: Action) -> Genome {
+        let spec = FsmSpec::paper(kind);
+        let n_states = usize::from(spec.n_states);
+        let entries = (0..spec.entry_count())
+            .map(|i| Entry {
+                next_state: (i % n_states) as u8,
+                action: if (i / n_states) % 2 == 0 { free } else { blocked },
+            })
+            .collect();
+        Genome::from_entries(spec, entries)
+    }
+
+    /// Runs `init` to `t_max` through `run` and through `step` alone,
+    /// which never skips. Asserts that `run` reports the reference
+    /// engine's outcome and ends in the stepped world's state, time and
+    /// conflict count; returns the steps `run` skipped.
+    fn skipped_by_run(
+        config: &WorldConfig,
+        behaviour: &Behaviour,
+        init: &InitialConfig,
+        t_max: u32,
+    ) -> u32 {
+        let mut run = MultiWorld::with_behaviour(config, behaviour.clone()).unwrap();
+        run.load(init).unwrap();
+        let outcome = run.run(t_max);
+        assert_eq!(outcome, simulate_behaviour(config, behaviour.clone(), init, t_max).unwrap());
+        let mut stepped = MultiWorld::with_behaviour(config, behaviour.clone()).unwrap();
+        stepped.load(init).unwrap();
+        while stepped.informed_count() < stepped.agent_count() && stepped.time() < t_max {
+            stepped.step();
+        }
+        assert_eq!(run.time(), stepped.time());
+        assert_eq!(run.conflict_losses(), stepped.conflict_losses());
+        assert_eq!(run.positions(), stepped.positions());
+        assert_eq!(run.dirs(), stepped.dirs());
+        assert_eq!(run.states(), stepped.states());
+        assert_eq!(run.colors(), stepped.colors());
+        for i in 0..run.agent_count() {
+            assert_eq!(run.agent_info(i), stepped.agent_info(i), "agent {i}");
+        }
+        run.skipped
+    }
+
+    /// Two agents too far apart to ever exchange.
+    fn apart() -> InitialConfig {
+        InitialConfig::new(vec![(Pos::new(0, 0), Dir::new(0)), (Pos::new(3, 8), Dir::new(1))])
+    }
+
+    #[test]
+    fn standing_still_is_skipped_with_period_one() {
+        let still = Action::new(0, false, 0);
+        for kind in [GridKind::Square, GridKind::Triangulate] {
+            let behaviour = Behaviour::Single(reflex(kind, still, still));
+            // Quiet since t = 0: the snapshot is taken at t = 16 and met
+            // again one step later, so everything after t = 17 is skipped.
+            let skipped = skipped_by_run(&cfg(kind), &behaviour, &apart(), 200);
+            assert_eq!(skipped, 200 - (ORBIT_ARM + 1), "{kind}");
+        }
+    }
+
+    #[test]
+    fn spreading_information_defers_the_skip() {
+        // A standing chain of 24 agents plus one far away: nobody ever
+        // completes, and bits cross the chain one cell per step until
+        // t = 22. Positions repeat from the start, but the snapshot
+        // taken at t = 16 is never met again; the next one, at t = 32,
+        // is met one step later.
+        let kind = GridKind::Square;
+        let still = Action::new(0, false, 0);
+        let mut placements: Vec<(Pos, Dir)> =
+            (0..24).map(|x| (Pos::new(x, 0), Dir::new(0))).collect();
+        placements.push((Pos::new(16, 16), Dir::new(0)));
+        let config = WorldConfig::paper(kind, 32);
+        let behaviour = Behaviour::Single(reflex(kind, still, still));
+        let skipped = skipped_by_run(&config, &behaviour, &InitialConfig::new(placements), 200);
+        assert_eq!(skipped, 200 - (2 * ORBIT_ARM + 1));
+    }
+
+    #[test]
+    fn straight_walkers_skip_whole_laps_and_step_the_remainder() {
+        // Two walkers on parallel rows of the 16-torus: period 16. The
+        // orbit closes at t = 32, leaving 168 steps: 10 whole laps are
+        // skipped and the last 8 steps are stepped.
+        let kind = GridKind::Square;
+        let init =
+            InitialConfig::new(vec![(Pos::new(0, 0), Dir::new(0)), (Pos::new(5, 8), Dir::new(0))]);
+        let skipped = skipped_by_run(&cfg(kind), &Behaviour::Single(ballistic(kind)), &init, 200);
+        assert_eq!(skipped, 160);
+    }
+
+    #[test]
+    fn time_shuffled_pairs_skip_only_whole_phase_cycles() {
+        // Standing still on even steps and turning right on odd ones:
+        // the state comes back after one step at every even time, but
+        // a period must span whole phase cycles. The directions cycle
+        // with period 8, met at t = 24, so 22 periods are skipped.
+        let kind = GridKind::Square;
+        let behaviour = Behaviour::shuffled_pair(
+            reflex(kind, Action::new(0, false, 0), Action::new(0, false, 0)),
+            reflex(kind, Action::new(1, false, 0), Action::new(1, false, 0)),
+        );
+        let skipped = skipped_by_run(&cfg(kind), &behaviour, &apart(), 200);
+        assert_eq!(skipped, 176);
+    }
+
+    #[test]
+    fn conflicts_lost_every_period_are_extrapolated() {
+        // Shuttles move and turn back while free and stand still when
+        // blocked. Agents 0 and 1 contend for (5,5) every second step
+        // and agent 1 loses every time; agent 2 shuttles alone, so
+        // nobody ever completes.
+        let kind = GridKind::Square;
+        let shuttle = reflex(kind, Action::new(2, true, 0), Action::new(0, false, 0));
+        let init = InitialConfig::new(vec![
+            (Pos::new(5, 4), Dir::new(1)),
+            (Pos::new(5, 6), Dir::new(3)),
+            (Pos::new(12, 12), Dir::new(0)),
+        ]);
+        let behaviour = Behaviour::Single(shuttle);
+        assert!(skipped_by_run(&cfg(kind), &behaviour, &init, 201) > 0);
+        let mut world = MultiWorld::with_behaviour(&cfg(kind), behaviour).unwrap();
+        world.load(&init).unwrap();
+        assert_eq!(world.run(201).t_comm, None);
+        assert_eq!(world.conflict_losses(), 101, "one loss per period, the last one at t = 201");
     }
 
     #[test]

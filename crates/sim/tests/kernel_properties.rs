@@ -68,6 +68,36 @@ fn one_run(cfg: &WorldConfig, genome: Genome, init: &InitialConfig) -> MultiWorl
     world
 }
 
+/// Runs `init` with `run(t_max)`, which may jump over a periodic orbit,
+/// and with `step()` alone, which never does, until solved or at the
+/// horizon. Both must end at the same time with the same positions,
+/// directions, states, colours, infosets and conflict losses. `World`
+/// counts no conflicts, so this is what pins `run`'s extrapolated ones.
+fn run_ends_where_stepping_ends(
+    cfg: &WorldConfig,
+    genome: Genome,
+    init: &InitialConfig,
+    t_max: u32,
+) -> Result<(), String> {
+    let mut run = one_run(cfg, genome.clone(), init);
+    let outcome = run.run(t_max);
+    let mut stepped = one_run(cfg, genome, init);
+    while stepped.informed_count() < stepped.agent_count() && stepped.time() < t_max {
+        stepped.step();
+    }
+    prop_assert_eq!(outcome.steps, stepped.time());
+    prop_assert_eq!(run.time(), stepped.time());
+    prop_assert_eq!(run.conflict_losses(), stepped.conflict_losses());
+    prop_assert_eq!(run.positions(), stepped.positions());
+    prop_assert_eq!(run.dirs(), stepped.dirs());
+    prop_assert_eq!(run.states(), stepped.states());
+    prop_assert_eq!(run.colors(), stepped.colors());
+    for i in 0..run.agent_count() {
+        prop_assert_eq!(run.agent_info(i), stepped.agent_info(i), "agent {}", i);
+    }
+    Ok(())
+}
+
 proptest! {
     /// The kernel's whole outcome — `t_comm`, steps, informed count —
     /// equals the reference engine's for arbitrary genomes.
@@ -193,5 +223,23 @@ proptest! {
             }
             assert_run_matches(&multi, &world, &format!("run {r} k={} t=4", ks[r]))?;
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `run` ends where stepping ends, on random genomes that mostly
+    /// fail and so often end in a periodic orbit.
+    #[test]
+    fn run_matches_stepping((cfg, genome, init) in arb_scenario(), t_max in 0u32..400) {
+        run_ends_where_stepping_ends(&cfg, genome, &init, t_max)?;
+    }
+
+    /// `run` ends where stepping ends on wide runs too: the orbit
+    /// snapshot holds `stride` info words per agent.
+    #[test]
+    fn wide_run_matches_stepping((cfg, genome, init) in arb_wide_scenario(), t_max in 0u32..400) {
+        run_ends_where_stepping_ends(&cfg, genome, &init, t_max)?;
     }
 }

@@ -11,7 +11,9 @@
 //! run 65 to 256 agents (multi-word infosets) on bordered and
 //! obstacle-strewn fields, and dedicated batch cases pin dispatch
 //! block boundaries, outcome ordering and parallel dispatch against
-//! per-configuration oracle outcomes.
+//! per-configuration oracle outcomes. The randomized scenarios also end
+//! with a `run(200)`, which may skip a periodic orbit, checked against
+//! the oracle stepped to the same time.
 
 use a2a_fsm::{best_agent, FsmSpec, Genome, TurnSet};
 use a2a_ga::{WorkerPool, DISPATCH_BLOCK};
@@ -142,7 +144,19 @@ fn random_scenario(kind: GridKind, seed: u64) {
     } else {
         Behaviour::Single(Genome::random(spec, &mut rng))
     };
-    lockstep(&cfg, &behaviour, &init, 60, &format!("{kind} seed {seed}"));
+    let ctx = format!("{kind} seed {seed}");
+    lockstep(&cfg, &behaviour, &init, 60, &ctx);
+
+    // `run` may jump over a periodic orbit, which `step` never does: its
+    // end state must be the oracle's at the same time.
+    let mut multi = MultiWorld::with_behaviour(&cfg, behaviour.clone()).unwrap();
+    multi.load(&init).unwrap();
+    let outcome = multi.run(200);
+    let mut world = World::with_behaviour(&cfg, behaviour, &init).unwrap();
+    while world.time() < outcome.steps {
+        world.step();
+    }
+    assert_same_state(&world, &multi, &format!("{ctx} after run(200)"));
 }
 
 #[test]
