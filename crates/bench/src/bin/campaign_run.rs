@@ -7,7 +7,10 @@
 //!   mid-campaign (crash-only supervision), and seals the final archive;
 //! * **`--shard-worker I`**: runs shard `I`'s loop against the shared
 //!   store and exits `137` when an injected `campaign.round` fault
-//!   fires (the chaos suite's SIGKILL stand-in);
+//!   fires (the chaos suite's SIGKILL stand-in). A worker reads the spec
+//!   the parent sealed in the store (`campaign.json`) and ignores spec
+//!   flags, so the parent spawns it with
+//!   `--store DIR --shard-worker I --threads N --quiet`;
 //! * **`--inline`**: the whole campaign in-process — byte-identical
 //!   artifacts to the process mode, handy for debugging.
 //!
@@ -16,7 +19,8 @@
 //!     --store /tmp/campaign [--grids s,t] [--m 8] [--k 4,6,8,10] \
 //!     [--shards N] [--rounds N] [--batch N] [--t-max N] \
 //!     [--configs N] [--seed N] [--threads N] \
-//!     [--inline | --shard-worker I]
+//!     [--inline]
+//! campaign_run --store /tmp/campaign --shard-worker I [--threads N] [--quiet]
 //! ```
 
 use a2a_bench::campaign::{parse_grids, parse_list, run_process_campaign, CampaignParams};
@@ -90,14 +94,11 @@ fn main() -> ExitCode {
     let _sink = scale.init_obs("campaign");
     a2a_obs::set_metrics(true);
 
+    let spec = params.spec();
     match mode {
         Mode::ShardWorker(shard) => {
             let Some(root) = store else { return fail("--shard-worker needs --store DIR") };
-            let spec = params.spec();
-            if shard >= spec.shards {
-                return fail(format!("--shard-worker {shard} out of range (shards {})", spec.shards));
-            }
-            match run_shard_process(&CampaignStore::new(root), &spec, shard, scale.threads) {
+            match run_shard_process(&CampaignStore::new(root), shard, scale.threads) {
                 Ok(ShardExit::Done) => ExitCode::SUCCESS,
                 Ok(ShardExit::Killed) => {
                     // Die like a SIGKILLed process: the round's delta is
@@ -110,7 +111,6 @@ fn main() -> ExitCode {
         }
         Mode::Inline => {
             let Some(root) = store else { return fail("--inline needs --store DIR") };
-            let spec = params.spec();
             scale.outln(scale.banner("campaign (inline)"));
             match run_inline(&CampaignStore::new(&root), &spec, scale.threads) {
                 Ok(outcome) => {
@@ -126,8 +126,8 @@ fn main() -> ExitCode {
                 Ok(p) => p,
                 Err(e) => return fail(format!("cannot locate own binary: {e}")),
             };
-            scale.outln(scale.banner(&format!("campaign ({} shard processes)", params.shards)));
-            let run = run_process_campaign(&exe, &params, &root, scale.threads, |shard, code| {
+            scale.outln(scale.banner(&format!("campaign ({} shard processes)", spec.shards)));
+            let run = run_process_campaign(&exe, &spec, &root, scale.threads, |shard, code| {
                 scale.progress(
                     "campaign.respawn",
                     format!("campaign: respawned shard {shard} (exit {code:?})"),
@@ -135,7 +135,7 @@ fn main() -> ExitCode {
             });
             match run {
                 Ok(run) => {
-                    let total = params.spec().niches.len();
+                    let total = spec.niches.len();
                     report(&scale, &run.outcome, total, &CampaignStore::new(root), run.respawns);
                     ExitCode::SUCCESS
                 }

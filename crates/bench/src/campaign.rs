@@ -100,46 +100,6 @@ impl CampaignParams {
             seed: self.seed,
         }
     }
-
-    /// The canonical argument list reproducing these parameters (what
-    /// the parent passes to shard worker children).
-    #[must_use]
-    pub fn to_args(&self, store: &Path, threads: usize) -> Vec<String> {
-        let grids: Vec<&str> = self
-            .grids
-            .iter()
-            .map(|g| match g {
-                GridKind::Square => "s",
-                GridKind::Triangulate => "t",
-            })
-            .collect();
-        let join = |v: Vec<String>| v.join(",");
-        vec![
-            "--store".into(),
-            store.display().to_string(),
-            "--grids".into(),
-            grids.join(","),
-            "--m".into(),
-            join(self.ms.iter().map(ToString::to_string).collect()),
-            "--k".into(),
-            join(self.ks.iter().map(ToString::to_string).collect()),
-            "--shards".into(),
-            self.shards.to_string(),
-            "--rounds".into(),
-            self.rounds.to_string(),
-            "--batch".into(),
-            self.batch.to_string(),
-            "--configs".into(),
-            self.configs.to_string(),
-            "--t-max".into(),
-            self.t_max.to_string(),
-            "--seed".into(),
-            self.seed.to_string(),
-            "--threads".into(),
-            threads.to_string(),
-            "--quiet".into(),
-        ]
-    }
 }
 
 /// One supervised shard child.
@@ -160,31 +120,39 @@ pub struct ProcessCampaign {
     pub respawns: usize,
 }
 
+/// Spawns shard `shard` of the campaign sealed in `store`. The worker
+/// reads its spec from the store, so its argv carries no spec flags.
 fn spawn_shard(
     exe: &Path,
-    params: &CampaignParams,
     store: &Path,
     threads: usize,
     shard: usize,
     clear_fault_env: bool,
 ) -> Result<Child, String> {
     let mut cmd = Command::new(exe);
-    cmd.args(params.to_args(store, threads))
-        .arg("--shard-worker")
-        .arg(shard.to_string())
+    cmd.arg("--store")
+        .arg(store)
+        .args([
+            "--shard-worker",
+            &shard.to_string(),
+            "--threads",
+            &threads.to_string(),
+            "--quiet",
+        ])
         .stdout(Stdio::null())
         .stderr(Stdio::inherit());
     if clear_fault_env {
-        // A respawned shard must not re-arm the fault schedule that
-        // just killed it — resume is the point of the respawn.
+        // A respawned shard must not re-arm the fault plan that just
+        // killed it — resume is the point of the respawn.
         cmd.env_remove("A2A_FAULT");
     }
     cmd.spawn().map_err(|e| format!("cannot spawn shard {shard}: {e}"))
 }
 
-/// Runs a campaign with `spec.shards` worker processes of `exe`
-/// (the `campaign_run` binary itself, invoked in `--shard-worker`
-/// mode), supervising them crash-only: a shard that exits before the
+/// Seals `spec` in the store at `store_root` and runs it with
+/// `spec.shards` worker processes of `exe` (the `campaign_run` binary
+/// itself, invoked in `--shard-worker` mode, which loads the sealed
+/// spec), supervising them crash-only: a shard that exits before the
 /// campaign is complete is respawned (with `A2A_FAULT` scrubbed) and
 /// resumes from its durable deltas. `on_respawn` is called with the
 /// shard index and exit code of every death.
@@ -195,17 +163,16 @@ fn spawn_shard(
 /// wedged barrier.
 pub fn run_process_campaign(
     exe: &Path,
-    params: &CampaignParams,
+    spec: &CampaignSpec,
     store_root: &Path,
     threads: usize,
     mut on_respawn: impl FnMut(usize, Option<i32>),
 ) -> Result<ProcessCampaign, String> {
-    let spec = params.spec();
     let store = CampaignStore::new(store_root);
-    store.init(&spec)?;
+    store.init(spec)?;
     let mut children: Vec<ShardChild> = (0..spec.shards)
         .map(|shard| {
-            spawn_shard(exe, params, store_root, threads, shard, false).map(|child| ShardChild {
+            spawn_shard(exe, store_root, threads, shard, false).map(|child| ShardChild {
                 shard,
                 child: Some(child),
                 respawns: 0,
@@ -215,7 +182,7 @@ pub fn run_process_campaign(
         .collect::<Result<_, _>>()?;
     let mut respawns = 0usize;
 
-    let outcome = coordinate(&store, &spec, |_round| {
+    let outcome = coordinate(&store, spec, |_round| {
         for slot in &mut children {
             if slot.done {
                 continue;
@@ -240,8 +207,7 @@ pub fn run_process_campaign(
                         ));
                     }
                     on_respawn(slot.shard, status.code());
-                    slot.child =
-                        Some(spawn_shard(exe, params, store_root, threads, slot.shard, true)?);
+                    slot.child = Some(spawn_shard(exe, store_root, threads, slot.shard, true)?);
                 }
                 Err(e) => return Err(format!("cannot reap shard {}: {e}", slot.shard)),
             }
@@ -271,15 +237,6 @@ mod tests {
         let spec = params.spec();
         assert_eq!(spec.niches.len(), params.grids.len() * params.ms.len() * params.ks.len());
         assert_eq!(spec.niches[0], NicheKey { kind: GridKind::Square, m: 8, k: 4 });
-    }
-
-    #[test]
-    fn args_round_trip_the_parameters() {
-        let params = CampaignParams::default();
-        let args = params.to_args(Path::new("/tmp/x"), 1);
-        assert!(args.windows(2).any(|w| w[0] == "--grids" && w[1] == "s,t"));
-        assert!(args.windows(2).any(|w| w[0] == "--k" && w[1] == "4,6,8,10"));
-        assert!(args.contains(&"--quiet".to_string()));
     }
 
     #[test]

@@ -13,11 +13,6 @@
 //! Hit/miss totals are kept on the cache itself (cheap relaxed atomics,
 //! always on, used by benches and tests) and mirrored into the global
 //! `ga.cache.hits` / `ga.cache.misses` counters while metrics are on.
-//! A cache built with [`FitnessCache::with_context`] mirrors into
-//! `ga.cache.<context>.hits` / `.misses` instead, so e.g. a campaign
-//! shard's LRU traffic is attributed separately from the campaign-wide
-//! digest-set dedup (`campaign.dedup.hits`) and from ordinary
-//! single-run caches.
 
 use crate::fitness::FitnessReport;
 use a2a_fsm::{FsmSpec, Genome};
@@ -58,14 +53,10 @@ pub struct FitnessCache {
     inner: Mutex<Inner>,
     hits: AtomicU64,
     misses: AtomicU64,
-    /// Global metric names this cache mirrors into (interned once).
-    hit_metric: String,
-    miss_metric: String,
 }
 
 impl FitnessCache {
-    /// Creates a cache bounded to `capacity` entries (minimum 1),
-    /// attributed to the default `ga.cache` metric context.
+    /// Creates a cache bounded to `capacity` entries (minimum 1).
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         Self {
@@ -73,31 +64,7 @@ impl FitnessCache {
             inner: Mutex::new(Inner::default()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            hit_metric: "ga.cache.hits".to_string(),
-            miss_metric: "ga.cache.misses".to_string(),
         }
-    }
-
-    /// Re-attributes the cache's global counters to
-    /// `ga.cache.<context>.hits` / `.misses`, so distinct consumers
-    /// (campaign shards, service jobs, plain runs) don't conflate their
-    /// hit rates in one metric pair. The per-instance [`hits`] /
-    /// [`misses`] totals are unaffected.
-    ///
-    /// [`hits`]: FitnessCache::hits
-    /// [`misses`]: FitnessCache::misses
-    #[must_use]
-    pub fn with_context(mut self, context: &str) -> Self {
-        self.hit_metric = format!("ga.cache.{context}.hits");
-        self.miss_metric = format!("ga.cache.{context}.misses");
-        self
-    }
-
-    /// The metric context the cache reports under (`"ga.cache"` by
-    /// default, `"ga.cache.<context>"` after [`FitnessCache::with_context`]).
-    #[must_use]
-    pub fn metric_context(&self) -> &str {
-        self.hit_metric.strip_suffix(".hits").unwrap_or(&self.hit_metric)
     }
 
     /// Looks `genome` up, refreshing its recency on a hit.
@@ -115,7 +82,7 @@ impl FitnessCache {
         let counter = if found.is_some() { &self.hits } else { &self.misses };
         counter.fetch_add(1, Ordering::Relaxed);
         if a2a_obs::metrics_enabled() {
-            let name = if found.is_some() { &self.hit_metric } else { &self.miss_metric };
+            let name = if found.is_some() { "ga.cache.hits" } else { "ga.cache.misses" };
             a2a_obs::global().counter(name).incr();
         }
         found
@@ -207,21 +174,6 @@ mod tests {
         assert!(cache.len() <= 8, "bounded: {}", cache.len());
         assert_eq!(cache.lookup(&genomes[0]), Some(report(0.0)), "hot entry survives");
         assert_eq!(cache.lookup(&genomes[1]), None, "cold entry evicted");
-    }
-
-    #[test]
-    fn context_renames_the_global_metrics_only() {
-        let plain = FitnessCache::new(4);
-        assert_eq!(plain.metric_context(), "ga.cache");
-        let shard = FitnessCache::new(4).with_context("campaign.shard");
-        assert_eq!(shard.metric_context(), "ga.cache.campaign.shard");
-        // Instance counters behave identically regardless of context.
-        let mut rng = SmallRng::seed_from_u64(9);
-        let g = Genome::random(FsmSpec::paper(GridKind::Square), &mut rng);
-        assert_eq!(shard.lookup(&g), None);
-        shard.insert(&g, report(2.0));
-        assert_eq!(shard.lookup(&g), Some(report(2.0)));
-        assert_eq!((shard.hits(), shard.misses()), (1, 1));
     }
 
     #[test]

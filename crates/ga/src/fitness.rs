@@ -249,16 +249,6 @@ impl Evaluator {
         self
     }
 
-    /// Replaces the memoization cache with a fresh one attributed to
-    /// `ga.cache.<context>` global metrics (see
-    /// [`FitnessCache::with_context`]) — builder-stage only, so no
-    /// memoized reports are discarded in flight.
-    #[must_use]
-    pub fn with_cache_context(mut self, context: &str) -> Self {
-        self.cache = Arc::new(FitnessCache::default().with_context(context));
-        self
-    }
-
     /// The evaluation environment.
     #[must_use]
     pub fn config(&self) -> &WorldConfig {

@@ -52,9 +52,10 @@
 //! runs stay deterministic to profile.
 //!
 //! Under the chaos suite, `a2a_obs::fault::panic_point("ga.pool.item")`
-//! is probed before every multi-threaded item application, letting a
-//! seeded `FaultPlan` simulate worker crashes; disarmed, the probe is
-//! one relaxed atomic load per item.
+//! is probed before every multi-threaded item application, retries
+//! included, letting a `FaultPlan` that names occurrences of the site
+//! simulate worker crashes; disarmed, the probe is one relaxed atomic
+//! load per item.
 
 use a2a_sim::{BatchRunner, InitialConfig, RunOutcome, SimError};
 use std::collections::VecDeque;

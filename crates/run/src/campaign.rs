@@ -773,9 +773,8 @@ impl CampaignStore {
     }
 }
 
-/// Lazily-built per-niche evaluators sharing one [`WorkerPool`] — the
-/// zero-copy reuse path: every niche evaluation in a shard runs on the
-/// same threads, worlds and scratch buffers (PR 3/5 machinery).
+/// Lazily-built per-niche evaluators sharing one [`WorkerPool`]: every
+/// niche evaluation in a shard runs on the same pool threads.
 #[derive(Debug)]
 pub struct EvaluatorBank {
     spec: CampaignSpec,
@@ -817,7 +816,6 @@ impl EvaluatorBank {
             let evaluator = Evaluator::new(world, configs)
                 .with_t_max(self.spec.t_max)
                 .with_threads(self.threads)
-                .with_cache_context("campaign.shard")
                 .with_pool(Arc::clone(&self.pool));
             self.evaluators.insert(id.clone(), evaluator);
         }
@@ -986,20 +984,26 @@ pub enum ShardExit {
     Killed,
 }
 
-/// Runs one shard's full campaign loop against the store: waits on the
-/// round barriers, skips rounds whose delta is already durable
-/// (resume), computes and publishes the rest.
+/// Runs one shard's full campaign loop against the store: loads the
+/// spec the parent sealed there, waits on the round barriers, skips
+/// rounds whose delta is already durable (resume), computes and
+/// publishes the rest.
 ///
 /// # Errors
 ///
-/// Store I/O failures, spec mismatches or a wedged barrier.
+/// A store without a sealed spec, a shard index outside it, store I/O
+/// failures or a wedged barrier.
 pub fn run_shard_process(
     store: &CampaignStore,
-    spec: &CampaignSpec,
     shard: usize,
     threads: usize,
 ) -> Result<ShardExit, String> {
-    store.init(spec)?;
+    let spec = &store
+        .load_spec()?
+        .ok_or_else(|| format!("campaign store {} has no sealed spec", store.root().display()))?;
+    if shard >= spec.shards {
+        return Err(format!("no such shard (the sealed spec has {})", spec.shards));
+    }
     let mut bank = EvaluatorBank::new(spec, threads);
     let mut digests = DigestSet::new();
     let mut loaded_through = 0usize; // digest logs folded so far

@@ -1,5 +1,5 @@
-//! Chaos suite: seeded, deterministic fault schedules driving the three
-//! fault sites end to end.
+//! Chaos suite: deterministic fault plans driving the three fault sites
+//! end to end.
 //!
 //! * `ga.pool.item` — worker panics inside the evaluation pool: the
 //!   watchdog retries the genome and the run's results are unaffected;
@@ -8,7 +8,7 @@
 //! * `run.generation` — simulated kills between generations: a
 //!   kill/resume crash loop converges to the exact uninterrupted result.
 //!
-//! Every schedule is a pure function of the plan seed, so failures
+//! Every plan names the occurrences of a site that fault, so failures
 //! reproduce exactly. Fault arming is process-global; the suite
 //! serialises through one mutex.
 
@@ -42,16 +42,21 @@ fn worker_panics_do_not_change_results() {
         run_evolution(spec, &evaluator(kind), config, Vec::new(), &RunOptions::default(), |_| ())
             .unwrap();
 
-    // A low-rate panic schedule: a handful of evaluation items blow up,
-    // each is retried inline by the watchdog.
-    fault::arm(FaultPlan::seeded(99).with("ga.pool.item", 0.02, 5));
+    // Five evaluation items blow up, each in a different pool map across
+    // the run's ~110 probes; the pool retries each once, inline. A retry
+    // probes the site again after its map's first attempts, so every
+    // named occurrence here is a first attempt: one that landed on a
+    // retry would fail its item twice and panic the run.
+    fault::arm(FaultPlan::parse(
+        "ga.pool.item@7,ga.pool.item@27,ga.pool.item@50,ga.pool.item@70,ga.pool.item@96",
+    ));
     let faulty =
         run_evolution(spec, &evaluator(kind), config, Vec::new(), &RunOptions::default(), |_| ())
             .unwrap();
     let panics = fault::fired("ga.pool.item");
     fault::disarm();
 
-    assert!(panics > 0, "the schedule must actually inject panics");
+    assert_eq!(panics, 5, "every named occurrence injects one panic");
     assert!(faulty.completed);
     assert_eq!(
         faulty.outcome.history, clean.outcome.history,
@@ -72,7 +77,7 @@ fn checkpoint_write_errors_are_survived_and_counted() {
     let opts = RunOptions::persisting(CheckpointStore::new(&dir));
 
     // The first two saves fail with injected IO errors; the rest land.
-    fault::arm(FaultPlan::seeded(7).with("run.checkpoint.write", 1.0, 2));
+    fault::arm(FaultPlan::parse("run.checkpoint.write@0..2"));
     let report =
         run_evolution(spec, &evaluator(kind), config, Vec::new(), &opts, |_| ()).unwrap();
     fault::disarm();
@@ -107,7 +112,7 @@ fn kill_resume_crash_loop_converges_to_the_uninterrupted_result() {
     // Three certain kills: the first three boundary probes stop the
     // process image; occurrence bookkeeping persists across the loop's
     // re-invocations (same armed plan), so each restart gets further.
-    fault::arm(FaultPlan::seeded(3).with("run.generation", 1.0, 3));
+    fault::arm(FaultPlan::parse("run.generation@0..3"));
     let mut attempts = 0;
     let final_report = loop {
         attempts += 1;
@@ -123,7 +128,7 @@ fn kill_resume_crash_loop_converges_to_the_uninterrupted_result() {
     let kills = fault::fired("run.generation");
     fault::disarm();
 
-    assert_eq!(kills, 3, "the schedule allows exactly three kills");
+    assert_eq!(kills, 3, "the plan names exactly three kills");
     assert_eq!(attempts, 4, "three kills then a clean completion");
     assert_eq!(
         final_report.outcome.history, full.outcome.history,
@@ -155,7 +160,7 @@ fn islands_kill_resume_matches_uninterrupted() {
     let dir = std::env::temp_dir().join("a2a_run_chaos_islands");
     let _ = std::fs::remove_dir_all(&dir);
     let base = RunOptions::persisting(CheckpointStore::new(&dir));
-    fault::arm(FaultPlan::seeded(8).with("run.generation", 1.0, 1));
+    fault::arm(FaultPlan::parse("run.generation@0"));
     let killed = run_islands_checkpointed(
         spec,
         &evaluator(kind),
@@ -204,13 +209,13 @@ fn injected_kill_leaves_a_sealed_flight_dump_replaying_recent_events() {
     let kind = GridKind::Square;
     let spec = FsmSpec::paper(kind);
     let config = GaConfig::paper(6, 4242);
-    fault::arm(FaultPlan::seeded(11).with("run.generation", 1.0, 1));
+    fault::arm(FaultPlan::parse("run.generation@0"));
     let report =
         run_evolution(spec, &evaluator(kind), config, Vec::new(), &RunOptions::default(), |_| ())
             .unwrap();
     fault::disarm();
     a2a_obs::flight::disable();
-    assert!(report.killed, "the schedule kills the first boundary");
+    assert!(report.killed, "the plan kills the first boundary");
 
     // Exactly one dump, triggered by the kill site, sealed and valid.
     let dumps: Vec<_> = std::fs::read_dir(&dir)
@@ -261,8 +266,8 @@ fn injected_kill_leaves_a_sealed_flight_dump_replaying_recent_events() {
 fn env_spec_grammar_parses_the_ci_schedule() {
     // The CI chaos job arms via A2A_FAULT; keep its grammar honest here
     // (parsing is pure — no env mutation, safe under parallel tests).
-    let plan = FaultPlan::parse("seed=7,ga.pool.item:0.02:5,run.generation:1.0:3");
-    assert_eq!(plan.seed, 7);
-    assert_eq!(plan.rules.len(), 2);
-    assert!(plan.fires("run.generation", 0));
+    // It kills `evolve_run` at generation boundary 3, mid-run.
+    let plan = FaultPlan::parse("run.generation@3");
+    assert_eq!(plan.rules.len(), 1);
+    assert!((0..10).filter(|&i| plan.fires("run.generation", i)).eq([3]));
 }

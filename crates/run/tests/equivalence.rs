@@ -54,7 +54,7 @@ fn assert_interrupt_resume_equivalence(kind: GridKind, kill_at_generation: usize
     let opts = RunOptions::persisting(CheckpointStore::new(&dir));
     let killed = run_evolution(spec, &evaluator(kind), config, Vec::new(), &opts, |stats| {
         if stats.generation == kill_at_generation {
-            fault::arm(FaultPlan::seeded(1).with("run.generation", 1.0, 1));
+            fault::arm(FaultPlan::parse("run.generation@0"));
         }
     })
     .unwrap();

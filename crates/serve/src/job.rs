@@ -34,6 +34,12 @@ pub const MAX_GENERATIONS: u64 = 1_000_000;
 /// the 33×33 experiment's 20 000.
 pub const MAX_T_MAX: u64 = 100_000;
 
+/// Largest accepted per-job `max_retries`. A retried attempt resumes
+/// from its checkpoint but never reads the server's stop signal in
+/// between, so an unbounded budget lets a job that panics on every
+/// attempt retry forever and wedge the server's shutdown.
+pub const MAX_RETRIES: u64 = 10;
+
 /// A parsed evolution-job submission. Every field except `tenant` has
 /// a service default, so the minimal useful submission is
 /// `{"tenant": "t", "id": "job-1"}`.
@@ -68,7 +74,8 @@ pub struct JobSpec {
     /// Wall-clock deadline in milliseconds, checked at generation
     /// boundaries; `None` means no deadline.
     pub deadline_ms: Option<u64>,
-    /// Per-job retry budget override (`None` uses the server's).
+    /// Per-job retry budget override, at most [`MAX_RETRIES`] (`None`
+    /// uses the server's).
     pub max_retries: Option<u32>,
     /// Island count; `0` (the default) runs the single-pool procedure,
     /// anything larger the ring island model (DESIGN.md §9).
@@ -147,13 +154,21 @@ impl JobSpec {
             deadline_ms: doc.get("deadline_ms").map(|_| num(doc, "deadline_ms", 0)).transpose()?,
             max_retries: doc
                 .get("max_retries")
-                .map(|_| num(doc, "max_retries", 0))
+                .map(|_| num_in(doc, "max_retries", 0, 0, MAX_RETRIES))
                 .transpose()?
-                .map(|v| u32::try_from(v).unwrap_or(u32::MAX)),
+                .map(|v| v as u32),
             islands: num(doc, "islands", 0)? as usize,
             epoch: num_in(doc, "epoch", 2, 0, MAX_GENERATIONS)? as usize,
             migrants: num(doc, "migrants", 1)? as usize,
         };
+        // The three designed configurations all need `k <= m`; with no
+        // random ones on top, the set would be empty.
+        if spec.configs == 0 && spec.k > usize::from(spec.m) {
+            return Err(format!(
+                "`configs` must be at least 1 when `k` ({}) exceeds `m` ({})",
+                spec.k, spec.m
+            ));
+        }
         if spec.islands > 0 {
             if spec.islands > 16 {
                 return Err("`islands` must be at most 16".to_string());
@@ -308,12 +323,13 @@ mod tests {
             .with("generations", MAX_GENERATIONS)
             .with("islands", 2u64)
             .with("epoch", MAX_GENERATIONS)
-            .with("t_max", MAX_T_MAX);
+            .with("t_max", MAX_T_MAX)
+            .with("max_retries", MAX_RETRIES);
         let spec = JobSpec::from_json(&largest).unwrap();
         assert_eq!((spec.m, spec.k), (64, 4096));
         assert_eq!((spec.configs, spec.population), (1000, 1000));
         assert_eq!((spec.generations, spec.epoch), (1_000_000, 1_000_000));
-        assert_eq!(spec.t_max, 100_000);
+        assert_eq!((spec.t_max, spec.max_retries), (100_000, Some(10)));
         // One request past any cap is a named 400, not an allocation.
         for (doc, needle) in [
             (job("m", 65_535), "`m`"),
@@ -330,6 +346,8 @@ mod tests {
             (job("t_max", MAX_T_MAX + 1), "`t_max`"),
             (Json::object().with("tenant", "t").with("priority", 1e30), "`priority`"),
             (Json::object().with("tenant", "t").with("t_max", 1e30), "`t_max`"),
+            (job("max_retries", MAX_RETRIES + 1), "`max_retries`"),
+            (Json::object().with("tenant", "t").with("max_retries", 1e30), "`max_retries`"),
         ] {
             let err = JobSpec::from_json(&doc).unwrap_err();
             assert!(err.contains(needle), "{err} should mention {needle}");
@@ -347,6 +365,14 @@ mod tests {
             (Json::object().with("tenant", "t").with("population", 1u64), "population"),
             (Json::object().with("tenant", "t").with("id", "a/b"), "character"),
             (Json::object().with("tenant", "t").with("seed", -3.0), "seed"),
+            (
+                Json::object()
+                    .with("tenant", "t")
+                    .with("m", 8u64)
+                    .with("k", 9u64)
+                    .with("configs", 0u64),
+                "`configs`",
+            ),
         ] {
             let err = JobSpec::from_json(&doc).unwrap_err();
             assert!(err.contains(needle), "{err} should mention {needle}");

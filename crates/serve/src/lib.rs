@@ -43,7 +43,7 @@ pub mod server;
 
 pub use job::{
     build_islands_result, build_result, JobSpec, MAX_CONFIGS, MAX_GENERATIONS, MAX_M,
-    MAX_POPULATION, MAX_T_MAX, RESULT_SCHEMA,
+    MAX_POPULATION, MAX_RETRIES, MAX_T_MAX, RESULT_SCHEMA,
 };
 pub use queue::{JobQueue, QueueConfig, QueuedJob, SubmitError};
 pub use server::{Server, ServerHandle, ServeConfig};

@@ -44,6 +44,16 @@ use std::time::{Duration, Instant};
 /// Per-job event-buffer cap (oldest lines drop first).
 const EVENT_BUFFER_LINES: usize = 512;
 
+/// Connection-handler threads.
+const CONN_WORKERS: usize = 8;
+
+/// Retry budget for panicking attempts of a job that sets no
+/// `max_retries` of its own.
+const DEFAULT_MAX_RETRIES: u32 = 2;
+
+/// First retry backoff sleep (doubles per attempt).
+const RETRY_BASE: Duration = Duration::from_millis(10);
+
 /// Cap on one retry backoff sleep.
 const MAX_BACKOFF: Duration = Duration::from_secs(2);
 
@@ -61,14 +71,6 @@ pub struct ServeConfig {
     pub executors: usize,
     /// Threads in the shared fitness [`WorkerPool`].
     pub worker_threads: usize,
-    /// Connection-handler threads.
-    pub conn_workers: usize,
-    /// Default retry budget for panicking attempts (a job's
-    /// `max_retries` overrides it).
-    pub max_retries: u32,
-    /// First retry backoff in milliseconds (doubles per attempt,
-    /// capped at 2 s).
-    pub retry_base_ms: u64,
     /// Checkpoint cadence in generations.
     pub cadence: usize,
 }
@@ -81,9 +83,6 @@ impl Default for ServeConfig {
             queue: QueueConfig::default(),
             executors: 4,
             worker_threads: 1,
-            conn_workers: 8,
-            max_retries: 2,
-            retry_base_ms: 10,
             cadence: 1,
         }
     }
@@ -183,7 +182,7 @@ impl Server {
         let mut threads = Vec::new();
         let (conn_tx, conn_rx) = mpsc::channel::<TcpStream>();
         let conn_rx = Arc::new(Mutex::new(conn_rx));
-        for w in 0..state.cfg.conn_workers.max(1) {
+        for w in 0..CONN_WORKERS {
             let state = Arc::clone(&state);
             let rx = Arc::clone(&conn_rx);
             threads.push(
@@ -580,7 +579,7 @@ fn execute(state: &Arc<ServerState>, job: &QueuedJob) {
             return;
         }
     };
-    let max_retries = spec.max_retries.unwrap_or(state.cfg.max_retries);
+    let max_retries = spec.max_retries.unwrap_or(DEFAULT_MAX_RETRIES);
 
     loop {
         manifest.attempts += 1;
@@ -690,10 +689,7 @@ fn retry_or_fail(
         return false;
     }
     state.counter("serve.jobs.retries");
-    let backoff = Duration::from_millis(
-        state.cfg.retry_base_ms.saturating_mul(1 << (manifest.attempts - 1).min(16)),
-    )
-    .min(MAX_BACKOFF);
+    let backoff = RETRY_BASE.saturating_mul(1 << (manifest.attempts - 1).min(16)).min(MAX_BACKOFF);
     std::thread::sleep(backoff);
     true
 }

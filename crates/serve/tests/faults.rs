@@ -64,7 +64,7 @@ fn injected_request_fault_answers_500_and_service_recovers() {
     let _guard = GUARD.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     let (handle, addr) = start("request");
 
-    fault::arm(FaultPlan::seeded(3).with("serve.request", 1.0, 2));
+    fault::arm(FaultPlan::parse("serve.request@0..2"));
     let first = client::get(&addr, "/healthz").unwrap();
     assert_eq!(first.status, 500, "{}", first.body);
     assert!(first.body.contains("injected"));
@@ -86,7 +86,7 @@ fn step_panic_is_retried_with_backoff_until_completion() {
 
     // The first generation boundary panics; attempt two resumes from
     // the checkpoint and finishes.
-    fault::arm(FaultPlan::seeded(5).with("serve.job.step", 1.0, 1));
+    fault::arm(FaultPlan::parse("serve.job.step@0"));
     assert_eq!(client::post(&addr, "/jobs", &quick_job("flaky")).unwrap().status, 202);
     assert_eq!(poll_status(&addr, "flaky", &["completed", "failed"]), "completed");
     fault::disarm();
@@ -106,12 +106,12 @@ fn checkpoint_write_fault_is_transient_not_fatal() {
     let _guard = GUARD.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     let (handle, addr) = start("checkpoint");
 
-    // serve.checkpoint guards manifest and result saves. A budget of
-    // two refusals may eat the submit-time manifest write (a 500 the
-    // client retries) and/or an executor-side save (retried with
-    // backoff); either way the job must still complete with a valid
-    // sealed result.
-    fault::arm(FaultPlan::seeded(11).with("serve.checkpoint", 1.0, 2));
+    // serve.checkpoint guards manifest and result saves. Refusing the
+    // first two saves eats submit-time manifest writes (a 500 the
+    // client retries) or an executor-side save (retried with backoff);
+    // either way the job must still complete with a valid sealed
+    // result.
+    fault::arm(FaultPlan::parse("serve.checkpoint@0..2"));
     let mut accepted = false;
     for _ in 0..5 {
         let reply = client::post(&addr, "/jobs", &quick_job("durable")).unwrap();

@@ -508,14 +508,18 @@ fn oversized_job_answers_400_and_the_server_stays_up() {
     let (handle, addr) = start("oversized", QueueConfig::default(), 1);
     // A 65535×65535 torus would be allocated per field cell by the
     // kernel, a run reserves its generation (or epoch) history up front,
-    // and a horizon past `MAX_T_MAX` could pin an executor for hours;
-    // the boundary refuses all of them before anything is queued.
+    // a horizon past `MAX_T_MAX` could pin an executor for hours, an
+    // empty configuration set panics every attempt, and an unbounded
+    // retry budget retries such a job forever; the boundary refuses all
+    // of them before anything is queued.
     let job = Json::object().with("tenant", "t");
     for (body, field) in [
         (job.clone().with("m", 65_535u64), "`m`"),
         (job.clone().with("generations", 1e18), "`generations`"),
         (job.clone().with("t_max", MAX_T_MAX + 1), "`t_max`"),
         (job.clone().with("t_max", 1e30), "`t_max`"),
+        (job.clone().with("m", 8u64).with("k", 9u64).with("configs", 0u64), "`configs`"),
+        (job.clone().with("max_retries", 1e30), "`max_retries`"),
         (job.with("islands", 2u64).with("epoch", 1e18), "`epoch`"),
     ] {
         let reply = client::post(&addr, "/jobs", &body.to_string()).unwrap();
