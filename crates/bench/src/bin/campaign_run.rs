@@ -1,46 +1,32 @@
 //! Sharded MAP-Elites campaign driver (DESIGN.md §15).
 //!
-//! One binary, three modes:
-//!
-//! * **parent** (default): spawns `--shards` worker processes of itself,
-//!   coordinates the round barriers, respawns any shard that dies
-//!   mid-campaign (crash-only supervision), and seals the final archive;
-//! * **`--shard-worker I`**: runs shard `I`'s loop against the shared
-//!   store and exits `137` when an injected `campaign.round` fault
-//!   fires (the chaos suite's SIGKILL stand-in). A worker reads the spec
-//!   the parent sealed in the store (`campaign.json`) and ignores spec
-//!   flags, so the parent spawns it with
-//!   `--store DIR --shard-worker I --threads N --quiet`;
-//! * **`--inline`**: the whole campaign in-process — byte-identical
-//!   artifacts to the process mode, handy for debugging.
+//! Runs the whole campaign in this process against the store at
+//! `--store`: each round the `--shards` shards take turns on one
+//! evaluator bank of `--threads` workers, their deltas are merged and
+//! the round's barrier is committed; the final archive and summary are
+//! sealed at the end. Rerunning a killed campaign with the same flags
+//! resumes it from its durable artifacts and writes byte-identical
+//! ones. In a `fault-inject` build an `A2A_FAULT` kill at the
+//! `campaign.round` site exits `137`, like a SIGKILLed process.
 //!
 //! ```text
 //! cargo run --release -p a2a-bench --bin campaign_run -- \
 //!     --store /tmp/campaign [--grids s,t] [--m 8] [--k 4,6,8,10] \
 //!     [--shards N] [--rounds N] [--batch N] [--t-max N] \
-//!     [--configs N] [--seed N] [--threads N] \
-//!     [--inline]
-//! campaign_run --store /tmp/campaign --shard-worker I [--threads N] [--quiet]
+//!     [--configs N] [--seed N] [--threads N]
 //! ```
 
-use a2a_bench::campaign::{parse_grids, parse_list, run_process_campaign, CampaignParams};
+use a2a_bench::campaign::{parse_grids, parse_list, CampaignParams};
 use a2a_bench::RunScale;
-use a2a_run::campaign::{run_inline, run_shard_process, CampaignStore, ShardExit};
+use a2a_run::campaign::{run_campaign, CampaignStore, CAMPAIGN_ROUND_SITE};
 use std::path::PathBuf;
 use std::process::ExitCode;
-
-enum Mode {
-    Parent,
-    ShardWorker(usize),
-    Inline,
-}
 
 fn fail(msg: impl AsRef<str>) -> ExitCode {
     eprintln!("campaign_run: {}", msg.as_ref());
     ExitCode::FAILURE
 }
 
-#[allow(clippy::too_many_lines)]
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let mut params = CampaignParams::default();
@@ -48,7 +34,6 @@ fn main() -> ExitCode {
     params.configs = scale.configs;
     params.seed = scale.seed;
 
-    let mut mode = Mode::Parent;
     let mut store: Option<PathBuf> = None;
     let mut it = args.into_iter();
     while let Some(flag) = it.next() {
@@ -56,13 +41,6 @@ fn main() -> ExitCode {
             it.next().ok_or_else(|| format!("missing value for {flag}"))
         };
         let result: Result<(), String> = match flag.as_str() {
-            "--inline" => {
-                mode = Mode::Inline;
-                Ok(())
-            }
-            "--shard-worker" => value(&flag)
-                .and_then(|v| v.parse().map_err(|_| format!("numeric --shard-worker, got `{v}`")))
-                .map(|i| mode = Mode::ShardWorker(i)),
             "--store" => value(&flag).map(|v| store = Some(PathBuf::from(v))),
             "--grids" => value(&flag).and_then(|v| parse_grids(&v)).map(|g| params.grids = g),
             "--m" => value(&flag).and_then(|v| parse_list(&v, "--m")).map(|m| params.ms = m),
@@ -90,58 +68,26 @@ fn main() -> ExitCode {
     if params.grids.is_empty() || params.ms.is_empty() || params.ks.is_empty() {
         return fail("--grids/--m/--k must each name at least one value");
     }
+    let Some(root) = store else { return fail("a campaign needs --store DIR") };
 
     let _sink = scale.init_obs("campaign");
     a2a_obs::set_metrics(true);
 
     let spec = params.spec();
-    match mode {
-        Mode::ShardWorker(shard) => {
-            let Some(root) = store else { return fail("--shard-worker needs --store DIR") };
-            match run_shard_process(&CampaignStore::new(root), shard, scale.threads) {
-                Ok(ShardExit::Done) => ExitCode::SUCCESS,
-                Ok(ShardExit::Killed) => {
-                    // Die like a SIGKILLed process: the round's delta is
-                    // not durable and the supervisor must respawn us.
-                    eprintln!("campaign_run: shard {shard} killed by injected fault");
-                    std::process::exit(137);
-                }
-                Err(e) => fail(format!("shard {shard}: {e}")),
-            }
+    let store = CampaignStore::new(root);
+    scale.outln(scale.banner(&format!("campaign ({} shards)", spec.shards)));
+    match run_campaign(&store, &spec, scale.threads) {
+        Ok(Some(outcome)) => {
+            report(&scale, &outcome, spec.niches.len(), &store);
+            ExitCode::SUCCESS
         }
-        Mode::Inline => {
-            let Some(root) = store else { return fail("--inline needs --store DIR") };
-            scale.outln(scale.banner("campaign (inline)"));
-            match run_inline(&CampaignStore::new(&root), &spec, scale.threads) {
-                Ok(outcome) => {
-                    report(&scale, &outcome, spec.niches.len(), &CampaignStore::new(root), 0);
-                    ExitCode::SUCCESS
-                }
-                Err(e) => fail(e),
-            }
+        Ok(None) => {
+            // Die like a SIGKILLed process: the committed rounds are
+            // durable and a rerun with the same flags resumes them.
+            eprintln!("campaign_run: killed by injected fault at {CAMPAIGN_ROUND_SITE}");
+            std::process::exit(137);
         }
-        Mode::Parent => {
-            let Some(root) = store else { return fail("campaign parent needs --store DIR") };
-            let exe = match std::env::current_exe() {
-                Ok(p) => p,
-                Err(e) => return fail(format!("cannot locate own binary: {e}")),
-            };
-            scale.outln(scale.banner(&format!("campaign ({} shard processes)", spec.shards)));
-            let run = run_process_campaign(&exe, &spec, &root, scale.threads, |shard, code| {
-                scale.progress(
-                    "campaign.respawn",
-                    format!("campaign: respawned shard {shard} (exit {code:?})"),
-                );
-            });
-            match run {
-                Ok(run) => {
-                    let total = spec.niches.len();
-                    report(&scale, &run.outcome, total, &CampaignStore::new(root), run.respawns);
-                    ExitCode::SUCCESS
-                }
-                Err(e) => fail(e),
-            }
-        }
+        Err(e) => fail(e),
     }
 }
 
@@ -152,12 +98,11 @@ fn report(
     outcome: &a2a_run::campaign::CampaignOutcome,
     niches: usize,
     store: &CampaignStore,
-    respawns: usize,
 ) {
     let c = outcome.counters;
     scale.outln(format!(
-        "campaign done: {} evals, {} dedup hits, {} migrations, {} collisions, {} respawns",
-        c.evals, c.dedup_hits, c.migrations, c.collisions, respawns
+        "campaign done: {} evals, {} dedup hits, {} migrations, {} collisions",
+        c.evals, c.dedup_hits, c.migrations, c.collisions
     ));
     scale.outln(format!(
         "archive: {} / {niches} niches covered, {} solved",

@@ -1,16 +1,8 @@
-//! Process-mode driver for the campaign engine (`a2a_run::campaign`):
-//! spawns N shard worker processes of the `campaign_run` binary against
-//! one store and supervises them crash-only (a dead shard is respawned
-//! and resumes from its durable deltas).
+//! Command-line parameters of the campaign engine (`a2a_run::campaign`):
+//! the niche grid and spec flags of the `campaign_run` binary.
 
 use a2a_grid::GridKind;
-use a2a_run::campaign::{coordinate, CampaignOutcome, CampaignSpec, CampaignStore, NicheKey};
-use std::path::Path;
-use std::process::{Child, Command, Stdio};
-
-/// How often a dead shard may be respawned before the campaign is
-/// declared crash-looping.
-const MAX_RESPAWNS_PER_SHARD: usize = 4;
+use a2a_run::campaign::{CampaignSpec, NicheKey};
 
 /// Parsed niche-grid parameters of a campaign invocation.
 #[derive(Debug, Clone)]
@@ -21,7 +13,7 @@ pub struct CampaignParams {
     pub ms: Vec<u16>,
     /// Agent counts (`--k 4,8`).
     pub ks: Vec<usize>,
-    /// Worker shard processes (`--shards`).
+    /// Shards, each with its own niche deal and RNG streams (`--shards`).
     pub shards: usize,
     /// Synchronous rounds (`--rounds`).
     pub rounds: usize,
@@ -100,131 +92,6 @@ impl CampaignParams {
             seed: self.seed,
         }
     }
-}
-
-/// One supervised shard child.
-#[derive(Debug)]
-struct ShardChild {
-    shard: usize,
-    child: Option<Child>,
-    respawns: usize,
-    done: bool,
-}
-
-/// Outcome of a process-mode campaign run.
-#[derive(Debug)]
-pub struct ProcessCampaign {
-    /// The merged outcome (identical to an inline run of the same spec).
-    pub outcome: CampaignOutcome,
-    /// Shard children respawned after dying mid-campaign.
-    pub respawns: usize,
-}
-
-/// Spawns shard `shard` of the campaign sealed in `store`. The worker
-/// reads its spec from the store, so its argv carries no spec flags.
-fn spawn_shard(
-    exe: &Path,
-    store: &Path,
-    threads: usize,
-    shard: usize,
-    clear_fault_env: bool,
-) -> Result<Child, String> {
-    let mut cmd = Command::new(exe);
-    cmd.arg("--store")
-        .arg(store)
-        .args([
-            "--shard-worker",
-            &shard.to_string(),
-            "--threads",
-            &threads.to_string(),
-            "--quiet",
-        ])
-        .stdout(Stdio::null())
-        .stderr(Stdio::inherit());
-    if clear_fault_env {
-        // A respawned shard must not re-arm the fault plan that just
-        // killed it — resume is the point of the respawn.
-        cmd.env_remove("A2A_FAULT");
-    }
-    cmd.spawn().map_err(|e| format!("cannot spawn shard {shard}: {e}"))
-}
-
-/// Seals `spec` in the store at `store_root` and runs it with
-/// `spec.shards` worker processes of `exe` (the `campaign_run` binary
-/// itself, invoked in `--shard-worker` mode, which loads the sealed
-/// spec), supervising them crash-only: a shard that exits before the
-/// campaign is complete is respawned (with `A2A_FAULT` scrubbed) and
-/// resumes from its durable deltas. `on_respawn` is called with the
-/// shard index and exit code of every death.
-///
-/// # Errors
-///
-/// Spawn failures, a crash-looping shard, store I/O failures or a
-/// wedged barrier.
-pub fn run_process_campaign(
-    exe: &Path,
-    spec: &CampaignSpec,
-    store_root: &Path,
-    threads: usize,
-    mut on_respawn: impl FnMut(usize, Option<i32>),
-) -> Result<ProcessCampaign, String> {
-    let store = CampaignStore::new(store_root);
-    store.init(spec)?;
-    let mut children: Vec<ShardChild> = (0..spec.shards)
-        .map(|shard| {
-            spawn_shard(exe, store_root, threads, shard, false).map(|child| ShardChild {
-                shard,
-                child: Some(child),
-                respawns: 0,
-                done: false,
-            })
-        })
-        .collect::<Result<_, _>>()?;
-    let mut respawns = 0usize;
-
-    let outcome = coordinate(&store, spec, |_round| {
-        for slot in &mut children {
-            if slot.done {
-                continue;
-            }
-            let Some(child) = slot.child.as_mut() else { continue };
-            match child.try_wait() {
-                Ok(None) => {}
-                Ok(Some(status)) if status.success() => {
-                    slot.done = true;
-                    slot.child = None;
-                }
-                Ok(Some(status)) => {
-                    // Mid-campaign death (SIGKILL, injected fault,
-                    // panic): crash-only supervision respawns it and
-                    // the durable deltas make the redo bit-identical.
-                    slot.respawns += 1;
-                    respawns += 1;
-                    if slot.respawns > MAX_RESPAWNS_PER_SHARD {
-                        return Err(format!(
-                            "shard {} is crash-looping ({} respawns)",
-                            slot.shard, slot.respawns
-                        ));
-                    }
-                    on_respawn(slot.shard, status.code());
-                    slot.child = Some(spawn_shard(exe, store_root, threads, slot.shard, true)?);
-                }
-                Err(e) => return Err(format!("cannot reap shard {}: {e}", slot.shard)),
-            }
-        }
-        Ok(())
-    });
-
-    // Reap every child regardless of how coordination ended.
-    for slot in &mut children {
-        if let Some(mut child) = slot.child.take() {
-            if outcome.is_err() {
-                let _ = child.kill();
-            }
-            let _ = child.wait();
-        }
-    }
-    Ok(ProcessCampaign { outcome: outcome?, respawns })
 }
 
 #[cfg(test)]

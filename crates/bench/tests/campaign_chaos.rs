@@ -1,10 +1,9 @@
-//! Campaign chaos: kill every shard-worker process mid-campaign with an
-//! injected `campaign.round` fault, let the supervisor respawn them
-//! (with the fault plan scrubbed from the respawn environment), and
-//! require the final sealed archive to be **byte-identical** to an
-//! uninterrupted control campaign — the crash-only contract of
-//! DESIGN.md §15, proven over real OS processes rather than in-process
-//! simulated kills.
+//! Campaign chaos: kill the campaign process at the start of every
+//! round with an injected `campaign.round` fault, rerun it without the
+//! fault, and require the final sealed archive and summary to be
+//! **byte-identical** to an uninterrupted control campaign — the
+//! crash-only contract of DESIGN.md §15, proven over real OS processes
+//! rather than in-process simulated kills.
 //!
 //! Needs `--features fault-inject` (the site compiles to a no-op
 //! otherwise), so the whole file is gated on the feature.
@@ -13,10 +12,12 @@
 
 use a2a_obs::fault::FaultPlan;
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, Output};
 
 const EXE: &str = env!("CARGO_BIN_EXE_campaign_run");
 const SITE: &str = "campaign.round";
+const ROUNDS: usize = 3;
+const ARTIFACTS: [&str; 2] = ["archive-final.json", "campaign-summary.json"];
 
 fn scratch(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("a2a_campaign_chaos_{name}_{}", std::process::id()));
@@ -32,7 +33,7 @@ fn campaign_args(store: &Path) -> Vec<String> {
         "--m", "8",
         "--k", "2,3",
         "--shards", "2",
-        "--rounds", "3",
+        "--rounds", &ROUNDS.to_string(),
         "--batch", "2",
         "--t-max", "150",
         "--configs", "2",
@@ -44,64 +45,71 @@ fn campaign_args(store: &Path) -> Vec<String> {
     .collect()
 }
 
-/// The fault plan every shard child inherits: spare the first
-/// `campaign.round` probe (round 0 must land its deltas) and kill at the
-/// second (round 1).
+/// Runs the campaign on `store`, with `fault` as the whole `A2A_FAULT`
+/// plan (or none).
+fn campaign(store: &Path, fault: Option<&str>) -> Output {
+    let mut cmd = Command::new(EXE);
+    cmd.args(campaign_args(store));
+    match fault {
+        Some(plan) => cmd.env("A2A_FAULT", plan),
+        None => cmd.env_remove("A2A_FAULT"),
+    };
+    cmd.output().expect("spawn campaign_run")
+}
+
+fn artifacts(store: &Path) -> Vec<Vec<u8>> {
+    ARTIFACTS
+        .iter()
+        .map(|name| std::fs::read(store.join(name)).unwrap_or_else(|e| panic!("{name}: {e}")))
+        .collect()
+}
+
+/// The round-1 plan of the kill loop: spare the first `campaign.round`
+/// probe (round 0 commits its barrier) and kill at the second.
 const PLAN: &str = "campaign.round@1";
 
 #[test]
-fn killed_shards_respawn_and_the_archive_is_byte_identical() {
+fn killed_at_every_round_the_rerun_is_byte_identical() {
     let control_store = scratch("control");
-    let faulted_store = scratch("faulted");
-
-    // Control: no faults anywhere in the process tree.
-    let control = Command::new(EXE)
-        .args(campaign_args(&control_store))
-        .env_remove("A2A_FAULT")
-        .output()
-        .expect("spawn control campaign");
+    let control = campaign(&control_store, None);
     assert!(
         control.status.success(),
         "control campaign failed: {}",
         String::from_utf8_lossy(&control.stderr)
     );
+    let control = artifacts(&control_store);
 
-    // Faulted: every shard child inherits the plan and dies (exit 137)
-    // at its round-1 probe — after the round-0 barrier committed, so
-    // the kill lands mid-campaign, not before any work.
-    let faulted = Command::new(EXE)
-        .args(campaign_args(&faulted_store))
-        .env("A2A_FAULT", PLAN)
-        .output()
-        .expect("spawn faulted campaign");
-    let stdout = String::from_utf8_lossy(&faulted.stdout);
-    let stderr = String::from_utf8_lossy(&faulted.stderr);
-    assert!(
-        faulted.status.success(),
-        "faulted campaign did not recover:\nstdout:\n{stdout}\nstderr:\n{stderr}"
-    );
-    assert!(
-        stdout.contains("respawned shard"),
-        "supervisor never reported a respawn (did the fault fire?):\n{stdout}\n{stderr}"
-    );
-    assert!(
-        stderr.contains("killed by injected fault"),
-        "no shard reported dying to the injected fault:\n{stderr}"
-    );
+    for round in 0..ROUNDS {
+        // Occurrence n of the probe is the start of round n on a fresh
+        // store, after round n-1's barrier is durable.
+        let store = scratch(&format!("killed_r{round}"));
+        let killed = campaign(&store, Some(&format!("{SITE}@{round}")));
+        let stderr = String::from_utf8_lossy(&killed.stderr);
+        assert_eq!(killed.status.code(), Some(137), "round {round}: not killed:\n{stderr}");
+        assert!(
+            stderr.lines().any(|l| l.contains("killed by injected fault") && l.contains(SITE)),
+            "round {round}: no stderr line names the injected fault:\n{stderr}"
+        );
+        assert!(
+            !store.join(ARTIFACTS[0]).exists(),
+            "round {round}: a killed campaign sealed its final archive"
+        );
 
-    // The headline property: recovery is indistinguishable from an
-    // uninterrupted run, byte for byte.
-    let control_archive =
-        std::fs::read(control_store.join("archive-final.json")).expect("control archive");
-    let faulted_archive =
-        std::fs::read(faulted_store.join("archive-final.json")).expect("faulted archive");
-    assert_eq!(
-        control_archive, faulted_archive,
-        "resumed campaign archive diverged from the uninterrupted control"
-    );
-
+        let rerun = campaign(&store, None);
+        assert!(
+            rerun.status.success(),
+            "round {round}: rerun did not recover: {}",
+            String::from_utf8_lossy(&rerun.stderr)
+        );
+        // The headline property: recovery is indistinguishable from an
+        // uninterrupted run, byte for byte.
+        assert!(
+            artifacts(&store) == control,
+            "round {round}: rerun artifacts diverged from the uninterrupted control"
+        );
+        let _ = std::fs::remove_dir_all(&store);
+    }
     let _ = std::fs::remove_dir_all(&control_store);
-    let _ = std::fs::remove_dir_all(&faulted_store);
 }
 
 #[test]

@@ -107,11 +107,6 @@ pub fn emit(event: Event) {
     });
 }
 
-/// Flushes every attached sink (binaries call this before exiting).
-pub fn flush_all() {
-    for_each_sink(|sink| sink.flush());
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -28,7 +28,7 @@
 //!
 //! A dump is a JSONL stream: line 1 is the sealed header
 //! (`schema: "a2a-obs/flight/v1"`, reason, counts, FNV checksum —
-//! see [`crate::schema::validate_flight`]), each following line one
+//! see [`read_dump`], the one reader), each following line one
 //! record in the `a2a-obs/events/v1` line shape (`t_ms`, `level`,
 //! `event`, optional `worker`, `fields`), globally ordered by
 //! timestamp. Files are published with the same `.partial` → rename
@@ -41,9 +41,10 @@
 //! use a2a_obs::flight;
 //!
 //! flight::enable();
-//! flight::mark("demo.step", 1, 2);
+//! flight::record(flight::Kind::Mark, "demo.step", 1, 2);
 //! let text = flight::dump_string("demo");
 //! assert!(text.starts_with("{\"schema\":\"a2a-obs/flight/v1\""));
+//! assert_eq!(flight::read_dump(&text).unwrap().reason, "demo");
 //! flight::disable();
 //! ```
 //!
@@ -52,7 +53,7 @@
 //! `DIR` and installs the panic hook; [`crate::fault`] sites and the
 //! `a2a-run` checkpoint path call [`dump`] on their own.
 
-use crate::json::Json;
+use crate::json::{parse, Json};
 use crate::schema::FLIGHT_SCHEMA;
 use std::cell::OnceCell;
 use std::collections::HashMap;
@@ -90,7 +91,7 @@ pub enum Kind {
     SpanExit = 2,
     /// An injected fault firing (`a` = occurrence index).
     Fault = 3,
-    /// A free-form caller mark (see [`mark`]).
+    /// A free-form caller mark (the panic hook's `flight.panic`).
     Mark = 4,
 }
 
@@ -271,12 +272,6 @@ fn record_slow(kind: Kind, name: &'static str, a: u64, b: u64) {
     });
 }
 
-/// Records a caller-defined [`Kind::Mark`] with two payload words.
-#[inline]
-pub fn mark(name: &'static str, a: u64, b: u64) {
-    record(Kind::Mark, name, a, b);
-}
-
 /// Records an event passing through [`crate::emit`]: the first two
 /// numeric field values become the payload words (rounded to integers;
 /// strings and later fields are dropped — the black box keeps shapes,
@@ -352,17 +347,6 @@ pub fn snapshot_records() -> Vec<ReplayRecord> {
     out
 }
 
-/// Total records dropped by overwrite across all rings so far.
-#[must_use]
-pub fn dropped_records() -> u64 {
-    rings()
-        .lock()
-        .expect("flight ring registry lock")
-        .iter()
-        .map(|r| r.head.load(Ordering::Relaxed).saturating_sub(r.slots.len() as u64))
-        .sum()
-}
-
 fn record_line(r: &ReplayRecord) -> Json {
     let mut doc = Json::object()
         .with("t_ms", (r.t_ms * 1000.0).round() / 1000.0)
@@ -394,6 +378,13 @@ pub fn dump_string(reason: &str) -> String {
         t.dedup();
         t.len()
     };
+    // Records every ring has overwritten so far.
+    let dropped: u64 = rings()
+        .lock()
+        .expect("flight ring registry lock")
+        .iter()
+        .map(|r| r.head.load(Ordering::Relaxed).saturating_sub(r.slots.len() as u64))
+        .sum();
     let header = crate::schema::seal(
         Json::object()
             .with("schema", FLIGHT_SCHEMA)
@@ -401,7 +392,7 @@ pub fn dump_string(reason: &str) -> String {
             .with("t_ms", (crate::clock_ms() * 1000.0).round() / 1000.0)
             .with("threads", threads)
             .with("records", records.len())
-            .with("dropped", dropped_records()),
+            .with("dropped", dropped),
     );
     let mut out = String::new();
     out.push_str(&header.to_string());
@@ -514,35 +505,92 @@ pub(crate) fn init_from_spec(spec: &str) {
     install_panic_hook();
 }
 
-/// Parses a dump produced by [`dump_string`] back into its header and
-/// records (the replay path of the black box).
+/// What [`read_dump`] read from a flight-recorder dump.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Dump {
+    /// The dump's `reason` (why the black box was written).
+    pub reason: String,
+    /// Record count the sealed header declares.
+    pub declared: usize,
+    /// The record lines, decoded (the replay of the black box).
+    pub records: Vec<ReplayRecord>,
+    /// As [`crate::schema::EventsSummary::truncated_tail`]: a torn final
+    /// line, only possible on a `.partial` dump a crash interrupted.
+    pub truncated_tail: Option<String>,
+}
+
+/// Reads an `a2a-obs/flight/v1` dump stream, as [`dump_string`] writes
+/// it: the first non-empty line must be the sealed header (schema,
+/// verified checksum, reason and counts), every following line must
+/// satisfy the `events/v1` line schema, and — unless the stream ends in
+/// a torn final line — the record count must equal the header's
+/// declaration. A torn tail is tolerated and reported, exactly as in
+/// [`crate::schema::validate_events`].
 ///
 /// # Errors
 ///
-/// A message naming the malformed line. The checksum is *not*
-/// re-verified here — use [`crate::schema::validate_flight`] first
-/// when trust matters.
-pub fn parse_dump(content: &str) -> Result<(Json, Vec<ReplayRecord>), String> {
-    let mut lines = content.lines().filter(|l| !l.trim().is_empty());
-    let header_line = lines.next().ok_or("empty flight dump")?;
-    let header = crate::json::parse(header_line)?;
-    let mut records = Vec::new();
-    for line in lines {
-        let Ok(doc) = crate::json::parse(line) else { continue };
-        let fields = doc.get("fields").cloned().unwrap_or_else(Json::object);
-        let num = |d: &Json, k: &str| d.get(k).and_then(Json::as_f64).unwrap_or(0.0);
-        records.push(ReplayRecord {
-            t_ms: num(&doc, "t_ms"),
-            name: doc.get("event").and_then(Json::as_str).unwrap_or("?").to_string(),
-            kind: fields.get("kind").and_then(Json::as_str).unwrap_or("event").to_string(),
-            seq: num(&fields, "seq") as u64,
-            thread: num(&fields, "thread") as u64,
-            a: num(&fields, "a") as u64,
-            b: num(&fields, "b") as u64,
-            worker: doc.get("worker").and_then(Json::as_f64).map(|w| w as u64),
-        });
+/// A message naming the first violated constraint.
+pub fn read_dump(content: &str) -> Result<Dump, String> {
+    let lines: Vec<&str> = content.lines().collect();
+    let header_idx = lines
+        .iter()
+        .position(|l| !l.trim().is_empty())
+        .ok_or("empty flight dump")?;
+    let header = parse(lines[header_idx]).map_err(|e| format!("header: {e}"))?;
+    let schema = header.get("schema").and_then(Json::as_str).ok_or("header missing `schema`")?;
+    if schema != FLIGHT_SCHEMA {
+        return Err(format!("schema `{schema}` is not `{FLIGHT_SCHEMA}`"));
     }
-    Ok((header, records))
+    crate::schema::verify_checksum(&header).map_err(|e| format!("header: {e}"))?;
+    let reason = header
+        .get("reason")
+        .and_then(Json::as_str)
+        .ok_or("header missing string `reason`")?
+        .to_string();
+    let count = |key: &str| {
+        header
+            .get(key)
+            .and_then(Json::as_f64)
+            .ok_or_else(|| format!("`header.{key}` must be a number"))
+    };
+    let declared = count("records")? as usize;
+    count("threads")?;
+    count("dropped")?;
+
+    let body = lines[header_idx + 1..].join("\n");
+    let truncated_tail = crate::schema::validate_events(&body)?.truncated_tail;
+    // Every line but a torn tail parses now; the record lines are the
+    // event lines among them.
+    let records: Vec<ReplayRecord> = body
+        .lines()
+        .filter_map(|line| parse(line).ok())
+        .filter(|doc| doc.get("level").is_some())
+        .map(|doc| {
+            let fields = doc.get("fields").cloned().unwrap_or_else(Json::object);
+            let num = |d: &Json, k: &str| d.get(k).and_then(Json::as_f64).unwrap_or(0.0);
+            ReplayRecord {
+                t_ms: num(&doc, "t_ms"),
+                name: doc.get("event").and_then(Json::as_str).unwrap_or("?").to_string(),
+                kind: fields.get("kind").and_then(Json::as_str).unwrap_or("event").to_string(),
+                seq: num(&fields, "seq") as u64,
+                thread: num(&fields, "thread") as u64,
+                a: num(&fields, "a") as u64,
+                b: num(&fields, "b") as u64,
+                worker: doc.get("worker").and_then(Json::as_f64).map(|w| w as u64),
+            }
+        })
+        .collect();
+    match truncated_tail {
+        None if records.len() != declared => Err(format!(
+            "header declares {declared} records but the stream holds {}",
+            records.len()
+        )),
+        Some(_) if records.len() >= declared => Err(format!(
+            "torn stream holds {} records yet the header declares only {declared}",
+            records.len()
+        )),
+        _ => Ok(Dump { reason, declared, records, truncated_tail }),
+    }
 }
 
 #[cfg(test)]
@@ -565,13 +613,13 @@ mod tests {
     fn records_round_trip_through_dump() {
         let _g = GUARD.lock().unwrap();
         enable();
-        mark("flight.test.rt", 7, 9);
+        record(Kind::Mark, "flight.test.rt", 7, 9);
         let text = dump_string("test");
         disable();
-        let (header, records) = parse_dump(&text).unwrap();
-        assert_eq!(header.get("schema").and_then(Json::as_str), Some(FLIGHT_SCHEMA));
-        assert_eq!(header.get("reason").and_then(Json::as_str), Some("test"));
-        let mine = records.iter().find(|r| r.name == "flight.test.rt").unwrap();
+        assert!(text.starts_with(&format!("{{\"schema\":\"{FLIGHT_SCHEMA}\"")));
+        let dump = read_dump(&text).unwrap();
+        assert_eq!(dump.reason, "test");
+        let mine = dump.records.iter().find(|r| r.name == "flight.test.rt").unwrap();
         assert_eq!((mine.a, mine.b), (7, 9));
         assert_eq!(mine.kind, "mark");
     }
@@ -583,9 +631,10 @@ mod tests {
         // Far more records than any ring capacity: the ring must retain
         // the newest and report drops.
         for i in 0..(DEFAULT_CAPACITY as u64 + 64) {
-            mark("flight.test.wrap", i, 0);
+            record(Kind::Mark, "flight.test.wrap", i, 0);
         }
         let records = snapshot_records();
+        let text = dump_string("wrap");
         disable();
         let newest = records
             .iter()
@@ -594,14 +643,16 @@ mod tests {
             .max()
             .unwrap();
         assert_eq!(newest, DEFAULT_CAPACITY as u64 + 63, "newest record retained");
-        assert!(dropped_records() > 0, "overwrites are counted");
+        let header = parse(text.lines().next().unwrap()).unwrap();
+        let dropped = header.get("dropped").and_then(Json::as_f64).unwrap();
+        assert!(dropped > 0.0, "overwrites are counted");
     }
 
     #[test]
     fn other_threads_records_survive_thread_exit() {
         let _g = GUARD.lock().unwrap();
         enable();
-        std::thread::spawn(|| mark("flight.test.dead_thread", 5, 0))
+        std::thread::spawn(|| record(Kind::Mark, "flight.test.dead_thread", 5, 0))
             .join()
             .unwrap();
         let records = snapshot_records();
@@ -620,5 +671,73 @@ mod tests {
         assert!(enabled());
         assert_eq!(dump_dir().unwrap(), PathBuf::from("/tmp/a2a_flight_spec_test"));
         disable();
+    }
+
+    fn flight_dump(records: usize) -> String {
+        let header = crate::schema::seal(
+            Json::object()
+                .with("schema", FLIGHT_SCHEMA)
+                .with("reason", "test")
+                .with("t_ms", 1.5)
+                .with("threads", 1u64)
+                .with("records", records as u64)
+                .with("dropped", 0u64),
+        );
+        let mut out = format!("{header}\n");
+        for i in 0..records {
+            out.push_str(&format!(
+                "{{\"t_ms\":{i}.5,\"level\":\"trace\",\"event\":\"t.r\",\
+                 \"fields\":{{\"kind\":\"mark\",\"seq\":{i},\"thread\":0,\"a\":1,\"b\":2}}}}\n"
+            ));
+        }
+        out
+    }
+
+    #[test]
+    fn flight_dumps_validate() {
+        let dump = read_dump(&flight_dump(3)).unwrap();
+        assert_eq!((dump.declared, dump.records.len()), (3, 3));
+        assert_eq!(dump.reason, "test");
+        assert_eq!(dump.truncated_tail, None);
+        assert_eq!((dump.records[2].seq, dump.records[2].a, dump.records[2].b), (2, 1, 2));
+    }
+
+    #[test]
+    fn flight_header_gates() {
+        assert!(read_dump("").is_err());
+        assert!(read_dump("{\"schema\":\"other/v0\"}\n").is_err());
+        // Unsealed header fails even with the right schema.
+        let unsealed = format!(
+            "{}\n",
+            Json::object()
+                .with("schema", FLIGHT_SCHEMA)
+                .with("reason", "x")
+                .with("threads", 0u64)
+                .with("records", 0u64)
+                .with("dropped", 0u64)
+        );
+        assert!(read_dump(&unsealed).unwrap_err().contains("checksum"));
+        // A record-count mismatch on an untorn stream is truncation.
+        let mut short = flight_dump(3);
+        short = short.lines().take(3).collect::<Vec<_>>().join("\n");
+        assert!(read_dump(&short).unwrap_err().contains("declares 3"));
+    }
+
+    #[test]
+    fn flight_stream_tolerates_exactly_one_torn_final_line() {
+        // The `validate_events` torn-tail discipline extends to the
+        // flight stream: a crash mid-append tears at most the last line.
+        let mut torn = flight_dump(3);
+        torn.truncate(torn.len() - 20); // tear the final record line
+        let dump = read_dump(&torn).unwrap();
+        assert_eq!(dump.records.len(), 2, "lines before the tear count");
+        assert!(dump.truncated_tail.is_some());
+
+        // Mid-stream garbage is a hard error even in a flight dump.
+        let mid = flight_dump(2).replace(
+            "\"seq\":0",
+            "\"seq\":0}GARBAGE{",
+        );
+        assert!(read_dump(&mid).is_err());
     }
 }

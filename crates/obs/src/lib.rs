@@ -56,14 +56,13 @@ mod span;
 pub mod trace;
 mod value;
 
-pub use event::{emit, flush_all, set_worker_id, worker_id, Event};
+pub use event::{emit, set_worker_id, worker_id, Event};
 pub use level::Level;
 pub use registry::{
     global, Counter, Gauge, Histogram, HistogramSnapshot, Registry, RegistrySnapshot,
 };
 pub use sink::{
-    atomic_write, attach_sink, attached_sinks, finalize_all, publish_via_partial, JsonlSink,
-    MemorySink, Sink, StderrSink,
+    atomic_write, attach_sink, finalize_all, publish_via_partial, JsonlSink, Sink, StderrSink,
 };
 pub use span::Span;
 pub use value::Value;

@@ -1,5 +1,6 @@
-//! The JSONL event-line and flight-dump schemas, with validators, and
-//! the checksum every sealed document carries.
+//! The JSONL event-line schema with its validators, the flight-dump
+//! schema id (read by [`crate::flight::read_dump`]), and the checksum
+//! every sealed document carries.
 //!
 //! # Event-line schema (`a2a-obs/events/v1`)
 //!
@@ -172,78 +173,6 @@ pub fn validate_events(content: &str) -> Result<EventsSummary, String> {
     Ok(summary)
 }
 
-/// What [`validate_flight`] found in a flight-recorder dump.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct FlightSummary {
-    /// The dump's `reason` (why the black box was written).
-    pub reason: String,
-    /// Record count the sealed header declares.
-    pub declared: usize,
-    /// Record lines actually validated.
-    pub records: usize,
-    /// As [`EventsSummary::truncated_tail`]: a torn final line, only
-    /// possible on a `.partial` dump a crash interrupted.
-    pub truncated_tail: Option<String>,
-}
-
-/// Validates an `a2a-obs/flight/v1` dump stream: the first non-empty
-/// line must be the sealed header (schema, verified checksum, reason
-/// and counts), every following line must satisfy the `events/v1` line
-/// schema, and — unless the stream ends in a torn final line — the
-/// validated record count must equal the header's declaration. A torn
-/// tail is tolerated and reported, exactly as in [`validate_events`].
-///
-/// # Errors
-///
-/// A message naming the first violated constraint.
-pub fn validate_flight(content: &str) -> Result<FlightSummary, String> {
-    let lines: Vec<&str> = content.lines().collect();
-    let header_idx = lines
-        .iter()
-        .position(|l| !l.trim().is_empty())
-        .ok_or("empty flight dump")?;
-    let header = parse(lines[header_idx]).map_err(|e| format!("header: {e}"))?;
-    let schema = header.get("schema").and_then(Json::as_str).ok_or("header missing `schema`")?;
-    if schema != FLIGHT_SCHEMA {
-        return Err(format!("schema `{schema}` is not `{FLIGHT_SCHEMA}`"));
-    }
-    verify_checksum(&header).map_err(|e| format!("header: {e}"))?;
-    let reason = header
-        .get("reason")
-        .and_then(Json::as_str)
-        .ok_or("header missing string `reason`")?
-        .to_string();
-    let declared = require_num(&header, "header", "records")? as usize;
-    require_num(&header, "header", "threads")?;
-    require_num(&header, "header", "dropped")?;
-
-    let body = lines[header_idx + 1..].join("\n");
-    let events = validate_events(&body)?;
-    let summary = FlightSummary {
-        reason,
-        declared,
-        records: events.events,
-        truncated_tail: events.truncated_tail,
-    };
-    match summary.truncated_tail {
-        None if summary.records != declared => Err(format!(
-            "header declares {declared} records but the stream holds {}",
-            summary.records
-        )),
-        Some(_) if summary.records >= declared => Err(format!(
-            "torn stream holds {} records yet the header declares only {declared}",
-            summary.records
-        )),
-        _ => Ok(summary),
-    }
-}
-
-fn require_num(doc: &Json, path: &str, key: &str) -> Result<f64, String> {
-    doc.get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("`{path}.{key}` must be a number"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,73 +227,6 @@ mod tests {
         // a producer bug, not a tear.
         let bad_schema = format!("{good}\n{{\"level\":\"loud\",\"t_ms\":1,\"event\":\"x\",\"fields\":{{}}}}");
         assert!(validate_events(&bad_schema).is_err());
-    }
-
-    fn flight_dump(records: usize) -> String {
-        let header = seal(
-            Json::object()
-                .with("schema", FLIGHT_SCHEMA)
-                .with("reason", "test")
-                .with("t_ms", 1.5)
-                .with("threads", 1u64)
-                .with("records", records as u64)
-                .with("dropped", 0u64),
-        );
-        let mut out = format!("{header}\n");
-        for i in 0..records {
-            out.push_str(&format!(
-                "{{\"t_ms\":{i}.5,\"level\":\"trace\",\"event\":\"t.r\",\
-                 \"fields\":{{\"kind\":\"mark\",\"seq\":{i},\"thread\":0,\"a\":1,\"b\":2}}}}\n"
-            ));
-        }
-        out
-    }
-
-    #[test]
-    fn flight_dumps_validate() {
-        let summary = validate_flight(&flight_dump(3)).unwrap();
-        assert_eq!((summary.declared, summary.records), (3, 3));
-        assert_eq!(summary.reason, "test");
-        assert_eq!(summary.truncated_tail, None);
-    }
-
-    #[test]
-    fn flight_header_gates() {
-        assert!(validate_flight("").is_err());
-        assert!(validate_flight("{\"schema\":\"other/v0\"}\n").is_err());
-        // Unsealed header fails even with the right schema.
-        let unsealed = format!(
-            "{}\n",
-            Json::object()
-                .with("schema", FLIGHT_SCHEMA)
-                .with("reason", "x")
-                .with("threads", 0u64)
-                .with("records", 0u64)
-                .with("dropped", 0u64)
-        );
-        assert!(validate_flight(&unsealed).unwrap_err().contains("checksum"));
-        // A record-count mismatch on an untorn stream is truncation.
-        let mut short = flight_dump(3);
-        short = short.lines().take(3).collect::<Vec<_>>().join("\n");
-        assert!(validate_flight(&short).unwrap_err().contains("declares 3"));
-    }
-
-    #[test]
-    fn flight_stream_tolerates_exactly_one_torn_final_line() {
-        // The `validate_events` torn-tail discipline extends to the
-        // flight stream: a crash mid-append tears at most the last line.
-        let mut torn = flight_dump(3);
-        torn.truncate(torn.len() - 20); // tear the final record line
-        let summary = validate_flight(&torn).unwrap();
-        assert_eq!(summary.records, 2, "lines before the tear count");
-        assert!(summary.truncated_tail.is_some());
-
-        // Mid-stream garbage is a hard error even in a flight dump.
-        let mid = flight_dump(2).replace(
-            "\"seq\":0",
-            "\"seq\":0}GARBAGE{",
-        );
-        assert!(validate_flight(&mid).is_err());
     }
 
     #[test]

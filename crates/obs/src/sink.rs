@@ -113,12 +113,6 @@ pub fn attach_sink(sink: Arc<dyn Sink>) {
     sinks().write().expect("sink lock never poisoned").push(sink);
 }
 
-/// Number of currently attached sinks.
-#[must_use]
-pub fn attached_sinks() -> usize {
-    sinks().read().expect("sink lock never poisoned").len()
-}
-
 /// Finalizes every attached sink (flush + publish). Binaries call this
 /// once at clean exit — attached sinks live for the process lifetime,
 /// so their `Drop` never runs.
@@ -274,49 +268,6 @@ impl Drop for JsonlSink {
     }
 }
 
-/// A sink that counts records and keeps the last few events in memory —
-/// for tests (observes dispatch without I/O).
-#[derive(Debug, Default)]
-pub struct MemorySink {
-    records: Mutex<Vec<Event>>,
-}
-
-impl MemorySink {
-    /// An empty memory sink.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Events recorded so far (cloned).
-    #[must_use]
-    pub fn events(&self) -> Vec<Event> {
-        self.records.lock().expect("memory sink lock never poisoned").clone()
-    }
-
-    /// Number of records seen.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.records.lock().expect("memory sink lock never poisoned").len()
-    }
-
-    /// Whether nothing was recorded yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl Sink for MemorySink {
-    fn record(&self, event: &Event) {
-        self.records.lock().expect("memory sink lock never poisoned").push(event.clone());
-    }
-
-    fn verbosity(&self) -> Level {
-        Level::Trace
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -419,14 +370,5 @@ mod tests {
             .count();
         assert_eq!(stale, 0, "no stale temp on success");
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn memory_sink_collects() {
-        let sink = MemorySink::new();
-        assert!(sink.is_empty());
-        sink.record(&Event::new(Level::Debug, "m.e"));
-        assert_eq!(sink.len(), 1);
-        assert_eq!(sink.events()[0].name, "m.e");
     }
 }

@@ -10,17 +10,9 @@
 //!
 //! [`start_capture`] arms an in-memory collector; every span closed
 //! while capturing appends a [`SpanRecord`]; [`take_capture`] drains
-//! them into a [`Trace`], which exports three ways:
-//!
-//! * [`Trace::to_chrome_json`] — Chrome trace-event JSON (`ph: "X"`
-//!   complete events), loadable in Perfetto / `chrome://tracing`;
-//! * [`Trace::to_collapsed`] — collapsed-stack lines
-//!   (`root;child;leaf <self µs>`), the folded format flamegraph
-//!   tooling consumes — dependency-free on both ends;
-//! * [`phase_table`] — an ASCII kernel phase attribution table (act vs
-//!   exchange) computed from the metrics registry's `kernel.multi.*.ns`
-//!   histograms rather than from spans, so it works at any verbosity
-//!   that enables metrics.
+//! them into a [`Trace`], which exports as Chrome trace-event JSON
+//! ([`Trace::to_chrome_json`], `ph: "X"` complete events), loadable in
+//! Perfetto / `chrome://tracing`.
 //!
 //! ```
 //! use a2a_obs::{trace, Span};
@@ -38,7 +30,6 @@
 //! ```
 
 use crate::json::Json;
-use crate::registry::RegistrySnapshot;
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -231,69 +222,6 @@ impl Trace {
             .with("traceEvents", Json::Arr(events))
             .with("displayTimeUnit", "ms")
     }
-
-    /// Collapsed-stack lines (`a;b;c <self µs>`, one per distinct
-    /// stack, sorted): the folded flamegraph format. Self time is a
-    /// span's duration minus its direct children's, clamped at 0 (a
-    /// child running on another thread can outlive the overlap).
-    #[must_use]
-    pub fn to_collapsed(&self) -> String {
-        let by_id: BTreeMap<u64, &SpanRecord> =
-            self.spans.iter().map(|s| (s.id, s)).collect();
-        let mut child_us: BTreeMap<u64, u64> = BTreeMap::new();
-        for s in &self.spans {
-            if s.parent != 0 && by_id.contains_key(&s.parent) {
-                *child_us.entry(s.parent).or_default() += s.elapsed_us;
-            }
-        }
-        let mut stacks: BTreeMap<String, u64> = BTreeMap::new();
-        for s in &self.spans {
-            let mut path = vec![s.name];
-            let mut at = s.parent;
-            // Bounded walk: ids strictly decrease toward the root, so a
-            // (corrupt) cycle cannot hang the exporter.
-            while let Some(p) = by_id.get(&at) {
-                path.push(p.name);
-                if p.parent >= p.id {
-                    break;
-                }
-                at = p.parent;
-            }
-            path.reverse();
-            let self_us =
-                s.elapsed_us.saturating_sub(child_us.get(&s.id).copied().unwrap_or(0));
-            *stacks.entry(path.join(";")).or_default() += self_us;
-        }
-        let mut out = String::new();
-        for (stack, us) in stacks {
-            out.push_str(&format!("{stack} {us}\n"));
-        }
-        out
-    }
-}
-
-/// The kernel phase attribution table: act vs exchange wall time,
-/// computed from the `kernel.multi.{act,exchange}.ns` histograms of a
-/// registry snapshot (recorded by the traced run path at
-/// `A2A_LOG=trace`).
-#[must_use]
-pub fn phase_table(snap: &RegistrySnapshot) -> String {
-    let ns_sum = |name: &str| snap.histograms.get(name).map_or(0u64, |h| h.sum);
-    let (a, e) = (ns_sum("kernel.multi.act.ns"), ns_sum("kernel.multi.exchange.ns"));
-    if a + e == 0 {
-        return "(no per-phase kernel timing recorded — run with A2A_LOG=trace)".to_string();
-    }
-    let ms = |ns: u64| ns as f64 / 1e6;
-    let total = (a + e) as f64;
-    format!(
-        "engine  |     act ms | exchange ms |  act% | exch%\n\
-         --------+------------+-------------+-------+------\n\
-         multi   | {:>10.3} | {:>11.3} | {:>4.0}% | {:>4.0}%\n",
-        ms(a),
-        ms(e),
-        100.0 * a as f64 / total,
-        100.0 * e as f64 / total,
-    )
 }
 
 #[cfg(test)]
@@ -330,41 +258,11 @@ mod tests {
     }
 
     #[test]
-    fn collapsed_self_time_subtracts_children() {
-        let t = Trace {
-            spans: vec![
-                rec(1, 0, "root", 0.0, 100),
-                rec(2, 1, "a", 0.1, 30),
-                rec(3, 1, "b", 0.2, 50),
-            ],
-        };
-        let folded = t.to_collapsed();
-        assert!(folded.contains("root 20\n"), "{folded}");
-        assert!(folded.contains("root;a 30\n"), "{folded}");
-        assert!(folded.contains("root;b 50\n"), "{folded}");
-    }
-
-    #[test]
     fn roots_and_children_reconstruct_the_tree() {
         let t = Trace {
             spans: vec![rec(5, 99, "orphan", 0.0, 1), rec(6, 0, "root", 0.0, 2), rec(7, 6, "kid", 0.1, 1)],
         };
         assert_eq!(t.roots(), vec![5, 6]);
         assert_eq!(t.children().get(&6), Some(&vec![7]));
-    }
-
-    #[test]
-    fn phase_table_reports_missing_timing() {
-        let mut snap = RegistrySnapshot::default();
-        assert!(phase_table(&snap).contains("A2A_LOG=trace"));
-        for (name, ns) in [("kernel.multi.act.ns", 3_000_000), ("kernel.multi.exchange.ns", 1_000_000)]
-        {
-            let mut h = crate::HistogramSnapshot::default();
-            h.record(ns);
-            snap.histograms.insert(name.to_string(), h);
-        }
-        let table = phase_table(&snap);
-        assert!(table.contains("multi"), "{table}");
-        assert!(table.contains("75%") && table.contains("25%"), "{table}");
     }
 }

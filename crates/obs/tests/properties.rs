@@ -1,10 +1,9 @@
 //! Property tests: histogram merge algebra, JSONL round-trips, and
-//! the totality of the JSON parser and the flight-dump readers on
+//! the totality of the JSON parser and the flight-dump reader on
 //! arbitrary or damaged input.
 
 use a2a_obs::flight::{self, Kind};
 use a2a_obs::json::{parse, Json, MAX_DEPTH};
-use a2a_obs::schema::validate_flight;
 use a2a_obs::{Event, HistogramSnapshot, Level, Value};
 use proptest::collection;
 use proptest::prelude::*;
@@ -96,7 +95,7 @@ fn tree(rng: &mut SmallRng, depth: usize) -> Json {
 }
 
 /// A real flight-recorder dump with one record of every kind, which
-/// both dump readers accept as written.
+/// the dump reader accepts as written.
 fn flight_dump() -> &'static str {
     static DUMP: OnceLock<String> = OnceLock::new();
     DUMP.get_or_init(|| {
@@ -106,8 +105,7 @@ fn flight_dump() -> &'static str {
             flight::record(kind, "prop.flight", i as u64, u64::MAX - i as u64);
         }
         let dump = flight::dump_string("totality");
-        validate_flight(&dump).expect("a pristine dump validates");
-        flight::parse_dump(&dump).expect("a pristine dump parses");
+        flight::read_dump(&dump).expect("a pristine dump reads");
         dump
     })
 }
@@ -126,15 +124,14 @@ proptest! {
         let mapped = String::from_utf8_lossy(&mapped);
         for text in [&raw, &mapped] {
             let _ = parse(text);
-            let _ = validate_flight(text);
-            let _ = flight::parse_dump(text);
+            let _ = flight::read_dump(text);
         }
         let _ = parse(&format!("{}{mapped}", "[".repeat(64 * bytes.len())));
     }
 
     /// A real flight dump torn at a random byte (a crash mid-write) or
-    /// with one byte flipped reads as `Ok` or `Err` through both dump
-    /// readers: never a panic.
+    /// with one byte flipped reads as `Ok` or `Err` through the dump
+    /// reader: never a panic.
     #[test]
     fn damaged_flight_dumps_never_panic_the_readers(seed in any::<u64>(), tear in any::<bool>()) {
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -146,8 +143,7 @@ proptest! {
             bytes[at] ^= rng.random_range(1..=255u8);
         }
         let text = String::from_utf8_lossy(&bytes);
-        let _ = validate_flight(&text);
-        let _ = flight::parse_dump(&text);
+        let _ = flight::read_dump(&text);
     }
 
     /// Rendering is canonical: parsing a rendered tree (nested up to

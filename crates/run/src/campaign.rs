@@ -1,31 +1,32 @@
 //! Campaign engine: a MAP-Elites-style archive over (grid, density, k)
-//! niches fed by sharded island workers that exchange migrants through
-//! sealed archive-delta files in a shared store.
+//! niches fed by shards that exchange migrants through the merged
+//! archive, every round's work sealed in one store directory.
 //!
 //! # Shape of a campaign
 //!
-//! A campaign proceeds in synchronous **rounds**. Each round, every
-//! shard computes a batch of candidate genomes for its assigned niches,
-//! dedups them against the campaign-wide digest set, evaluates the
-//! survivors on the shared [`WorkerPool`], and publishes the outcome as
-//! one sealed **archive delta** (`a2a-run/archive-delta/v1`). A
-//! coordinator waits for all deltas of a round, folds them into the
-//! merged archive with conflict-free niche-min semantics, and publishes
-//! the sealed merged archive plus the round's new digests — the barrier
-//! the next round starts from.
+//! A campaign proceeds in synchronous **rounds**, all in one process
+//! ([`run_campaign`]). Each round, the shards take turns: every shard
+//! computes a batch of candidate genomes for its assigned niches,
+//! dedups them against the digests of earlier rounds, evaluates the
+//! survivors on the one shared [`EvaluatorBank`], and seals the outcome
+//! as one **archive delta** (`a2a-run/archive-delta/v1`). The round's
+//! deltas are then folded, in shard order, into the merged archive with
+//! conflict-free niche-min semantics, and the sealed merged archive is
+//! committed — the barrier the next round starts from.
 //!
 //! # Crash-only determinism
 //!
 //! Every shard round is a **pure function** of `(campaign seed, shard
-//! index, round index, merged archive of the previous round)` — the
-//! per-round RNG is re-seeded from those via FNV, so no RNG state is
-//! carried across rounds and the delta files *are* the checkpoints.
-//! Resume is "find the artifacts that exist, recompute the ones that
-//! don't": a shard killed mid-round (SIGKILL, fault injection, power
-//! loss) simply redoes the round on restart and — by purity — writes a
-//! byte-identical delta, so the final archive of an interrupted
-//! campaign is byte-identical to an uninterrupted control run. The
-//! chaos suite asserts exactly that.
+//! index, round index, merged archive and digests of the previous
+//! rounds)` — the per-round RNG is re-seeded from those via FNV, so no
+//! RNG state is carried across rounds and the delta files *are* the
+//! checkpoints. Resume is "find the artifacts that exist, recompute the
+//! ones that don't": a campaign killed mid-round (SIGKILL, fault
+//! injection, power loss) is simply rerun, skips every committed round
+//! and durable delta, and — by purity — writes byte-identical ones, so
+//! the final archive of an interrupted campaign is byte-identical to an
+//! uninterrupted control run. The chaos suite kills it at every round
+//! and asserts exactly that.
 //!
 //! # Dedup and merge semantics
 //!
@@ -34,14 +35,16 @@
 //!   different world). Digests ride inside the same sealed delta as the
 //!   folded results — a digest is never durable without its elite, the
 //!   invariant behind "dedup never drops a strictly-better elite".
-//! * Cross-shard dedup is at **round granularity**: shards see the
-//!   union of all digests through completed rounds. Two shards *can*
-//!   collide within one round; the coordinator counts those honestly as
-//!   `collisions` instead of pretending they were deduplicated.
+//! * Cross-shard dedup is at **round granularity**: every shard of a
+//!   round sees the union of the digests of the earlier rounds' deltas,
+//!   never another shard's digests of the same round. The merge counts
+//!   a digest two shards evaluated in one round as a `collision`; since
+//!   the deal gives each niche to one shard per round and digests are
+//!   niche-scoped, that takes a 64-bit digest collision.
 //! * The archive merge keeps, per niche, the elite with **lower**
 //!   fitness (the paper minimises), ties broken by lexicographically
 //!   smaller digits. That order is total, so folding is commutative,
-//!   associative and idempotent — deltas can arrive in any interleaving
+//!   associative and idempotent — deltas can be folded in any order
 //!   and the merged archive is identical (property-tested).
 //!
 //! # Work distribution
@@ -51,8 +54,8 @@
 //! covered, unsolved ahead of solved), rotated by the round index, and
 //! dealt round-robin across shards with larger budgets for cold niches.
 //! No shard idles on a cold-only set, and because the deal is a pure
-//! function of the merged archive, every replica computes the same
-//! assignment without coordination.
+//! function of the merged archive, a rerun computes the same
+//! assignment.
 
 use a2a_fsm::{offspring, FsmSpec, Genome, MutationRates};
 use a2a_ga::{Evaluator, FitnessReport, WorkerPool};
@@ -65,10 +68,9 @@ use a2a_obs::{fault, schema};
 use a2a_sim::{paper_config_set, WorldConfig};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Schema identifier of the sealed campaign spec document.
 pub const CAMPAIGN_SPEC_SCHEMA: &str = "a2a-run/campaign-spec/v1";
@@ -76,22 +78,16 @@ pub const CAMPAIGN_SPEC_SCHEMA: &str = "a2a-run/campaign-spec/v1";
 pub const ARCHIVE_DELTA_SCHEMA: &str = "a2a-run/archive-delta/v1";
 /// Schema identifier of sealed merged-archive round barriers.
 pub const CAMPAIGN_MERGED_SCHEMA: &str = "a2a-run/campaign-merged/v1";
-/// Schema identifier of the sealed new-digest log of a merged round.
-pub const DIGEST_LOG_SCHEMA: &str = "a2a-run/digest-log/v1";
 /// Schema identifier of the sealed final archive.
 pub const ARCHIVE_SCHEMA: &str = "a2a-run/archive/v1";
 /// Schema identifier of the sealed campaign summary.
 pub const CAMPAIGN_SUMMARY_SCHEMA: &str = "a2a-run/campaign-summary/v1";
 
-/// Fault-injection site probed at every shard round boundary (the
-/// campaign analogue of `run.generation`): a fired kill makes the shard
-/// die like a SIGKILLed process, before the round's delta is durable.
+/// Fault-injection site probed once at the start of every round that
+/// is not yet committed (the campaign analogue of `run.generation`): a
+/// fired kill stops [`run_campaign`] as if the process had been
+/// SIGKILLed there, after the previous round's barrier is durable.
 pub const CAMPAIGN_ROUND_SITE: &str = "campaign.round";
-
-/// How long barrier polls wait before declaring the campaign wedged.
-const BARRIER_TIMEOUT: Duration = Duration::from_secs(300);
-/// Poll cadence of the file-based round barriers.
-const BARRIER_POLL: Duration = Duration::from_millis(2);
 
 /// One cell of the MAP-Elites archive: a (grid kind, field size, agent
 /// count) niche. Density is implied (`k / m²`).
@@ -240,13 +236,7 @@ impl CampaignSpec {
     }
 }
 
-/// Genome digests as the sorted 16-digit hex strings every campaign
-/// document carries.
-fn digests_json<'a>(digests: impl IntoIterator<Item = &'a u64>) -> Json {
-    Json::Arr(digests.into_iter().map(|d| Json::Str(format!("{d:016x}"))).collect())
-}
-
-/// The `digests` member of a delta or digest log.
+/// The `digests` member of a delta.
 fn digests_member(doc: &Json) -> Result<Vec<u64>, String> {
     arr_member(doc, "digests")?
         .iter()
@@ -482,7 +472,10 @@ impl ArchiveDelta {
             .with("shard", self.shard as u64)
             .with("round", self.round as u64)
             .with("entries", entries_json(&self.entries))
-            .with("digests", digests_json(&digests))
+            .with(
+                "digests",
+                Json::Arr(digests.iter().map(|d| Json::Str(format!("{d:016x}"))).collect()),
+            )
             .with("evals", self.evals)
             .with("dedup_hits", self.dedup_hits)
             .with("migrations", self.migrations);
@@ -536,7 +529,7 @@ pub struct RoundStats {
     pub solved: usize,
 }
 
-/// Final outcome of a coordinated campaign.
+/// Final outcome of a campaign.
 #[derive(Debug, Clone)]
 pub struct CampaignOutcome {
     /// The merged final archive.
@@ -549,12 +542,11 @@ pub struct CampaignOutcome {
 
 /// File layout of one campaign in a store directory, every file a
 /// `SealedDir` document whose save probes the `run.checkpoint.write`
-/// fault site.
+/// fault site. A round's genome digests live in its deltas only.
 ///
 /// ```text
 /// <root>/campaign.json          sealed spec
 /// <root>/delta-s<S>-r<R>.json   sealed shard deltas (the checkpoints)
-/// <root>/digests-r<R>.json      sealed new-digest log per merged round
 /// <root>/merged-r<R>.json       sealed merged archive (round barrier)
 /// <root>/archive-final.json     sealed final archive
 /// <root>/campaign-summary.json  sealed counters + coverage curve
@@ -570,10 +562,6 @@ const SUMMARY_FILE: &str = "campaign-summary.json";
 
 fn delta_file(shard: usize, round: usize) -> String {
     format!("delta-s{shard}-r{round}.json")
-}
-
-fn digests_file(round: usize) -> String {
-    format!("digests-r{round}.json")
 }
 
 fn merged_file(round: usize) -> String {
@@ -661,10 +649,8 @@ impl CampaignStore {
         self.dir.load(&delta_file(shard, round), |doc| ArchiveDelta::from_json(&doc))
     }
 
-    /// Persists the merged barrier of `round`: first the sealed digest
-    /// log, then the sealed merged archive (the order makes the merged
-    /// file the commit point — if the coordinator dies between the two
-    /// writes, the redo rewrites both identically).
+    /// Persists the merged barrier of `stats.round`, the round's commit
+    /// point (written after every delta of the round is durable).
     ///
     /// # Errors
     ///
@@ -674,16 +660,7 @@ impl CampaignStore {
         spec: &CampaignSpec,
         stats: &RoundStats,
         archive: &Archive,
-        new_digests: &BTreeSet<u64>,
     ) -> Result<(), String> {
-        let digest_doc = schema::seal(
-            Json::object()
-                .with("schema", DIGEST_LOG_SCHEMA)
-                .with("digest", spec.digest())
-                .with("round", stats.round as u64)
-                .with("digests", digests_json(new_digests)),
-        );
-        self.write(&digests_file(stats.round), &digest_doc)?;
         let merged = schema::seal(
             Json::object()
                 .with("schema", CAMPAIGN_MERGED_SCHEMA)
@@ -723,21 +700,6 @@ impl CampaignStore {
         })
     }
 
-    /// Loads the sealed digest log of one merged round.
-    ///
-    /// # Errors
-    ///
-    /// Missing, unreadable or corrupt digest log, or a document of
-    /// another schema at its path.
-    pub fn load_digests(&self, round: usize) -> Result<Vec<u64>, String> {
-        self.dir
-            .load(&digests_file(round), |doc| {
-                expect_schema(&doc, DIGEST_LOG_SCHEMA)?;
-                digests_member(&doc)
-            })?
-            .ok_or_else(|| format!("digest log of round {round} is missing"))
-    }
-
     /// Persists the sealed final archive.
     ///
     /// # Errors
@@ -754,22 +716,6 @@ impl CampaignStore {
     /// Unreadable or corrupt final archive.
     pub fn load_final(&self) -> Result<Option<Archive>, String> {
         self.dir.load(FINAL_FILE, |doc| Archive::from_json(&doc))
-    }
-
-    /// Rebuilds the campaign-wide [`DigestSet`] through round
-    /// `before_round - 1` (what a shard starting `before_round` sees).
-    ///
-    /// # Errors
-    ///
-    /// A missing or corrupt digest log of a committed round.
-    pub fn digest_set(&self, before_round: usize) -> Result<DigestSet, String> {
-        let mut set = DigestSet::new();
-        for round in 0..before_round {
-            for d in self.load_digests(round)? {
-                set.insert(d);
-            }
-        }
-        Ok(set)
     }
 }
 
@@ -973,133 +919,84 @@ pub fn run_shard_round(
     delta
 }
 
-/// How a shard loop ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardExit {
-    /// All rounds produced durable deltas.
-    Done,
-    /// A scheduled [`CAMPAIGN_ROUND_SITE`] fault fired — the caller
-    /// should die like a real crash (`exit(137)`), leaving the store
-    /// resumable.
-    Killed,
-}
-
-/// Runs one shard's full campaign loop against the store: loads the
-/// spec the parent sealed there, waits on the round barriers, skips
-/// rounds whose delta is already durable (resume), computes and
-/// publishes the rest.
+/// Runs (or resumes) a whole campaign in this process and seals
+/// `archive-final.json` plus the summary. Round by round: a committed
+/// barrier is loaded, and its deltas' digests join the dedup set;
+/// otherwise [`CAMPAIGN_ROUND_SITE`] is probed once, the shards take
+/// turns on one [`EvaluatorBank`] (a durable delta is loaded, not
+/// recomputed), and their deltas are folded in shard order and
+/// committed as the round's barrier.
+///
+/// Returns `Ok(None)` when an injected `campaign.round` kill fired: the
+/// caller should die like a real crash (`exit(137)`), and a rerun
+/// resumes from the last committed barrier.
 ///
 /// # Errors
 ///
-/// A store without a sealed spec, a shard index outside it, store I/O
-/// failures or a wedged barrier.
-pub fn run_shard_process(
-    store: &CampaignStore,
-    shard: usize,
-    threads: usize,
-) -> Result<ShardExit, String> {
-    let spec = &store
-        .load_spec()?
-        .ok_or_else(|| format!("campaign store {} has no sealed spec", store.root().display()))?;
-    if shard >= spec.shards {
-        return Err(format!("no such shard (the sealed spec has {})", spec.shards));
-    }
-    let mut bank = EvaluatorBank::new(spec, threads);
-    let mut digests = DigestSet::new();
-    let mut loaded_through = 0usize; // digest logs folded so far
-    for round in 0..spec.rounds {
-        let merged = if round == 0 {
-            Archive::new()
-        } else {
-            wait_for_merged(store, round - 1)?.1
-        };
-        while loaded_through < round {
-            for d in store.load_digests(loaded_through)? {
-                digests.insert(d);
-            }
-            loaded_through += 1;
-        }
-        if fault::should_kill(CAMPAIGN_ROUND_SITE) {
-            return Ok(ShardExit::Killed);
-        }
-        if store.load_delta(shard, round)?.is_some() {
-            continue; // already durable — resume skips the round
-        }
-        let delta = run_shard_round(spec, shard, round, &merged, &digests, &mut bank);
-        store.save_delta(spec, &delta)?;
-    }
-    Ok(ShardExit::Done)
-}
-
-fn wait_for_merged(store: &CampaignStore, round: usize) -> Result<(RoundStats, Archive), String> {
-    let start = Instant::now();
-    loop {
-        if let Some(found) = store.load_merged(round)? {
-            return Ok(found);
-        }
-        if start.elapsed() > BARRIER_TIMEOUT {
-            return Err(format!(
-                "round {round} barrier never committed within {BARRIER_TIMEOUT:?} \
-                 (coordinator dead?)"
-            ));
-        }
-        std::thread::sleep(BARRIER_POLL);
-    }
-}
-
-/// Coordinates a campaign over an already-populated (or concurrently
-/// populating) store: waits for every shard delta of each round,
-/// performs the batched conflict-free merge, commits the barrier, and
-/// finally seals `archive-final.json` plus the summary.
-///
-/// `tick` is called on every barrier poll with the round being waited
-/// on — process-mode drivers use it to reap and respawn dead shard
-/// children; inline drivers use it to compute the deltas themselves.
-///
-/// # Errors
-///
-/// Store I/O failures, corrupt artifacts, `tick` errors, or a barrier
-/// that never fills.
-pub fn coordinate<F>(
+/// Store I/O failures, corrupt or missing artifacts, or a store sealed
+/// for another spec.
+pub fn run_campaign(
     store: &CampaignStore,
     spec: &CampaignSpec,
-    mut tick: F,
-) -> Result<CampaignOutcome, String>
-where
-    F: FnMut(usize) -> Result<(), String>,
-{
+    threads: usize,
+) -> Result<Option<CampaignOutcome>, String> {
     store.init(spec)?;
+    let mut bank = EvaluatorBank::new(spec, threads);
     let mut archive = Archive::new();
+    let mut digests = DigestSet::new();
     let mut counters = CampaignCounters::default();
     let mut rounds = Vec::with_capacity(spec.rounds);
     for round in 0..spec.rounds {
-        // Resume: a committed barrier carries the cumulative state.
-        if let Some((stats, merged)) = store.load_merged(round)? {
+        let committed = store.load_merged(round)?;
+        if committed.is_none() && fault::should_kill(CAMPAIGN_ROUND_SITE) {
+            return Ok(None);
+        }
+        // Every shard sees only the digests of earlier rounds, so they
+        // join the set after the whole round is computed.
+        let mut deltas = Vec::with_capacity(spec.shards);
+        for shard in 0..spec.shards {
+            let delta = match store.load_delta(shard, round)? {
+                Some(delta) => delta,
+                None if committed.is_some() => {
+                    return Err(format!("round {round} is committed without shard {shard}'s delta"))
+                }
+                None => {
+                    let delta = run_shard_round(spec, shard, round, &archive, &digests, &mut bank);
+                    store.save_delta(spec, &delta)?;
+                    delta
+                }
+            };
+            deltas.push(delta);
+        }
+        // A shard never emits a digest of an earlier round or a
+        // duplicate of its own, so a repeat here is a same-round
+        // collision between two shards.
+        let mut collisions = 0;
+        for d in deltas.iter().flat_map(|delta| &delta.digests) {
+            if !digests.insert(*d) {
+                collisions += 1;
+            }
+        }
+        if let Some((stats, merged)) = committed {
             archive = merged;
             counters = stats.counters;
             rounds.push(stats);
             continue;
         }
-        let deltas = wait_for_deltas(store, spec, round, &mut tick)?;
-        let mut new_digests: BTreeSet<u64> = BTreeSet::new();
         for delta in &deltas {
             counters.evals += delta.evals;
             counters.dedup_hits += delta.dedup_hits;
             counters.migrations += delta.migrations;
-            for d in &delta.digests {
-                if !new_digests.insert(*d) {
-                    counters.collisions += 1;
-                }
-            }
             archive.merge(delta);
         }
+        counters.collisions += collisions;
         let stats = RoundStats {
             round,
             counters,
             covered: archive.covered(),
             solved: archive.solved(),
         };
-        store.save_merged(spec, &stats, &archive, &new_digests)?;
+        store.save_merged(spec, &stats, &archive)?;
         rounds.push(stats);
     }
     store.save_final(spec, &archive)?;
@@ -1131,69 +1028,7 @@ where
             ),
     );
     store.write(SUMMARY_FILE, &summary)?;
-    Ok(CampaignOutcome { archive, counters, rounds })
-}
-
-fn wait_for_deltas<F>(
-    store: &CampaignStore,
-    spec: &CampaignSpec,
-    round: usize,
-    tick: &mut F,
-) -> Result<Vec<ArchiveDelta>, String>
-where
-    F: FnMut(usize) -> Result<(), String>,
-{
-    let start = Instant::now();
-    loop {
-        tick(round)?;
-        let mut deltas = Vec::with_capacity(spec.shards);
-        for shard in 0..spec.shards {
-            match store.load_delta(shard, round)? {
-                Some(d) => deltas.push(d),
-                None => break,
-            }
-        }
-        if deltas.len() == spec.shards {
-            return Ok(deltas);
-        }
-        if start.elapsed() > BARRIER_TIMEOUT {
-            return Err(format!(
-                "round {round}: only {}/{} shard deltas appeared within {BARRIER_TIMEOUT:?}",
-                deltas.len(),
-                spec.shards
-            ));
-        }
-        std::thread::sleep(BARRIER_POLL);
-    }
-}
-
-/// Runs a whole campaign inside this process: shards take turns within
-/// each round (sharing one evaluator bank), then the round is merged —
-/// byte-identical artifacts to the multi-process mode, because shard
-/// rounds are pure functions of durable state.
-///
-/// # Errors
-///
-/// Store I/O failures or corrupt artifacts.
-pub fn run_inline(
-    store: &CampaignStore,
-    spec: &CampaignSpec,
-    threads: usize,
-) -> Result<CampaignOutcome, String> {
-    store.init(spec)?;
-    let mut bank = EvaluatorBank::new(spec, threads);
-    coordinate(store, spec, |round| {
-        let merged =
-            if round == 0 { Archive::new() } else { store.load_merged(round - 1)?.map(|m| m.1).ok_or("previous barrier vanished")? };
-        let digests = store.digest_set(round)?;
-        for shard in 0..spec.shards {
-            if store.load_delta(shard, round)?.is_none() {
-                let delta = run_shard_round(spec, shard, round, &merged, &digests, &mut bank);
-                store.save_delta(spec, &delta)?;
-            }
-        }
-        Ok(())
-    })
+    Ok(Some(CampaignOutcome { archive, counters, rounds }))
 }
 
 #[cfg(test)]
@@ -1360,7 +1195,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let store = CampaignStore::new(&dir);
         let spec = tiny_spec();
-        let outcome = run_inline(&store, &spec, 1).unwrap();
+        let outcome = run_campaign(&store, &spec, 1).unwrap().expect("no fault is armed");
         assert_eq!(outcome.rounds.len(), spec.rounds);
         assert!(outcome.counters.evals > 0);
         assert!(outcome.counters.dedup_hits > 0, "incumbent re-probes hit the dedup set");
@@ -1383,37 +1218,34 @@ mod tests {
         let spec = tiny_spec();
         // Control: uninterrupted.
         let control = CampaignStore::new(base.join("control"));
-        run_inline(&control, &spec, 1).unwrap();
-        // Interrupted: run round 0 only, drop a shard-1 delta of round 1
-        // on the floor (as a mid-round kill would), then resume.
+        run_campaign(&control, &spec, 1).unwrap();
+        // Killed mid-round 0: shard 0's delta landed, shard 1's never
+        // did. Resume:
         let broken = CampaignStore::new(base.join("broken"));
         broken.init(&spec).unwrap();
         let mut bank = EvaluatorBank::new(&spec, 1);
         let empty = Archive::new();
         let d0 = run_shard_round(&spec, 0, 0, &empty, &DigestSet::new(), &mut bank);
         broken.save_delta(&spec, &d0).unwrap();
-        // Shard 1's round-0 delta never lands — the "kill". Resume:
-        run_inline(&broken, &spec, 1).unwrap();
-        let a = std::fs::read(control.final_path()).unwrap();
-        let b = std::fs::read(broken.final_path()).unwrap();
-        assert_eq!(a, b, "resumed archive must be byte-identical to the control");
+        run_campaign(&broken, &spec, 1).unwrap();
+        // Killed at the start of round 1: round 0 is committed, so the
+        // rerun reads round 0's digests back from its deltas.
+        let committed = CampaignStore::new(base.join("committed"));
+        std::fs::create_dir_all(committed.root()).unwrap();
+        for name in [SPEC_FILE.to_string(), delta_file(0, 0), delta_file(1, 0), merged_file(0)] {
+            std::fs::copy(control.root().join(&name), committed.root().join(&name)).unwrap();
+        }
+        run_campaign(&committed, &spec, 1).unwrap();
+        for resumed in [&broken, &committed] {
+            for (want, got) in [
+                (control.final_path(), resumed.final_path()),
+                (control.summary_path(), resumed.summary_path()),
+            ] {
+                let (a, b) = (std::fs::read(want).unwrap(), std::fs::read(&got).unwrap());
+                assert!(a == b, "{} diverged from the control", got.display());
+            }
+        }
         let _ = std::fs::remove_dir_all(&base);
-    }
-
-    #[test]
-    fn digest_log_path_refuses_a_sealed_delta() {
-        let dir = std::env::temp_dir().join(format!("a2a_campaign_digests_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = CampaignStore::new(&dir);
-        let spec = tiny_spec();
-        let delta = ArchiveDelta { digests: vec![7, 3], ..ArchiveDelta::default() };
-        store.save_delta(&spec, &delta).unwrap();
-        // A sealed delta carries a `digests` array too; only the schema
-        // tells it from a digest log.
-        std::fs::copy(dir.join(delta_file(0, 0)), dir.join(digests_file(0))).unwrap();
-        let err = store.load_digests(0).unwrap_err();
-        assert!(err.contains(DIGEST_LOG_SCHEMA), "{err}");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -71,11 +71,10 @@ mod sealed;
 pub mod store;
 
 pub use campaign::{
-    assign_round, coordinate, genome_digest, run_inline, run_shard_process, run_shard_round,
-    Archive, ArchiveDelta, CampaignCounters, CampaignOutcome, CampaignSpec, CampaignStore,
-    DigestSet, Elite, EvaluatorBank, NicheKey, RoundStats, ShardExit, ARCHIVE_DELTA_SCHEMA,
-    ARCHIVE_SCHEMA, CAMPAIGN_MERGED_SCHEMA, CAMPAIGN_ROUND_SITE, CAMPAIGN_SPEC_SCHEMA,
-    CAMPAIGN_SUMMARY_SCHEMA, DIGEST_LOG_SCHEMA,
+    assign_round, genome_digest, run_campaign, run_shard_round, Archive, ArchiveDelta,
+    CampaignCounters, CampaignOutcome, CampaignSpec, CampaignStore, DigestSet, Elite,
+    EvaluatorBank, NicheKey, RoundStats, ARCHIVE_DELTA_SCHEMA, ARCHIVE_SCHEMA,
+    CAMPAIGN_MERGED_SCHEMA, CAMPAIGN_ROUND_SITE, CAMPAIGN_SPEC_SCHEMA, CAMPAIGN_SUMMARY_SCHEMA,
 };
 pub use checkpoint::{
     context_digest, Checkpoint, Counters, Payload, CHECKPOINT_SCHEMA, CHECKPOINT_VERSION,

@@ -225,16 +225,16 @@ fn injected_kill_leaves_a_sealed_flight_dump_replaying_recent_events() {
         .collect();
     assert_eq!(dumps.len(), 1, "one kill, one flight dump: {dumps:?}");
     let content = std::fs::read_to_string(&dumps[0]).unwrap();
-    let summary = a2a_obs::schema::validate_flight(&content)
+    let dump = a2a_obs::flight::read_dump(&content)
         .expect("dump is a sealed, checksum-valid a2a-obs/flight/v1 stream");
-    assert!(summary.reason.contains("run.generation"), "reason names the site");
-    assert!(summary.truncated_tail.is_none(), "atomic publish never tears");
+    assert!(dump.reason.contains("run.generation"), "reason names the site");
+    assert!(dump.truncated_tail.is_none(), "atomic publish never tears");
 
     // The dump replays the recent history: the kill fault record itself
     // is the newest thing the rings saw, preceded by the span traffic
     // of the generations that ran — within each thread, at most the
     // ring capacity of retained records, in sequence order.
-    let (_, records) = a2a_obs::flight::parse_dump(&content).unwrap();
+    let records = dump.records;
     assert!(!records.is_empty());
     assert!(
         records.iter().any(|r| r.kind == "fault" && r.name == "fault.kill"),

@@ -10,7 +10,7 @@ use a2a_ga::{Evaluator, GaConfig, IslandConfig};
 use a2a_grid::GridKind;
 use a2a_obs::json::Json;
 use a2a_obs::schema;
-use a2a_run::campaign::{run_inline, CampaignSpec, CampaignStore, NicheKey};
+use a2a_run::campaign::{run_campaign, CampaignSpec, CampaignStore, NicheKey};
 use a2a_run::{
     run_evolution, run_islands_checkpointed, CheckpointStore, JobManifest, JobStatus, JobStore,
     RunOptions,
@@ -32,19 +32,17 @@ enum Kind {
     Result,
     CampaignSpec,
     Delta,
-    DigestLog,
     Merged,
     FinalArchive,
 }
 
-const KINDS: [Kind; 9] = [
+const KINDS: [Kind; 8] = [
     Kind::SingleCheckpoint,
     Kind::IslandsCheckpoint,
     Kind::Manifest,
     Kind::Result,
     Kind::CampaignSpec,
     Kind::Delta,
-    Kind::DigestLog,
     Kind::Merged,
     Kind::FinalArchive,
 ];
@@ -61,7 +59,6 @@ fn file(kind: Kind) -> &'static str {
         Kind::Result => "serve/jobs/job-7/result.json",
         Kind::CampaignSpec => "campaign/campaign.json",
         Kind::Delta => "campaign/delta-s1-r1.json",
-        Kind::DigestLog => "campaign/digests-r0.json",
         Kind::Merged => "campaign/merged-r0.json",
         Kind::FinalArchive => "campaign/archive-final.json",
     }
@@ -82,7 +79,6 @@ fn load(kind: Kind, root: &Path) -> Result<Option<String>, String> {
         Kind::Result => rendered(jobs.load_result(JOB)),
         Kind::CampaignSpec => rendered(campaign.load_spec()),
         Kind::Delta => rendered(campaign.load_delta(1, 1)),
-        Kind::DigestLog => rendered(campaign.load_digests(0).map(Some)),
         Kind::Merged => rendered(campaign.load_merged(0)),
         Kind::FinalArchive => rendered(campaign.load_final()),
     }
@@ -97,7 +93,7 @@ fn scratch(name: &str) -> PathBuf {
 
 /// Saves one document of every kind through its store under `root`:
 /// the checkpoints of a real single-pool run and a real island run, a
-/// job's manifest and result, and a real two-shard inline campaign.
+/// job's manifest and result, and a real two-shard campaign.
 fn save_all(root: &Path) {
     let kind = GridKind::Triangulate;
     let env = WorldConfig::paper(kind, 8);
@@ -141,7 +137,7 @@ fn save_all(root: &Path) {
         t_max: 40,
         seed: 11,
     };
-    run_inline(&CampaignStore::new(root.join("campaign")), &campaign, 1).unwrap();
+    run_campaign(&CampaignStore::new(root.join("campaign")), &campaign, 1).unwrap();
 }
 
 /// One saved document: its kind, its bytes on disk, and the rendering

@@ -87,6 +87,11 @@ pub struct JobSpec {
     pub migrants: usize,
 }
 
+/// The largest integer up to which every integer is an exact JSON
+/// number (an `f64`), 2^53 − 1. A member past it may already have been
+/// rounded when the body was parsed, so it is refused, not cast.
+const MAX_EXACT_INT: u64 = (1 << 53) - 1;
+
 fn num(doc: &Json, key: &str, default: u64) -> Result<u64, String> {
     match doc.get(key) {
         None => Ok(default),
@@ -94,6 +99,9 @@ fn num(doc: &Json, key: &str, default: u64) -> Result<u64, String> {
             let v = v.as_f64().ok_or_else(|| format!("`{key}` must be a number"))?;
             if v < 0.0 || v.fract() != 0.0 {
                 return Err(format!("`{key}` must be a non-negative integer"));
+            }
+            if v > MAX_EXACT_INT as f64 {
+                return Err(format!("`{key}` must be at most {MAX_EXACT_INT} (2^53 - 1)"));
             }
             Ok(v as u64)
         }
@@ -272,6 +280,10 @@ pub fn build_islands_result(id: &str, digest: &str, report: &IslandsReport) -> J
 mod tests {
     use super::*;
 
+    fn parse(body: &str) -> Json {
+        a2a_obs::json::parse(body).unwrap()
+    }
+
     #[test]
     fn defaults_fill_a_minimal_submission() {
         let doc = Json::object().with("tenant", "acme");
@@ -348,10 +360,18 @@ mod tests {
             (Json::object().with("tenant", "t").with("t_max", 1e30), "`t_max`"),
             (job("max_retries", MAX_RETRIES + 1), "`max_retries`"),
             (Json::object().with("tenant", "t").with("max_retries", 1e30), "`max_retries`"),
+            // Past 2^53 - 1 a number may already be rounded: 2^53 + 1
+            // parses as 2^53, and 1e30 used to saturate to u64::MAX.
+            (parse(r#"{"tenant":"t","seed":9007199254740993}"#), "`seed`"),
+            (parse(r#"{"tenant":"t","seed":1e30}"#), "`seed`"),
+            (parse(r#"{"tenant":"t","deadline_ms":1e30}"#), "`deadline_ms`"),
+            (parse(r#"{"tenant":"t","islands":0,"migrants":1e30}"#), "`migrants`"),
         ] {
             let err = JobSpec::from_json(&doc).unwrap_err();
             assert!(err.contains(needle), "{err} should mention {needle}");
         }
+        let seed = JobSpec::from_json(&parse(r#"{"tenant":"t","seed":9007199254740991}"#));
+        assert_eq!(seed.unwrap().seed, MAX_EXACT_INT);
     }
 
     #[test]

@@ -509,9 +509,10 @@ fn oversized_job_answers_400_and_the_server_stays_up() {
     // A 65535×65535 torus would be allocated per field cell by the
     // kernel, a run reserves its generation (or epoch) history up front,
     // a horizon past `MAX_T_MAX` could pin an executor for hours, an
-    // empty configuration set panics every attempt, and an unbounded
-    // retry budget retries such a job forever; the boundary refuses all
-    // of them before anything is queued.
+    // empty configuration set panics every attempt, an unbounded retry
+    // budget retries such a job forever, and a seed past 2^53 - 1 may
+    // run as another seed; the boundary refuses all of them before
+    // anything is queued.
     let job = Json::object().with("tenant", "t");
     for (body, field) in [
         (job.clone().with("m", 65_535u64), "`m`"),
@@ -521,8 +522,13 @@ fn oversized_job_answers_400_and_the_server_stays_up() {
         (job.clone().with("m", 8u64).with("k", 9u64).with("configs", 0u64), "`configs`"),
         (job.clone().with("max_retries", 1e30), "`max_retries`"),
         (job.with("islands", 2u64).with("epoch", 1e18), "`epoch`"),
-    ] {
-        let reply = client::post(&addr, "/jobs", &body.to_string()).unwrap();
+    ]
+    .map(|(body, field)| (body.to_string(), field))
+    .into_iter()
+    // 2^53 + 1 has no exact JSON number; it parses as 2^53.
+    .chain([(r#"{"tenant":"t","seed":9007199254740993}"#.to_string(), "`seed`")])
+    {
+        let reply = client::post(&addr, "/jobs", &body).unwrap();
         assert_eq!(reply.status, 400, "{}", reply.body);
         assert!(reply.body.contains(field), "{}", reply.body);
     }
