@@ -101,8 +101,8 @@ fn report(
 ) {
     let c = outcome.counters;
     scale.outln(format!(
-        "campaign done: {} evals, {} dedup hits, {} migrations, {} collisions",
-        c.evals, c.dedup_hits, c.migrations, c.collisions
+        "campaign done: {} evals, {} dedup hits, {} migrations",
+        c.evals, c.dedup_hits, c.migrations
     ));
     scale.outln(format!(
         "archive: {} / {niches} niches covered, {} solved",

@@ -104,15 +104,12 @@ fn main() {
         let cache_probe = evaluator.clone();
         // Each optimisation run checkpoints into its own subdirectory:
         // runs are independent experiments with distinct context digests.
-        let opts = RunOptions {
-            store: args
-                .checkpoint_dir
-                .as_ref()
-                .map(|dir| CheckpointStore::new(format!("{dir}/run{run}"))),
-            cadence: 1,
-            resume: args.resume,
-            stop: None,
-        };
+        let opts = args
+            .checkpoint_dir
+            .as_ref()
+            .map(|dir| CheckpointStore::new(format!("{dir}/run{run}")))
+            .map_or_else(RunOptions::default, RunOptions::persisting)
+            .resuming(args.resume);
         let report = run_evolution(
             FsmSpec::paper(kind),
             &evaluator,

@@ -47,10 +47,16 @@
 //! | `serve.request`        | [`io_error`]    | every accepted `a2a-serve` HTTP request              |
 //! | `serve.job.step`       | [`panic_point`] | every `a2a-serve` job generation boundary            |
 //! | `serve.checkpoint`     | [`io_error`]    | `SealedDir::save` of `JobStore` (manifests, results) |
+//! | `store.publish`        | [`should_kill`] | after each of the four steps of [`crate::atomic_write`] |
 //!
 //! `SealedDir` (in `a2a-run`) is the one write path of every durable
 //! store; each save probes its store's site exactly once, before any
-//! filesystem effect.
+//! filesystem effect, and then `store.publish` four times: after the
+//! temp file is written, after its fsync, after the rename and after
+//! the directory fsync. A fired `store.publish` probe exits the process
+//! with status 137 on the spot (deleting the unsynced temp file at the
+//! first probe), so `store.publish@n` crashes a process at its `n`-th
+//! durable write step.
 //!
 //! e.g. `A2A_FAULT="serve.request@0..2,serve.job.step@1,serve.checkpoint@4"`
 //! chaos-tests the service layer: two 500s, one simulated worker crash

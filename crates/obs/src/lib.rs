@@ -62,7 +62,8 @@ pub use registry::{
     global, Counter, Gauge, Histogram, HistogramSnapshot, Registry, RegistrySnapshot,
 };
 pub use sink::{
-    atomic_write, attach_sink, finalize_all, publish_via_partial, JsonlSink, Sink, StderrSink,
+    atomic_write, attach_sink, finalize_all, publish_via_partial, sync_dir, JsonlSink, Sink,
+    StderrSink,
 };
 pub use span::Span;
 pub use value::Value;

@@ -35,12 +35,18 @@ pub trait Sink: Send + Sync + fmt::Debug {
 /// truncated mix — the invariant every sealed store document in this
 /// workspace relies on.
 ///
+/// Each of the four steps is followed by a kill probe of the
+/// `store.publish` fault site ([`crate::fault`]). A probe that fires
+/// ends the process with exit status 137, like a SIGKILL; the first
+/// also deletes the unsynced temp file, approximating the data a power
+/// loss drops.
+///
 /// # Errors
 ///
 /// Propagates IO errors from any step; on error the target file is
 /// untouched (a stale `.tmp` sibling may remain).
 pub fn atomic_write(path: impl AsRef<Path>, bytes: &[u8]) -> std::io::Result<()> {
-    publish(path.as_ref(), bytes, ".tmp")
+    publish(path.as_ref(), bytes, ".tmp", Some("store.publish"))
 }
 
 /// Writes `bytes` to the `.partial` sibling of `path` (fsynced), then
@@ -55,26 +61,48 @@ pub fn atomic_write(path: impl AsRef<Path>, bytes: &[u8]) -> std::io::Result<()>
 /// untouched (a `.partial` sibling may remain — deliberately, as the
 /// crash artifact).
 pub fn publish_via_partial(path: impl AsRef<Path>, bytes: &[u8]) -> std::io::Result<()> {
-    publish(path.as_ref(), bytes, ".partial")
+    // No kill probes: flight dumps publish this way while a fired
+    // kill is being recorded.
+    publish(path.as_ref(), bytes, ".partial", None)
+}
+
+/// Fsyncs directory `dir` (the empty path is the current directory),
+/// making the entries created, renamed or removed in it durable.
+///
+/// # Errors
+///
+/// Opening or syncing the directory failed.
+pub fn sync_dir(dir: &Path) -> std::io::Result<()> {
+    let dir = if dir.as_os_str().is_empty() { Path::new(".") } else { dir };
+    File::open(dir)?.sync_all()
 }
 
 /// The one publish body behind [`atomic_write`] and
 /// [`publish_via_partial`]: write and fsync a unique `tag` sibling,
 /// rename it over `path`, then fsync the directory so the rename itself
-/// is durable.
-fn publish(path: &Path, bytes: &[u8], tag: &str) -> std::io::Result<()> {
+/// is durable. With a `kill_site`, each step is followed by a kill
+/// probe of that site.
+fn publish(path: &Path, bytes: &[u8], tag: &str, kill_site: Option<&str>) -> std::io::Result<()> {
     let temp = unique_sibling(path, tag);
+    let probe = |temp_unsynced: bool| {
+        if kill_site.is_some_and(crate::fault::should_kill) {
+            if temp_unsynced {
+                let _ = std::fs::remove_file(&temp);
+            }
+            std::process::exit(137);
+        }
+    };
     {
         let mut file = File::create(&temp)?;
         file.write_all(bytes)?;
+        probe(true);
         file.sync_all()?;
+        probe(false);
     }
     std::fs::rename(&temp, path)?;
-    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        if let Ok(d) = File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
+    probe(false);
+    sync_dir(path.parent().unwrap_or(Path::new("")))?;
+    probe(false);
     Ok(())
 }
 

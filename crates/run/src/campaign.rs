@@ -37,10 +37,9 @@
 //!   invariant behind "dedup never drops a strictly-better elite".
 //! * Cross-shard dedup is at **round granularity**: every shard of a
 //!   round sees the union of the digests of the earlier rounds' deltas,
-//!   never another shard's digests of the same round. The merge counts
-//!   a digest two shards evaluated in one round as a `collision`; since
-//!   the deal gives each niche to one shard per round and digests are
-//!   niche-scoped, that takes a 64-bit digest collision.
+//!   never another shard's digests of the same round. Two shards cannot
+//!   evaluate the same genome in one round: the deal gives each niche to
+//!   one shard per round, and digests are niche-scoped.
 //! * The archive merge keeps, per niche, the elite with **lower**
 //!   fitness (the paper minimises), ties broken by lexicographically
 //!   smaller digits. That order is total, so folding is commutative,
@@ -61,7 +60,7 @@ use a2a_fsm::{offspring, FsmSpec, Genome, MutationRates};
 use a2a_ga::{Evaluator, FitnessReport, WorkerPool};
 use a2a_grid::{GridKind, Lattice};
 use crate::sealed::{
-    arr_member, expect_schema, member, str_member, u64_member, usize_member, SealedDir,
+    arr_member, expect_schema, member, str_member, u64_member, usize_member, DocKind, SealedDir,
 };
 use a2a_obs::json::Json;
 use a2a_obs::{fault, schema};
@@ -77,11 +76,11 @@ pub const CAMPAIGN_SPEC_SCHEMA: &str = "a2a-run/campaign-spec/v1";
 /// Schema identifier of sealed per-shard-per-round archive deltas.
 pub const ARCHIVE_DELTA_SCHEMA: &str = "a2a-run/archive-delta/v1";
 /// Schema identifier of sealed merged-archive round barriers.
-pub const CAMPAIGN_MERGED_SCHEMA: &str = "a2a-run/campaign-merged/v1";
+pub const CAMPAIGN_MERGED_SCHEMA: &str = "a2a-run/campaign-merged/v2";
 /// Schema identifier of the sealed final archive.
 pub const ARCHIVE_SCHEMA: &str = "a2a-run/archive/v1";
 /// Schema identifier of the sealed campaign summary.
-pub const CAMPAIGN_SUMMARY_SCHEMA: &str = "a2a-run/campaign-summary/v1";
+pub const CAMPAIGN_SUMMARY_SCHEMA: &str = "a2a-run/campaign-summary/v2";
 
 /// Fault-injection site probed once at the start of every round that
 /// is not yet committed (the campaign analogue of `run.generation`): a
@@ -511,9 +510,6 @@ pub struct CampaignCounters {
     pub dedup_hits: u64,
     /// Migrant-derived candidates.
     pub migrations: u64,
-    /// Same-round cross-shard duplicate evaluations (counted honestly;
-    /// round-granularity dedup cannot prevent them).
-    pub collisions: u64,
 }
 
 /// Per-round statistics, the source of the coverage curve.
@@ -572,7 +568,7 @@ impl CampaignStore {
     /// A store rooted at `root` (created on first write).
     #[must_use]
     pub fn new(root: impl Into<PathBuf>) -> Self {
-        Self { dir: SealedDir::new(root, "run.checkpoint.write") }
+        Self { dir: SealedDir::new(root, "run.checkpoint.write", DocKind::Campaign) }
     }
 
     /// The root directory.
@@ -669,7 +665,6 @@ impl CampaignStore {
                 .with("evals", stats.counters.evals)
                 .with("dedup_hits", stats.counters.dedup_hits)
                 .with("migrations", stats.counters.migrations)
-                .with("collisions", stats.counters.collisions)
                 .with("covered", stats.covered as u64)
                 .with("solved", stats.solved as u64)
                 .with("entries", entries_json(&archive.entries)),
@@ -691,7 +686,6 @@ impl CampaignStore {
                     evals: u64_member(&doc, "evals")?,
                     dedup_hits: u64_member(&doc, "dedup_hits")?,
                     migrations: u64_member(&doc, "migrations")?,
-                    collisions: u64_member(&doc, "collisions")?,
                 },
                 covered: usize_member(&doc, "covered")?,
                 solved: usize_member(&doc, "solved")?,
@@ -968,14 +962,8 @@ pub fn run_campaign(
             };
             deltas.push(delta);
         }
-        // A shard never emits a digest of an earlier round or a
-        // duplicate of its own, so a repeat here is a same-round
-        // collision between two shards.
-        let mut collisions = 0;
         for d in deltas.iter().flat_map(|delta| &delta.digests) {
-            if !digests.insert(*d) {
-                collisions += 1;
-            }
+            digests.insert(*d);
         }
         if let Some((stats, merged)) = committed {
             archive = merged;
@@ -989,7 +977,6 @@ pub fn run_campaign(
             counters.migrations += delta.migrations;
             archive.merge(delta);
         }
-        counters.collisions += collisions;
         let stats = RoundStats {
             round,
             counters,
@@ -1010,7 +997,6 @@ pub fn run_campaign(
             .with("evals", counters.evals)
             .with("dedup_hits", counters.dedup_hits)
             .with("migrations", counters.migrations)
-            .with("collisions", counters.collisions)
             .with(
                 "coverage_curve",
                 Json::Arr(

@@ -1,7 +1,8 @@
 //! The crash-safe run harness: wires [`Evolution::run_resumable`] /
 //! [`run_islands_resumable`] to a [`CheckpointStore`], persisting the
-//! resumable state on a configurable cadence and restoring it under
-//! `--resume`.
+//! resumable state once enough work has accumulated since the last
+//! durable save ([`RunOptions::checkpoint_work`]) and restoring it
+//! under `--resume`.
 //!
 //! Failure policy:
 //!
@@ -65,10 +66,15 @@ impl StopSignal {
 pub struct RunOptions {
     /// Where checkpoints go; `None` disables persistence entirely.
     pub store: Option<CheckpointStore>,
-    /// Checkpoint every `cadence` generation boundaries (0 is treated as
-    /// 1). The final boundary is always checkpointed when a store is
-    /// configured.
-    pub cadence: usize,
+    /// The work, in horizon-bounded agent-steps, after which a boundary
+    /// is due for a checkpoint: a boundary saves once the work of the
+    /// boundaries since the last successful save reaches it, so 0 saves
+    /// every boundary. A boundary's work is fixed by the spec alone
+    /// (`population × t_max × Σ agents` over the configurations per
+    /// generation; `islands × epoch` generations per epoch), so which
+    /// boundaries save is reproducible. A raised [`StopSignal`] makes
+    /// any boundary due.
+    pub checkpoint_work: u64,
     /// Restore from the store's checkpoint before running. Requires a
     /// store; a missing checkpoint file just starts fresh, but a corrupt
     /// one or a context-digest mismatch is a hard error.
@@ -82,14 +88,7 @@ impl RunOptions {
     /// Persistence into `store` at every boundary, no resume.
     #[must_use]
     pub fn persisting(store: CheckpointStore) -> Self {
-        Self { store: Some(store), cadence: 1, resume: false, stop: None }
-    }
-
-    /// Builder-style cadence override.
-    #[must_use]
-    pub fn every(mut self, cadence: usize) -> Self {
-        self.cadence = cadence;
-        self
+        Self { store: Some(store), checkpoint_work: 0, resume: false, stop: None }
     }
 
     /// Builder-style resume flag.
@@ -155,28 +154,34 @@ struct Progress {
     errors: usize,
     killed: bool,
     stopped: bool,
+    /// Work of the boundaries since the last successful save (or the
+    /// start of this process's run).
+    unsaved: u64,
 }
 
 impl Progress {
-    /// Persists `checkpoint` if due at boundary `index`, then probes the
-    /// kill site and the cooperative stop flag. Returns the control
-    /// verdict for the boundary.
+    /// Adds `work` for the boundary just reached and persists
+    /// `checkpoint` if that makes it due, then probes the kill site and
+    /// the cooperative stop flag. Returns the control verdict for the
+    /// boundary.
     fn boundary(
         &mut self,
-        store: Option<&CheckpointStore>,
-        stop: Option<&StopSignal>,
-        due: bool,
+        opts: &RunOptions,
+        work: u64,
         checkpoint: impl FnOnce() -> Checkpoint,
     ) -> RunControl {
-        // A raised stop flag forces this boundary's checkpoint even off
-        // cadence, so the stopped run resumes exactly where it stopped.
-        let stopping = stop.is_some_and(StopSignal::is_stopped);
-        let due = due || stopping;
-        if let Some(store) = store {
-            if due {
+        self.unsaved = self.unsaved.saturating_add(work);
+        // A raised stop flag forces this boundary's checkpoint whatever
+        // the work, so the stopped run resumes exactly where it stopped.
+        let stopping = opts.stop.as_ref().is_some_and(StopSignal::is_stopped);
+        if let Some(store) = &opts.store {
+            if stopping || self.unsaved >= opts.checkpoint_work {
                 match store.save(&checkpoint()) {
                     Ok(()) => {
                         self.written += 1;
+                        // Only a durable save resets the sum, so a
+                        // failed one leaves the next boundary due.
+                        self.unsaved = 0;
                         if a2a_obs::metrics_enabled() {
                             a2a_obs::global().counter("run.checkpoint.writes").incr();
                         }
@@ -210,6 +215,16 @@ impl Progress {
         }
         RunControl::Continue
     }
+}
+
+/// Horizon-bounded agent-steps of one generation of `config` on
+/// `evaluator`: every pool member on every configuration, each agent
+/// for `t_max` steps.
+fn generation_work(config: &GaConfig, evaluator: &Evaluator) -> u64 {
+    let agents: u64 = evaluator.configs().iter().map(|c| c.agent_count() as u64).sum();
+    (config.population as u64)
+        .saturating_mul(u64::from(evaluator.t_max()))
+        .saturating_mul(agents)
 }
 
 fn counters(evaluator: &Evaluator) -> Counters {
@@ -278,17 +293,14 @@ pub fn run_evolution(
         }
     };
     let resumed_from = resume_state.as_ref().map(|s| s.next_generation);
-    let cadence = opts.cadence.max(1);
-    let last = config.generations;
+    let work = generation_work(&config, evaluator);
     let mut progress = Progress::default();
     let run = Evolution::new(spec, evaluator.clone(), config).run_resumable(
         resume_state,
         seeds,
         |stats, state| {
             on_generation(stats);
-            let boundary_index = state.next_generation - 1;
-            let due = boundary_index % cadence == 0 || boundary_index == last;
-            progress.boundary(opts.store.as_ref(), opts.stop.as_ref(), due, || Checkpoint {
+            progress.boundary(opts, work, || Checkpoint {
                 digest: digest.clone(),
                 spec,
                 counters: counters(evaluator),
@@ -334,8 +346,9 @@ pub fn run_islands_checkpointed(
         }
     };
     let resumed_from = resume_state.as_ref().map(|s| s.next_epoch);
-    let cadence = opts.cadence.max(1);
-    let epochs = config.generations.div_ceil(island_config.epoch.max(1));
+    let work = generation_work(&config, evaluator)
+        .saturating_mul(island_config.islands as u64)
+        .saturating_mul(island_config.epoch as u64);
     let mut progress = Progress::default();
     let run = run_islands_resumable(
         spec,
@@ -345,8 +358,7 @@ pub fn run_islands_checkpointed(
         resume_state,
         |epoch, state: &IslandsState| {
             on_epoch(epoch, &state.outcomes);
-            let due = epoch % cadence == 0 || state.next_epoch >= epochs;
-            progress.boundary(opts.store.as_ref(), opts.stop.as_ref(), due, || Checkpoint {
+            progress.boundary(opts, work, || Checkpoint {
                 digest: digest.clone(),
                 spec,
                 counters: counters(evaluator),

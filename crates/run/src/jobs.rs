@@ -22,7 +22,7 @@
 //! so the chaos suite can inject IO failures at exactly the moments a
 //! job's durable state transitions.
 
-use crate::sealed::{expect_schema, member, str_member, u64_member, SealedDir};
+use crate::sealed::{expect_schema, member, str_member, u64_member, DocKind, SealedDir};
 use crate::store::CheckpointStore;
 use a2a_obs::json::Json;
 use a2a_obs::schema;
@@ -296,10 +296,10 @@ impl JobStore {
         Ok(pruned)
     }
 
-    /// The `SealedDir` of job `id`: its manifest and result saves probe
-    /// the `serve.checkpoint` fault site.
-    fn sealed(&self, id: &str) -> Result<SealedDir, String> {
-        Ok(SealedDir::new(self.job_dir(id)?, "serve.checkpoint"))
+    /// The `SealedDir` of job `id`'s `kind` documents: its manifest and
+    /// result saves probe the `serve.checkpoint` fault site.
+    fn sealed(&self, id: &str, kind: DocKind) -> Result<SealedDir, String> {
+        Ok(SealedDir::new(self.job_dir(id)?, "serve.checkpoint", kind))
     }
 
     /// Persists `manifest` atomically (`SealedDir::save`, probing the
@@ -310,7 +310,7 @@ impl JobStore {
     /// Invalid job id (as [`std::io::ErrorKind::InvalidInput`]) or any
     /// IO failure; the previous manifest survives either.
     pub fn save_manifest(&self, manifest: &JobManifest) -> std::io::Result<()> {
-        let dir = self.sealed(&manifest.id).map_err(invalid_input)?;
+        let dir = self.sealed(&manifest.id, DocKind::Manifest).map_err(invalid_input)?;
         dir.save(MANIFEST_FILE, &manifest.to_json())
     }
 
@@ -322,7 +322,7 @@ impl JobStore {
     /// Invalid id, unreadable file, bad JSON, checksum mismatch, or any
     /// schema violation — corruption is an error, never absence.
     pub fn load_manifest(&self, id: &str) -> Result<Option<JobManifest>, String> {
-        self.sealed(id)?.load(MANIFEST_FILE, |doc| JobManifest::from_json(&doc))
+        self.sealed(id, DocKind::Manifest)?.load(MANIFEST_FILE, |doc| JobManifest::from_json(&doc))
     }
 
     /// Persists a job's sealed result document atomically (probing the
@@ -334,7 +334,7 @@ impl JobStore {
     /// An unsealed document or invalid id (as
     /// [`std::io::ErrorKind::InvalidInput`]), or any IO failure.
     pub fn save_result(&self, id: &str, result: &Json) -> std::io::Result<()> {
-        self.sealed(id).map_err(invalid_input)?.save(RESULT_FILE, result)
+        self.sealed(id, DocKind::Result).map_err(invalid_input)?.save(RESULT_FILE, result)
     }
 
     /// Loads and checksum-verifies job `id`'s result. `Ok(None)` when
@@ -344,7 +344,7 @@ impl JobStore {
     ///
     /// Invalid id, unreadable file, bad JSON, or checksum mismatch.
     pub fn load_result(&self, id: &str) -> Result<Option<Json>, String> {
-        self.sealed(id)?.load(RESULT_FILE, Ok)
+        self.sealed(id, DocKind::Result)?.load(RESULT_FILE, Ok)
     }
 }
 

@@ -13,7 +13,7 @@
 //! * [`store`] — a rolling `checkpoint.json` per run directory, written
 //!   atomically so crashes never corrupt the last good checkpoint;
 //! * [`harness`] — [`run_evolution`] / [`run_islands_checkpointed`]:
-//!   cadence-driven persistence, digest-guarded resume, and the
+//!   work-driven persistence, digest-guarded resume, and the
 //!   simulated-kill probe the chaos suite drives.
 //!
 //! The headline guarantee, enforced by the `equivalence` integration

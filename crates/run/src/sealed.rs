@@ -10,24 +10,53 @@
 //! `from_json` decoders share live beside it.
 
 use a2a_obs::json::{self, Json};
-use a2a_obs::{atomic_write, fault, schema};
+use a2a_obs::{atomic_write, fault, schema, sync_dir, Span};
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// A directory of sealed JSON documents, each published atomically as
-/// `{doc}\n`, whose writes probe one fault-injection site.
+/// The kind of document a [`SealedDir`] handle saves and loads; it
+/// names their spans, `store.save.<kind>` and `store.load.<kind>`, so
+/// store I/O is one traced layer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum DocKind {
+    /// A job manifest.
+    Manifest,
+    /// A job's sealed result.
+    Result,
+    /// A run's rolling checkpoint.
+    Checkpoint,
+    /// Any campaign artifact (spec, delta, barrier, archive, summary).
+    Campaign,
+}
+
+impl DocKind {
+    /// The span names of a save and of a load.
+    fn spans(self) -> (&'static str, &'static str) {
+        match self {
+            Self::Manifest => ("store.save.manifest", "store.load.manifest"),
+            Self::Result => ("store.save.result", "store.load.result"),
+            Self::Checkpoint => ("store.save.checkpoint", "store.load.checkpoint"),
+            Self::Campaign => ("store.save.campaign", "store.load.campaign"),
+        }
+    }
+}
+
+/// A directory of sealed JSON documents of one [`DocKind`], each
+/// published atomically as `{doc}\n`, whose writes probe one
+/// fault-injection site.
 #[derive(Debug, Clone)]
 pub(crate) struct SealedDir {
     dir: PathBuf,
     site: &'static str,
+    kind: DocKind,
 }
 
 impl SealedDir {
-    /// A directory at `dir` (created on first save) whose saves probe
-    /// the fault site `site`.
+    /// A directory at `dir` (created on first save) of `kind` documents
+    /// whose saves probe the fault site `site`.
     #[must_use]
-    pub(crate) fn new(dir: impl Into<PathBuf>, site: &'static str) -> Self {
-        Self { dir: dir.into(), site }
+    pub(crate) fn new(dir: impl Into<PathBuf>, site: &'static str, kind: DocKind) -> Self {
+        Self { dir: dir.into(), site, kind }
     }
 
     /// The directory.
@@ -46,9 +75,10 @@ impl SealedDir {
     /// filesystem effect; refuses a document whose seal does not verify
     /// (the store verifies rather than re-seals, so a caller bug cannot
     /// be laundered into a valid-looking artifact); then creates the
-    /// directory and writes `{doc}\n` with [`atomic_write`] (temp file,
-    /// fsync, rename, directory fsync). A reader therefore sees the
-    /// previous complete document or this one, never a torn mix.
+    /// directory durably and writes `{doc}\n` with [`atomic_write`]
+    /// (temp file, fsync, rename, directory fsync). A reader therefore
+    /// sees the previous complete document or this one, never a torn
+    /// mix.
     ///
     /// # Errors
     ///
@@ -56,9 +86,10 @@ impl SealedDir {
     /// ([`io::ErrorKind::InvalidInput`]) or any IO failure; the previous
     /// document survives each.
     pub(crate) fn save(&self, name: &str, doc: &Json) -> io::Result<()> {
+        let _span = Span::enter(self.kind.spans().0);
         fault::io_error(self.site)?;
         schema::verify_checksum(doc).map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
-        std::fs::create_dir_all(&self.dir)?;
+        create_dir_durably(&self.dir)?;
         atomic_write(self.path(name), format!("{doc}\n").as_bytes())
     }
 
@@ -77,6 +108,7 @@ impl SealedDir {
         name: &str,
         decode: impl FnOnce(Json) -> Result<T, String>,
     ) -> Result<Option<T>, String> {
+        let _span = Span::enter(self.kind.spans().1);
         let path = self.path(name);
         let text = match std::fs::read_to_string(&path) {
             Ok(text) => text,
@@ -89,6 +121,26 @@ impl SealedDir {
             .and_then(|()| decode(doc))
             .map(Some)
             .map_err(|e| format!("{}: {e}", path.display()))
+    }
+}
+
+/// Creates `dir` and its missing ancestors like `create_dir_all`, and
+/// fsyncs the parent of each directory it creates, so a new directory —
+/// a new job's, with the manifest its `202` promised — survives a power
+/// loss together with the documents published into it.
+fn create_dir_durably(dir: &Path) -> io::Result<()> {
+    if dir.is_dir() {
+        return Ok(());
+    }
+    let parent = dir.parent().unwrap_or(Path::new(""));
+    if !parent.as_os_str().is_empty() {
+        create_dir_durably(parent)?;
+    }
+    match std::fs::create_dir(dir) {
+        // A concurrent save may have created it first; syncing the
+        // parent again is harmless.
+        Err(e) if e.kind() != io::ErrorKind::AlreadyExists => Err(e),
+        _ => sync_dir(parent),
     }
 }
 

@@ -3,7 +3,7 @@
 //! previous checkpoint intact.
 
 use crate::checkpoint::Checkpoint;
-use crate::sealed::SealedDir;
+use crate::sealed::{DocKind, SealedDir};
 use std::path::{Path, PathBuf};
 
 /// File name of the rolling checkpoint inside a run directory.
@@ -19,7 +19,7 @@ impl CheckpointStore {
     /// A store rooted at `dir` (created on first save if absent).
     #[must_use]
     pub fn new(dir: impl Into<PathBuf>) -> Self {
-        Self { dir: SealedDir::new(dir, "run.checkpoint.write") }
+        Self { dir: SealedDir::new(dir, "run.checkpoint.write", DocKind::Checkpoint) }
     }
 
     /// The directory this store writes into.

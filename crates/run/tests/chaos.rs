@@ -84,7 +84,8 @@ fn checkpoint_write_errors_are_survived_and_counted() {
 
     assert!(report.completed);
     assert_eq!(report.checkpoint_errors, 2);
-    // Boundaries 0..=5 are all due at cadence 1; two saves were eaten.
+    // Boundaries 0..=5 are all due at checkpoint_work 0; two saves
+    // were eaten.
     assert_eq!(report.checkpoints_written, config.generations + 1 - 2);
     // The surviving rolling checkpoint is the final state, intact.
     let ckpt = CheckpointStore::new(&dir).load().unwrap().expect("final checkpoint persisted");

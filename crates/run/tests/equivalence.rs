@@ -14,7 +14,7 @@ use a2a_fsm::FsmSpec;
 use a2a_ga::{Evaluator, GaConfig};
 use a2a_grid::GridKind;
 use a2a_obs::fault::{self, FaultPlan};
-use a2a_run::{run_evolution, CheckpointStore, RunOptions};
+use a2a_run::{run_evolution, CheckpointStore, Payload, RunOptions, StopSignal};
 use a2a_sim::{paper_config_set, WorldConfig};
 use std::sync::Mutex;
 
@@ -132,22 +132,81 @@ fn resume_refuses_a_different_experiment() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The boundary the checkpoint in `store` was saved at, if any.
+fn saved_boundary(store: &CheckpointStore) -> Option<usize> {
+    let ckpt = store.load().unwrap()?;
+    let Payload::Single(state) = ckpt.payload else { panic!("wrong mode") };
+    Some(state.next_generation - 1)
+}
+
 #[test]
-fn cadence_skips_intermediate_boundaries_but_keeps_the_last() {
+fn work_rule_saves_where_the_unsaved_work_reaches_the_threshold() {
     let _guard = FAULT_GUARD.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     fault::disarm();
     let kind = GridKind::Square;
     let spec = FsmSpec::paper(kind);
-    let dir = std::env::temp_dir().join("a2a_run_equiv_cadence");
-    let _ = std::fs::remove_dir_all(&dir);
+    let evaluator = evaluator(kind);
     let config = GaConfig::paper(5, 3);
-    let opts = RunOptions::persisting(CheckpointStore::new(&dir)).every(3);
-    let report =
-        run_evolution(spec, &evaluator(kind), config, Vec::new(), &opts, |_| ()).unwrap();
-    // Boundaries 0..=5; due at 0, 3 and the final boundary 5.
-    assert_eq!(report.checkpoints_written, 3);
-    let ckpt = CheckpointStore::new(&dir).load().unwrap().expect("final checkpoint");
-    let a2a_run::Payload::Single(state) = ckpt.payload else { panic!("wrong mode") };
-    assert_eq!(state.next_generation, config.generations + 1);
+    let agents: u64 = evaluator.configs().iter().map(|c| c.agent_count() as u64).sum();
+    let boundary_work = config.population as u64 * u64::from(evaluator.t_max()) * agents;
+    let dir = std::env::temp_dir().join("a2a_run_equiv_work_rule");
+    let store = CheckpointStore::new(&dir);
+    // Runs the 6-boundary experiment on a fresh store; returns the
+    // report and, per boundary, the boundary of the checkpoint on disk
+    // when its observer ran (before its own save), then after the run.
+    let run = |opts: &RunOptions, stop_at: Option<usize>| {
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut seen = Vec::new();
+        let report = run_evolution(spec, &evaluator, config, Vec::new(), opts, |stats| {
+            seen.push(saved_boundary(&store));
+            if stop_at == Some(stats.generation) {
+                opts.stop.as_ref().unwrap().stop();
+            }
+        })
+        .unwrap();
+        seen.push(saved_boundary(&store));
+        (report, seen)
+    };
+
+    // Every boundary is worth 1/2.5 of the threshold: the unsaved work
+    // reaches it at boundary 2, and again 3 boundaries later at 5.
+    let opts = RunOptions {
+        checkpoint_work: boundary_work * 5 / 2,
+        ..RunOptions::persisting(store.clone())
+    };
+    let (thrifty, seen) = run(&opts, None);
+    assert!(thrifty.completed);
+    assert_eq!(thrifty.checkpoints_written, 2);
+    assert_eq!(seen, [None, None, None, Some(2), Some(2), Some(2), Some(5)]);
+
+    // 0 makes every boundary due: all 6 save, and results are the same.
+    let (every, seen) = run(&RunOptions::persisting(store.clone()), None);
+    assert_eq!(every.checkpoints_written, config.generations + 1);
+    assert_eq!(seen, [None, Some(0), Some(1), Some(2), Some(3), Some(4), Some(5)]);
+    assert_eq!(every.outcome.history, thrifty.outcome.history);
+    assert_eq!(every.outcome.pool, thrifty.outcome.pool);
+
+    // A stop raised where the rule saves nothing still forces a save,
+    // and the run resumes from it bit-identically, boundary 0 included.
+    for stop_at in [0, 1] {
+        let opts = opts.clone().with_stop(StopSignal::new());
+        let (stopped, seen) = run(&opts, Some(stop_at));
+        assert!(stopped.stopped && !stopped.completed);
+        assert_eq!(stopped.checkpoints_written, 1);
+        assert_eq!(seen.last(), Some(&Some(stop_at)), "the stop saved its boundary");
+        let resumed = run_evolution(
+            spec,
+            &evaluator,
+            config,
+            Vec::new(),
+            &opts.clone().resuming(true).with_stop(StopSignal::new()),
+            |_| (),
+        )
+        .unwrap();
+        assert!(resumed.completed);
+        assert_eq!(resumed.resumed_from, Some(stop_at + 1));
+        assert_eq!(resumed.outcome.history, thrifty.outcome.history);
+        assert_eq!(resumed.outcome.pool, thrifty.outcome.pool);
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -162,3 +162,35 @@ proptest! {
         let _ = std::fs::remove_dir_all(&root);
     }
 }
+
+/// Store I/O is one traced layer: every save and load opens a span
+/// named after its document kind, nested under the caller's span.
+#[test]
+fn saves_and_loads_trace_as_named_spans_under_the_caller() {
+    let root = std::env::temp_dir().join(format!("a2a_run_jobs_trace_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let store = JobStore::new(&root);
+    a2a_obs::trace::start_capture();
+    {
+        let _caller = a2a_obs::Span::enter("test.caller");
+        store.save_manifest(&manifest("traced", 1)).unwrap();
+        assert!(store.load_manifest("traced").unwrap().is_some());
+        let checkpoints = store.checkpoints("traced").unwrap();
+        checkpoints.save(&stamped_checkpoint(1, 1)).unwrap();
+        assert!(checkpoints.load().unwrap().is_some());
+    }
+    let trace = a2a_obs::trace::take_capture();
+    let caller = trace.spans.iter().find(|s| s.name == "test.caller").expect("caller span");
+    let nested: Vec<&str> =
+        trace.spans.iter().filter(|s| s.parent == caller.id).map(|s| s.name).collect();
+    assert_eq!(
+        nested,
+        [
+            "store.save.manifest",
+            "store.load.manifest",
+            "store.save.checkpoint",
+            "store.load.checkpoint"
+        ]
+    );
+    let _ = std::fs::remove_dir_all(&root);
+}

@@ -18,11 +18,13 @@
 //!   exponential backoff through the PR-4 watchdog/quarantine pool
 //!   path before the job is marked `failed`.
 //! * **Durable, bit-identical resume** — every job's state lives in its
-//!   own [`a2a_run::JobStore`] subdirectory (sealed manifest, rolling
-//!   checkpoint, sealed result). `kill -9` the server at any moment,
-//!   restart it on the same store, and every job completes with a
-//!   result **byte-equal** to an uninterrupted run — the chaos test in
-//!   `tests/chaos.rs` enforces exactly that.
+//!   own [`a2a_run::JobStore`] subdirectory (sealed manifest, a rolling
+//!   checkpoint once the job's work warrants one, sealed result).
+//!   `kill -9` the server at any moment, restart it on the same store,
+//!   and every job completes with a result **byte-equal** to an
+//!   uninterrupted run — the chaos test in `tests/chaos.rs` enforces
+//!   exactly that, and `tests/crash_points.rs` kills one job at every
+//!   step of each of its durable writes.
 //! * **Load shedding and graceful drain** — `POST /admin/drain` stops
 //!   admissions (`503`), stops running jobs at their next checkpointed
 //!   boundary, and re-queues them durably; the crate forbids `unsafe`

@@ -3,15 +3,15 @@
 //! ```text
 //! a2a-serve --addr 127.0.0.1:8080 --store serve-store \
 //!     [--capacity N] [--tenant-queued N] [--tenant-running N] \
-//!     [--executors N] [--threads N] [--cadence N]
+//!     [--executors N] [--threads N]
 //! ```
 //!
 //! Prints exactly one `listening on <addr>` line once the socket is
 //! bound and recovery finished (the chaos harness reads it to learn the
 //! ephemeral port), then serves until killed or drained. There is no
 //! signal handler on purpose: `SIGKILL` is the supported way to stop
-//! it, and a restart on the same `--store` resumes every in-flight job
-//! bit-identically.
+//! it, and a restart on the same `--store` reruns every in-flight job
+//! from its last checkpoint (or its start) to a bit-identical result.
 
 use a2a_serve::{ServeConfig, Server};
 use std::io::Write;
@@ -35,7 +35,6 @@ fn main() {
             "--tenant-running" => cfg.queue.tenant_max_running = parse(&value("--tenant-running")),
             "--executors" => cfg.executors = parse(&value("--executors")),
             "--threads" => cfg.worker_threads = parse(&value("--threads")),
-            "--cadence" => cfg.cadence = parse(&value("--cadence")),
             other => {
                 eprintln!("unknown flag `{other}`");
                 std::process::exit(2);

@@ -13,13 +13,27 @@
 //! # Durability protocol
 //!
 //! A job is durable from the moment its manifest lands (before the
-//! queue admits it — a crash in between re-admits it at startup).
-//! Executors checkpoint through the job's own
-//! [`a2a_run::CheckpointStore`]; a completed job writes its sealed
-//! result **before** flipping the manifest to `completed`, so a valid
-//! `result.json` is the source of truth at recovery. `SIGKILL` at any
-//! point is safe; restart resumes every non-terminal job from its last
-//! checkpoint, bit-identically.
+//! queue admits it — a crash in between re-admits it at startup). A
+//! completed job writes its sealed result **before** flipping the
+//! manifest to `completed`, so a valid `result.json` is the source of
+//! truth at recovery. `SIGKILL` at any point is safe: restart reruns
+//! every non-terminal job from its last checkpoint, or from its start
+//! when it has none, and resume is bit-identical from any boundary.
+//!
+//! A checkpoint only bounds the work a crash makes a job redo, so
+//! executors save one through the job's own
+//! [`a2a_run::CheckpointStore`] once `JOB_CHECKPOINT_WORK` agent-steps
+//! have run since the last one, and at any boundary where the job is
+//! stopped (deadline or drain). A default job never reaches the
+//! threshold and writes no checkpoint. Each of its four remaining
+//! fsynced writes is read by something:
+//!
+//! * `queued` manifest — what the `202` promises: recovery re-admits it;
+//! * `running` manifest — its `attempts`, which bound a job that kills
+//!   the process on every attempt;
+//! * `result.json` — the authoritative outcome;
+//! * `completed` manifest — read by `GET /jobs/:id`, the paged listing
+//!   and `POST /admin/prune`'s retention sweep.
 
 use crate::http::{read_request, Request, RequestError, Response};
 use crate::job::{build_islands_result, build_result, JobSpec};
@@ -57,6 +71,14 @@ const RETRY_BASE: Duration = Duration::from_millis(10);
 /// Cap on one retry backoff sleep.
 const MAX_BACKOFF: Duration = Duration::from_secs(2);
 
+/// Horizon-bounded agent-steps a job runs between checkpoints
+/// ([`RunOptions::checkpoint_work`]): about 16.8 M, roughly half a
+/// second of kernel time. A default job (44 800 per generation, 224 000
+/// in all) never reaches it; a paper-protocol job (pool 20, 1003
+/// configurations of 8 agents, `t_max` 200: ≈ 32.1 M per generation)
+/// saves at every generation boundary.
+const JOB_CHECKPOINT_WORK: u64 = 1 << 24;
+
 /// Service configuration. [`ServeConfig::default`] binds an ephemeral
 /// loopback port — fine for tests; real deployments set `addr`.
 #[derive(Debug, Clone)]
@@ -71,8 +93,6 @@ pub struct ServeConfig {
     pub executors: usize,
     /// Threads in the shared fitness [`WorkerPool`].
     pub worker_threads: usize,
-    /// Checkpoint cadence in generations.
-    pub cadence: usize,
 }
 
 impl Default for ServeConfig {
@@ -83,7 +103,6 @@ impl Default for ServeConfig {
             queue: QueueConfig::default(),
             executors: 4,
             worker_threads: 1,
-            cadence: 1,
         }
     }
 }
@@ -551,8 +570,8 @@ enum Attempt {
     Completed(Box<RunReport>, String),
     /// Island-model run that reached its epoch budget.
     CompletedIslands(Box<IslandsReport>, String),
-    /// Stopped at a checkpointed boundary (deadline, drain, or a
-    /// simulated kill).
+    /// Stopped at a boundary: deadline and drain checkpoint it, a
+    /// simulated kill does not.
     Stopped {
         timed_out: bool,
     },
@@ -628,7 +647,8 @@ fn execute(state: &Arc<ServerState>, job: &QueuedJob) {
                     Err(e) => {
                         // A torn result save is transient (it crosses
                         // the serve.checkpoint fault site): retry the
-                        // attempt — resume makes the rerun cheap.
+                        // attempt — the work rule bounds what the rerun
+                        // redoes since the last checkpoint.
                         if !retry_or_fail(state, &mut manifest, max_retries, &e.to_string()) {
                             return;
                         }
@@ -734,14 +754,14 @@ fn run_attempt(
     let digest = context_digest(&ga, &world, evaluator.t_max(), evaluator.configs());
     let opts = RunOptions {
         store: Some(state.store.checkpoints(id)?),
-        cadence: state.cfg.cadence.max(1),
+        checkpoint_work: JOB_CHECKPOINT_WORK,
         resume: true,
         stop: Some(stop.clone()),
     };
     let timed_out = AtomicBool::new(false);
     if spec.islands > 0 {
         // Island-model jobs checkpoint at epoch boundaries; deadline
-        // and drain are honoured at the same cadence.
+        // and drain are honoured there too.
         let island_config = IslandConfig {
             islands: spec.islands,
             epoch: spec.epoch,

@@ -142,7 +142,8 @@ fn kill_nine_mid_flight_then_restart_is_bit_identical() {
     drop(victim); // Drop::drop is kill(-9): no drain, no flush, nothing.
 
     // Restart on the same store: recovery re-queues every non-terminal
-    // job and each resumes from its last durable checkpoint.
+    // job and each reruns from its last durable checkpoint, or from its
+    // start when its work has not earned one yet.
     let revived = spawn_server(&victim_store);
     let interrupted = await_results(&revived.addr, &jobs, Duration::from_secs(240));
 

@@ -84,8 +84,8 @@ fn step_panic_is_retried_with_backoff_until_completion() {
     let _guard = GUARD.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     let (handle, addr) = start("step");
 
-    // The first generation boundary panics; attempt two resumes from
-    // the checkpoint and finishes.
+    // The first generation boundary panics; attempt two reruns the job
+    // (too small to have earned a checkpoint) and finishes.
     fault::arm(FaultPlan::parse("serve.job.step@0"));
     assert_eq!(client::post(&addr, "/jobs", &quick_job("flaky")).unwrap().status, 202);
     assert_eq!(poll_status(&addr, "flaky", &["completed", "failed"]), "completed");

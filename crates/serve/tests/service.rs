@@ -3,8 +3,14 @@
 //! (`tests/chaos.rs`) and fault injection (`tests/faults.rs`, which
 //! needs its own process because fault plans are process-global).
 
-use a2a_obs::json::Json;
-use a2a_serve::{client, QueueConfig, ServeConfig, Server, ServerHandle, MAX_T_MAX};
+use a2a_fsm::FsmSpec;
+use a2a_ga::{Evaluator, GaConfig};
+use a2a_obs::json::{self, Json};
+use a2a_run::{context_digest, run_evolution, JobStore, Payload, RunOptions};
+use a2a_serve::{
+    build_result, client, JobSpec, QueueConfig, ServeConfig, Server, ServerHandle, MAX_T_MAX,
+};
+use a2a_sim::{paper_config_set, WorldConfig};
 use std::time::{Duration, Instant};
 
 fn scratch(name: &str) -> std::path::PathBuf {
@@ -14,15 +20,37 @@ fn scratch(name: &str) -> std::path::PathBuf {
 }
 
 fn start(name: &str, queue: QueueConfig, executors: usize) -> (ServerHandle, String) {
+    let (handle, addr, _) = start_in(name, queue, executors);
+    (handle, addr)
+}
+
+/// As [`start`], also returning the store root.
+fn start_in(
+    name: &str,
+    queue: QueueConfig,
+    executors: usize,
+) -> (ServerHandle, String, std::path::PathBuf) {
+    let store_root = scratch(name);
     let cfg = ServeConfig {
-        store_root: scratch(name),
+        store_root: store_root.clone(),
         queue,
         executors,
         ..ServeConfig::default()
     };
     let handle = Server::start(cfg).expect("bind loopback");
     let addr = handle.addr().to_string();
-    (handle, addr)
+    (handle, addr, store_root)
+}
+
+/// Names of the files in job `id`'s directory, sorted.
+fn job_files(store_root: &std::path::Path, id: &str) -> Vec<String> {
+    let dir = JobStore::new(store_root).job_dir(id).unwrap();
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    names
 }
 
 /// A fast job: tiny world, tight step budget — completes in well under
@@ -453,6 +481,84 @@ fn drain_stops_admission_and_requeues_running_jobs() {
         "queued"
     );
     handle.stop();
+}
+
+#[test]
+fn default_job_writes_only_its_manifest_and_result() {
+    let (handle, addr, store_root) = start_in("default_job", QueueConfig::default(), 1);
+    let body = Json::object().with("tenant", "t").with("id", "plain").to_string();
+    assert_eq!(client::post(&addr, "/jobs", &body).unwrap().status, 202);
+    assert_eq!(poll_status(&addr, "plain", &["completed", "failed"], Duration::from_secs(30)), "completed");
+    handle.stop();
+
+    // Its work stays far below the checkpoint threshold: no checkpoint
+    // was ever written.
+    assert_eq!(job_files(&store_root, "plain"), ["manifest.json", "result.json"]);
+
+    // The sealed result is the in-process run's, byte for byte.
+    let spec = JobSpec::from_json(&json::parse(&body).unwrap()).unwrap();
+    let world = WorldConfig::paper(spec.grid, spec.m);
+    let configs =
+        paper_config_set(world.lattice, spec.grid, spec.k, spec.configs, spec.seed).unwrap();
+    let mut ga = GaConfig::paper(spec.generations, spec.seed);
+    ga.population = spec.population;
+    ga.exchange_b = ga.exchange_b.clamp(1, spec.population / 2);
+    let evaluator = Evaluator::new(world.clone(), configs).with_threads(1);
+    let digest = context_digest(&ga, &world, evaluator.t_max(), evaluator.configs());
+    let report = run_evolution(
+        FsmSpec::paper(spec.grid),
+        &evaluator,
+        ga,
+        Vec::new(),
+        &RunOptions::default(),
+        |_| (),
+    )
+    .unwrap();
+    let expected = format!("{}\n", build_result("plain", &digest, &report));
+    let dir = JobStore::new(&store_root).job_dir("plain").unwrap();
+    assert_eq!(std::fs::read_to_string(dir.join("result.json")).unwrap(), expected);
+    let _ = std::fs::remove_dir_all(&store_root);
+}
+
+#[test]
+fn drained_job_checkpoints_the_boundary_it_stopped_at() {
+    let (handle, addr, store_root) = start_in("drain_checkpoint", QueueConfig::default(), 1);
+    assert_eq!(client::post(&addr, "/jobs", &slow_job("t", "parked")).unwrap().status, 202);
+    wait_running(&addr, 1);
+    assert_eq!(client::post(&addr, "/admin/drain", "").unwrap().status, 200);
+    // The manifest reads `queued` until the executor marks the job
+    // running, so wait for the executor to hand the job back instead.
+    let start = Instant::now();
+    let running = |addr: &str| {
+        let health = client::get(addr, "/healthz").expect("GET healthz").json().unwrap();
+        health.get("running").and_then(Json::as_f64).unwrap_or(0.0)
+    };
+    while running(&addr) > 0.0 {
+        assert!(start.elapsed() < Duration::from_secs(30), "the drained job never stopped");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(poll_status(&addr, "parked", &["queued"], Duration::from_secs(30)), "queued");
+
+    // The last generation the job reported is the boundary it stopped
+    // at; the raised stop made that boundary due for a checkpoint.
+    let events = client::get(&addr, "/jobs/parked/events").unwrap().body;
+    let last = events
+        .lines()
+        .rev()
+        .filter_map(|l| json::parse(l).ok())
+        .find(|e| e.get("event").and_then(Json::as_str) == Some("serve.job.gen"))
+        .and_then(|e| e.get("fields")?.get("generation")?.as_f64())
+        .expect("the job reported generations") as usize;
+    handle.stop();
+    let ckpt = JobStore::new(&store_root)
+        .checkpoints("parked")
+        .unwrap()
+        .load()
+        .unwrap()
+        .expect("a drained job leaves a checkpoint");
+    let Payload::Single(state) = ckpt.payload else { panic!("wrong mode") };
+    assert_eq!(state.next_generation, last + 1);
+    let _ = std::fs::remove_dir_all(&store_root);
 }
 
 #[test]
