@@ -49,7 +49,7 @@ use a2a_run::{
 use a2a_sim::{paper_config_set, WorldConfig};
 use std::collections::{HashMap, VecDeque};
 use std::net::{TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
@@ -298,11 +298,25 @@ impl Drop for ServerHandle {
 /// back into the queue; a job whose sealed result survived gets its
 /// manifest flipped to `completed` (the result file is authoritative —
 /// the crash may have hit between the two writes).
+///
+/// No writer is live yet, so each job directory first loses the temp
+/// files of writes a crash cut short before their rename. A directory
+/// left with no manifest is deleted: only a crash inside the job's
+/// first manifest write leaves one, and the `202` is sent after that
+/// write lands, so nothing was promised. A torn manifest stays, and
+/// lists as `unreadable`.
 fn recover(state: &Arc<ServerState>) {
     for id in state.store.list() {
+        let Ok(dir) = state.store.job_dir(&id) else { continue };
+        remove_temps(&dir);
         let manifest = match state.store.load_manifest(&id) {
             Ok(Some(m)) => m,
-            Ok(None) => continue,
+            Ok(None) => {
+                let removed = std::fs::remove_dir_all(&dir).is_ok();
+                a2a_obs::event!(Level::Warn, "serve.recover.no_manifest",
+                    "job" => id.as_str(), "removed" => removed);
+                continue;
+            }
             Err(e) => {
                 a2a_obs::event!(Level::Warn, "serve.recover.skip",
                     "job" => id.as_str(), "error" => e);
@@ -330,6 +344,17 @@ fn recover(state: &Arc<ServerState>) {
         state.queue.recover(&m.id, &m.tenant, m.priority, m.seq);
         a2a_obs::event!(Level::Info, "serve.recover",
             "job" => m.id.as_str(), "tenant" => m.tenant.as_str());
+    }
+}
+
+/// Removes the `<doc>.tmp.<pid>-<seq>` temp files (`atomic_write`) a
+/// crash between a temp's creation and its rename leaves in `dir`.
+fn remove_temps(dir: &Path) {
+    let Ok(entries) = std::fs::read_dir(dir) else { return };
+    for entry in entries.filter_map(Result::ok) {
+        if entry.file_name().to_string_lossy().contains(".tmp.") {
+            let _ = std::fs::remove_file(entry.path());
+        }
     }
 }
 

@@ -8,7 +8,11 @@
 //! must complete the job with a result byte-identical to an
 //! uninterrupted control run's, and the store must hold that one job.
 //! Probe 16 lies past the job's last write, so there the job completes
-//! unkilled — which pins the job's write count at four.
+//! unkilled — which pins the job's write count at four. After every
+//! kill the restarted server's recovery leaves the job directory with
+//! its two documents and nothing else, no temp file of a cut-short
+//! write included; and a job killed inside its first manifest write,
+//! which was never accepted, is gone after a restart.
 
 #![cfg(feature = "fault-inject")]
 
@@ -119,13 +123,12 @@ fn result_bytes(store: &Path) -> Vec<u8> {
     std::fs::read(dir.join(a2a_run::RESULT_FILE)).expect("the completed job has a result")
 }
 
-/// The job's sealed documents (stray temp files aside), sorted.
+/// Every file in the job's directory, sorted.
 fn documents(store: &Path) -> Vec<String> {
     let dir = JobStore::new(store).job_dir(ID).unwrap();
     let mut names: Vec<String> = std::fs::read_dir(dir)
         .unwrap()
         .map(|e| e.unwrap().file_name().into_string().unwrap())
-        .filter(|name| name.ends_with(".json"))
         .collect();
     names.sort();
     names
@@ -172,6 +175,30 @@ fn a_kill_at_every_probe_of_a_job_recovers_the_identical_result() {
         assert_eq!(result_bytes(&store), control_result, "probe {n}: the result differs");
         assert_eq!(JobStore::new(&store).list(), [ID], "probe {n}: the store holds one job");
         assert_eq!(documents(&store), ["manifest.json", "result.json"], "probe {n}");
+    }
+    let _ = std::fs::remove_dir_all(&base);
+}
+
+#[test]
+fn a_job_killed_in_its_first_manifest_write_is_gone_after_a_restart() {
+    let base: PathBuf =
+        std::env::temp_dir().join(format!("a2a_serve_first_write_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    // Probe 0 follows the temp write, probe 1 its fsync: neither
+    // publishes the manifest, and no `202` was sent.
+    for n in 0..2 {
+        let store = base.join(format!("kill-{n}"));
+        let mut victim = spawn_server(&store, Some(&format!("store.publish@{n}")));
+        assert_eq!(submit(&victim.addr), None, "probe {n}: the job was answered");
+        assert!(killed(&mut victim), "probe {n}: the server survived");
+        drop(victim);
+        assert_eq!(JobStore::new(&store).list(), [ID], "probe {n}: no job directory to recover");
+
+        let revived = spawn_server(&store, None);
+        let listing = client::get(&revived.addr, "/jobs").unwrap().json().unwrap();
+        assert_eq!(listing.get("count").and_then(Json::as_f64), Some(0.0), "probe {n}");
+        drop(revived);
+        assert!(JobStore::new(&store).list().is_empty(), "probe {n}: the job directory survived");
     }
     let _ = std::fs::remove_dir_all(&base);
 }

@@ -11,16 +11,27 @@
 //! calls. The batch layer is serial: `BatchRunner` is `Sync` and cheap
 //! to clone, and `a2a-ga`'s `WorkerPool::run_all` shards configuration
 //! ranges across threads by calling `run_all` per range.
+//!
+//! **Packed fields end by arithmetic.** A configuration with one agent
+//! on every free cell (`k` = cells − obstacles) is *packed*. Every
+//! front is solid, so nobody ever moves or loses a conflict, and the
+//! exchange floods the fixed free-cell graph one ring per step: the
+//! outcome and the active agent-step tally depend only on the field
+//! and the horizon, never on directions, control states, colours, the
+//! behaviour or the policies. A runner steps the first packed
+//! configuration it meets and hands every later one, once validated as
+//! [`MultiWorld::load`] would, the same outcome and `kernel.*` counts.
+//! Its clones share that first outcome.
 
 use crate::behaviour::Behaviour;
 use crate::config::WorldConfig;
 use crate::error::SimError;
 use crate::init::InitialConfig;
 use crate::kernel::KernelEnv;
-use crate::multi::MultiWorld;
+use crate::multi::{record_run, MultiWorld};
 use crate::run::RunOutcome;
 use a2a_fsm::Genome;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Evaluates one behaviour over many initial configurations on the
 /// one-run [`MultiWorld`] kernel.
@@ -46,6 +57,18 @@ use std::sync::Arc;
 pub struct BatchRunner {
     env: Arc<KernelEnv>,
     t_max: u32,
+    /// The first packed configuration's stepped run (module docs),
+    /// shared by every clone.
+    packed: Arc<OnceLock<PackedRun>>,
+}
+
+/// What stepping a packed configuration yields, the same for all of
+/// them on one runner.
+#[derive(Debug)]
+struct PackedRun {
+    outcome: RunOutcome,
+    /// The run's active agent-steps (`kernel.frontier.active`).
+    active_steps: u64,
 }
 
 impl BatchRunner {
@@ -62,7 +85,11 @@ impl BatchRunner {
         behaviour: &Behaviour,
         t_max: u32,
     ) -> Result<Self, SimError> {
-        Ok(Self { env: Arc::new(KernelEnv::new(config, behaviour)?), t_max })
+        Ok(Self {
+            env: Arc::new(KernelEnv::new(config, behaviour)?),
+            t_max,
+            packed: Arc::default(),
+        })
     }
 
     /// [`BatchRunner::new`] for the paper's single-FSM behaviour.
@@ -95,9 +122,12 @@ impl BatchRunner {
     }
 
     /// Runs every configuration in order on one [`MultiWorld`], built
-    /// for this call and reloaded for each configuration. Outcomes are
-    /// bit-identical to running each configuration through the
-    /// reference [`World`](crate::World).
+    /// for this call and reloaded for each configuration. A packed
+    /// configuration (an agent on every free cell) after the runner's
+    /// first is only validated and gets that first one's outcome: in a
+    /// packed field nobody can move, so every such run ends alike.
+    /// Outcomes are bit-identical to running each configuration
+    /// through the reference [`World`](crate::World).
     ///
     /// # Errors
     ///
@@ -108,16 +138,36 @@ impl BatchRunner {
         let mut world = MultiWorld::from_env(Arc::clone(&self.env));
         let outcomes = inits
             .iter()
-            .map(|init| {
-                world.load(init)?;
-                Ok(world.run(self.t_max))
-            })
+            .map(|init| self.run_one(&mut world, init))
             .collect::<Result<Vec<RunOutcome>, SimError>>()?;
         a2a_obs::event!(a2a_obs::Level::Debug, "batch.run_all",
             "configs" => outcomes.len(),
             "successful" => outcomes.iter().filter(|o| o.is_successful()).count(),
             "t_max" => self.t_max);
         Ok(outcomes)
+    }
+
+    /// One configuration of [`BatchRunner::run_all`] on its world.
+    fn run_one(
+        &self,
+        world: &mut MultiWorld,
+        init: &InitialConfig,
+    ) -> Result<RunOutcome, SimError> {
+        let packed = init.agent_count() == self.env.free_cells;
+        if packed {
+            if let Some(run) = self.packed.get() {
+                world.validate(init)?;
+                record_run(self.env.kind, &run.outcome, run.active_steps, 0, 0);
+                return Ok(run.outcome);
+            }
+        }
+        world.load(init)?;
+        let outcome = world.run(self.t_max);
+        if packed {
+            debug_assert_eq!(world.conflict_losses(), 0, "nobody moves on a packed field");
+            let _ = self.packed.set(PackedRun { outcome, active_steps: world.active_steps() });
+        }
+        Ok(outcome)
     }
 }
 

@@ -58,6 +58,9 @@ pub(crate) struct KernelEnv {
     /// bits 1.. hold the validated initial colour. Every run's cell
     /// state starts as a copy of this image.
     pub(crate) meta_init: Vec<u8>,
+    /// Cells without the obstacle bit: the agent count of a fully
+    /// packed configuration.
+    pub(crate) free_cells: usize,
     /// Compiled FSM rows, one table per behaviour phase.
     pub(crate) phases: Vec<Vec<CompiledEntry>>,
 }
@@ -124,6 +127,7 @@ impl KernelEnv {
             .map(|t| compile_genome(behaviour.genome_at(t as u32)))
             .collect();
         let has_border = fwd.contains(&NONE);
+        let free_cells = meta_init.iter().filter(|&&m| m & 1 == 0).count();
 
         Ok(Self {
             kind: config.kind,
@@ -136,6 +140,7 @@ impl KernelEnv {
             fwd,
             has_border,
             meta_init,
+            free_cells,
             phases,
         })
     }

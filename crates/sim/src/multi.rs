@@ -36,7 +36,7 @@ use crate::init::InitialConfig;
 use crate::kernel::{CompiledEntry, KernelEnv, NONE};
 use crate::run::RunOutcome;
 use a2a_fsm::Genome;
-use a2a_grid::{Dir, Pos};
+use a2a_grid::{Dir, GridKind, Pos};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -45,8 +45,9 @@ use std::time::Instant;
 /// one per [`MultiWorld::from_env`] plus one per [`MultiWorld::load`]
 /// that had to grow a buffer. A world reloaded with a stable workload
 /// shape must not move this counter, so a `run_all` call over a
-/// non-empty set moves it by exactly 2 — asserted by `crates/sim/tests/allocation.rs` and
-/// `allocation_multi.rs`.
+/// non-empty set moves it by exactly 2, or by 1 when it loads nothing
+/// (every configuration packed and its outcome reused) — asserted by
+/// `crates/sim/tests/allocation.rs` and `allocation_multi.rs`.
 static MULTI_BUFFER_ALLOCS: AtomicU64 = AtomicU64::new(0);
 
 /// Counted steps `informed` must stay unchanged before
@@ -93,7 +94,8 @@ pub struct MultiWorld {
 
     // Field state, `n_cells` entries (`stride` words per cell in
     // `cell_info`).
-    /// Arbitration scratch, all-`NONE` between steps.
+    /// Arbitration scratch, `n_cells` entries from construction on,
+    /// all-`NONE` between steps.
     claims: Vec<u32>,
     /// One byte of cell state per cell — bit 0 is the solid bit
     /// (occupancy ∪ obstacles), bits 1.. the cell's colour. One byte
@@ -134,6 +136,9 @@ pub struct MultiWorld {
     /// Counted steps the last [`MultiWorld::run`] skipped over a
     /// periodic orbit.
     skipped: u32,
+    /// Active agent-steps (`k − informed` summed over the counted
+    /// steps) of the last [`MultiWorld::run`].
+    active_steps: u64,
     /// The Brent snapshot of [`MultiWorld::run`]'s orbit detection.
     snap: Snapshot,
 
@@ -173,9 +178,12 @@ impl MultiWorld {
         Ok(Self::from_env(Arc::new(KernelEnv::new(config, &behaviour)?)))
     }
 
-    /// An empty kernel world over a shared environment.
+    /// An empty kernel world over a shared environment. Its `claims`
+    /// scratch is sized here, so [`MultiWorld::validate`] needs no
+    /// load first.
     pub(crate) fn from_env(env: Arc<KernelEnv>) -> Self {
         MULTI_BUFFER_ALLOCS.fetch_add(1, Ordering::Relaxed);
+        let n_cells = env.lattice.len();
         Self {
             env,
             k: 0,
@@ -183,7 +191,7 @@ impl MultiWorld {
             tail_mask: 0,
             informed: 0,
             conflicts: 0,
-            claims: Vec::new(),
+            claims: vec![NONE; n_cells],
             meta: Vec::new(),
             cell_info: Vec::new(),
             pos: Vec::new(),
@@ -194,6 +202,7 @@ impl MultiWorld {
             frontier_len: 0,
             time: 0,
             skipped: 0,
+            active_steps: 0,
             snap: Snapshot::default(),
             requests: Vec::new(),
             decisions: Vec::new(),
@@ -202,12 +211,13 @@ impl MultiWorld {
         }
     }
 
-    /// Process-wide count of buffer-allocating constructions
-    /// ([`MultiWorld::from_env`] calls plus [`MultiWorld::load`] calls
-    /// that grew a buffer). Reloading a world with a stable workload
+    /// Process-wide count of buffer-allocating constructions (kernel
+    /// worlds built plus [`MultiWorld::load`] calls that grew a
+    /// buffer). Reloading a world with a stable workload
     /// shape keeps this constant; a [`BatchRunner::run_all`] call over a
     /// non-empty set moves it by 2 (its construction and its first,
-    /// growing load).
+    /// growing load), or by 1 when every configuration is packed and
+    /// reuses the runner's first packed outcome (nothing is loaded).
     ///
     /// [`BatchRunner::run_all`]: crate::BatchRunner::run_all
     #[must_use]
@@ -255,8 +265,6 @@ impl MultiWorld {
         // and stepping never grow one.
         let held = self.capacity();
         self.k = 0;
-        self.claims.clear();
-        self.claims.resize(n_cells, NONE);
         self.meta.clear();
         self.meta.extend_from_slice(&env.meta_init);
         self.cell_info.clear();
@@ -285,53 +293,11 @@ impl MultiWorld {
         if self.capacity() != held {
             MULTI_BUFFER_ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
+        self.validate(init)?;
 
-        // Pass 1 — validate without allocating, replicating
-        // `InitialConfig::validate` check for check (error order
-        // matters to callers). The claims array doubles as the
-        // duplicate scratch: it is all-NONE between steps.
-        if init.placements().is_empty() {
-            return Err(SimError::NoAgents);
-        }
-        let mut marked = 0usize;
-        let mut invalid = None;
-        for &(pos, dir) in init.placements() {
-            if !env.lattice.contains(pos) {
-                invalid = Some(SimError::OutsideField(pos));
-                break;
-            }
-            if !dir.is_valid_for(env.kind) {
-                invalid = Some(SimError::InvalidDirection {
-                    index: dir.index(),
-                    available: env.kind.dir_count(),
-                });
-                break;
-            }
-            let idx = env.lattice.index_of(pos);
-            if self.claims[idx] != NONE {
-                invalid = Some(SimError::DuplicatePosition(pos));
-                break;
-            }
-            self.claims[idx] = 0;
-            marked += 1;
-        }
-        for &(pos, _) in &init.placements()[..marked] {
-            self.claims[env.lattice.index_of(pos)] = NONE;
-        }
-        if let Some(e) = invalid {
-            return Err(e);
-        }
-        if k > usize::from(u16::MAX) {
-            return Err(SimError::TooManyAgents { requested: k, limit: usize::from(u16::MAX) });
-        }
-
-        // Pass 2 — place: each agent's own bit goes into its cell's
-        // words.
+        // Place: each agent's own bit goes into its cell's words.
         for (i, &(p, d)) in init.placements().iter().enumerate() {
             let idx = env.lattice.index_of(p);
-            if env.meta_init[idx] & 1 != 0 {
-                return Err(SimError::OnObstacle(p));
-            }
             self.meta[idx] |= 1;
             self.cell_info[idx * stride + i / 64] |= 1u64 << (i % 64);
             self.pos.push(idx as u32);
@@ -348,10 +314,67 @@ impl MultiWorld {
         self.frontier_len = k as u32;
         self.time = 0;
         self.skipped = 0;
+        self.active_steps = 0;
 
         // The uncounted exchange right after placement.
         self.exchange(&env);
         Ok(())
+    }
+
+    /// Checks `init` exactly as [`World::with_behaviour`] does, without
+    /// placing it, so the first error is the one a fresh construction
+    /// reports: no agents; then placement by placement an outside
+    /// cell, an invalid direction or a duplicate cell; then too many
+    /// agents; then the first agent on an obstacle. Allocates nothing:
+    /// `claims` is the duplicate scratch, all-`NONE` again on return.
+    ///
+    /// [`World::with_behaviour`]: crate::World::with_behaviour
+    ///
+    /// # Errors
+    ///
+    /// The configuration's first placement error.
+    pub(crate) fn validate(&mut self, init: &InitialConfig) -> Result<(), SimError> {
+        let env = &*self.env;
+        let claims = &mut self.claims;
+        let placements = init.placements();
+        if placements.is_empty() {
+            return Err(SimError::NoAgents);
+        }
+        let (mut marked, mut invalid, mut on_obstacle) = (0usize, None, None);
+        for &(pos, dir) in placements {
+            if !env.lattice.contains(pos) {
+                invalid = Some(SimError::OutsideField(pos));
+                break;
+            }
+            if !dir.is_valid_for(env.kind) {
+                invalid = Some(SimError::InvalidDirection {
+                    index: dir.index(),
+                    available: env.kind.dir_count(),
+                });
+                break;
+            }
+            let idx = env.lattice.index_of(pos);
+            if claims[idx] != NONE {
+                invalid = Some(SimError::DuplicatePosition(pos));
+                break;
+            }
+            claims[idx] = 0;
+            marked += 1;
+            if env.meta_init[idx] & 1 != 0 {
+                on_obstacle.get_or_insert(pos);
+            }
+        }
+        for &(pos, _) in &placements[..marked] {
+            claims[env.lattice.index_of(pos)] = NONE;
+        }
+        if let Some(e) = invalid {
+            return Err(e);
+        }
+        let k = placements.len();
+        if k > usize::from(u16::MAX) {
+            return Err(SimError::TooManyAgents { requested: k, limit: usize::from(u16::MAX) });
+        }
+        on_obstacle.map_or(Ok(()), |p| Err(SimError::OnObstacle(p)))
     }
 
     /// Runs the loaded configuration until it is solved or `t_max`
@@ -418,37 +441,13 @@ impl MultiWorld {
             agents: self.k as usize,
             steps: self.time,
         };
-        let reg = a2a_obs::global();
         if clock.is_some() {
+            let reg = a2a_obs::global();
             reg.histogram("kernel.multi.act.ns").record(act_ns);
             reg.histogram("kernel.multi.exchange.ns").record(exchange_ns);
         }
-        if a2a_obs::metrics_enabled() {
-            reg.counter("kernel.runs").incr();
-            reg.counter("kernel.steps").add(u64::from(outcome.steps));
-            reg.counter("kernel.frontier.active").add(active_steps);
-            reg.counter("kernel.conflicts").add(self.conflicts);
-            reg.histogram("kernel.run.conflicts").record(self.conflicts);
-            if self.skipped > 0 {
-                reg.counter("kernel.orbit.skipped_steps").add(u64::from(self.skipped));
-            }
-            match outcome.t_comm {
-                Some(t) => reg.histogram("kernel.t_comm").record(u64::from(t)),
-                None => reg.counter("kernel.unsuccessful").incr(),
-            }
-            // Field-compatible with the reference engine's `world.run`,
-            // so differential runs line up in one event stream.
-            if a2a_obs::enabled(a2a_obs::Level::Debug) {
-                a2a_obs::event!(a2a_obs::Level::Debug, "kernel.run",
-                    "engine" => "multi",
-                    "grid" => self.env.kind.to_string(),
-                    "k" => outcome.agents,
-                    "steps" => outcome.steps,
-                    "t_comm" => outcome.t_comm.map_or(-1i64, i64::from),
-                    "informed" => outcome.informed,
-                    "conflicts" => self.conflicts);
-            }
-        }
+        self.active_steps = active_steps;
+        record_run(self.env.kind, &outcome, active_steps, self.conflicts, self.skipped);
         outcome
     }
 
@@ -746,6 +745,12 @@ impl MultiWorld {
         self.conflicts
     }
 
+    /// Active agent-steps of the last [`MultiWorld::run`]: what it added
+    /// to `kernel.frontier.active`.
+    pub(crate) fn active_steps(&self) -> u64 {
+        self.active_steps
+    }
+
     /// The active agent IDs — exactly the agents whose infoset is not
     /// yet saturated — in unspecified order.
     #[must_use]
@@ -796,6 +801,52 @@ impl MultiWorld {
             }
         }
         set
+    }
+}
+
+/// With metrics on, feeds one run's `kernel.*` series: the
+/// `kernel.runs`, `.steps`, `.frontier.active` (`active_steps`, the
+/// agent-steps the frontier sweep performs) and `.conflicts` counters,
+/// the `kernel.run.conflicts` histogram, `kernel.t_comm` or
+/// `kernel.unsuccessful`, `kernel.orbit.skipped_steps` for the counted
+/// steps `run` jumped over a periodic orbit, and a Debug `kernel.run`
+/// event. [`MultiWorld::run`] calls it once per run; the batch layer
+/// calls it for a packed configuration whose outcome it reuses
+/// (`skipped` 0: nothing was stepped, so nothing was jumped over).
+pub(crate) fn record_run(
+    kind: GridKind,
+    outcome: &RunOutcome,
+    active_steps: u64,
+    conflicts: u64,
+    skipped: u32,
+) {
+    if !a2a_obs::metrics_enabled() {
+        return;
+    }
+    let reg = a2a_obs::global();
+    reg.counter("kernel.runs").incr();
+    reg.counter("kernel.steps").add(u64::from(outcome.steps));
+    reg.counter("kernel.frontier.active").add(active_steps);
+    reg.counter("kernel.conflicts").add(conflicts);
+    reg.histogram("kernel.run.conflicts").record(conflicts);
+    if skipped > 0 {
+        reg.counter("kernel.orbit.skipped_steps").add(u64::from(skipped));
+    }
+    match outcome.t_comm {
+        Some(t) => reg.histogram("kernel.t_comm").record(u64::from(t)),
+        None => reg.counter("kernel.unsuccessful").incr(),
+    }
+    // Field-compatible with the reference engine's `world.run`, so
+    // differential runs line up in one event stream.
+    if a2a_obs::enabled(a2a_obs::Level::Debug) {
+        a2a_obs::event!(a2a_obs::Level::Debug, "kernel.run",
+            "engine" => "multi",
+            "grid" => kind.to_string(),
+            "k" => outcome.agents,
+            "steps" => outcome.steps,
+            "t_comm" => outcome.t_comm.map_or(-1i64, i64::from),
+            "informed" => outcome.informed,
+            "conflicts" => conflicts);
     }
 }
 

@@ -23,9 +23,10 @@ fn steady_state_batch_runs_perform_no_world_allocation() {
         let runner = BatchRunner::from_genome(&cfg, best_agent(kind), 200).unwrap();
         let mut world = MultiWorld::new(&cfg, best_agent(kind)).unwrap();
         let mut rng = SmallRng::seed_from_u64(2013);
-        // One-word infosets, then the fully packed field's four words per
-        // cell, whose wide staging buffer `load` must reserve up front.
-        for k in [16, 256] {
+        // One-word infosets, then four words per cell, whose wide
+        // staging buffer `load` must reserve up front, then the fully
+        // packed field.
+        for k in [16, 200, 256] {
             let configs: Vec<InitialConfig> = (0..40)
                 .map(|_| InitialConfig::random(cfg.lattice, kind, k, &[], &mut rng).unwrap())
                 .collect();
@@ -56,6 +57,15 @@ fn steady_state_batch_runs_perform_no_world_allocation() {
                 "{kind} k={k}"
             );
             assert_eq!(MultiWorld::allocation_count(), before + 2, "{kind} k={k}");
+
+            // That call stepped the runner's first packed configuration;
+            // a later one is validated on the fresh world and never
+            // loaded, so only the construction counts.
+            if k == cfg.lattice.len() {
+                let before = MultiWorld::allocation_count();
+                assert_eq!(runner.outcome_for(&configs[1]).unwrap(), reloaded[1], "{kind}");
+                assert_eq!(MultiWorld::allocation_count(), before + 1, "{kind} k={k}");
+            }
         }
     }
 }

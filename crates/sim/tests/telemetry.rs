@@ -5,7 +5,9 @@
 //! miscounted name would silently read 0 there, so each is pinned
 //! against the runs it counts — on the published agents, which solve
 //! every run, and on stuck agents, whose runs end by skipping a
-//! periodic orbit and must count exactly what stepping would.
+//! periodic orbit and must count exactly what stepping would. Each set
+//! holds a fully packed configuration, which the Debug pass steps and
+//! the Trace pass reuses: both must count what stepping it counts.
 //!
 //! The metrics registry and the level ceiling are process-global, so
 //! this file holds exactly one test, in its own binary.
@@ -73,7 +75,7 @@ fn run_all_feeds_the_counters_and_phase_histograms_the_ledger_reads() {
     for kind in [GridKind::Square, GridKind::Triangulate] {
         let cfg = WorldConfig::paper(kind, 16);
         let mut rng = SmallRng::seed_from_u64(17);
-        let inits: Vec<InitialConfig> = [16usize, 1, 70, 2, 33, 8]
+        let inits: Vec<InitialConfig> = [16usize, 1, 70, 2, 256, 33, 8]
             .iter()
             .map(|&k| InitialConfig::random(cfg.lattice, kind, k, &[], &mut rng).unwrap())
             .collect();

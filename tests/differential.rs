@@ -13,14 +13,16 @@
 //! block boundaries, outcome ordering and parallel dispatch against
 //! per-configuration oracle outcomes. The randomized scenarios also end
 //! with a `run(200)`, which may skip a periodic orbit, checked against
-//! the oracle stepped to the same time.
+//! the oracle stepped to the same time. Fully packed configurations,
+//! whose outcome a runner steps once and reuses, are checked one by
+//! one against the oracle, errors included.
 
 use a2a_fsm::{best_agent, FsmSpec, Genome, TurnSet};
 use a2a_ga::{WorkerPool, DISPATCH_BLOCK};
 use a2a_grid::{GridKind, Lattice, Pos};
 use a2a_sim::{
-    simulate, BatchRunner, Behaviour, ColorInit, ConflictPolicy, InitStatePolicy, InitialConfig,
-    MultiWorld, RunOutcome, World, WorldConfig,
+    simulate, simulate_behaviour, BatchRunner, Behaviour, ColorInit, ConflictPolicy,
+    InitStatePolicy, InitialConfig, MultiWorld, RunOutcome, World, WorldConfig,
 };
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
@@ -344,4 +346,154 @@ fn parallel_dispatch_matches_serial_engines_under_mid_batch_retirement() {
         pool.run_all(&runner, &inits).unwrap(),
         "dispatched run is reproducible"
     );
+}
+
+/// The packed fields: both grids, odd and even `m`, torus and bordered,
+/// without obstacles, with three scattered ones, and with two full rows
+/// of obstacles, which cut the free cells in two so no run completes.
+fn packed_fields() -> Vec<(WorldConfig, String)> {
+    let mut fields = Vec::new();
+    let mut rng = SmallRng::seed_from_u64(81_000);
+    for kind in [GridKind::Square, GridKind::Triangulate] {
+        for m in [5u16, 6] {
+            for bordered in [false, true] {
+                let lattice = if bordered { Lattice::bordered(m, m) } else { Lattice::torus(m, m) };
+                let mut scattered: Vec<Pos> = Vec::new();
+                while scattered.len() < 3 {
+                    let pos = lattice.pos_at(rng.random_range(0..lattice.len()));
+                    if !scattered.contains(&pos) {
+                        scattered.push(pos);
+                    }
+                }
+                let cut: Vec<Pos> =
+                    [0, m / 2].iter().flat_map(|&y| (0..m).map(move |x| Pos::new(x, y))).collect();
+                let edge = if bordered { "bordered" } else { "torus" };
+                let variants = [(Vec::new(), "open"), (scattered, "scattered"), (cut, "cut")];
+                for (obstacles, name) in variants {
+                    let mut cfg = WorldConfig::with_lattice(kind, lattice);
+                    cfg.obstacles = obstacles;
+                    fields.push((cfg, format!("{kind} m={m} {edge} {name}")));
+                }
+            }
+        }
+    }
+    fields
+}
+
+/// `n` random configurations with one agent on every free cell of
+/// `cfg`, in random order with random directions.
+fn packed_inits(cfg: &WorldConfig, n: usize, rng: &mut SmallRng) -> Vec<InitialConfig> {
+    let k = cfg.lattice.len() - cfg.obstacles.len();
+    (0..n)
+        .map(|_| InitialConfig::random(cfg.lattice, cfg.kind, k, &cfg.obstacles, rng).unwrap())
+        .collect()
+}
+
+#[test]
+fn packed_configurations_reuse_the_oracle_outcome() {
+    // A runner steps its first packed configuration and hands every
+    // later one that outcome; each must still be the oracle's own. The
+    // horizons bracket the flood's end, D − 1 counted steps for a field
+    // whose largest free-cell eccentricity is D (a cut field never
+    // completes, so there D is taken as m), and the behaviours differ
+    // in everything the packed outcome must not depend on.
+    let pools = [WorkerPool::new(1), WorkerPool::new(3)];
+    let mut rng = SmallRng::seed_from_u64(81_001);
+    for (cfg, field) in packed_fields() {
+        let spec = FsmSpec::paper(cfg.kind);
+        let behaviours = [
+            ("published", Behaviour::Single(best_agent(cfg.kind))),
+            ("random", Behaviour::Single(Genome::random(spec, &mut rng))),
+            (
+                "shuffled",
+                Behaviour::shuffled_pair(
+                    Genome::random(spec, &mut rng),
+                    Genome::random(spec, &mut rng),
+                ),
+            ),
+        ];
+        let inits = packed_inits(&cfg, DISPATCH_BLOCK + 3, &mut rng);
+        for (name, behaviour) in behaviours {
+            let oracle = |init: &InitialConfig, t_max: u32| {
+                simulate_behaviour(&cfg, behaviour.clone(), init, t_max).unwrap()
+            };
+            let flood = oracle(&inits[0], 200);
+            if field.ends_with("cut") {
+                assert_eq!(flood.t_comm, None, "{field}: the cut field never completes");
+            }
+            let d = flood.t_comm.map_or(u32::from(cfg.lattice.width()), |t| t + 1);
+            let mut horizons = vec![0, 1, d.saturating_sub(2), d - 1, d, 200];
+            horizons.sort_unstable();
+            horizons.dedup();
+            for t_max in horizons {
+                let ctx = format!("{field} {name} t_max={t_max}");
+                let runner = BatchRunner::new(&cfg, &behaviour, t_max).unwrap();
+                let few = &inits[..6];
+                let expected: Vec<RunOutcome> = few.iter().map(|i| oracle(i, t_max)).collect();
+                assert_eq!(runner.run_all(few).unwrap(), expected, "{ctx}");
+                let one = runner.outcome_for(&inits[6]).unwrap();
+                assert_eq!(one, oracle(&inits[6], t_max), "{ctx}");
+            }
+            // Sharded: the ranges race to step the first packed
+            // configuration of a fresh runner.
+            let expected: Vec<RunOutcome> = inits.iter().map(|i| oracle(i, d)).collect();
+            for pool in &pools {
+                let runner = BatchRunner::new(&cfg, &behaviour, d).unwrap();
+                assert_eq!(
+                    pool.run_all(&runner, &inits).unwrap(),
+                    expected,
+                    "{field} {name} t_max={d} threads={}",
+                    pool.threads()
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn packed_size_placement_errors_match_the_oracle() {
+    // A configuration with as many agents as free cells that is not
+    // valid must fail as `World::new` fails, whether or not its runner
+    // already holds a packed outcome: the first of several faults in
+    // `World::new`'s check order, not the first in placement order.
+    let mut rng = SmallRng::seed_from_u64(81_002);
+    for kind in [GridKind::Square, GridKind::Triangulate] {
+        let lattice = Lattice::torus(6, 6);
+        let mut cfg = WorldConfig::with_lattice(kind, lattice);
+        cfg.obstacles = vec![Pos::new(1, 1), Pos::new(4, 2)];
+        let genome = best_agent(kind);
+        let good = packed_inits(&cfg, 1, &mut rng).remove(0);
+        let k = good.agent_count();
+        let with = |edits: &[(usize, Pos)]| {
+            let mut placements = good.placements().to_vec();
+            for &(i, pos) in edits {
+                placements[i].0 = pos;
+            }
+            InitialConfig::new(placements)
+        };
+        let cases = [
+            ("duplicate", with(&[(k - 1, good.placements()[2].0)])),
+            ("outside", with(&[(5, Pos::new(6, 0))])),
+            ("obstacle", with(&[(3, cfg.obstacles[1])])),
+            (
+                "obstacle, then a duplicate",
+                with(&[(1, cfg.obstacles[0]), (k - 1, good.placements()[4].0)]),
+            ),
+            ("obstacle, then outside", with(&[(0, cfg.obstacles[0]), (9, Pos::new(0, 17))])),
+        ];
+        // `stored` holds the packed outcome, so it only validates; a
+        // fresh runner loads the configuration.
+        let stored = BatchRunner::from_genome(&cfg, genome.clone(), 100).unwrap();
+        let solved = simulate(&cfg, genome.clone(), &good, 100).unwrap();
+        assert_eq!(stored.outcome_for(&good).unwrap(), solved, "{kind}");
+        for (name, init) in &cases {
+            assert_eq!(init.agent_count(), k, "{kind} {name}: packed size");
+            let expected = World::new(&cfg, genome.clone(), init).unwrap_err();
+            let fresh = BatchRunner::from_genome(&cfg, genome.clone(), 100).unwrap();
+            assert_eq!(fresh.outcome_for(init).unwrap_err(), expected, "{kind} {name}: loaded");
+            assert_eq!(stored.outcome_for(init).unwrap_err(), expected, "{kind} {name}: validated");
+            let pair = [good.clone(), init.clone()];
+            assert_eq!(stored.run_all(&pair).unwrap_err(), expected, "{kind} {name}: in a set");
+        }
+    }
 }
