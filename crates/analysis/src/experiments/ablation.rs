@@ -16,6 +16,7 @@ use a2a_ga::WorkerPool;
 use a2a_grid::GridKind;
 use a2a_sim::{BatchRunner, ConflictPolicy, InitStatePolicy, InitialConfig, SimError, WorldConfig};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// A labelled variant outcome within an ablation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -91,7 +92,7 @@ pub fn colors_paired(
     threads: usize,
 ) -> Result<PairedColors, SimError> {
     let cfg = WorldConfig::paper(kind, 16);
-    let configs = a2a_sim::paper_config_set(cfg.lattice, kind, k, n_random, seed)?;
+    let configs = Arc::new(a2a_sim::paper_config_set(cfg.lattice, kind, k, n_random, seed)?);
     let with = best_agent(kind);
     let without = suppress_colors(&with);
     let pool = WorkerPool::new(threads);
@@ -159,9 +160,9 @@ pub fn init_state_ablation(
     .into_iter()
     .flatten()
     .collect();
-    let random = a2a_sim::paper_config_set(base.lattice, kind, k, n_random, seed)?
-        [..n_random]
-        .to_vec();
+    let mut random = a2a_sim::paper_config_set(base.lattice, kind, k, n_random, seed)?;
+    random.truncate(n_random);
+    let (manual, random) = (Arc::new(manual), Arc::new(random));
 
     let policies = [
         ("ID mod 2 (paper)".to_string(), InitStatePolicy::IdParity),
@@ -173,7 +174,7 @@ pub fn init_state_ablation(
     for (label, policy) in policies {
         let cfg = WorldConfig { init_states: policy, ..base.clone() };
         let runner = BatchRunner::from_genome(&cfg, genome.clone(), t_max)?;
-        let count = |set: &[InitialConfig]| -> Result<usize, SimError> {
+        let count = |set: &Arc<Vec<InitialConfig>>| -> Result<usize, SimError> {
             Ok(pool.run_all(&runner, set)?.iter().filter(|o| o.is_successful()).count())
         };
         outcomes.push(PolicyOutcome {

@@ -12,6 +12,7 @@ use a2a_ga::WorkerPool;
 use a2a_grid::GridKind;
 use a2a_sim::{paper_config_set, BatchRunner, SimError, WorldConfig};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Runs the published best agent plus every hand-coded baseline over the
 /// experiment's densities.
@@ -72,7 +73,7 @@ pub fn bound_comparison(
     threads: usize,
 ) -> Result<BoundReport, SimError> {
     let cfg = WorldConfig::paper(kind, 16);
-    let configs = paper_config_set(cfg.lattice, kind, k, n_random, seed)?;
+    let configs = Arc::new(paper_config_set(cfg.lattice, kind, k, n_random, seed)?);
     let runner = BatchRunner::from_genome(&cfg, best_agent(kind), t_max)?;
     let outcomes = WorkerPool::new(threads).run_all(&runner, &configs)?;
     let bounds: Vec<u32> = configs

@@ -7,8 +7,9 @@ use crate::table::{f2, f3, TextTable};
 use a2a_fsm::{best_agent, Genome};
 use a2a_ga::WorkerPool;
 use a2a_grid::GridKind;
-use a2a_sim::{paper_config_set, BatchRunner, RunOutcome, SimError, WorldConfig};
+use a2a_sim::{paper_config_set, BatchRunner, InitialConfig, RunOutcome, SimError, WorldConfig};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// The agent counts of Table 1.
 pub const TABLE1_AGENT_COUNTS: [usize; 6] = [2, 4, 8, 16, 32, 256];
@@ -180,7 +181,8 @@ pub fn run_series(
 }
 
 /// Runs one grid's series in a custom environment (bordered fields,
-/// obstacles, alternative policies — used by the ablations E12–E15).
+/// obstacles, alternative policies — used by the ablations E12–E15):
+/// the one-grid case of the pass pipeline ([`run_density_comparison`]).
 ///
 /// # Errors
 ///
@@ -190,32 +192,91 @@ pub fn run_series_in(
     genome: &Genome,
     exp: &DensityExperiment,
 ) -> Result<GridSeries, SimError> {
-    // One compiled kernel environment serves every density; the pool
-    // shards each configuration set across its threads, with outcomes
-    // bit-identical to the serial path.
-    let pool = WorkerPool::new(exp.threads);
-    let runner = BatchRunner::from_genome(cfg, genome.clone(), exp.t_max)?;
-    let mut points = Vec::with_capacity(exp.agent_counts.len());
-    for &k in &exp.agent_counts {
-        let configs = paper_config_set(cfg.lattice, cfg.kind, k, exp.n_random, exp.seed)?;
-        let outcomes = pool
-            .run_all(&runner, &configs)
-            .expect("configuration sets are generated to match the environment");
-        points.push(DensityPoint::from_outcomes(k, &outcomes));
-    }
-    Ok(GridSeries { kind: cfg.kind, points })
+    let mut series = run_pass(&[(cfg.clone(), genome.clone())], exp, paper_sets(exp))?;
+    Ok(series.pop().expect("one series per grid"))
 }
 
 /// Runs the full two-grid comparison with the paper's published best
-/// agents (E6: Table 1 and Fig. 5).
+/// agents (E6: Table 1 and Fig. 5) as one pass pipeline: the T-grid
+/// points, then the S-grid points, on one pool.
 ///
 /// # Errors
 ///
 /// Propagates configuration-set construction failures.
 pub fn run_density_comparison(exp: &DensityExperiment) -> Result<DensityComparison, SimError> {
-    let t_grid = run_series(GridKind::Triangulate, &best_agent(GridKind::Triangulate), exp)?;
-    let s_grid = run_series(GridKind::Square, &best_agent(GridKind::Square), exp)?;
+    let grids = [GridKind::Triangulate, GridKind::Square]
+        .map(|kind| (WorldConfig::paper(kind, exp.m), best_agent(kind)));
+    let [t_grid, s_grid]: [GridSeries; 2] =
+        run_pass(&grids, exp, paper_sets(exp))?.try_into().expect("one series per grid");
     Ok(DensityComparison { experiment: exp.clone(), t_grid, s_grid })
+}
+
+/// The paper's sets ([`paper_config_set`]) at the experiment's size
+/// and seed, as a pass generator ([`run_pass`]).
+pub(crate) fn paper_sets(
+    exp: &DensityExperiment,
+) -> impl Fn(&WorldConfig, usize) -> Result<Vec<InitialConfig>, SimError> {
+    let (n_random, seed) = (exp.n_random, exp.seed);
+    move |cfg: &WorldConfig, k| paper_config_set(cfg.lattice, cfg.kind, k, n_random, seed)
+}
+
+/// Runs every grid's series over `exp.agent_counts` as one pipeline on
+/// one pool, `generate` building each point's set from its grid's
+/// environment and agent count. The points run in order — each grid's
+/// agent counts in turn — and while each point's single map runs its
+/// set's ranges, the calling thread generates the next point's set, so
+/// generation overlaps kernel work and at most two sets are alive: the
+/// one running and the one being generated. Each grid's runner is
+/// compiled once. Outcomes are bit-identical to the serial path at any
+/// thread count.
+///
+/// # Errors
+///
+/// A grid whose runner does not compile, else the first failing set
+/// generation in point order.
+pub(crate) fn run_pass(
+    grids: &[(WorldConfig, Genome)],
+    exp: &DensityExperiment,
+    generate: impl Fn(&WorldConfig, usize) -> Result<Vec<InitialConfig>, SimError>,
+) -> Result<Vec<GridSeries>, SimError> {
+    let pool = WorkerPool::new(exp.threads);
+    let runners = grids
+        .iter()
+        .map(|(cfg, genome)| BatchRunner::from_genome(cfg, genome.clone(), exp.t_max))
+        .collect::<Result<Vec<_>, _>>()?;
+    let points: Vec<(usize, usize)> = (0..grids.len())
+        .flat_map(|g| exp.agent_counts.iter().map(move |&k| (g, k)))
+        .collect();
+    let mut series: Vec<GridSeries> = grids
+        .iter()
+        .map(|(cfg, _)| GridSeries {
+            kind: cfg.kind,
+            points: Vec::with_capacity(exp.agent_counts.len()),
+        })
+        .collect();
+    let Some(&(g0, k0)) = points.first() else { return Ok(series) };
+    let generate = &generate;
+    let mut set = generate(&grids[g0].0, k0)?;
+    for (i, &(g, k)) in points.iter().enumerate() {
+        let configs = Arc::new(std::mem::take(&mut set));
+        // The point's dispatch, next set included, is kernel work.
+        let span = a2a_obs::Span::enter("batch.run_all");
+        let (mut pieces, next_set) =
+            pool.run_ranges(std::slice::from_ref(&runners[g]), &configs, 0..configs.len(), || {
+                points.get(i + 1).map(|&(g, k)| generate(&grids[g].0, k))
+            });
+        let outcomes = pieces
+            .pop()
+            .expect("one result per runner")
+            .expect("configuration sets are generated to match the environment")
+            .concat();
+        drop(span);
+        series[g].points.push(DensityPoint::from_outcomes(k, &outcomes));
+        if let Some(next_set) = next_set {
+            set = next_set?;
+        }
+    }
+    Ok(series)
 }
 
 #[cfg(test)]
@@ -267,6 +328,71 @@ mod tests {
         assert!(csv.starts_with("agents,"));
         assert_eq!(csv.lines().count(), 2);
         assert!(csv.contains("256,9.0000,15.0000,0.6000"), "{csv}");
+    }
+
+    /// One grid's series the serial way: every point's set generated
+    /// up front and run through one `BatchRunner::run_all`.
+    fn serial_series(cfg: &WorldConfig, genome: &Genome, exp: &DensityExperiment) -> GridSeries {
+        let runner = BatchRunner::from_genome(cfg, genome.clone(), exp.t_max).unwrap();
+        let points = exp
+            .agent_counts
+            .iter()
+            .map(|&k| {
+                let set = paper_config_set(cfg.lattice, cfg.kind, k, exp.n_random, exp.seed);
+                DensityPoint::from_outcomes(k, &runner.run_all(&set.unwrap()).unwrap())
+            })
+            .collect();
+        GridSeries { kind: cfg.kind, points }
+    }
+
+    #[test]
+    fn pass_pipeline_matches_serial_series_at_any_thread_count() {
+        // 143 configurations per point: three dispatch ranges, beside
+        // the next point's generation, across the T-to-S boundary.
+        let exp = DensityExperiment { agent_counts: vec![4, 32, 256], n_random: 140, ..quick() };
+        assert!(exp.n_random + 3 > 2 * a2a_ga::DISPATCH_BLOCK);
+        let serial =
+            |kind| serial_series(&WorldConfig::paper(kind, exp.m), &best_agent(kind), &exp);
+        let (t_grid, s_grid) = (serial(GridKind::Triangulate), serial(GridKind::Square));
+        for threads in [1, 2, 3] {
+            let cmp =
+                run_density_comparison(&DensityExperiment { threads, ..exp.clone() }).unwrap();
+            assert_eq!(cmp.t_grid, t_grid, "threads={threads}");
+            assert_eq!(cmp.s_grid, s_grid, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn series_on_a_bordered_field_with_obstacles_matches_serial() {
+        // The paper's sets place agents without regard to obstacles, so
+        // the obstacles go on cells no configuration of the pass uses.
+        let exp = DensityExperiment { agent_counts: vec![2, 3], n_random: 70, ..quick() };
+        let mut cfg = WorldConfig {
+            lattice: a2a_grid::Lattice::bordered(exp.m, exp.m),
+            ..WorldConfig::paper(GridKind::Triangulate, exp.m)
+        };
+        let mut used = vec![false; cfg.lattice.len()];
+        for &k in &exp.agent_counts {
+            let set = paper_config_set(cfg.lattice, cfg.kind, k, exp.n_random, exp.seed);
+            for init in set.unwrap() {
+                for &(pos, _) in init.placements() {
+                    used[cfg.lattice.index_of(pos)] = true;
+                }
+            }
+        }
+        cfg.obstacles = (0..cfg.lattice.len())
+            .filter(|&c| !used[c])
+            .step_by(3)
+            .take(12)
+            .map(|c| cfg.lattice.pos_at(c))
+            .collect();
+        assert_eq!(cfg.obstacles.len(), 12);
+        let genome = best_agent(cfg.kind);
+        let serial = serial_series(&cfg, &genome, &exp);
+        for threads in [1, 2, 3] {
+            let exp = DensityExperiment { threads, ..exp.clone() };
+            assert_eq!(run_series_in(&cfg, &genome, &exp).unwrap(), serial, "threads={threads}");
+        }
     }
 
     #[test]

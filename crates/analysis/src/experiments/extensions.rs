@@ -2,11 +2,10 @@
 //! bordered fields ("environments with border are easier") and obstacle
 //! fields, exercised with the published best agents.
 
-use crate::experiments::density::{run_series_in, DensityExperiment, DensityPoint, GridSeries};
+use crate::experiments::density::{paper_sets, run_pass, DensityExperiment, GridSeries};
 use a2a_fsm::best_agent;
-use a2a_ga::WorkerPool;
 use a2a_grid::{GridKind, Lattice, Pos};
-use a2a_sim::{BatchRunner, InitialConfig, SimError, WorldConfig};
+use a2a_sim::{InitialConfig, SimError, WorldConfig};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -41,11 +40,10 @@ pub fn border_comparison(
         lattice: Lattice::bordered(exp.m, exp.m),
         ..WorldConfig::paper(kind, exp.m)
     };
-    Ok(BorderComparison {
-        kind,
-        torus: run_series_in(&torus_cfg, &genome, exp)?,
-        bordered: run_series_in(&bordered_cfg, &genome, exp)?,
-    })
+    let grids = [(torus_cfg, genome.clone()), (bordered_cfg, genome)];
+    let [torus, bordered]: [GridSeries; 2] =
+        run_pass(&grids, exp, paper_sets(exp))?.try_into().expect("one series per grid");
+    Ok(BorderComparison { kind, torus, bordered })
 }
 
 /// Obstacle density sweep: `n_obstacles` random obstacle cells (seeded),
@@ -71,46 +69,36 @@ pub fn obstacle_sweep(
     obstacle_seed: u64,
 ) -> Result<Vec<ObstacleReport>, SimError> {
     let genome = best_agent(kind);
-    let mut reports = Vec::with_capacity(obstacle_counts.len());
-    for &n_obs in obstacle_counts {
-        let mut rng = SmallRng::seed_from_u64(obstacle_seed ^ n_obs as u64);
-        let lattice = Lattice::torus(exp.m, exp.m);
-        let mut cells: Vec<usize> = (0..lattice.len()).collect();
-        for i in 0..n_obs.min(cells.len()) {
-            let j = rng.random_range(i..cells.len());
-            cells.swap(i, j);
-        }
-        let obstacles: Vec<Pos> = cells[..n_obs.min(cells.len())]
-            .iter()
-            .map(|&c| lattice.pos_at(c))
-            .collect();
-        // Keep agents off the obstacle cells: the shared config-set
-        // generator does not know about them, so build sets that do.
-        let cfg = WorldConfig { obstacles: obstacles.clone(), ..WorldConfig::paper(kind, exp.m) };
-        let series = run_obstacle_series(&cfg, &genome, exp, &obstacles)?;
-        reports.push(ObstacleReport { obstacles: n_obs, series });
-    }
-    Ok(reports)
-}
-
-fn run_obstacle_series(
-    cfg: &WorldConfig,
-    genome: &a2a_fsm::Genome,
-    exp: &DensityExperiment,
-    obstacles: &[Pos],
-) -> Result<GridSeries, SimError> {
-    let pool = WorkerPool::new(exp.threads);
-    let runner = BatchRunner::from_genome(cfg, genome.clone(), exp.t_max)?;
-    let mut points = Vec::new();
-    for &k in &exp.agent_counts {
+    let lattice = Lattice::torus(exp.m, exp.m);
+    let grids: Vec<(WorldConfig, a2a_fsm::Genome)> = obstacle_counts
+        .iter()
+        .map(|&n_obs| {
+            let mut rng = SmallRng::seed_from_u64(obstacle_seed ^ n_obs as u64);
+            let mut cells: Vec<usize> = (0..lattice.len()).collect();
+            for i in 0..n_obs.min(cells.len()) {
+                let j = rng.random_range(i..cells.len());
+                cells.swap(i, j);
+            }
+            let obstacles: Vec<Pos> = cells[..n_obs.min(cells.len())]
+                .iter()
+                .map(|&c| lattice.pos_at(c))
+                .collect();
+            (WorldConfig { obstacles, ..WorldConfig::paper(kind, exp.m) }, genome.clone())
+        })
+        .collect();
+    // Keep agents off the obstacle cells: the shared config-set
+    // generator does not know about them, so build sets that do.
+    let series = run_pass(&grids, exp, |cfg: &WorldConfig, k| {
         let mut rng = SmallRng::seed_from_u64(exp.seed ^ (k as u64) << 1);
-        let configs: Result<Vec<InitialConfig>, SimError> = (0..exp.n_random)
-            .map(|_| InitialConfig::random(cfg.lattice, cfg.kind, k, obstacles, &mut rng))
-            .collect();
-        let outcomes = pool.run_all(&runner, &configs?).expect("valid construction");
-        points.push(DensityPoint::from_outcomes(k, &outcomes));
-    }
-    Ok(GridSeries { kind: cfg.kind, points })
+        (0..exp.n_random)
+            .map(|_| InitialConfig::random(cfg.lattice, cfg.kind, k, &cfg.obstacles, &mut rng))
+            .collect()
+    })?;
+    Ok(obstacle_counts
+        .iter()
+        .zip(series)
+        .map(|(&obstacles, series)| ObstacleReport { obstacles, series })
+        .collect())
 }
 
 #[cfg(test)]

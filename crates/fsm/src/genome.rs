@@ -166,20 +166,25 @@ impl Genome {
     /// Serialises the genome as a flat digit string (4 digits per entry:
     /// nextstate, setcolor, move, turn), a compact reproducible format for
     /// logs and EXPERIMENTS.md.
+    ///
+    /// A value ≥ 10 (possible only in custom specs) is written in
+    /// decimal, as `Display` writes it.
     #[must_use]
     pub fn to_digits(&self) -> String {
+        fn push_decimal(s: &mut String, v: u8) {
+            if v >= 100 {
+                s.push(char::from(b'0' + v / 100));
+            }
+            if v >= 10 {
+                s.push(char::from(b'0' + v / 10 % 10));
+            }
+            s.push(char::from(b'0' + v % 10));
+        }
         let mut s = String::with_capacity(self.entries.len() * 4);
         for e in &self.entries {
-            use std::fmt::Write;
-            write!(
-                s,
-                "{}{}{}{}",
-                e.next_state,
-                e.action.set_color,
-                u8::from(e.action.mv),
-                e.action.turn
-            )
-            .expect("writing to String cannot fail");
+            for v in [e.next_state, e.action.set_color, u8::from(e.action.mv), e.action.turn] {
+                push_decimal(&mut s, v);
+            }
         }
         s
     }
@@ -315,6 +320,24 @@ mod tests {
         let gb = Genome::random(spec(), &mut b);
         assert_eq!(ga, gb);
         assert_eq!(ga.entries().len(), 32);
+    }
+
+    #[test]
+    fn digits_match_display_for_wide_values() {
+        // Custom specs reach values of two and three decimal digits.
+        let spec = FsmSpec::new(250, 12, crate::TurnSet::for_kind(GridKind::Triangulate));
+        let g = Genome::random(spec, &mut SmallRng::seed_from_u64(3));
+        assert!(g.entries().iter().any(|e| e.next_state >= 100));
+        assert!(g.entries().iter().any(|e| (10..100).contains(&e.action.set_color)));
+        let display: String = g
+            .entries()
+            .iter()
+            .map(|e| {
+                let mv = u8::from(e.action.mv);
+                format!("{}{}{}{}", e.next_state, e.action.set_color, mv, e.action.turn)
+            })
+            .collect();
+        assert_eq!(g.to_digits(), display);
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! configurations.
 //!
 //! The [`Evaluator`] is an *adaptive* pipeline (see DESIGN.md §8): a
-//! persistent [`WorkerPool`] runs every evaluation (one genome's
-//! configuration set through [`WorkerPool::run_all`], whole populations
-//! through [`WorkerPool::map`]), a
+//! persistent [`WorkerPool`] runs every evaluation in one shape — each
+//! genome's runner compiled once, then the (runner, range) pieces of
+//! all genomes in one [`WorkerPool::run_ranges`] map — a
 //! [`FitnessCache`] memoizes exact reports by canonical genome digits,
 //! and [`Evaluator::evaluate_selection`] prunes hopeless genomes early
 //! using provable fitness bounds — all without changing a single
@@ -19,6 +19,7 @@ use a2a_obs::json::Json;
 use a2a_sim::{BatchRunner, Behaviour, InitialConfig, RunOutcome, WorldConfig};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 /// The paper's dominance weight `W = 10⁴`.
@@ -46,23 +47,6 @@ impl FitnessReport {
     #[must_use]
     pub fn is_completely_successful(&self) -> bool {
         self.successes == self.total && self.total > 0
-    }
-
-    fn from_outcomes(outcomes: &[RunOutcome], weight: f64) -> Self {
-        let total = outcomes.len();
-        let successes = outcomes.iter().filter(|o| o.is_successful()).count();
-        let fitness =
-            outcomes.iter().map(|o| o.fitness(weight)).sum::<f64>() / total.max(1) as f64;
-        let t_sum: u64 = outcomes
-            .iter()
-            .filter_map(|o| o.t_comm.map(u64::from))
-            .sum();
-        Self {
-            fitness,
-            successes,
-            total,
-            mean_t_comm: (successes > 0).then(|| t_sum as f64 / successes as f64),
-        }
     }
 
     /// Serialises the report as a JSON object (`mean_t_comm` becomes
@@ -107,10 +91,50 @@ impl FitnessReport {
     }
 }
 
+/// The fold of a [`FitnessReport`] over outcomes taken in configuration
+/// order. `sum` is the left fold `0.0 + f₀ + f₁ + …` of the
+/// per-configuration fitnesses, bit-identical to `Iterator::sum` over
+/// these non-negative terms, so a genome's pieces fold into exactly the
+/// report a serial pass gives, and the pruning bounds bracket that
+/// computed value. Nothing else of an outcome is kept.
+#[derive(Debug, Clone, Copy, Default)]
+struct Fold {
+    sum: f64,
+    total: usize,
+    successes: usize,
+    t_sum: u64,
+}
+
+impl Fold {
+    /// Folds one runner's dispatched pieces, in order, dropping each.
+    fn add(&mut self, pieces: Vec<Vec<RunOutcome>>, weight: f64) {
+        for o in pieces.into_iter().flatten() {
+            self.sum += o.fitness(weight);
+            self.total += 1;
+            if let Some(t) = o.t_comm {
+                self.successes += 1;
+                self.t_sum += u64::from(t);
+            }
+        }
+    }
+
+    /// The report of the configurations folded so far.
+    fn report(&self) -> FitnessReport {
+        FitnessReport {
+            fitness: self.sum / self.total.max(1) as f64,
+            successes: self.successes,
+            total: self.total,
+            mean_t_comm: (self.successes > 0)
+                .then(|| self.t_sum as f64 / self.successes as f64),
+        }
+    }
+}
+
 /// Records one finished per-genome evaluation into the `ga.eval.us`
-/// histogram (microseconds per genome over the full configuration set)
-/// and the `ga.evals` counter. Pass the `Instant` captured while
-/// metrics were on; the disabled path costs one relaxed atomic load.
+/// histogram (microseconds from the start of the genome's dispatch,
+/// which the genomes of one `evaluate_all` share, to its report) and
+/// the `ga.evals` counter. Pass the `Instant` captured while metrics
+/// were on; the disabled path costs one relaxed atomic load.
 fn record_genome_eval(started: Option<std::time::Instant>) {
     if let Some(t0) = started {
         let reg = a2a_obs::global();
@@ -162,21 +186,10 @@ pub struct PruneBound {
 struct ActiveGroup {
     /// Index into the representative list.
     gid: usize,
-    /// Compiled runner, built lazily on the first block.
-    runner: Option<BatchRunner>,
-    /// Outcomes so far, in configuration order.
-    outcomes: Vec<RunOutcome>,
-    /// Left-fold partial fitness sum over `outcomes`, in the exact
-    /// floating-point order `from_outcomes` uses.
-    partial: f64,
-}
-
-/// One block-evaluation task shipped to the worker pool.
-struct SelTask {
-    genome: Genome,
-    runner: Option<BatchRunner>,
-    from: usize,
-    to: usize,
+    /// The representative's compiled runner.
+    runner: BatchRunner,
+    /// The fold over the configurations run so far.
+    fold: Fold,
 }
 
 /// A reusable fitness evaluator: an environment, a configuration set and
@@ -279,6 +292,29 @@ impl Evaluator {
         self.pool.get_or_init(|| Arc::new(WorkerPool::new(self.threads)))
     }
 
+    /// Compiles `genome` against the environment.
+    fn runner(&self, genome: &Genome) -> BatchRunner {
+        BatchRunner::from_genome(&self.config, genome.clone(), self.t_max)
+            .expect("genome and configuration set must match the environment")
+    }
+
+    /// The one dispatch shape: every runner over configurations `range`,
+    /// as (runner, range) pieces of one pool map, folded into `folds`
+    /// (one per runner) in configuration order — bit-identical to a
+    /// serial `run_all` whatever the thread count.
+    fn simulate<'a>(
+        &self,
+        runners: &[BatchRunner],
+        range: Range<usize>,
+        folds: impl IntoIterator<Item = &'a mut Fold>,
+    ) {
+        let (pieces, ()) = self.pool().run_ranges(runners, &self.configs, range, || ());
+        for (fold, pieces) in folds.into_iter().zip(pieces) {
+            let pieces = pieces.expect("genome and configuration set must match the environment");
+            fold.add(pieces, self.weight);
+        }
+    }
+
     /// Runs `genome` on every configuration (in parallel) and aggregates
     /// the paper's fitness; memoized on the genome's canonical digits.
     ///
@@ -307,54 +343,34 @@ impl Evaluator {
     #[must_use]
     pub fn evaluate_behaviour(&self, behaviour: &Behaviour) -> FitnessReport {
         let started = a2a_obs::metrics_enabled().then(std::time::Instant::now);
-        // Compile the behaviour once and shard the configuration set
-        // across the shared pool: ranges are committed in set order, so
-        // the outcome vector — and the fitness — is bit-identical to a
-        // serial `run_all`, whatever the thread count.
         let runner = BatchRunner::new(&self.config, behaviour, self.t_max)
             .expect("behaviour and configuration set must match the environment");
-        let outcomes = self
-            .pool()
-            .run_all(&runner, &self.configs)
-            .expect("behaviour and configuration set must match the environment");
+        let mut fold = Fold::default();
+        self.simulate(std::slice::from_ref(&runner), 0..self.configs.len(), [&mut fold]);
         record_genome_eval(started);
-        FitnessReport::from_outcomes(&outcomes, self.weight)
+        fold.report()
     }
 
-    /// Evaluates many genomes, parallelising over genomes (better cache
-    /// behaviour for whole-population evaluation than per-config
-    /// parallelism). Cached genomes — survivors, GA duplicates — skip
+    /// Evaluates many genomes over the full set in one dispatch: their
+    /// (runner, range) pieces share the pool, so no core waits on one
+    /// genome's tail. Cached genomes — survivors, GA duplicates — skip
     /// simulation entirely; results are identical either way.
     #[must_use]
     pub fn evaluate_all(&self, genomes: &[Genome]) -> Vec<FitnessReport> {
         let mut reports: Vec<Option<FitnessReport>> =
             genomes.iter().map(|g| self.cache.lookup(g)).collect();
-        let missing: Vec<(usize, Genome)> = reports
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.is_none())
-            .map(|(i, _)| (i, genomes[i].clone()))
-            .collect();
+        let missing: Vec<usize> = (0..genomes.len()).filter(|&i| reports[i].is_none()).collect();
         if !missing.is_empty() {
-            let config = self.config.clone();
-            let configs = Arc::clone(&self.configs);
-            let t_max = self.t_max;
-            let weight = self.weight;
-            let cache = Arc::clone(&self.cache);
-            let computed = self.pool().map(&Arc::new(missing), move |_, (slot, g)| {
-                let started = a2a_obs::metrics_enabled().then(std::time::Instant::now);
-                let runner = BatchRunner::from_genome(&config, g.clone(), t_max)
-                    .expect("genome and configuration set must match the environment");
-                let outcomes: Vec<RunOutcome> = runner
-                    .run_all(&configs)
-                    .expect("genome and configuration set must match the environment");
-                let report = FitnessReport::from_outcomes(&outcomes, weight);
+            let started = a2a_obs::metrics_enabled().then(std::time::Instant::now);
+            let runners: Vec<BatchRunner> =
+                missing.iter().map(|&i| self.runner(&genomes[i])).collect();
+            let mut folds = vec![Fold::default(); missing.len()];
+            self.simulate(&runners, 0..self.configs.len(), &mut folds);
+            for (&i, fold) in missing.iter().zip(&folds) {
+                let report = fold.report();
                 record_genome_eval(started);
-                cache.insert(g, report);
-                (*slot, report)
-            });
-            for (slot, report) in computed {
-                reports[slot] = Some(report);
+                self.cache.insert(&genomes[i], report);
+                reports[i] = Some(report);
             }
         }
         reports
@@ -424,9 +440,8 @@ impl Evaluator {
             } else {
                 active.push(ActiveGroup {
                     gid,
-                    runner: None,
-                    outcomes: Vec::with_capacity(n_cfg),
-                    partial: 0.0,
+                    runner: self.runner(&genomes[rep]),
+                    fold: Fold::default(),
                 });
             }
         }
@@ -454,43 +469,11 @@ impl Evaluator {
             };
             let to = done + block;
 
-            let tasks: Arc<Vec<SelTask>> = Arc::new(
-                active
-                    .iter()
-                    .map(|a| SelTask {
-                        genome: genomes[reps[a.gid]].clone(),
-                        runner: a.runner.clone(),
-                        from: done,
-                        to,
-                    })
-                    .collect(),
-            );
-            let config = self.config.clone();
-            let configs = Arc::clone(&self.configs);
-            let t_max = self.t_max;
-            let results: Vec<(BatchRunner, Vec<RunOutcome>)> =
-                self.pool().map(&tasks, move |_, task| {
-                    let runner = task.runner.clone().unwrap_or_else(|| {
-                        BatchRunner::from_genome(&config, task.genome.clone(), t_max)
-                            .expect("genome and configuration set must match the environment")
-                    });
-                    // One `run_all` per block: bit-identical to
-                    // per-config runs, so the bounds (and therefore
-                    // selection) are unchanged.
-                    let outcomes: Vec<RunOutcome> = runner
-                        .run_all(&configs[task.from..task.to])
-                        .expect("genome and configuration set must match the environment");
-                    (runner, outcomes)
-                });
-            for (a, (runner, outcomes)) in active.iter_mut().zip(results) {
-                a.runner = Some(runner);
-                for o in &outcomes {
-                    // Continue the exact left-fold order of
-                    // `from_outcomes`: 0.0 + f₀ + f₁ + …
-                    a.partial += o.fitness(self.weight);
-                }
-                a.outcomes.extend(outcomes);
-            }
+            // Every active genome's block in one dispatch, folded in
+            // configuration order: bit-identical to per-config runs, so
+            // the bounds (and therefore selection) are unchanged.
+            let runners: Vec<BatchRunner> = active.iter().map(|a| a.runner.clone()).collect();
+            self.simulate(&runners, done..to, active.iter_mut().map(|a| &mut a.fold));
             done = to;
             if done >= n_cfg {
                 break;
@@ -502,8 +485,8 @@ impl Evaluator {
             let bounds: Vec<(f64, f64)> = active
                 .iter()
                 .map(|a| {
-                    let lower = a.partial / total;
-                    let mut acc = a.partial;
+                    let lower = a.fold.sum / total;
+                    let mut acc = a.fold.sum;
                     for w in &worst[done..] {
                         acc += *w;
                     }
@@ -540,10 +523,10 @@ impl Evaluator {
             active = kept;
         }
 
-        // Survivors ran the full set: rebuild the exact report from the
-        // in-order outcomes (bit-identical to `evaluate`) and cache it.
+        // Survivors ran the full set: their fold is the exact report
+        // (bit-identical to `evaluate`); cache it.
         for a in active {
-            let report = FitnessReport::from_outcomes(&a.outcomes, self.weight);
+            let report = a.fold.report();
             self.cache.insert(&genomes[reps[a.gid]], report);
             verdicts[a.gid] = Some(GenomeEval::Exact(report));
         }

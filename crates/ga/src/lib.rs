@@ -15,8 +15,9 @@
 //! * [`Evolution`] / [`GaConfig`] — the generational loop;
 //! * [`screen`] — reliability screening across agent densities (Sect. 5);
 //! * [`WorkerPool`] — the workspace's one executor: [`WorkerPool::map`]
-//!   over any shared item set, and [`WorkerPool::run_all`] sharding a
-//!   configuration set across threads in [`DISPATCH_BLOCK`] ranges.
+//!   over any shared item set, and [`WorkerPool::run_ranges`] sharding
+//!   one shared configuration set across threads in [`DISPATCH_BLOCK`]
+//!   index ranges, for several runners at once.
 //!
 //! # Examples
 //!

@@ -7,9 +7,10 @@
 //! parks them on a [`Condvar`], and hands them `'static` jobs — the
 //! crate forbids `unsafe`, so instead of lifetime-erased borrows the
 //! [`WorkerPool::map`] primitive shares its input through an [`Arc`].
-//! [`WorkerPool::run_all`] shards a configuration set across the pool
-//! in [`DISPATCH_BLOCK`] ranges on top of `map`; `a2a-sim`'s batch
-//! layer itself is serial.
+//! [`WorkerPool::run_ranges`] shards one shared configuration set
+//! across the pool on top of it, as [`DISPATCH_BLOCK`] index ranges for
+//! one or several runners, and can run one job on the calling thread
+//! meanwhile; `a2a-sim`'s batch layer itself is serial.
 //!
 //! Workers tag themselves in the observability layer
 //! (`a2a_obs::set_worker_id`), so events emitted from inside jobs carry
@@ -44,7 +45,7 @@
 //!   exactly once, inline on the caller (`ga.pool.retries` counter). A
 //!   second failure propagates as a panic: deterministic poison must
 //!   surface, not loop. This is the only repair path: a
-//!   [`WorkerPool::run_all`] range a worker panicked on or never
+//!   [`WorkerPool::run_ranges`] range a worker panicked on or never
 //!   delivered is re-run inline like any other item.
 //!
 //! A single-threaded pool keeps the old contract — a plain inline map
@@ -60,6 +61,7 @@
 use a2a_sim::{BatchRunner, InitialConfig, RunOutcome, SimError};
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
+use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -78,7 +80,7 @@ pub const MAX_STRIKES: usize = 3;
 /// Overridable per pool with [`WorkerPool::with_task_deadline`].
 pub const DEFAULT_TASK_DEADLINE: Duration = Duration::from_secs(120);
 
-/// Configurations per range when [`WorkerPool::run_all`] shards a
+/// Configurations per range when [`WorkerPool::run_ranges`] shards a
 /// configuration set. Ranges are committed in set order, so outcomes do
 /// not depend on it.
 pub const DISPATCH_BLOCK: usize = 64;
@@ -268,9 +270,32 @@ impl WorkerPool {
         R: Send + 'static,
         F: Fn(usize, &T) -> R + Send + Sync + 'static,
     {
+        self.map_beside(items, f, || ()).0
+    }
+
+    /// [`WorkerPool::map`] that also runs `beside` once on the calling
+    /// thread: after the helpers are started, before the caller joins
+    /// the drain, so `beside` overlaps the helpers' items. The inline
+    /// path runs the items, then `beside`.
+    ///
+    /// # Panics
+    ///
+    /// As [`WorkerPool::map`], and if `beside` panics.
+    fn map_beside<T, R, F, X>(
+        &self,
+        items: &Arc<Vec<T>>,
+        f: F,
+        beside: impl FnOnce() -> X,
+    ) -> (Vec<R>, X)
+    where
+        T: Send + Sync + 'static,
+        R: Send + 'static,
+        F: Fn(usize, &T) -> R + Send + Sync + 'static,
+    {
         let n = items.len();
         if self.threads == 1 || n <= 1 {
-            return items.iter().enumerate().map(|(i, item)| f(i, item)).collect();
+            let results = items.iter().enumerate().map(|(i, item)| f(i, item)).collect();
+            return (results, beside());
         }
         // The map is a span and every helper drain adopts it as causal
         // parent before opening its own — the captured trace shows one
@@ -300,6 +325,7 @@ impl WorkerPool {
             }));
         }
         drop(tx);
+        let side = beside();
 
         let mut results: Vec<Option<R>> = std::iter::repeat_with(|| None).take(n).collect();
         let mut attempted = vec![false; n];
@@ -363,20 +389,17 @@ impl WorkerPool {
                 reg.histogram("ga.pool.map.us").record_duration_us(t0.elapsed());
             }
         }
-        results
+        let results = results
             .into_iter()
             .map(|r| r.expect("the retry pass attempted every item"))
-            .collect()
+            .collect();
+        (results, side)
     }
 
-    /// Runs `runner` over every configuration and returns the outcomes
-    /// in set order. Sets larger than one [`DISPATCH_BLOCK`] are split
-    /// into ranges that [`WorkerPool::map`] shards across the pool, one
-    /// `runner.run_all(range)` per item, so a range a worker panicked
-    /// on or never delivered is re-run inline by the bounded retry.
-    /// Single-threaded pools and sets of one range run
-    /// `runner.run_all(inits)` inline. Outcomes, and the error reported,
-    /// are bit-identical to the serial call either way.
+    /// Runs `runner` over every configuration of the shared set and
+    /// returns the outcomes in set order: [`WorkerPool::run_ranges`]
+    /// with one runner over the whole set, under a `batch.run_all` span
+    /// that keeps the fan-out below it attributed to the kernel.
     ///
     /// # Errors
     ///
@@ -385,27 +408,85 @@ impl WorkerPool {
     pub fn run_all(
         &self,
         runner: &BatchRunner,
-        inits: &[InitialConfig],
+        inits: &Arc<Vec<InitialConfig>>,
     ) -> Result<Vec<RunOutcome>, SimError> {
-        if self.threads == 1 || inits.len() <= DISPATCH_BLOCK {
-            return runner.run_all(inits);
-        }
-        // The span keeps the fan-out below it attributed to the kernel.
         let _span = a2a_obs::Span::enter("batch.run_all");
-        let ranges: Arc<Vec<Vec<InitialConfig>>> = Arc::new(
-            inits
-                .chunks(DISPATCH_BLOCK)
-                .map(<[InitialConfig]>::to_vec)
-                .collect(),
-        );
-        let runner = runner.clone();
-        let mut outcomes = Vec::with_capacity(inits.len());
-        for range in self.map(&ranges, move |_, range| runner.run_all(range)) {
-            outcomes.extend(range?);
+        let (mut pieces, ()) =
+            self.run_ranges(std::slice::from_ref(runner), inits, 0..inits.len(), || ());
+        pieces.pop().expect("one result per runner").map(|pieces| pieces.concat())
+    }
+
+    /// Runs every runner over configurations `range` of the shared set
+    /// in one pool map, and `beside` once on the calling thread while
+    /// the helpers work (a density pass generates its next point's set
+    /// there).
+    ///
+    /// The map's items are index ranges, not copies: each runner's part
+    /// of `range` is cut into [`DISPATCH_BLOCK`] pieces, one
+    /// `runner.run_all(&inits[piece])` per item, so no core waits on one
+    /// runner's tail and a piece a worker panicked on or never delivered
+    /// is re-run inline by the bounded retry. The caller runs `beside`
+    /// after the helpers start on the pieces, then joins them. A
+    /// single-threaded pool, or a dispatch of one piece, runs inline:
+    /// each runner over `range` in turn, then `beside`. The map's wait
+    /// is booked to its caller's span: a batch opens `batch.run_all`
+    /// around the call (kernel dispatch), the GA does not (its pool
+    /// wait).
+    ///
+    /// Returns one result per runner — its outcomes piece by piece, in
+    /// configuration order, whose concatenation is bit-identical to
+    /// `runner.run_all(&inits[range])`, or the first placement error in
+    /// set order — and what `beside` returned. The pieces are not
+    /// concatenated here, so a caller that folds them holds no second
+    /// copy.
+    pub fn run_ranges<X>(
+        &self,
+        runners: &[BatchRunner],
+        inits: &Arc<Vec<InitialConfig>>,
+        range: Range<usize>,
+        beside: impl FnOnce() -> X,
+    ) -> (Vec<RangeResult>, X) {
+        let pieces_per_runner = range.len().div_ceil(DISPATCH_BLOCK);
+        if self.threads == 1 || runners.len() * pieces_per_runner <= 1 {
+            let outcomes = runners
+                .iter()
+                .map(|r| r.run_all(&inits[range.clone()]).map(|outcomes| vec![outcomes]))
+                .collect();
+            return (outcomes, beside());
         }
-        Ok(outcomes)
+        let mut pieces = Vec::with_capacity(runners.len() * pieces_per_runner);
+        for runner in 0..runners.len() {
+            for from in range.clone().step_by(DISPATCH_BLOCK) {
+                pieces.push((runner, from, (from + DISPATCH_BLOCK).min(range.end)));
+            }
+        }
+        let pieces = Arc::new(pieces);
+        let shared_runners = Arc::new(runners.to_vec());
+        let shared_inits = Arc::clone(inits);
+        let (done, side) = self.map_beside(
+            &pieces,
+            move |_, &(runner, from, to)| shared_runners[runner].run_all(&shared_inits[from..to]),
+            beside,
+        );
+        let mut outcomes: Vec<RangeResult> =
+            runners.iter().map(|_| Ok(Vec::with_capacity(pieces_per_runner))).collect();
+        // Pieces are in set order per runner: the first error met is
+        // the first in set order.
+        for (&(runner, _, _), part) in pieces.iter().zip(done) {
+            if let Ok(acc) = &mut outcomes[runner] {
+                match part {
+                    Ok(part) => acc.push(part),
+                    Err(e) => outcomes[runner] = Err(e),
+                }
+            }
+        }
+        (outcomes, side)
     }
 }
+
+/// One runner's outcomes over a dispatched range, one vector per piece
+/// in set order, or its first placement error.
+type RangeResult = Result<Vec<Vec<RunOutcome>>, SimError>;
 
 /// One item application, behind the chaos probe.
 fn run_item<T, R>(f: &impl Fn(usize, &T) -> R, i: usize, item: &T) -> R {
@@ -715,6 +796,7 @@ mod tests {
         let n = 2 * DISPATCH_BLOCK + 5;
         let (runner, inits) = runner_and_configs(GridKind::Triangulate, 99, n, 16);
         let serial = runner.run_all(&inits).unwrap();
+        let inits = Arc::new(inits);
         for threads in [1, 3] {
             let pool = WorkerPool::new(threads);
             let sharded = pool.run_all(&runner, &inits).unwrap();
@@ -723,11 +805,48 @@ mod tests {
     }
 
     #[test]
+    fn ranges_of_several_runners_match_serial_beside_the_next_set() {
+        // Two runners (the same agent at two horizons, so their outcomes
+        // differ) over a window that starts and ends off the piece grid,
+        // with the next set generated beside them: each runner's
+        // outcomes equal its serial run over the window at every thread
+        // count, and the generated set equals a direct call.
+        let kind = GridKind::Triangulate;
+        let n = 3 * DISPATCH_BLOCK + 7;
+        let (runner, inits) = runner_and_configs(kind, 5, n, 8);
+        let cfg = a2a_sim::WorldConfig::paper(kind, 16);
+        let short = BatchRunner::from_genome(&cfg, a2a_fsm::best_agent(kind), 30).unwrap();
+        let runners = [runner, short];
+        let window = 10..n - 3;
+        let serial: Vec<Vec<RunOutcome>> =
+            runners.iter().map(|r| r.run_all(&inits[window.clone()]).unwrap()).collect();
+        assert_ne!(serial[0], serial[1], "the horizons must tell the runners apart");
+        let lattice = cfg.lattice;
+        let generate = move || a2a_sim::paper_config_set(lattice, kind, 4, 20, 7).unwrap();
+        let expected_next = generate();
+        let inits = Arc::new(inits);
+        for threads in [1, 2, 3] {
+            let pool = WorkerPool::new(threads);
+            let (outcomes, next) = pool.run_ranges(&runners, &inits, window.clone(), generate);
+            let concat = |outcomes: Vec<RangeResult>| -> Vec<Vec<RunOutcome>> {
+                outcomes.into_iter().map(|pieces| pieces.unwrap().concat()).collect()
+            };
+            assert_eq!(concat(outcomes), serial, "threads={threads}");
+            assert_eq!(next, expected_next, "threads={threads}");
+            // An empty window still yields one (empty) result per runner
+            // and runs `beside`.
+            let (outcomes, next) = pool.run_ranges(&runners, &inits, 4..4, generate);
+            assert_eq!(concat(outcomes), [Vec::new(), Vec::new()]);
+            assert_eq!(next, expected_next);
+        }
+    }
+
+    #[test]
     fn dispatched_run_all_reports_the_first_error_in_batch_order() {
         let block = DISPATCH_BLOCK;
         let (runner, mut inits) = runner_and_configs(GridKind::Square, 607, 3 * block, 8);
         let pool = WorkerPool::new(3);
-        assert!(pool.run_all(&runner, &[]).unwrap().is_empty());
+        assert!(pool.run_all(&runner, &Arc::new(Vec::new())).unwrap().is_empty());
         // Earlier range: a duplicate placement. Later range: an
         // out-of-field position. Set order decides which one wins,
         // regardless of which range finishes first.
@@ -737,9 +856,18 @@ mod tests {
         ]);
         inits[2 * block + 1] =
             InitialConfig::new(vec![(a2a_grid::Pos::new(99, 0), a2a_grid::Dir::new(0))]);
+        let inits = Arc::new(inits);
         assert!(matches!(
             pool.run_all(&runner, &inits),
             Err(SimError::DuplicatePosition(_))
         ));
+        // Every runner of a dispatch reports its own first error: a
+        // window past the duplicate meets only the later fault.
+        let runners = [runner.clone(), runner];
+        let (results, ()) = pool.run_ranges(&runners, &inits, block + 2..3 * block, || ());
+        assert_eq!(results.len(), 2);
+        for result in results {
+            assert!(matches!(result, Err(SimError::OutsideField(_))), "{result:?}");
+        }
     }
 }

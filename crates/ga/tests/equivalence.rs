@@ -9,7 +9,9 @@
 //! and both garbage and elite incumbents mixed in.
 
 use a2a_fsm::{best_agent, offspring, FsmSpec, Genome, MutationRates};
-use a2a_ga::{Evaluator, Evolution, FitnessReport, GaConfig, GenomeEval, PAPER_WEIGHT};
+use a2a_ga::{
+    Evaluator, Evolution, FitnessReport, GaConfig, GenomeEval, DISPATCH_BLOCK, PAPER_WEIGHT,
+};
 use a2a_grid::GridKind;
 use a2a_sim::{paper_config_set, simulate, WorldConfig};
 use rand::rngs::SmallRng;
@@ -26,14 +28,16 @@ fn select(mut union: Vec<(Genome, FitnessReport)>, keep: usize) -> Vec<(String, 
     union.into_iter().map(|(g, r)| (g.to_digits(), r)).collect()
 }
 
-/// Runs one population through both paths and returns how many
+/// Runs one population over `n_random` random configurations (plus the
+/// three designed ones) through both paths — the adaptive one at
+/// `threads` threads, the exhaustive one inline — and returns how many
 /// candidates the adaptive path pruned.
-fn check_population(kind: GridKind, seed: u64) -> usize {
+fn check_population(kind: GridKind, seed: u64, n_random: usize, threads: usize) -> usize {
     let cfg = WorldConfig::paper(kind, 8);
-    let n_cfg = 8 + (seed as usize % 5);
-    let configs = paper_config_set(cfg.lattice, kind, 4, n_cfg, seed ^ 0xBEEF).unwrap();
+    let configs = paper_config_set(cfg.lattice, kind, 4, n_random, seed ^ 0xBEEF).unwrap();
     let spec = FsmSpec::paper(kind);
-    let adaptive = Evaluator::new(cfg.clone(), configs.clone()).with_t_max(80).with_threads(2);
+    let adaptive =
+        Evaluator::new(cfg.clone(), configs.clone()).with_t_max(80).with_threads(threads);
     let exhaustive = Evaluator::new(cfg, configs).with_t_max(80).with_threads(1);
 
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -119,11 +123,27 @@ fn pruned_selection_is_identical_to_exhaustive_selection() {
     let mut pruned_total = 0;
     for kind in [GridKind::Square, GridKind::Triangulate] {
         for seed in 0..30 {
-            pruned_total += check_population(kind, seed);
+            pruned_total += check_population(kind, seed, 8 + (seed as usize % 5), 2);
         }
     }
     // The equality assertions above are vacuous for the pruning logic
     // unless the pruned arm actually fires somewhere in the sweep.
+    assert!(pruned_total > 0, "no population exercised the pruning path");
+}
+
+#[test]
+fn selection_pieces_spanning_several_ranges_match_exhaustive_selection() {
+    // 300+ configurations: the later selection blocks (and every
+    // `evaluate_all`) cut each genome's block into several
+    // `DISPATCH_BLOCK` pieces that 3 threads share across genomes.
+    let mut pruned_total = 0;
+    for kind in [GridKind::Square, GridKind::Triangulate] {
+        for seed in 0..3 {
+            let n_random = 300 + 41 * seed as usize;
+            assert!(n_random / 4 > DISPATCH_BLOCK, "a doubling block spans several ranges");
+            pruned_total += check_population(kind, seed, n_random, 3);
+        }
+    }
     assert!(pruned_total > 0, "no population exercised the pruning path");
 }
 

@@ -228,8 +228,8 @@ impl Checkpoint {
         let digest = str_member(doc, "digest")?.to_string();
         let spec_doc = member(doc, "spec")?;
         let spec = FsmSpec::new(
-            usize_member(spec_doc, "n_states")? as u8,
-            usize_member(spec_doc, "n_colors")? as u8,
+            spec_count(spec_doc, "n_states")?,
+            spec_count(spec_doc, "n_colors")?,
             turn_set_from_name(str_member(spec_doc, "turn_set")?)?,
         );
         let counters_doc = member(doc, "counters")?;
@@ -276,6 +276,16 @@ impl Checkpoint {
         };
         Ok(Self { digest, spec, counters, payload })
     }
+}
+
+/// A spec count (`n_states`, `n_colors`): `FsmSpec::new` needs it in
+/// `1..=255`, so a value outside is refused by name, never truncated.
+fn spec_count(spec_doc: &Json, key: &str) -> Result<u8, String> {
+    let v = u64_member(spec_doc, key)?;
+    u8::try_from(v)
+        .ok()
+        .filter(|&n| n > 0)
+        .ok_or_else(|| format!("`spec.{key}` must be in 1..=255, got {v}"))
 }
 
 #[cfg(test)]
@@ -369,6 +379,29 @@ mod tests {
         doc.set("next_generation", 99u64);
         let err = Checkpoint::from_json(&doc).unwrap_err();
         assert!(err.contains("checksum"), "got: {err}");
+    }
+
+    #[test]
+    fn out_of_range_spec_counts_are_refused_by_name() {
+        // A resealed document whose spec count is 0 used to panic in
+        // `FsmSpec::new`, and one above 255 loaded truncated (260 as 4).
+        let spec = FsmSpec::paper(GridKind::Square);
+        let ckpt = Checkpoint {
+            digest: "e".repeat(16),
+            spec,
+            counters: Counters::default(),
+            payload: Payload::Single(sample_state(spec)),
+        };
+        for key in ["n_states", "n_colors"] {
+            for bad in [0u64, 260] {
+                let mut doc = ckpt.to_json();
+                let mut spec_doc = doc.get("spec").unwrap().clone();
+                spec_doc.set(key, bad);
+                doc.set("spec", spec_doc);
+                let err = Checkpoint::from_json(&schema::seal(doc)).unwrap_err();
+                assert_eq!(err, format!("`spec.{key}` must be in 1..=255, got {bad}"));
+            }
+        }
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! [`BatchRunner::run_all`] builds one one-run [`MultiWorld`] per call
 //! and reloads it for each configuration; nothing is kept between
 //! calls. The batch layer is serial: `BatchRunner` is `Sync` and cheap
-//! to clone, and `a2a-ga`'s `WorkerPool::run_all` shards configuration
-//! ranges across threads by calling `run_all` per range.
+//! to clone, and `a2a-ga`'s `WorkerPool::run_ranges` shards index
+//! ranges of a shared configuration set across threads by calling
+//! `run_all` per range.
 //!
 //! **Packed fields end by arithmetic.** A configuration with one agent
 //! on every free cell (`k` = cells − obstacles) is *packed*. Every

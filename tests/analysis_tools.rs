@@ -66,6 +66,7 @@ fn t_vs_s_difference_is_significant() {
     let lattice = Lattice::torus(16, 16);
     let times = |kind: GridKind| -> Vec<f64> {
         let configs = a2a::sim::paper_config_set(lattice, kind, 16, 80, 5).unwrap();
+        let configs = std::sync::Arc::new(configs);
         let cfg = WorldConfig::paper(kind, 16);
         let runner = a2a::sim::BatchRunner::from_genome(&cfg, best_agent(kind), 4000).unwrap();
         WorkerPool::new(4)

@@ -26,6 +26,7 @@ use a2a_sim::{
 };
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
+use std::sync::Arc;
 
 /// Asserts that both engines expose byte-identical observable state.
 fn assert_same_state(world: &World, multi: &MultiWorld, ctx: &str) {
@@ -338,6 +339,7 @@ fn parallel_dispatch_matches_serial_engines_under_mid_batch_retirement() {
 
     let pool = WorkerPool::new(3);
     assert_eq!(pool.threads(), 3, "pool reports its worker count");
+    let inits = Arc::new(inits);
     assert_eq!(pool.run_all(&runner, &inits).unwrap(), oracle, "dispatched frontier path");
     assert_eq!(runner.run_all(&inits).unwrap(), oracle, "serial vs dispatched");
     // Determinism across repeated dispatched executions of the same batch.
@@ -412,7 +414,7 @@ fn packed_configurations_reuse_the_oracle_outcome() {
                 ),
             ),
         ];
-        let inits = packed_inits(&cfg, DISPATCH_BLOCK + 3, &mut rng);
+        let inits = Arc::new(packed_inits(&cfg, DISPATCH_BLOCK + 3, &mut rng));
         for (name, behaviour) in behaviours {
             let oracle = |init: &InitialConfig, t_max: u32| {
                 simulate_behaviour(&cfg, behaviour.clone(), init, t_max).unwrap()
