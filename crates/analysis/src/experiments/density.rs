@@ -165,21 +165,6 @@ impl DensityComparison {
     }
 }
 
-/// Runs one grid's series with an explicit behaviour.
-///
-/// # Errors
-///
-/// Propagates configuration-set construction failures (e.g. more agents
-/// than cells).
-pub fn run_series(
-    kind: GridKind,
-    genome: &Genome,
-    exp: &DensityExperiment,
-) -> Result<GridSeries, SimError> {
-    let cfg = WorldConfig::paper(kind, exp.m);
-    run_series_in(&cfg, genome, exp)
-}
-
 /// Runs one grid's series in a custom environment (bordered fields,
 /// obstacles, alternative policies — used by the ablations E12–E15):
 /// the one-grid case of the pass pipeline ([`run_density_comparison`]).
@@ -261,8 +246,9 @@ pub(crate) fn run_pass(
         let configs = Arc::new(std::mem::take(&mut set));
         // The point's dispatch, next set included, is kernel work.
         let span = a2a_obs::Span::enter("batch.run_all");
+        let runner = std::slice::from_ref(&runners[g]);
         let (mut pieces, next_set) =
-            pool.run_ranges(std::slice::from_ref(&runners[g]), &configs, 0..configs.len(), || {
+            pool.run_ranges(runner, &configs, 0..configs.len(), BatchRunner::run_all, || {
                 points.get(i + 1).map(|&(g, k)| generate(&grids[g].0, k))
             });
         let outcomes = pieces

@@ -2,9 +2,7 @@
 //! agents tested on 1003 random 33×33 fields with 16 agents
 //! (paper: S-agent 229 steps, T-agent 181 steps, both reliable).
 
-use crate::experiments::density::{run_series, DensityExperiment, GridSeries};
-use a2a_fsm::best_agent;
-use a2a_grid::GridKind;
+use crate::experiments::density::{run_density_comparison, DensityExperiment, GridSeries};
 use a2a_sim::SimError;
 use serde::{Deserialize, Serialize};
 
@@ -44,7 +42,7 @@ impl Grid33Result {
 }
 
 /// Runs the 33×33 comparison with `n_random` random configurations
-/// (paper: 1003).
+/// (paper: 1003) as one two-grid pass, T then S.
 ///
 /// # Errors
 ///
@@ -58,10 +56,8 @@ pub fn run_grid33(n_random: usize, seed: u64, threads: usize) -> Result<Grid33Re
         t_max: 20_000,
         threads,
     };
-    Ok(Grid33Result {
-        t_grid: run_series(GridKind::Triangulate, &best_agent(GridKind::Triangulate), &exp)?,
-        s_grid: run_series(GridKind::Square, &best_agent(GridKind::Square), &exp)?,
-    })
+    let comparison = run_density_comparison(&exp)?;
+    Ok(Grid33Result { t_grid: comparison.t_grid, s_grid: comparison.s_grid })
 }
 
 #[cfg(test)]

@@ -7,8 +7,7 @@
 //! only probes 16×16 and one 33×33 point; this experiment sweeps sizes
 //! at constant density (k ∝ N).
 
-use crate::experiments::density::{run_series, DensityExperiment, DensityPoint};
-use a2a_fsm::best_agent;
+use crate::experiments::density::{run_density_comparison, DensityExperiment, DensityPoint};
 use a2a_grid::{diameter, GridKind, Lattice};
 use a2a_sim::SimError;
 use serde::{Deserialize, Serialize};
@@ -37,7 +36,8 @@ impl ScalePoint {
 }
 
 /// Sweeps field extents at a fixed agent density (`density` = agents per
-/// cell; the paper's 16 agents on 16×16 is `1/16`).
+/// cell; the paper's 16 agents on 16×16 is `1/16`), one two-grid pass
+/// (T then S) per extent.
 ///
 /// # Errors
 ///
@@ -66,12 +66,9 @@ pub fn scaling_sweep(
             t_max,
             threads,
         };
-        let t = run_series(GridKind::Triangulate, &best_agent(GridKind::Triangulate), &exp)?
-            .points
-            .remove(0);
-        let s = run_series(GridKind::Square, &best_agent(GridKind::Square), &exp)?
-            .points
-            .remove(0);
+        let mut comparison = run_density_comparison(&exp)?;
+        let t = comparison.t_grid.points.remove(0);
+        let s = comparison.s_grid.points.remove(0);
         let lattice = Lattice::torus(m, m);
         points.push(ScalePoint {
             m,

@@ -16,7 +16,7 @@ use crate::cache::FitnessCache;
 use crate::pool::{default_threads, WorkerPool};
 use a2a_fsm::{FsmSpec, Genome};
 use a2a_obs::json::Json;
-use a2a_sim::{BatchRunner, Behaviour, InitialConfig, RunOutcome, WorldConfig};
+use a2a_sim::{BatchRunner, Behaviour, InitialConfig, SimError, WorldConfig};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::ops::Range;
@@ -91,6 +91,29 @@ impl FitnessReport {
     }
 }
 
+/// What a [`Fold`] needs of one dispatched piece's outcomes, taken on
+/// the worker that ran them: each configuration's fitness in order,
+/// plus the successes and their summed `t_comm`. A quarter of the
+/// outcomes' size, so an evaluation holds no outcome vectors.
+#[derive(Debug)]
+struct Piece {
+    fitness: Vec<f64>,
+    successes: usize,
+    t_sum: u64,
+}
+
+impl Piece {
+    /// Runs `runner` over `inits` and keeps its fitness terms.
+    fn run(runner: &BatchRunner, inits: &[InitialConfig], weight: f64) -> Result<Self, SimError> {
+        let outcomes = runner.run_all(inits)?;
+        Ok(Self {
+            fitness: outcomes.iter().map(|o| o.fitness(weight)).collect(),
+            successes: outcomes.iter().filter(|o| o.t_comm.is_some()).count(),
+            t_sum: outcomes.iter().filter_map(|o| o.t_comm).map(u64::from).sum(),
+        })
+    }
+}
+
 /// The fold of a [`FitnessReport`] over outcomes taken in configuration
 /// order. `sum` is the left fold `0.0 + f₀ + f₁ + …` of the
 /// per-configuration fitnesses, bit-identical to `Iterator::sum` over
@@ -107,14 +130,14 @@ struct Fold {
 
 impl Fold {
     /// Folds one runner's dispatched pieces, in order, dropping each.
-    fn add(&mut self, pieces: Vec<Vec<RunOutcome>>, weight: f64) {
-        for o in pieces.into_iter().flatten() {
-            self.sum += o.fitness(weight);
-            self.total += 1;
-            if let Some(t) = o.t_comm {
-                self.successes += 1;
-                self.t_sum += u64::from(t);
+    fn add(&mut self, pieces: Vec<Piece>) {
+        for piece in pieces {
+            for f in &piece.fitness {
+                self.sum += f;
             }
+            self.total += piece.fitness.len();
+            self.successes += piece.successes;
+            self.t_sum += piece.t_sum;
         }
     }
 
@@ -308,10 +331,12 @@ impl Evaluator {
         range: Range<usize>,
         folds: impl IntoIterator<Item = &'a mut Fold>,
     ) {
-        let (pieces, ()) = self.pool().run_ranges(runners, &self.configs, range, || ());
+        let weight = self.weight;
+        let piece =
+            move |runner: &BatchRunner, inits: &[InitialConfig]| Piece::run(runner, inits, weight);
+        let (pieces, ()) = self.pool().run_ranges(runners, &self.configs, range, piece, || ());
         for (fold, pieces) in folds.into_iter().zip(pieces) {
-            let pieces = pieces.expect("genome and configuration set must match the environment");
-            fold.add(pieces, self.weight);
+            fold.add(pieces.expect("genome and configuration set must match the environment"));
         }
     }
 

@@ -411,8 +411,9 @@ impl WorkerPool {
         inits: &Arc<Vec<InitialConfig>>,
     ) -> Result<Vec<RunOutcome>, SimError> {
         let _span = a2a_obs::Span::enter("batch.run_all");
-        let (mut pieces, ()) =
-            self.run_ranges(std::slice::from_ref(runner), inits, 0..inits.len(), || ());
+        let range = 0..inits.len();
+        let runners = std::slice::from_ref(runner);
+        let (mut pieces, ()) = self.run_ranges(runners, inits, range, BatchRunner::run_all, || ());
         pieces.pop().expect("one result per runner").map(|pieces| pieces.concat())
     }
 
@@ -423,34 +424,42 @@ impl WorkerPool {
     ///
     /// The map's items are index ranges, not copies: each runner's part
     /// of `range` is cut into [`DISPATCH_BLOCK`] pieces, one
-    /// `runner.run_all(&inits[piece])` per item, so no core waits on one
+    /// `piece(runner, &inits[piece])` per item, so no core waits on one
     /// runner's tail and a piece a worker panicked on or never delivered
-    /// is re-run inline by the bounded retry. The caller runs `beside`
-    /// after the helpers start on the pieces, then joins them. A
-    /// single-threaded pool, or a dispatch of one piece, runs inline:
+    /// is re-run inline by the bounded retry. `piece` is
+    /// [`BatchRunner::run_all`], or a fold of it that keeps less than
+    /// the outcomes (the GA keeps fitness terms). The caller runs
+    /// `beside` after the helpers start on the pieces, then joins them.
+    /// A single-threaded pool, or a dispatch of one piece, runs inline:
     /// each runner over `range` in turn, then `beside`. The map's wait
     /// is booked to its caller's span: a batch opens `batch.run_all`
     /// around the call (kernel dispatch), the GA does not (its pool
     /// wait).
     ///
-    /// Returns one result per runner — its outcomes piece by piece, in
-    /// configuration order, whose concatenation is bit-identical to
-    /// `runner.run_all(&inits[range])`, or the first placement error in
+    /// Returns one result per runner — its pieces' results in
+    /// configuration order (with [`BatchRunner::run_all`], outcomes
+    /// whose concatenation is bit-identical to
+    /// `runner.run_all(&inits[range])`), or the first placement error in
     /// set order — and what `beside` returned. The pieces are not
     /// concatenated here, so a caller that folds them holds no second
     /// copy.
-    pub fn run_ranges<X>(
+    pub fn run_ranges<P, F, X>(
         &self,
         runners: &[BatchRunner],
         inits: &Arc<Vec<InitialConfig>>,
         range: Range<usize>,
+        piece: F,
         beside: impl FnOnce() -> X,
-    ) -> (Vec<RangeResult>, X) {
+    ) -> (Vec<Result<Vec<P>, SimError>>, X)
+    where
+        P: Send + 'static,
+        F: Fn(&BatchRunner, &[InitialConfig]) -> Result<P, SimError> + Send + Sync + 'static,
+    {
         let pieces_per_runner = range.len().div_ceil(DISPATCH_BLOCK);
         if self.threads == 1 || runners.len() * pieces_per_runner <= 1 {
             let outcomes = runners
                 .iter()
-                .map(|r| r.run_all(&inits[range.clone()]).map(|outcomes| vec![outcomes]))
+                .map(|r| piece(r, &inits[range.clone()]).map(|p| vec![p]))
                 .collect();
             return (outcomes, beside());
         }
@@ -465,10 +474,10 @@ impl WorkerPool {
         let shared_inits = Arc::clone(inits);
         let (done, side) = self.map_beside(
             &pieces,
-            move |_, &(runner, from, to)| shared_runners[runner].run_all(&shared_inits[from..to]),
+            move |_, &(runner, from, to)| piece(&shared_runners[runner], &shared_inits[from..to]),
             beside,
         );
-        let mut outcomes: Vec<RangeResult> =
+        let mut outcomes: Vec<Result<Vec<P>, SimError>> =
             runners.iter().map(|_| Ok(Vec::with_capacity(pieces_per_runner))).collect();
         // Pieces are in set order per runner: the first error met is
         // the first in set order.
@@ -483,10 +492,6 @@ impl WorkerPool {
         (outcomes, side)
     }
 }
-
-/// One runner's outcomes over a dispatched range, one vector per piece
-/// in set order, or its first placement error.
-type RangeResult = Result<Vec<Vec<RunOutcome>>, SimError>;
 
 /// One item application, behind the chaos probe.
 fn run_item<T, R>(f: &impl Fn(usize, &T) -> R, i: usize, item: &T) -> R {
@@ -827,15 +832,17 @@ mod tests {
         let inits = Arc::new(inits);
         for threads in [1, 2, 3] {
             let pool = WorkerPool::new(threads);
-            let (outcomes, next) = pool.run_ranges(&runners, &inits, window.clone(), generate);
-            let concat = |outcomes: Vec<RangeResult>| -> Vec<Vec<RunOutcome>> {
+            let run_all = BatchRunner::run_all;
+            let (outcomes, next) =
+                pool.run_ranges(&runners, &inits, window.clone(), run_all, generate);
+            let concat = |outcomes: Vec<Result<Vec<_>, SimError>>| -> Vec<Vec<RunOutcome>> {
                 outcomes.into_iter().map(|pieces| pieces.unwrap().concat()).collect()
             };
             assert_eq!(concat(outcomes), serial, "threads={threads}");
             assert_eq!(next, expected_next, "threads={threads}");
             // An empty window still yields one (empty) result per runner
             // and runs `beside`.
-            let (outcomes, next) = pool.run_ranges(&runners, &inits, 4..4, generate);
+            let (outcomes, next) = pool.run_ranges(&runners, &inits, 4..4, run_all, generate);
             assert_eq!(concat(outcomes), [Vec::new(), Vec::new()]);
             assert_eq!(next, expected_next);
         }
@@ -864,7 +871,8 @@ mod tests {
         // Every runner of a dispatch reports its own first error: a
         // window past the duplicate meets only the later fault.
         let runners = [runner.clone(), runner];
-        let (results, ()) = pool.run_ranges(&runners, &inits, block + 2..3 * block, || ());
+        let (results, ()) =
+            pool.run_ranges(&runners, &inits, block + 2..3 * block, BatchRunner::run_all, || ());
         assert_eq!(results.len(), 2);
         for result in results {
             assert!(matches!(result, Err(SimError::OutsideField(_))), "{result:?}");

@@ -5,7 +5,7 @@
 //!
 //! # Design
 //!
-//! Each thread owns one fixed-capacity ring of [`Slot`]s; a record is
+//! Each thread owns one fixed-capacity ring of slots; a record is
 //! four relaxed atomic stores into the owner's ring (the owning thread
 //! is the only writer, so no CAS loop and no lock — "lock-free" here is
 //! the strong, wait-free kind). The ring overwrites its oldest entry

@@ -179,7 +179,8 @@ pub struct HistogramSnapshot {
     pub min: u64,
     /// Largest sample (0 when empty).
     pub max: u64,
-    /// Per-bucket sample counts (see [`bucket_bounds`]).
+    /// Per-bucket sample counts, log₂-spaced: bucket 0 holds 0, bucket
+    /// `b > 0` holds `[2^(b−1), 2^b)`, and the last one is unbounded.
     pub buckets: [u64; HISTOGRAM_BUCKETS],
 }
 

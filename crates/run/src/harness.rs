@@ -25,7 +25,7 @@ use crate::store::CheckpointStore;
 use a2a_fsm::{FsmSpec, Genome};
 use a2a_ga::{
     run_islands_resumable, Evaluator, Evolution, EvolutionOutcome, GaConfig, GenerationStats,
-    IslandConfig, IslandOutcome, IslandsState, RunControl,
+    Individual, IslandConfig, IslandOutcome, IslandsState, RunControl,
 };
 use a2a_obs::fault;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -264,14 +264,29 @@ fn restore(opts: &RunOptions, digest: &str, spec: FsmSpec) -> Result<Option<Payl
     Ok(Some(ckpt.payload))
 }
 
+/// Refuses a restored pool no run of `population` saves: an empty one
+/// (every generation ranks a non-empty pool) or a longer one. `member`
+/// names it in the document.
+fn check_pool(pool: &[Individual], population: usize, member: &str) -> Result<(), String> {
+    if pool.is_empty() || pool.len() > population {
+        return Err(format!(
+            "checkpoint `{member}` holds {} individuals, but a run of population \
+             {population} saves 1..={population}",
+            pool.len()
+        ));
+    }
+    Ok(())
+}
+
 /// Runs the single-pool procedure with checkpoint persistence and
 /// optional resume. A resumed run's `outcome` is bit-identical to the
 /// uninterrupted run's (see the `equivalence` integration test).
 ///
 /// # Errors
 ///
-/// Resume failures only (see [`RunOptions::resume`]); checkpoint save
-/// failures are counted, not raised.
+/// Resume failures only (see [`RunOptions::resume`]), a restored pool
+/// that is empty or longer than `config.population` included;
+/// checkpoint save failures are counted, not raised.
 ///
 /// # Panics
 ///
@@ -287,7 +302,10 @@ pub fn run_evolution(
     let digest = context_digest(&config, evaluator.config(), evaluator.t_max(), evaluator.configs());
     let resume_state = match restore(opts, &digest, spec)? {
         None => None,
-        Some(Payload::Single(state)) => Some(state),
+        Some(Payload::Single(state)) => {
+            check_pool(&state.pool, config.population, "pool")?;
+            Some(state)
+        }
         Some(Payload::Islands(_)) => {
             return Err("checkpoint is an island-model snapshot, not a single run".to_string())
         }
@@ -324,7 +342,9 @@ pub fn run_evolution(
 ///
 /// # Errors
 ///
-/// Resume failures only; checkpoint save failures are counted.
+/// Resume failures only, a restored island count other than
+/// `island_config.islands` or a pool as [`run_evolution`] refuses
+/// included; checkpoint save failures are counted.
 ///
 /// # Panics
 ///
@@ -340,7 +360,19 @@ pub fn run_islands_checkpointed(
     let digest = context_digest(&config, evaluator.config(), evaluator.t_max(), evaluator.configs());
     let resume_state = match restore(opts, &digest, spec)? {
         None => None,
-        Some(Payload::Islands(state)) => Some(state),
+        Some(Payload::Islands(state)) => {
+            if state.outcomes.len() != island_config.islands {
+                return Err(format!(
+                    "checkpoint `islands` holds {} islands, this experiment runs {}",
+                    state.outcomes.len(),
+                    island_config.islands
+                ));
+            }
+            for (i, island) in state.outcomes.iter().enumerate() {
+                check_pool(&island.pool, config.population, &format!("islands[{i}].pool"))?;
+            }
+            Some(state)
+        }
         Some(Payload::Single(_)) => {
             return Err("checkpoint is a single-run snapshot, not an island model".to_string())
         }

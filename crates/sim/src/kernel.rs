@@ -21,11 +21,11 @@ use crate::error::SimError;
 use a2a_fsm::Genome;
 use a2a_grid::{Dir, GridKind, Lattice};
 
-/// Sentinel for "no cell" / "no agent" in the flat index tables.
+/// Sentinel for "no agent" (an unclaimed cell) and "no move".
 pub(crate) const NONE: u32 = u32::MAX;
 
 /// One FSM row with the turn code already resolved to a direction delta.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct CompiledEntry {
     pub(crate) next_state: u8,
     pub(crate) set_color: u8,
@@ -48,17 +48,16 @@ pub(crate) struct KernelEnv {
     pub(crate) n_colors: u8,
     pub(crate) n_dirs: usize,
     /// Flat neighbour table: `fwd[cell * n_dirs + d]` is the cell one step
-    /// along direction `d`, or [`NONE`] off a bordered field.
+    /// along direction `d`. Off a bordered field it is the wall cell
+    /// `n_cells`: solid, colour 0 and zero info words, never claimed,
+    /// occupied or written, so no kernel loop tests for a missing cell.
     pub(crate) fwd: Vec<u32>,
-    /// Whether any `fwd` entry is [`NONE`] (bordered lattice). Toroidal
-    /// fields are fully wrapped, so their exchange gathers skip the
-    /// per-neighbour sentinel test entirely.
-    pub(crate) has_border: bool,
-    /// The empty field, one byte per cell: bit 0 is set on obstacles,
-    /// bits 1.. hold the validated initial colour. Every run's cell
-    /// state starts as a copy of this image.
+    /// The empty field, one byte per cell plus the wall's: bit 0 is set
+    /// on obstacles and the wall, bits 1.. hold the validated initial
+    /// colour (0 on the wall). Every run's cell state starts as a copy
+    /// of this image.
     pub(crate) meta_init: Vec<u8>,
-    /// Cells without the obstacle bit: the agent count of a fully
+    /// Field cells without the obstacle bit: the agent count of a fully
     /// packed configuration.
     pub(crate) free_cells: usize,
     /// Compiled FSM rows, one table per behaviour phase.
@@ -111,9 +110,11 @@ impl KernelEnv {
         for &p in &config.obstacles {
             meta_init[lattice.index_of(p)] |= 1;
         }
+        let free_cells = meta_init.iter().filter(|&&m| m & 1 == 0).count();
+        meta_init.push(1);
 
         let n_dirs = usize::from(config.kind.dir_count());
-        let mut fwd = vec![NONE; n_cells * n_dirs];
+        let mut fwd = vec![n_cells as u32; n_cells * n_dirs];
         for c in 0..n_cells {
             let p = lattice.pos_at(c);
             for d in 0..n_dirs {
@@ -126,8 +127,6 @@ impl KernelEnv {
         let phases = (0..behaviour.phase_count())
             .map(|t| compile_genome(behaviour.genome_at(t as u32)))
             .collect();
-        let has_border = fwd.contains(&NONE);
-        let free_cells = meta_init.iter().filter(|&&m| m & 1 == 0).count();
 
         Ok(Self {
             kind: config.kind,
@@ -138,7 +137,6 @@ impl KernelEnv {
             n_colors: spec.n_colors,
             n_dirs,
             fwd,
-            has_border,
             meta_init,
             free_cells,
             phases,

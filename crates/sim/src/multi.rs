@@ -20,13 +20,15 @@
 //! Once `informed` has stayed put for [`ORBIT_ARM`] counted steps,
 //! [`MultiWorld::run`] keeps a Brent power-of-two snapshot of
 //! everything the step map reads (positions, directions, control
-//! states, cell bytes and each agent's infoset words). When the live
-//! run equals the snapshot `λ` steps later, `λ` a whole number of
-//! behaviour phases, every later period repeats this one and no
-//! infoset can grow again (they only grow, and one came back), so `run`
-//! adds the remaining whole periods to the time, the conflict count and
-//! the active-step tally and steps only the remainder. The end state is
-//! the one stepping would reach; [`MultiWorld::step`] never skips.
+//! states, cell bytes and each agent's infoset words), plus a wrapping
+//! sum of the agent cells that rules most steps out with one compare.
+//! When the live run equals the snapshot `λ` steps later, `λ` a whole
+//! number of behaviour phases, every later period repeats this one and
+//! no infoset can grow again (they only grow, and one came back), so
+//! `run` adds the remaining whole periods to the time, the conflict
+//! count and the active-step tally and steps only the remainder. The
+//! end state is the one stepping would reach; [`MultiWorld::step`]
+//! never skips.
 
 use crate::behaviour::Behaviour;
 use crate::config::{ConflictPolicy, WorldConfig};
@@ -92,23 +94,24 @@ pub struct MultiWorld {
     /// Movement conflicts lost so far.
     conflicts: u64,
 
-    // Field state, `n_cells` entries (`stride` words per cell in
-    // `cell_info`).
+    // Field state: `n_cells` entries plus the wall cell's (`stride`
+    // words per cell in `cell_info`).
     /// Arbitration scratch, `n_cells` entries from construction on,
-    /// all-`NONE` between steps.
+    /// all-`NONE` between steps: a claimed cell holds its winner until
+    /// the winner moves in (see [`MultiWorld::act`]).
     claims: Vec<u32>,
     /// One byte of cell state per cell — bit 0 is the solid bit
-    /// (occupancy ∪ obstacles), bits 1.. the cell's colour. One byte
-    /// load serves a neighbour's whole perception (blocked test and
-    /// front colour), and colour writes and moves are plain byte
-    /// stores. Every [`MultiWorld::load`] starts from the environment's
-    /// empty-field image.
+    /// (occupancy ∪ obstacles ∪ the wall), bits 1.. the cell's colour.
+    /// One byte load serves a neighbour's whole perception (blocked
+    /// test and front colour), and colour writes and moves are plain
+    /// byte stores. Every [`MultiWorld::load`] starts from the
+    /// environment's empty-field image.
     meta: Vec<u8>,
     /// `stride` words per cell: each occupied cell holds its agent's
-    /// info words, empty cells hold zeros. Cell-indexing makes the
-    /// exchange gather a plain `w |= cell_info[neighbour]` — no
-    /// occupant indirection, no branches, and empty neighbours OR in a
-    /// no-op 0 — at the price of moving `stride` words per agent move
+    /// info words, empty cells and the wall hold zeros. Cell-indexing
+    /// makes the exchange gather a plain `w |= cell_info[neighbour]` —
+    /// no occupant indirection, no branches, and empty neighbours OR in
+    /// a no-op 0 — at the price of moving `stride` words per agent move
     /// in the apply pass.
     cell_info: Vec<u64>,
 
@@ -131,6 +134,9 @@ pub struct MultiWorld {
     /// Live prefix length of [`MultiWorld::frontier`].
     frontier_len: u32,
 
+    /// Wrapping sum of `pos`, kept by the apply loop: the orbit check's
+    /// one-compare pre-filter.
+    cell_sum: u32,
     /// Counted steps taken since the last load.
     time: u32,
     /// Counted steps the last [`MultiWorld::run`] skipped over a
@@ -143,7 +149,8 @@ pub struct MultiWorld {
     snap: Snapshot,
 
     // Scratch reused across steps.
-    requests: Vec<(u32, u32)>,
+    /// Each agent's round-1 row and claimed front cell ([`NONE`] when
+    /// it does not ask to move), by agent ID.
     decisions: Vec<(CompiledEntry, u32)>,
     /// Staging of gathered infosets: gathered from
     /// [`MultiWorld::cell_info`] into here, then committed back, so
@@ -151,10 +158,10 @@ pub struct MultiWorld {
     /// sweeps stage agent `i`'s words at `i * stride`; the one-word
     /// sweep stages into [`MultiWorld::wpairs`].
     wbuf: Vec<u64>,
-    /// Staging of gathered one-word infosets as
-    /// `(cell, word)` pairs — only active agents are staged, so both
-    /// the gather and the commit loop are proportional to the live
-    /// frontier, not `k`.
+    /// Staging of gathered one-word infosets as `(cell, word)` pairs in
+    /// walk order — only active agents are staged, so both the gather
+    /// and the commit loop are proportional to the live frontier, not
+    /// `k`.
     wpairs: Vec<(u32, u64)>,
 }
 
@@ -200,11 +207,11 @@ impl MultiWorld {
             own_color: Vec::new(),
             frontier: Vec::new(),
             frontier_len: 0,
+            cell_sum: 0,
             time: 0,
             skipped: 0,
             active_steps: 0,
             snap: Snapshot::default(),
-            requests: Vec::new(),
             decisions: Vec::new(),
             wbuf: Vec::new(),
             wpairs: Vec::new(),
@@ -236,7 +243,6 @@ impl MultiWorld {
             + self.state.capacity()
             + self.own_color.capacity()
             + self.frontier.capacity()
-            + self.requests.capacity()
             + self.decisions.capacity()
             + self.wbuf.capacity()
             + self.wpairs.capacity()
@@ -268,7 +274,7 @@ impl MultiWorld {
         self.meta.clear();
         self.meta.extend_from_slice(&env.meta_init);
         self.cell_info.clear();
-        self.cell_info.resize(n_cells * stride, 0);
+        self.cell_info.resize((n_cells + 1) * stride, 0);
         self.pos.clear();
         self.pos.reserve(k);
         self.dir.clear();
@@ -281,23 +287,23 @@ impl MultiWorld {
         // exchange below, like everything else).
         self.frontier.clear();
         self.frontier.extend(0..k as u32);
-        self.requests.clear();
-        self.requests.reserve(k);
         self.decisions.clear();
-        self.decisions.reserve(k);
+        self.decisions.resize(k, (CompiledEntry::default(), NONE));
         self.wbuf.clear();
         self.wbuf.reserve(k * stride);
         self.wpairs.clear();
-        self.wpairs.reserve(k);
-        self.snap.reserve(k, n_cells, stride);
+        self.wpairs.resize(k, (0, 0));
+        self.snap.reserve(k, n_cells + 1, stride);
         if self.capacity() != held {
             MULTI_BUFFER_ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
         self.validate(init)?;
 
         // Place: each agent's own bit goes into its cell's words.
+        self.cell_sum = 0;
         for (i, &(p, d)) in init.placements().iter().enumerate() {
             let idx = env.lattice.index_of(p);
+            self.cell_sum = self.cell_sum.wrapping_add(idx as u32);
             self.meta[idx] |= 1;
             self.cell_info[idx * stride + i / 64] |= 1u64 << (i % 64);
             self.pos.push(idx as u32);
@@ -504,6 +510,7 @@ impl MultiWorld {
     fn take_snapshot(&mut self) {
         let stride = self.stride as usize;
         let snap = &mut self.snap;
+        snap.cell_sum = self.cell_sum;
         snap.pos.clone_from(&self.pos);
         snap.dir.clone_from(&self.dir);
         snap.state.clone_from(&self.state);
@@ -514,13 +521,14 @@ impl MultiWorld {
         }
     }
 
-    /// Whether the live run state equals [`MultiWorld::snap`]. Positions
-    /// go first: they differ on almost every step of a moving run, so a
-    /// miss usually costs one short compare.
+    /// Whether the live run state equals [`MultiWorld::snap`]. The cell
+    /// sums go first, then positions: they differ on almost every step
+    /// of a moving run, so a miss usually costs one compare.
     fn at_snapshot(&self) -> bool {
         let stride = self.stride as usize;
         let snap = &self.snap;
-        snap.pos == self.pos
+        snap.cell_sum == self.cell_sum
+            && snap.pos == self.pos
             && snap.dir == self.dir
             && snap.state == self.state
             && snap.meta == self.meta
@@ -531,9 +539,8 @@ impl MultiWorld {
                 .all(|(&c, words)| self.cell_info[c as usize * stride..][..stride] == *words)
     }
 
-    /// The act phase — the reference engine's perception, two-round
-    /// arbitration, colour writes and moves, decision for decision,
-    /// table-driven.
+    /// The act phase — the reference engine's perception, arbitration,
+    /// colour writes and moves, decision for decision, table-driven.
     fn act(&mut self, env: &KernelEnv, phase: &[CompiledEntry]) {
         let n_states = usize::from(env.n_states);
         let n_colors = usize::from(env.n_colors);
@@ -548,77 +555,64 @@ impl MultiWorld {
         let dir = &mut self.dir[..k];
         let state = &mut self.state[..k];
         let own_color = &mut self.own_color[..k];
+        let decisions = &mut self.decisions[..k];
         let claims = &mut self.claims[..n_cells];
-        let cell_info = &mut self.cell_info[..n_cells * stride];
-        let meta = &mut self.meta[..n_cells];
-        let conflicts = &mut self.conflicts;
-        let requests = &mut self.requests;
-        let decisions = &mut self.decisions;
-        requests.clear();
-        decisions.clear();
+        let cell_info = &mut self.cell_info[..(n_cells + 1) * stride];
+        let meta = &mut self.meta[..=n_cells];
 
-        // Round 1: perceive the pre-step configuration; collect and
-        // arbitrate move requests while scanning.
+        // Round 1: perceive the pre-step configuration and claim the
+        // front cells of move requests. IDs come in increasing order,
+        // so the lowest claimant of a cell is its first, the highest
+        // its last.
         for i in 0..k {
-            let here = pos[i] as usize;
-            let front = env.fwd[here * n_dirs + usize::from(dir[i])];
+            let front = env.fwd[pos[i] as usize * n_dirs + usize::from(dir[i])];
             // One byte read covers the whole front perception: solid
-            // bit and colour.
-            let front_meta = if front == NONE { 1 } else { meta[front as usize] };
+            // bit and colour (the wall's is solid, colour 0).
+            let front_meta = meta[front as usize];
             let hard_blocked = front_meta & 1 != 0;
-            let color = own_color[i];
-            let front_color = if front == NONE { 0 } else { front_meta >> 1 };
             let x = usize::from(hard_blocked)
-                + 2 * (usize::from(color) + n_colors * usize::from(front_color));
-            let e = x * n_states + usize::from(state[i]);
-            let entry = phase[e];
+                + 2 * (usize::from(own_color[i]) + n_colors * usize::from(front_meta >> 1));
+            let entry = phase[x * n_states + usize::from(state[i])];
             let mut target = NONE;
             if !hard_blocked && entry.mv {
                 target = front;
-                requests.push((i as u32, front));
-                let cur = claims[front as usize];
-                let winner = match (cur, env.conflict) {
-                    (NONE, _) => i as u32,
-                    (c, ConflictPolicy::LowestId) => c.min(i as u32),
-                    (c, ConflictPolicy::HighestId) => c.max(i as u32),
+                let claim = &mut claims[front as usize];
+                *claim = match env.conflict {
+                    ConflictPolicy::LowestId => (*claim).min(i as u32),
+                    ConflictPolicy::HighestId => i as u32,
                 };
-                claims[front as usize] = winner;
             }
-            decisions.push((entry, target));
+            decisions[i] = (entry, target);
         }
 
-        // Round 2: losers re-perceive with blocked = 1 and stay put.
-        for &(i, target) in requests.iter() {
-            if claims[target as usize] != i {
-                *conflicts += 1;
-                let color = own_color[i as usize];
-                let front_color = meta[target as usize] >> 1;
-                let x = 1 + 2 * (usize::from(color) + n_colors * usize::from(front_color));
-                let e = x * n_states + usize::from(state[i as usize]);
-                decisions[i as usize] = (phase[e], NONE);
-            }
-        }
-        for &(_, target) in requests.iter() {
-            claims[target as usize] = NONE;
-        }
-
-        // Apply: colour writes, state/direction updates, moves.
+        // Apply in ID order, arbitrating on the way: an agent moves iff
+        // its claim held, and clears the claim as it moves in. Each
+        // claimed cell has one winner; under `LowestId` it is applied
+        // before its losers, which then read `NONE`, under `HighestId`
+        // after them, so they read its ID. Either way no loser reads
+        // its own ID, and `claims` is all-`NONE` again afterwards.
         let nd = n_dirs as u8;
+        let mut cell_sum = self.cell_sum;
         for i in 0..k {
-            let (entry, target) = decisions[i];
-            let here = pos[i] as usize;
+            let (mut entry, target) = decisions[i];
+            let (here, t) = (pos[i] as usize, target as usize);
+            let won = target != NONE && claims[t] == i as u32;
+            if won {
+                claims[t] = NONE;
+            } else if target != NONE {
+                // Lost: re-perceive with blocked = 1 and stay put. The
+                // contested cell keeps its pre-step colour all step (its
+                // winner only sets the solid bit).
+                self.conflicts += 1;
+                let x = 1 + 2 * (usize::from(own_color[i]) + n_colors * usize::from(meta[t] >> 1));
+                entry = phase[x * n_states + usize::from(state[i])];
+            }
             state[i] = entry.next_state;
             // `delta < n_dirs`, so one conditional subtract replaces the
             // hardware division of a `%` reduction.
             let d = dir[i] + entry.delta;
             dir[i] = if d >= nd { d - nd } else { d };
-            if target == NONE {
-                // Still occupied: solid bit stays set, colour is the
-                // FSM's write.
-                meta[here] = 1 | (entry.set_color << 1);
-                own_color[i] = entry.set_color;
-            } else {
-                let t = target as usize;
+            if won {
                 // Vacated: colour written, solid bit dropped.
                 meta[here] = entry.set_color << 1;
                 // The target cell keeps its own colour; nobody else
@@ -636,8 +630,15 @@ impl MultiWorld {
                     cell_info[here * stride + w] = 0;
                 }
                 pos[i] = target;
+                cell_sum = cell_sum.wrapping_add(target).wrapping_sub(here as u32);
+            } else {
+                // Still occupied: solid bit stays set, colour is the
+                // FSM's write.
+                meta[here] = 1 | (entry.set_color << 1);
+                own_color[i] = entry.set_color;
             }
         }
+        self.cell_sum = cell_sum;
     }
 
     /// The exchange sweep: walk the live frontier prefix only,
@@ -646,11 +647,10 @@ impl MultiWorld {
     /// construction (its `cell_info` words are the all-ones fixed point,
     /// and neighbours keep reading them there). One-word runs
     /// stage `(cell, word)` pairs in [`MultiWorld::wpairs`] — staging
-    /// and commit are both proportional to the frontier, and toroidal
-    /// fields take a sentinel-free gather — so a run deep in its
-    /// saturation tail costs almost nothing per step. Wide runs stage
-    /// by agent in [`MultiWorld::wbuf`]; swap-removal permutes only
-    /// within the walked prefix, so that prefix names exactly the
+    /// and commit are both proportional to the frontier — so a run deep
+    /// in its saturation tail costs almost nothing per step. Wide runs
+    /// stage by agent in [`MultiWorld::wbuf`]; swap-removal permutes
+    /// only within the walked prefix, so that prefix names exactly the
     /// staged agents at commit time.
     fn exchange(&mut self, env: &KernelEnv) {
         let n_dirs = env.n_dirs;
@@ -664,27 +664,15 @@ impl MultiWorld {
         let tail = self.tail_mask;
         let pos = &self.pos[..k];
         let frontier = &mut self.frontier[..k];
-        let cell_info = &mut self.cell_info[..n_cells * stride];
+        let cell_info = &mut self.cell_info[..(n_cells + 1) * stride];
 
         if stride == 1 {
-            let wpairs = &mut self.wpairs;
-            wpairs.clear();
-            // Dispatch on the two real neighbourhood sizes (unrolled
-            // OR loop) crossed with borderedness (toroidal `fwd` rows
-            // contain no `NONE`, so the sentinel test vanishes).
-            let live = match (n_dirs, env.has_border) {
-                (6, false) => gather_frontier::<6, false>(
-                    &env.fwd, cell_info, pos, frontier, len, wpairs, tail,
-                ),
-                (6, true) => gather_frontier::<6, true>(
-                    &env.fwd, cell_info, pos, frontier, len, wpairs, tail,
-                ),
-                (4, false) => gather_frontier::<4, false>(
-                    &env.fwd, cell_info, pos, frontier, len, wpairs, tail,
-                ),
-                (4, true) => gather_frontier::<4, true>(
-                    &env.fwd, cell_info, pos, frontier, len, wpairs, tail,
-                ),
+            let wpairs = &mut self.wpairs[..len];
+            // Dispatch on the two real neighbourhood sizes, so the OR
+            // loop unrolls.
+            let live = match n_dirs {
+                6 => gather_frontier::<6>(&env.fwd, cell_info, pos, frontier, wpairs, tail),
+                4 => gather_frontier::<4>(&env.fwd, cell_info, pos, frontier, wpairs, tail),
                 _ => unreachable!("square and triangulate cells have 4 and 6 neighbours"),
             };
             self.frontier_len = live as u32;
@@ -776,10 +764,11 @@ impl MultiWorld {
         self.state[..self.k as usize].to_vec()
     }
 
-    /// Row-major cell colours, unpacked from the cell bytes.
+    /// Row-major cell colours, unpacked from the cell bytes (the wall
+    /// cell is not one of them).
     #[must_use]
     pub fn colors(&self) -> Vec<u8> {
-        self.meta.iter().map(|m| m >> 1).collect()
+        self.meta.iter().take(self.env.lattice.len()).map(|m| m >> 1).collect()
     }
 
     /// Agent `i`'s communication vector as an [`InfoSet`].
@@ -868,6 +857,7 @@ enum Orbit {
 /// follow from these fields, so equal snapshots mean equal futures.
 #[derive(Debug, Default)]
 struct Snapshot {
+    cell_sum: u32,
     pos: Vec<u32>,
     dir: Vec<u8>,
     state: Vec<u8>,
@@ -903,33 +893,31 @@ impl Snapshot {
 
 /// The frontier one-word gather: walks the run's live frontier prefix,
 /// staging `(cell, gathered word)` pairs for exactly the active agents
-/// and swap-removing each agent that saturates. `D` fixes the
-/// neighbourhood size at compile time so the OR loop fully unrolls;
-/// `BORDERED = false` (toroidal fields — no `NONE` entries anywhere in
-/// `fwd`) removes the per-neighbour sentinel test from the inner loop
-/// entirely. Returns the new live length; the caller derives the newly
-/// informed count as `len - returned`.
-fn gather_frontier<const D: usize, const BORDERED: bool>(
+/// — one per slot of `wpairs`, which holds the prefix's length — and
+/// swap-removing each agent that saturates. `D` fixes the neighbourhood
+/// size at compile time so the OR loop fully unrolls. Returns the new
+/// live length; the caller derives the newly informed count as
+/// `wpairs.len() - returned`.
+fn gather_frontier<const D: usize>(
     fwd: &[u32],
     cell_info: &[u64],
     pos: &[u32],
     frontier: &mut [u32],
-    mut len: usize,
-    wpairs: &mut Vec<(u32, u64)>,
+    wpairs: &mut [(u32, u64)],
     tail: u64,
 ) -> usize {
-    let mut j = 0;
-    while j < len {
+    // Each slot stages the agent at `j`, then either advances `j` or
+    // shrinks the prefix, so `j < len` holds at every slot.
+    let (mut j, mut len) = (0, wpairs.len());
+    for slot in wpairs {
         let i = frontier[j] as usize;
         let here = pos[i] as usize;
         let mut w = cell_info[here];
         let row: [u32; D] = fwd[here * D..here * D + D].try_into().expect("row length is D");
         for nc in row {
-            if !BORDERED || nc != NONE {
-                w |= cell_info[nc as usize];
-            }
+            w |= cell_info[nc as usize];
         }
-        wpairs.push((here as u32, w));
+        *slot = (here as u32, w);
         if w == tail {
             len -= 1;
             frontier[j] = frontier[len];
@@ -976,14 +964,14 @@ fn gather_wide(
 
 /// [`gather_wide`]'s OR with the neighbourhood size `D` fixed at compile
 /// time, so the neighbour loop unrolls and each word accumulates in a
-/// register. An off-field neighbour reads the agent's own cell, a no-op.
+/// register.
 #[inline(always)]
 fn gather_wide_rows<const D: usize>(fwd: &[u32], cell_info: &[u64], here: usize, acc: &mut [u64]) {
     let stride = acc.len();
     let row: [u32; D] = fwd[here * D..here * D + D].try_into().expect("row length is D");
     let mut cells: [&[u64]; D] = [&[]; D];
     for (cell, nc) in cells.iter_mut().zip(row) {
-        let c = if nc == NONE { here } else { nc as usize };
+        let c = nc as usize;
         *cell = &cell_info[c * stride..c * stride + stride];
     }
     let own = &cell_info[here * stride..here * stride + stride];
